@@ -4,13 +4,12 @@ Reports are deterministic machine-readable JSON (sorted keys, no
 timestamps: a fixed seed reproduces byte-identical output) plus plot-ready
 CSV files with 17-significant-digit floats.  Exit codes follow the
 certificate verdict: 0 certified, 1 refuted, 2 inconclusive, 3 on IO or
-parse failures.
+parse failures, including command-line usage errors.
 """
 
 import argparse
 import json
 import math
-import os
 import sys as _sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,14 +49,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
-
-    @property
-    def workers(self):
-        env = os.environ.get("STABCERT_THREADS", "")
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
 
 
 def _fmt(x):
@@ -153,8 +144,7 @@ def _run_weakobs(config: RunConfig, lti: LtiSystem, extra=None) -> int:
                               residual_rule=residual,
                               samples=int(config.options.get("samples", 120)),
                               seed=config.seed,
-                              t_zero=float(config.options.get("t0", 0.0)),
-                              workers=config.workers)
+                              t_zero=float(config.options.get("t0", 0.0)))
     out = Path(config.output_dir)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -281,11 +271,9 @@ def _cmd_periodic(config: RunConfig) -> int:
         "k": c.k, "n_k": c.n_k, "C": c.c_k, "status": c.status,
         "margin": c.margin,
     } for c in certs]
-    verdict = (weakobs.CERTIFIED if all(c.status == per.CERTIFIED
-                                        for c in certs)
-               else weakobs.REFUTED if any(c.status == per.REFUTED
-                                           for c in certs)
-               else weakobs.INCONCLUSIVE)
+    statuses = [c.status for c in certs]
+    verdict = weakobs.family_verdict(
+        all(s == weakobs.CERTIFIED for s in statuses), statuses)
     payload["verdict"] = verdict
     _write_json(out / "report.json", payload)
     return _STATUS_EXIT[verdict]
@@ -432,11 +420,11 @@ def _build_parser():
         p.add_argument("--out", default="stabcert-out",
                        help="output directory for report.json and CSVs")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="quadrature relative tolerance")
 
     p = sub.add_parser("gramian", help="observability Gramian dump")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="quadrature relative tolerance")
     p.add_argument("--system", required=True,
                    help="path to a JSON system spec, or inline JSON")
     p.add_argument("--horizon", type=float, default=1.0)
@@ -531,7 +519,7 @@ def _config_from_args(args) -> RunConfig:
         system_spec=getattr(args, "system", ""),
         output_dir=args.out,
         seed=args.seed,
-        tolerances={"quad": args.tol},
+        tolerances={"quad": args.tol} if args.command == "gramian" else {},
         grids=grids,
         options=opts,
     )
@@ -541,8 +529,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:         # --help exits 0, usage errors nonzero
+        return EXIT_ERROR if exc.code else 0
     return run(_config_from_args(args))
 
 

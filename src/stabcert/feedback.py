@@ -24,7 +24,7 @@ from ._quadrature import integrate_adaptive
 from .semigroup import (DEFAULT_QUAD, QuadratureSpec, observability_gramian,
                         transition_matrix)
 from .systems import LtiSystem
-from .weakobs import CERTIFIED, CertificateFamily
+from .weakobs import CertificateFamily
 
 __all__ = [
     "UnstabilizableError",
@@ -377,9 +377,9 @@ def certificate_to_feedback(sys: LtiSystem, family: CertificateFamily,
     """Synthesize rate-mu feedback backed by a certified family entry.
 
     Picks the smallest certified integer index k with k > mu, selects its
-    admissible horizon (exceeding both the family's t_zero and ln C), and
-    delegates to the shifted Riccati synthesis; the selection is recorded
-    on the result.
+    admissible horizon with `family.sequence_entry(k)` (the rule
+    `discrete_sequence` uses), and delegates to the shifted Riccati
+    synthesis; the selection is recorded on the result.
     """
     if mu <= 0:
         raise ValueError("target rate mu must be positive")
@@ -395,17 +395,7 @@ def certificate_to_feedback(sys: LtiSystem, family: CertificateFamily,
             f"family has no certified integer entry with index above "
             f"mu={mu:g}")
     k = admissible[0]
-    entries = [c for c in family.entries_for_alpha(float(k + 1))
-               if c.status == CERTIFIED]
-    c_val = entries[0].c_const
-    horizon_ok = [c for c in entries
-                  if c.horizon > family.t_zero
-                  and c.horizon > math.log(c_val)]
-    if not horizon_ok:
-        raise ValueError(
-            f"no certified horizon at index k={k} exceeds "
-            f"max(t_zero, ln C)")
-    pick = min(horizon_ok, key=lambda c: c.horizon)
+    pick = family.sequence_entry(k)
     result = solve_shifted_riccati(sys, mu)
     chain = {
         "k": k,

@@ -6,17 +6,27 @@ The benchmark system here is diagonal with decay rates 1, 2, ..., N and a
 e^{-n^2}.  Because every channel is scalar and disjoint, observation
 energies have exact per-mode closed forms, which the generic certificate
 checker cross-validates by panel quadrature split at the switch times.
+
+Only what is periodic lives here: the per-mode energies g and the decayed
+norms w = e^{2 lambda T}, the candidate states, and the quadrature
+confirmation.  The slack, ratio, confirmation threshold and verdict come
+from the decision core in `stabcert.weakobs`, on diagonal forms.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from ._quadrature import integrate_adaptive
+from .weakobs import (CERTIFIED, INCONCLUSIVE, REFUTED, Forms, best_state,
+                      decide, slack)
 
 __all__ = [
+    "CERTIFIED",
+    "REFUTED",
+    "INCONCLUSIVE",
     "PeriodicSystem",
     "PeriodicCertificate",
     "build_multiplexed_system",
@@ -28,11 +38,6 @@ __all__ = [
     "periodic_weakobs_check",
     "periodic_from_spec",
 ]
-
-CERTIFIED = "certified"
-REFUTED = "refuted"
-INCONCLUSIVE = "inconclusive"
-
 
 @dataclass(frozen=True)
 class PeriodicSystem:
@@ -242,8 +247,9 @@ def periodic_weakobs_check(sys: PeriodicSystem, k: int, n_k: int,
     """Decide ||Phi(n_k,0)^* psi|| <= c_k ||obs|| + e^{-k n_k} ||psi||.
 
     Everything is diagonal, so the sufficient quadratic test reduces to
-    per-mode margins c_k^2 g_n + eps^2 - w_n >= 0; candidate refutations
-    are confirmed through the quadrature energy before the verdict.
+    per-mode margins c_k^2 g_n + eps^2 - w_n >= 0; the unit vectors and
+    `samples` Gaussian states are searched for a violation, which must be
+    confirmed through the quadrature energy before it refutes.
     """
     if k < 1 or n_k < 1:
         raise ValueError("k and n_k must be positive integers")
@@ -254,48 +260,14 @@ def periodic_weakobs_check(sys: PeriodicSystem, k: int, n_k: int,
     eps = math.exp(-k * horizon)
     g = np.array([_mode_energy(sys.a_diag[i], sys.windows[i], n_k)
                   for i in range(sys.n)])
-    w = np.exp(2.0 * sys.a_diag * horizon)
-
-    margins = c_k**2 * g + eps**2 - w
-    margin = float(margins.min())
-
-    def ratio(psi):
-        psi = psi / np.linalg.norm(psi)
-        num = math.sqrt(float(np.sum(w * psi**2))) - eps
-        if num <= 0:
-            return 0.0
-        q = float(np.sum(g * psi**2))
-        if q <= 1e-13 * max(g.max(), 1e-300):
-            return np.inf
-        return num / math.sqrt(q)
-
+    forms = Forms(gram=g, w=np.exp(2.0 * sys.a_diag * horizon))
     cands = list(np.eye(sys.n))
     cands.extend(rng.standard_normal((samples, sys.n)))
-    best, best_psi = -np.inf, None
-    for psi in cands:
-        val = ratio(np.asarray(psi, dtype=float))
-        if val > best:
-            best, best_psi = val, np.asarray(psi, dtype=float)
-    sample_margin = c_k - best if np.isfinite(best) else -np.inf
-
-    refuted = False
-    if best_psi is not None and best > c_k:
-        psi = best_psi / np.linalg.norm(best_psi)
-        lhs = math.sqrt(float(np.sum(w * psi**2)))
-        energy = periodic_observation_energy_quadrature(sys, n_k, psi)
-        rhs = c_k * math.sqrt(max(energy, 0.0)) + eps
-        refuted = lhs > rhs + 1e-12 * (1.0 + lhs)
-
-    if refuted:
-        status, witness = REFUTED, best_psi
-    elif margin >= 0.0:
-        status, witness = CERTIFIED, None
-    else:
-        status, witness = INCONCLUSIVE, None
-    return PeriodicCertificate(k=k, n_k=n_k, c_k=c_k, margin=margin,
-                               sample_margin=sample_margin, status=status,
-                               witness=witness,
-                               per_mode_margins=tuple(margins))
+    decision = decide(
+        forms, c_k, eps, best_state(forms, eps, cands),
+        lambda psi: periodic_observation_energy_quadrature(sys, n_k, psi))
+    return PeriodicCertificate(k=k, n_k=n_k, c_k=c_k, **decision._asdict(),
+                               per_mode_margins=tuple(slack(forms, c_k, eps)))
 
 
 def multiplexed_stabilizability_check(sys: PeriodicSystem, k: int,
@@ -311,12 +283,7 @@ def multiplexed_stabilizability_check(sys: PeriodicSystem, k: int,
     c_k = math.sqrt(sys.alpha_series) * math.exp(k**2 / 2.0)
     cert = periodic_weakobs_check(sys, k, 1, c_k, samples=samples, seed=seed)
     key = tuple(math.exp(float(k**2 - nn**2)) for nn in range(1, k + 1))
-    return PeriodicCertificate(k=cert.k, n_k=cert.n_k, c_k=cert.c_k,
-                               margin=cert.margin,
-                               sample_margin=cert.sample_margin,
-                               status=cert.status, witness=cert.witness,
-                               per_mode_margins=cert.per_mode_margins,
-                               key_fact=key)
+    return replace(cert, key_fact=key)
 
 
 def periodic_from_spec(spec: dict) -> PeriodicSystem:

@@ -1,4 +1,5 @@
-"""Weak-observability certificates: checking, bracketing and sweeping.
+"""Weak-observability certificates: the decision core, checking,
+bracketing and sweeping.
 
 A certificate (T, alpha, D, C) claims that for every state phi
 
@@ -18,10 +19,13 @@ two-sided:
   confirmed r(phi) > D refutes with phi stored as the witness.
 
 Between the two the verdict is "inconclusive", never guessed.
+
+Every verdict in the package, `stabcert.periodic` included, goes through
+the one decision core here (`Forms`, `slack`, `best_state`, `decide`);
+`check_certificate` and `optimal_d_bracket` are thin wrappers over it.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -112,32 +116,135 @@ class CertificateFamily:
 
     @property
     def verdict(self):
-        if self.all_certified:
-            return CERTIFIED
-        if any(c.status == REFUTED for c in self.certificates):
-            return REFUTED
-        return INCONCLUSIVE
+        return family_verdict(self.all_certified,
+                              [c.status for c in self.certificates])
+
+    def sequence_entry(self, k: int, t_zero: Optional[float] = None):
+        """The certified entry at alpha = k+1 with the smallest grid horizon
+        T exceeding both t_zero (default: the family's) and ln C(k+1), so
+        that C(k+1) e^{-(k+1) T} <= e^{-k T}."""
+        if t_zero is None:
+            t_zero = self.t_zero
+        alpha = float(k + 1)
+        entries = [c for c in self.entries_for_alpha(alpha)
+                   if c.status == CERTIFIED]
+        if not entries:
+            raise ValueError(f"family has no certified entries at "
+                             f"alpha={alpha:g} (needed for k={k})")
+        c_val = entries[0].c_const
+        admissible = [c for c in entries
+                      if c.horizon > t_zero and c.horizon > math.log(c_val)]
+        if not admissible:
+            raise ValueError(
+                f"no grid horizon exceeds max(t_zero={t_zero:g}, "
+                f"ln C={math.log(c_val):.6g}) for k={k}")
+        return min(admissible, key=lambda c: c.horizon)
 
 
 # ---------------------------------------------------------------------------
-# internals: violation-ratio sampling
+# the decision core
 # ---------------------------------------------------------------------------
 
-def _ratio(phi, adj_t, gram, eps):
+class Forms(NamedTuple):
+    """G(T) and W = e^{A T} e^{A^T T} as matrices, with adj = e^{A^T T},
+    or as diagonals (1-D arrays), with adj None."""
+
+    gram: np.ndarray
+    w: np.ndarray
+    adj: Optional[np.ndarray] = None
+
+
+class Decision(NamedTuple):
+    status: str
+    margin: float                   # smallest eigenvalue of the PSD slack
+    sample_margin: float            # D - best sampled violation ratio
+    witness: Optional[np.ndarray]   # the confirmed violating state
+
+
+def slack(forms: Forms, d_const: float, eps: float) -> np.ndarray:
+    """The sufficient-test slack D^2 G + eps^2 I - W (a diagonal for
+    diagonal forms); the inequality holds when it is PSD."""
+    eye = 1.0 if forms.gram.ndim == 1 else np.eye(len(forms.gram))
+    return d_const**2 * forms.gram + eps**2 * eye - forms.w
+
+
+def _margin(s):
+    if s.ndim == 1:
+        return float(s.min())
+    return float(np.linalg.eigvalsh(0.5 * (s + s.T)).min())
+
+
+def _free_norm(forms, phi):
+    """||e^{A^T T} phi||."""
+    if forms.adj is None:
+        return math.sqrt(float(np.sum(forms.w * phi**2)))
+    return np.linalg.norm(forms.adj @ phi)
+
+
+def _ratio(phi, forms, eps):
     """(||e^{A^T T} phi|| - eps ||phi||)_+ / sqrt(<G phi, phi>)."""
     phi = phi / np.linalg.norm(phi)
-    num = np.linalg.norm(adj_t @ phi) - eps
+    num = _free_norm(forms, phi) - eps
     if num <= 0:
         return 0.0
-    q = float(phi @ gram @ phi)
-    floor = _SINGULAR_RTOL * max(np.trace(gram), 1e-300)
-    if q <= floor:
+    gram = forms.gram
+    if gram.ndim == 1:
+        q, trace = float(np.sum(gram * phi**2)), gram.sum()
+    else:
+        q, trace = float(phi @ gram @ phi), np.trace(gram)
+    if q <= _SINGULAR_RTOL * max(trace, 1e-300):
         return np.inf
     return num / math.sqrt(q)
 
 
-def _candidate_states(sys, gram, w_mat, rng, samples):
-    n = sys.n
+def best_state(forms: Forms, eps: float, candidates):
+    """Best violation ratio over the candidate states, and its state."""
+    best_phi, best = None, -np.inf
+    for phi in candidates:
+        val = _ratio(phi, forms, eps)
+        if val > best:
+            best_phi, best = phi, val
+    return best_phi, best
+
+
+def decide(forms: Forms, d_const: float, eps: float, search,
+           energy: Callable[[np.ndarray], float]) -> Decision:
+    """Verdict on ||e^{A^T T} phi|| <= D sqrt(<G phi, phi>) + eps ||phi||.
+
+    `search` is the (state, ratio) found on these forms and eps, whatever
+    D is.  Refuted only when that state violates the inequality beyond
+    rounding with its observation energy recomputed by `energy`, an
+    independent route; else certified iff the PSD margin is >= 0.
+    """
+    margin = _margin(slack(forms, d_const, eps))
+    phi, best = search
+    sample_margin = d_const - best if np.isfinite(best) else -np.inf
+    if phi is not None and best > d_const:
+        unit = phi / np.linalg.norm(phi)
+        lhs = _free_norm(forms, unit)
+        rhs = d_const * math.sqrt(max(energy(unit), 0.0)) + eps
+        if lhs > rhs + 1e-12 * (1.0 + lhs):
+            return Decision(REFUTED, margin, sample_margin, phi)
+    status = CERTIFIED if margin >= 0.0 else INCONCLUSIVE
+    return Decision(status, margin, sample_margin, None)
+
+
+def family_verdict(all_certified: bool, statuses) -> str:
+    """Certified when every claim is, else refuted when some entry is."""
+    if all_certified:
+        return CERTIFIED
+    return REFUTED if REFUTED in statuses else INCONCLUSIVE
+
+
+def _dense_forms(sys, horizon, quad, gram=None):
+    if gram is None:
+        gram = observability_gramian(sys, horizon, quad).matrix
+    trans = transition_matrix(sys, horizon)
+    return Forms(gram, trans @ trans.T, trans.T)
+
+
+def _candidate_states(n, forms, rng, samples):
+    gram, w_mat = forms.gram, forms.w
     cands = [rng.standard_normal(n) for _ in range(samples)]
     cands.extend(np.eye(n))
     _, gv = np.linalg.eigh(gram)
@@ -183,27 +290,40 @@ def _ascend(phi, objective, iters=20, step=0.1, h=1e-6):
     return phi, best
 
 
-def _max_violation_with(sys, adj_t, gram, w_mat, eps, rng, samples):
-    """Best sampled violation ratio and the state achieving it."""
-    best_phi, best = None, -np.inf
-    for phi in _candidate_states(sys, gram, w_mat, rng, samples):
-        val = _ratio(phi, adj_t, gram, eps)
-        if val > best:
-            best_phi, best = phi, val
-    if best_phi is not None and np.isfinite(best) and best > 0:
-        best_phi, best = _ascend(best_phi,
-                                 lambda v: _ratio(v, adj_t, gram, eps))
-    return best_phi, best
+def _violation_search(sys, forms, eps, samples, seed):
+    """Seeded search: the best sampled state, then ascent from it."""
+    rng = np.random.default_rng(seed)
+    phi, best = best_state(forms, eps,
+                           _candidate_states(sys.n, forms, rng, samples))
+    if phi is not None and np.isfinite(best) and best > 0:
+        phi, best = _ascend(phi, lambda v: _ratio(v, forms, eps))
+    return phi, best
 
 
-def _confirm_violation(sys, phi, horizon, d_const, residual,
-                       quad: QuadratureSpec):
-    """Re-evaluate the inequality at phi through the quadrature route."""
-    phi = phi / np.linalg.norm(phi)
-    lhs = np.linalg.norm(transition_matrix(sys, horizon, adjoint=True) @ phi)
-    energy = observation_energy(sys, horizon, phi, quad)
-    rhs = d_const * math.sqrt(max(energy, 0.0)) + residual
-    return lhs > rhs + 1e-12 * (1.0 + lhs)
+def _d_bracket(forms, eps, best, d_cap=1e9):
+    """(sampled lower bound, bisected sufficient-test upper bound) on D."""
+    d_lo = max(best, 0.0)
+    if not np.isfinite(d_lo):
+        return d_lo, np.inf
+
+    def passes(d_const):
+        return _margin(slack(forms, d_const, eps)) >= 0.0
+
+    if passes(0.0):
+        return d_lo, 0.0
+    hi = 1.0
+    while not passes(hi):
+        hi *= 4.0
+        if hi > d_cap:
+            return d_lo, np.inf
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return d_lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -223,37 +343,13 @@ def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
     both margins reported.
     """
     quad = quad or DEFAULT_QUAD
-    rng = np.random.default_rng(seed)
-    if gram is None:
-        gram = observability_gramian(sys, cert.horizon, quad).matrix
-    trans = transition_matrix(sys, cert.horizon)
-    adj_t = trans.T
-    w_mat = trans @ adj_t
+    forms = _dense_forms(sys, cert.horizon, quad, gram)
     eps = cert.residual
-
-    suff = cert.d_const**2 * gram + eps**2 * np.eye(sys.n) - w_mat
-    margin = float(np.linalg.eigvalsh(0.5 * (suff + suff.T)).min())
-
-    phi, best = _max_violation_with(sys, adj_t, gram, w_mat, eps, rng,
-                                    samples)
-    sample_margin = (cert.d_const - best if np.isfinite(best)
-                     else -np.inf)
-    refuted = (phi is not None and best > cert.d_const
-               and _confirm_violation(sys, phi, cert.horizon, cert.d_const,
-                                      eps, quad))
-    if refuted:
-        return replace(cert, status=REFUTED, margin=margin,
-                       sample_margin=sample_margin, witness=phi)
-    if margin >= 0.0:
-        return replace(cert, status=CERTIFIED, margin=margin,
-                       sample_margin=sample_margin, witness=None)
-    return replace(cert, status=INCONCLUSIVE, margin=margin,
-                   sample_margin=sample_margin, witness=None)
-
-
-def _sufficient_passes(gram, w_mat, n, d_const, eps):
-    m = d_const**2 * gram + eps**2 * np.eye(n) - w_mat
-    return np.linalg.eigvalsh(0.5 * (m + m.T)).min() >= 0.0
+    decision = decide(forms, cert.d_const, eps,
+                      _violation_search(sys, forms, eps, samples, seed),
+                      lambda phi: observation_energy(sys, cert.horizon, phi,
+                                                     quad))
+    return replace(cert, **decision._asdict())
 
 
 def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
@@ -272,33 +368,9 @@ def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
         raise ValueError("horizon must be positive")
     if eps < 0:
         raise ValueError("residual must be nonnegative")
-    quad = quad or DEFAULT_QUAD
-    rng = np.random.default_rng(seed)
-    gram = observability_gramian(sys, horizon, quad).matrix
-    trans = transition_matrix(sys, horizon)
-    adj_t = trans.T
-    w_mat = trans @ adj_t
-
-    _, best = _max_violation_with(sys, adj_t, gram, w_mat, eps, rng, samples)
-    d_lo = max(best, 0.0)
-    if not np.isfinite(d_lo):
-        return d_lo, np.inf
-
-    if _sufficient_passes(gram, w_mat, sys.n, 0.0, eps):
-        return d_lo, 0.0
-    hi = 1.0
-    while not _sufficient_passes(gram, w_mat, sys.n, hi, eps):
-        hi *= 4.0
-        if hi > d_cap:
-            return d_lo, np.inf
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _sufficient_passes(gram, w_mat, sys.n, mid, eps):
-            hi = mid
-        else:
-            lo = mid
-    return d_lo, hi
+    forms = _dense_forms(sys, horizon, quad or DEFAULT_QUAD)
+    _, best = _violation_search(sys, forms, eps, samples, seed)
+    return _d_bracket(forms, eps, best, d_cap)
 
 
 def _resolve_residual_rule(residual_rule, alphas):
@@ -315,14 +387,17 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
                 residual_rule: Union[float, dict, Callable] = 1.0,
                 samples: int = 200, seed: int = 0,
                 quad: Optional[QuadratureSpec] = None,
-                t_zero: float = 0.0,
-                workers: int = 1) -> CertificateFamily:
+                t_zero: float = 0.0) -> CertificateFamily:
     """For each alpha, look for one (D, C(alpha)) certifying every horizon.
 
     The per-alpha D is the largest sufficient-test bound over the horizon
     grid (with a small safety factor), so certified entries carry strictly
     positive margins.  Entries with an unobserved direction not covered by
     the residual are refuted with a stored witness.
+
+    Each horizon's forms are built once and each (alpha, T) runs one
+    violation search, which serves the D bracket and every D checked, so
+    entries equal `check_certificate` with the same seed and samples.
     """
     alphas = tuple(sorted(float(a) for a in alphas))
     horizons = tuple(sorted(float(t) for t in horizons))
@@ -330,83 +405,58 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
         raise ValueError("alpha and horizon grids must be nonempty")
     quad = quad or DEFAULT_QUAD
     c_of_alpha, source = _resolve_residual_rule(residual_rule, alphas)
-
-    grams = {t: observability_gramian(sys, t, quad).matrix for t in horizons}
+    forms = {t: _dense_forms(sys, t, quad) for t in horizons}
 
     def check_alpha(alpha):
         c_val = c_of_alpha[alpha]
-        brackets = {}
-        for t in horizons:
-            eps = c_val * math.exp(-alpha * t)
-            brackets[t] = optimal_d_bracket(sys, t, eps, samples=samples,
-                                            seed=seed, quad=quad)
+        eps = {t: c_val * math.exp(-alpha * t) for t in horizons}
+        searches = {t: _violation_search(sys, forms[t], eps[t], samples, seed)
+                    for t in horizons}
+        brackets = {t: _d_bracket(forms[t], eps[t], searches[t][1])
+                    for t in horizons}
+
+        def check(t, d_const):
+            cert = WeakObsCertificate(horizon=t, alpha=alpha,
+                                      d_const=d_const, c_const=c_val)
+            decision = decide(forms[t], d_const, eps[t], searches[t],
+                              lambda phi: observation_energy(sys, t, phi,
+                                                             quad))
+            return replace(cert, **decision._asdict())
+
         finite = [hi for _, hi in brackets.values() if np.isfinite(hi)]
-        certs = []
         if len(finite) == len(horizons):
             # inflate the common D so certified margins sit clear of the
             # eigensolver's floating-point noise; escalate if needed
             for bump in (1e-3, 1e-2, 1e-1, 1.0):
                 d_alpha = max(finite) * (1.0 + bump) + 1e-300
-                certs = []
-                for t in horizons:
-                    cert = WeakObsCertificate(horizon=t, alpha=alpha,
-                                              d_const=d_alpha, c_const=c_val)
-                    certs.append(check_certificate(sys, cert, samples=samples,
-                                                   seed=seed, quad=quad,
-                                                   gram=grams[t]))
+                certs = [check(t, d_alpha) for t in horizons]
                 if all(c.status == CERTIFIED for c in certs):
                     break
-        else:
-            for t in horizons:
-                d_lo, d_hi = brackets[t]
-                d_use = d_hi if np.isfinite(d_hi) else max(d_lo, 1.0)
-                if not np.isfinite(d_use):
-                    d_use = 1.0
-                cert = WeakObsCertificate(horizon=t, alpha=alpha,
-                                          d_const=d_use, c_const=c_val)
-                certs.append(check_certificate(sys, cert, samples=samples,
-                                               seed=seed, quad=quad,
-                                               gram=grams[t]))
-        return certs
+            return certs
+        # per-horizon fallback: d_hi, else max(d_lo, 1), else 1
+        return [check(t, next(d for d in (d_hi, max(d_lo, 1.0), 1.0)
+                              if np.isfinite(d)))
+                for t, (d_lo, d_hi) in brackets.items()]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check_alpha, alphas))
-    else:
-        results = [check_alpha(a) for a in alphas]
-    certificates = tuple(c for group in results for c in group)
+    certificates = tuple(c for alpha in alphas for c in check_alpha(alpha))
     return CertificateFamily(alphas=alphas, horizons=horizons,
-                             certificates=certificates, kind="alpha-grid",
-                             residual_source=source, t_zero=t_zero)
+                             certificates=certificates,
+                             kind="alpha-grid", residual_source=source,
+                             t_zero=t_zero)
 
 
 def discrete_sequence(family: CertificateFamily, k_max: int,
                       t_zero: Optional[float] = None):
     """Select the discrete certificate sequence from a certified family.
 
-    For each k <= k_max this picks the smallest grid horizon T_k exceeding
-    both t_zero and ln C(k+1) among the certified entries at alpha = k+1,
-    so that C(k+1) e^{-(k+1) T_k} <= e^{-k T_k}; the returned entries
-    (k, T_k, D(k)) then satisfy the inequality with residual e^{-k T_k}.
+    For each k <= k_max this takes `family.sequence_entry(k, t_zero)`, the
+    smallest grid horizon T_k exceeding both t_zero and ln C(k+1) among the
+    certified entries at alpha = k+1; the returned entries (k, T_k, D(k))
+    then satisfy the inequality with residual e^{-k T_k}.
     """
-    if t_zero is None:
-        t_zero = family.t_zero
     out = []
     for k in range(1, k_max + 1):
-        alpha = float(k + 1)
-        entries = [c for c in family.entries_for_alpha(alpha)
-                   if c.status == CERTIFIED]
-        if not entries:
-            raise ValueError(f"family has no certified entries at "
-                             f"alpha={alpha:g} (needed for k={k})")
-        c_val = entries[0].c_const
-        admissible = [c for c in entries
-                      if c.horizon > t_zero and c.horizon > math.log(c_val)]
-        if not admissible:
-            raise ValueError(
-                f"no grid horizon exceeds max(t_zero={t_zero:g}, "
-                f"ln C={math.log(c_val):.6g}) for k={k}")
-        pick = min(admissible, key=lambda c: c.horizon)
+        pick = family.sequence_entry(k, t_zero)
         out.append(SequenceEntry(k=k, horizon=pick.horizon,
                                  d_const=pick.d_const))
     return out

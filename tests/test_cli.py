@@ -57,6 +57,34 @@ def test_missing_file_exit_three(tmp_path):
     assert code == 3
 
 
+def test_usage_error_exit_three(capsys):
+    assert run_cli(["weakobs", "--system", "{}", "--bogus"]) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run_cli([]) == 3
+    with pytest.raises(SystemExit) as info:
+        cli._build_parser().parse_args(["weakobs", "--help"])
+    assert info.value.code == 0
+    assert run_cli(["weakobs", "--help"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["weakobs", "--system", SCALAR_SPEC],
+    ["constants", "--formula", "admissibility"],
+    ["stabilize", "--system", SCALAR_SPEC],
+    ["periodic"],
+    ["example", "point-heat"],
+    ["verify-all"],
+])
+def test_tol_is_a_gramian_only_flag(argv, tmp_path):
+    assert run_cli(argv + ["--tol", "1e-8", "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_gramian_accepts_tol(tmp_path):
+    assert run_cli(["gramian", "--system", SCALAR_SPEC, "--tol", "1e-8",
+                    "--out", str(tmp_path)]) == 0
+
+
 def test_reports_are_deterministic(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["weakobs", "--system", SCALAR_SPEC, "--alpha-grid", "1,2",

@@ -197,6 +197,54 @@ def test_sweep_residual_sources():
     assert fam_f.residual_source == "formula"
 
 
+def _dense_pair(kind, n=4, seed=5):
+    """A random dense pair, or one whose unstable mode B cannot see."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return systems.build_system(rng.standard_normal((n, n)),
+                                    rng.standard_normal((n, 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate([[1.0], rng.uniform(-3.0, -0.5, size=n - 1)])
+    b = rng.standard_normal((n, 2))
+    b -= np.outer(q[:, 0], q[:, 0] @ b)
+    return systems.build_system(q @ np.diag(lam) @ q.T, b)
+
+
+def test_sweep_builds_each_horizon_gramian_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return semigroup.observability_gramian(*args, **kwargs)
+
+    monkeypatch.setattr(weakobs, "observability_gramian", counted)
+    horizons = [0.5, 1.0, 2.0, 4.0]
+    weakobs.sweep_alpha(_dense_pair("dense"), [1.0, 2.0, 4.0, 8.0],
+                        horizons, samples=20)
+    assert len(calls) == len(horizons)
+
+
+@pytest.mark.parametrize("kind", ["dense", "unobservable"])
+def test_sweep_entries_equal_check_certificate(kind):
+    s = _dense_pair(kind)
+    fam = weakobs.sweep_alpha(s, [1.0, 2.0, 4.0], [0.5, 1.0, 2.0],
+                              samples=30, seed=3)
+    if kind == "unobservable":
+        assert fam.verdict == REFUTED
+    for entry in fam.certificates:
+        cert = WeakObsCertificate(horizon=entry.horizon, alpha=entry.alpha,
+                                  d_const=entry.d_const,
+                                  c_const=entry.c_const)
+        alone = weakobs.check_certificate(s, cert, samples=30, seed=3)
+        assert alone.status == entry.status
+        assert alone.margin == entry.margin
+        assert alone.sample_margin == entry.sample_margin
+        if entry.witness is None:
+            assert alone.witness is None
+        else:
+            assert np.array_equal(alone.witness, entry.witness)
+
+
 def test_discrete_sequence_picks_smallest_admissible():
     fam = weakobs.sweep_alpha(SCALAR_01, [2.0, 3.0], [0.5, 1.0, 2.0, 4.0])
     seq = weakobs.discrete_sequence(fam, 2)

@@ -3,7 +3,10 @@
 Integrands throughout the package are smooth exponentials (possibly matrix
 valued), so fixed-order Gauss-Legendre panels converge extremely fast; the
 error estimate is the difference between a run and the same run with the
-panel count doubled.
+panel count doubled.  `refine` is that one doubling rule.  It takes a
+per-level evaluator, so a caller with batched node exponentials (the dense
+Gramian and observation energy in `semigroup`) evaluates a whole level at
+once; `integrate_adaptive` feeds it a pointwise integrand node by node.
 """
 
 import numpy as np
@@ -32,22 +35,11 @@ def panel_nodes(a, b, panels, npts):
     return nodes, weights
 
 
-def integrate_adaptive(f, a, b, panels=32, npts=8, rel_tol=1e-10,
-                       abs_tol=0.0, max_doublings=10, vector=False):
-    """Integrate f on [a, b], doubling panels until the estimate settles.
+def pointwise_level(f, a, b, npts, vector=False):
+    """Per-level evaluator for `refine` that visits the nodes one at a time.
 
     f maps a scalar t to a scalar (or to an ndarray when vector=True).
-    Convergence requires err <= rel_tol * |value| + abs_tol; the absolute
-    term lets callers whose integrand carries evaluation noise (e.g.
-    cancellation inside a matrix exponential) declare a floor below which
-    disagreement is meaningless.  Returns (value, error_estimate).
     """
-    if b < a:
-        raise ValueError("integration interval is reversed")
-    if b == a:
-        zero = f(a) * 0.0 if vector else 0.0
-        return zero, 0.0
-
     def run(k):
         nodes, weights = panel_nodes(a, b, k, npts)
         if vector:
@@ -58,10 +50,41 @@ def integrate_adaptive(f, a, b, panels=32, npts=8, rel_tol=1e-10,
             return acc
         return sum(w * f(t) for t, w in zip(nodes, weights))
 
-    prev = run(panels)
+    return run
+
+
+def integrate_adaptive(f, a, b, panels=32, npts=8, rel_tol=1e-10,
+                       abs_tol=0.0, max_doublings=10, vector=False):
+    """Integrate f on [a, b], doubling panels until the estimate settles.
+
+    f maps a scalar t to a scalar (or to an ndarray when vector=True); the
+    stopping rule is `refine`'s.  Returns (value, error_estimate).
+    """
+    if b < a:
+        raise ValueError("integration interval is reversed")
+    if b == a:
+        zero = f(a) * 0.0 if vector else 0.0
+        return zero, 0.0
+    return refine(pointwise_level(f, a, b, npts, vector), panels,
+                  rel_tol=rel_tol, abs_tol=abs_tol,
+                  max_doublings=max_doublings)
+
+
+def refine(level, panels, rel_tol=1e-10, abs_tol=0.0, max_doublings=10):
+    """The doubling rule: compare level(k) with level(2k) until they agree.
+
+    level(k) is the composite rule with k equal panels, a scalar or an
+    ndarray; callers that can evaluate a whole level at once (batched node
+    values) pass it directly.  Convergence requires
+    err <= rel_tol * |value| + abs_tol; the absolute term lets callers
+    whose integrand carries evaluation noise (e.g. cancellation inside a
+    matrix exponential) declare a floor below which disagreement is
+    meaningless.  Returns (value, error_estimate).
+    """
+    prev = level(panels)
     for _ in range(max_doublings):
         panels *= 2
-        cur = run(panels)
+        cur = level(panels)
         err = np.linalg.norm(np.asarray(cur - prev))
         scale = max(np.linalg.norm(np.asarray(cur)), 1e-300)
         if err <= rel_tol * scale + abs_tol:

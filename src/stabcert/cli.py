@@ -265,7 +265,9 @@ def _cmd_periodic(config: RunConfig) -> int:
         return EXIT_REFUTED        # refuting null controllability succeeded
 
     k_grid = [int(v) for v in str(o.get("k_grid", "1,2,3,4,5")).split(",")]
-    certs = [per.multiplexed_stabilizability_check(sys_p, k, seed=config.seed)
+    samples = int(o.get("samples", 100))
+    certs = [per.multiplexed_stabilizability_check(sys_p, k, samples=samples,
+                                                   seed=config.seed)
              for k in k_grid]
     payload["certificates"] = [{
         "k": c.k, "n_k": c.n_k, "C": c.c_k, "status": c.status,
@@ -488,7 +490,9 @@ def _build_parser():
     p.add_argument("--alpha-grid", default="")
     p.add_argument("--t-grid", default="")
     p.add_argument("--c-alpha", default="1.0")
-    p.add_argument("--samples", type=int, default=120)
+    p.add_argument("--samples", type=int, default=None,
+                   help="random states searched (default 120; 100 for "
+                        "periodic-l2)")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--series-terms", type=int, default=12)
     p.add_argument("--k-grid", default="1,2,3,4,5")

@@ -85,12 +85,11 @@ def test_gramian_accepts_tol(tmp_path):
                     "--out", str(tmp_path)]) == 0
 
 
-def test_reports_are_deterministic(tmp_path, monkeypatch):
+def test_reports_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["weakobs", "--system", SCALAR_SPEC, "--alpha-grid", "1,2",
             "--t-grid", "0.5,1", "--seed", "7"]
     assert run_cli(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("STABCERT_THREADS", "2")
     assert run_cli(args + ["--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == \
         (out2 / "report.json").read_bytes()
@@ -181,6 +180,24 @@ def test_periodic_certificates_exit_zero(tmp_path):
     assert report["verdict"] == "certified"
     energies = (out / "energies.csv").read_text().splitlines()
     assert len(energies) == 9
+
+
+@pytest.mark.parametrize("extra, samples", [([], 100),
+                                             (["--samples", "7"], 7)])
+def test_periodic_example_passes_samples(extra, samples, tmp_path,
+                                         monkeypatch):
+    seen = []
+    check = cli.per.multiplexed_stabilizability_check
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("samples"))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cli.per, "multiplexed_stabilizability_check", spy)
+    code = run_cli(["example", "periodic-l2", "--modes", "4", "--k-grid",
+                    "1,2", "--out", str(tmp_path / "p")] + extra)
+    assert code in (0, 1, 2)
+    assert seen == [samples, samples]
 
 
 def test_example_fractional_stabilize(tmp_path):

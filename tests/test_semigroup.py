@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from stabcert import semigroup, systems
+from stabcert._quadrature import QuadratureError, integrate_adaptive, \
+    panel_nodes
 from stabcert.semigroup import QuadratureSpec
 
 
@@ -150,6 +153,77 @@ def test_gramian_psd_and_monotone():
     assert np.linalg.eigvalsh(g2 - g1).min() >= -tol
 
 
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_batched_node_values_match_per_node_expm(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) / math.sqrt(n)
+    r = rng.standard_normal((n, 2))
+    horizon = 2.0
+    for panels in (32, 48, 64, 65, 1024):
+        chunks = list(semigroup._node_values(a, r, horizon, panels, 8))
+        assert len(chunks) == -(-panels // 64)
+        values = np.hstack([v for v, _ in chunks])
+        weights = np.concatenate([w for _, w in chunks])
+        nodes, ref_weights = panel_nodes(0.0, horizon, panels, 8)
+        assert np.allclose(weights, ref_weights, rtol=1e-14, atol=0.0)
+        for i, t in enumerate(nodes):
+            value = values[:, 2 * i:2 * i + 2]
+            ref = expm(a * t) @ r
+            assert np.linalg.norm(value - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _per_node_gramian(s, horizon, quad):
+    def integrand(t):
+        eb = expm(s.a_matrix * t) @ s.b_matrix
+        return eb @ eb.T
+
+    value, _ = integrate_adaptive(integrand, 0.0, horizon, panels=quad.panels,
+                                  npts=quad.nodes_per_panel,
+                                  rel_tol=quad.rel_tol, vector=True)
+    return value
+
+
+def _per_node_energy(s, horizon, phi, quad):
+    a_t, bt = s.a_matrix.T, s.b_matrix.T
+    amp = max(np.linalg.norm(expm(a_t * t) @ phi)
+              for t in np.linspace(0.0, horizon, 9))
+    floor = (1e-13 * np.linalg.norm(bt, 2) * amp) ** 2 * horizon
+
+    def integrand(t):
+        return float(np.sum((bt @ (expm(a_t * t) @ phi)) ** 2))
+
+    value, _ = integrate_adaptive(integrand, 0.0, horizon, panels=quad.panels,
+                                  npts=quad.nodes_per_panel,
+                                  rel_tol=quad.rel_tol, abs_tol=floor)
+    return value
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_batched_quadratures_match_per_node_reference(n):
+    rng = np.random.default_rng(100 + n)
+    s = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
+                             rng.standard_normal((n, 2)))
+    for horizon in (0.5, 2.0, 4.0):
+        for quad in (semigroup.DEFAULT_QUAD, QuadratureSpec(panels=48)):
+            ref = _per_node_gramian(s, horizon, quad)
+            g = semigroup.observability_gramian(s, horizon, quad,
+                                                method="quadrature").matrix
+            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+            phi = rng.standard_normal(n)
+            ref = _per_node_energy(s, horizon, phi, quad)
+            energy = semigroup.observation_energy(s, horizon, phi, quad)
+            assert abs(energy - ref) <= 1e-12 * ref
+
+
+def test_energy_raises_when_refinement_cannot_settle():
+    # a rotation at 1e5 rad/s leaves ~16 periods in each of 1024 panels
+    omega = 1e5
+    s = systems.build_system([[0.0, omega], [-omega, 0.0]], [[1.0], [0.0]])
+    with pytest.raises(QuadratureError, match="failed to reach rel_tol"):
+        semigroup.observation_energy(s, 1.0, [1.0, 0.0],
+                                     QuadratureSpec(panels=1))
+
+
 def test_gramian_result_rejects_asymmetry():
     with pytest.raises(ValueError):
         semigroup.GramianResult(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, 0.0)
@@ -208,8 +282,6 @@ def test_tail_vanishes_on_projected_states():
 
 
 def test_adaptive_quadrature_reports_failure():
-    from stabcert._quadrature import QuadratureError, integrate_adaptive
-
     rng = np.random.default_rng(0)
 
     def noisy(t):

@@ -224,6 +224,22 @@ def test_sweep_builds_each_horizon_gramian_once(monkeypatch):
     assert len(calls) == len(horizons)
 
 
+def test_unobservable_direction_stays_out_of_the_gramian():
+    # the quadrature Gramian is a sum of squares, so the direction v that
+    # B cannot see keeps v^T G v at rounding squared even where e^{2T} is
+    # large; every entry is then refuted by a stored witness
+    s = _dense_pair("unobservable")
+    v = np.linalg.eigh(s.a_matrix)[1][:, -1]      # the eigenvalue +1
+    g = semigroup.observability_gramian(s, 4.0).matrix
+    assert v @ g @ v <= 1e-13 * np.trace(g)
+    fam = weakobs.sweep_alpha(s, [1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0],
+                              samples=60)
+    assert fam.verdict == REFUTED
+    for entry in fam.certificates:
+        assert entry.status == REFUTED
+        assert entry.witness is not None
+
+
 @pytest.mark.parametrize("kind", ["dense", "unobservable"])
 def test_sweep_entries_equal_check_certificate(kind):
     s = _dense_pair(kind)

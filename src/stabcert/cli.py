@@ -22,7 +22,7 @@ from . import periodic as per
 from . import systems as sysmod
 from . import verification, weakobs
 from .semigroup import QuadratureSpec, observability_gramian, \
-    transition_matrix
+    transition_norms
 from .systems import LtiSystem, SpectralSystem
 
 __all__ = ["RunConfig", "run", "main"]
@@ -348,9 +348,8 @@ def _stabilize_system(config, lti, extra):
     grid = int(config.options.get("grid", 200))
     a_cl = lti.a_matrix + lti.b_matrix @ result.gain_k
     closed = LtiSystem(a_cl, lti.b_matrix, label="closed-loop")
-    decay = [(t, float(np.linalg.norm(transition_matrix(closed, float(t)),
-                                      2)))
-             for t in np.linspace(0.0, horizon, grid)]
+    ts = np.linspace(0.0, horizon, grid)
+    decay = zip(ts, transition_norms(closed, ts))
     _write_csv(out / "gain.csv",
                [f"k{j}" for j in range(result.gain_k.shape[1])],
                result.gain_k.tolist())

@@ -22,7 +22,8 @@ from scipy.linalg import schur, solve_continuous_lyapunov
 
 from ._quadrature import integrate_adaptive
 from .semigroup import (DEFAULT_QUAD, QuadratureSpec, observability_gramian,
-                        transition_matrix)
+                        observation_energy, transition_matrix,
+                        transition_norms)
 from .systems import LtiSystem
 from .weakobs import CertificateFamily
 
@@ -162,9 +163,9 @@ def closed_loop_rate(sys: LtiSystem, gain, horizon: float = 10.0,
     a_cl = sys.a_matrix + sys.b_matrix @ gain
     rate = -float(np.max(np.linalg.eigvals(a_cl).real))
     closed = LtiSystem(a_cl, sys.b_matrix, label="closed-loop")
+    ts = np.linspace(0.0, horizon, grid)
     overshoot = 0.0
-    for t in np.linspace(0.0, horizon, grid):
-        norm = np.linalg.norm(transition_matrix(closed, float(t)), 2)
+    for t, norm in zip(ts, transition_norms(closed, ts)):
         overshoot = max(overshoot, norm * math.exp(rate * t))
     return rate, float(overshoot)
 
@@ -351,16 +352,16 @@ def concatenated_control(sys: LtiSystem, beta: float, t_seg: float,
     fitted_gain = max((c / (eps_seg**i * ny0)
                        for i, c in enumerate(control_norms)), default=0.0)
 
-    # L2 norm of the beta-weighted control, segment by segment
-    weighted_sq = 0.0
-    for seg in segs:
-        def integrand(t, seg=seg):
-            u = signal.evaluate(t)
-            return math.exp(2.0 * beta * t) * float(np.sum(u**2))
-        val, _ = integrate_adaptive(integrand, seg.t_start, seg.t_stop,
-                                    panels=8, npts=8, rel_tol=1e-9)
-        weighted_sq += val
-    weighted_l2 = math.sqrt(weighted_sq)
+    # L2 norm of the beta-weighted control, segment by segment: with
+    # s = t_stop - t, int e^{2 beta t} ||u||^2 dt is e^{2 beta t_stop} times
+    # the observation energy of eta under A - beta I over one segment.  The
+    # energy is a sum of squares; eta^T G_beta eta from the shifted Gramian
+    # cancels badly when |eta| is large
+    shifted = LtiSystem(sys.a_matrix - beta * np.eye(sys.n), sys.b_matrix,
+                        label="beta-shifted")
+    weighted_l2 = math.sqrt(sum(
+        math.exp(2.0 * beta * seg.t_stop)
+        * observation_energy(shifted, t_seg, seg.eta, quad) for seg in segs))
     bound = (fitted_gain * ny0 * math.exp(beta * t_seg)
              / (1.0 - math.exp(-beta * t_seg)))
     report = DecayReport(

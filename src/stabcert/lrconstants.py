@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .semigroup import transition_matrix
+from .semigroup import transition_norms
 from .systems import (LtiSystem, ProjectionFamily, SpectralSystem,
                       UnboundedConstantsSpec)
 
@@ -89,8 +89,7 @@ def fit_semigroup_bound(sys: LtiSystem, t_max: float = 10.0,
     delta0 = max(0.0, abscissa) + slack
     ts = np.linspace(0.0, t_max, n_grid)
     m_big = 1.0
-    for t in ts:
-        norm = np.linalg.norm(transition_matrix(sys, t), 2)
+    for t, norm in zip(ts, transition_norms(sys, ts)):
         m_big = max(m_big, norm * math.exp(-delta0 * t))
     return SemigroupBound(m_big=m_big * (1.0 + 1e-12), delta0=delta0)
 
@@ -98,9 +97,9 @@ def fit_semigroup_bound(sys: LtiSystem, t_max: float = 10.0,
 def verify_semigroup_bound(sys: LtiSystem, bound: SemigroupBound,
                            t_grid) -> float:
     """Worst ratio ||e^{A t}|| / (M e^{delta0 t}) over the grid (<= 1 ok)."""
+    ts = np.asarray(list(t_grid), dtype=float)
     worst = 0.0
-    for t in t_grid:
-        norm = np.linalg.norm(transition_matrix(sys, float(t)), 2)
+    for t, norm in zip(ts, transition_norms(sys, ts)):
         worst = max(worst, norm / (bound.m_big * math.exp(bound.delta0 * t)))
     return worst
 

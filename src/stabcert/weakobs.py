@@ -396,8 +396,9 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     the residual are refuted with a stored witness.
 
     Each horizon's forms are built once and each (alpha, T) runs one
-    violation search, which serves the D bracket and every D checked, so
-    entries equal `check_certificate` with the same seed and samples.
+    violation search, which serves the D bracket and every D checked, and
+    each distinct (T, witness) energy is integrated once, so entries equal
+    `check_certificate` with the same seed and samples.
     """
     alphas = tuple(sorted(float(a) for a in alphas))
     horizons = tuple(sorted(float(t) for t in horizons))
@@ -406,6 +407,15 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     quad = quad or DEFAULT_QUAD
     c_of_alpha, source = _resolve_residual_rule(residual_rule, alphas)
     forms = {t: _dense_forms(sys, t, quad) for t in horizons}
+    energies = {}
+
+    def energy(t, unit):
+        # depends on neither alpha nor D: alphas and bump levels that find
+        # the same witness share one quadrature
+        key = (t, unit.tobytes())
+        if key not in energies:
+            energies[key] = observation_energy(sys, t, unit, quad)
+        return energies[key]
 
     def check_alpha(alpha):
         c_val = c_of_alpha[alpha]
@@ -419,8 +429,7 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
             cert = WeakObsCertificate(horizon=t, alpha=alpha,
                                       d_const=d_const, c_const=c_val)
             decision = decide(forms[t], d_const, eps[t], searches[t],
-                              lambda phi: observation_energy(sys, t, phi,
-                                                             quad))
+                              lambda unit: energy(t, unit))
             return replace(cert, **decision._asdict())
 
         finite = [hi for _, hi in brackets.values() if np.isfinite(hi)]

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import expm, solve_continuous_are
 
 from stabcert import feedback, systems, weakobs
+from stabcert._quadrature import integrate_adaptive
 from stabcert.semigroup import observability_gramian
 
 SCALAR_01 = systems.build_system([[0.0]], [[1.0]])
@@ -122,6 +123,20 @@ def test_jordan_block_transient_overshoot():
     assert overshoot > 1.0
 
 
+def test_rate_and_overshoot_equal_per_time_loop():
+    rng = np.random.default_rng(4)
+    s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
+                             rng.standard_normal((5, 2)))
+    gain = rng.standard_normal((2, 5))
+    a_cl = s.a_matrix + s.b_matrix @ gain
+    rate = -float(np.max(np.linalg.eigvals(a_cl).real))
+    overshoot = 0.0
+    for t in np.linspace(0.0, 10.0, 200):
+        overshoot = max(overshoot, np.linalg.norm(expm(a_cl * t), 2)
+                        * math.exp(rate * t))
+    assert feedback.closed_loop_rate(s, gain) == (rate, overshoot)
+
+
 # ---------------------------------------------------------------------------
 # minimum-norm steering
 # ---------------------------------------------------------------------------
@@ -229,6 +244,71 @@ def test_concatenated_free_decay_needs_no_control():
     _, rep = feedback.concatenated_control(s, 1.0, 1.0, eps, [1.0], 4)
     assert all(c == 0.0 for c in rep.control_norms)
     assert rep.state_norms[-1] == pytest.approx(math.exp(-12.0), rel=1e-12)
+
+
+def _weighted_l2_per_node(signal, beta):
+    """The beta-weighted control norm integrated node by node."""
+    total = 0.0
+    for seg in signal.segments:
+        def integrand(t, seg=seg):
+            u = signal.evaluate(t)
+            return math.exp(2.0 * beta * t) * float(np.sum(u**2))
+        val, _ = integrate_adaptive(integrand, seg.t_start, seg.t_stop,
+                                    panels=8, npts=8, rel_tol=1e-9)
+        total += val
+    return math.sqrt(total)
+
+
+def test_weighted_l2_matches_per_node_reference():
+    rng = np.random.default_rng(8)
+    s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
+                             rng.standard_normal((5, 2)))
+    sig, rep = feedback.concatenated_control(s, 1.0, 1.0, math.exp(-2.0),
+                                             rng.standard_normal(5), 4)
+    ref = _weighted_l2_per_node(sig, 1.0)
+    assert abs(rep.weighted_l2 - ref) <= 1e-10 * ref
+
+
+def test_weighted_l2_against_high_precision_oracle():
+    # |eta| reaches about 1e11 on this ill-conditioned pair; the energy
+    # eta^T G_beta eta through the shifted Gramian is off by about 1e-4
+    # relative here, while the observation energy stays a sum of squares
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng([11, 142])
+    n, beta, t_seg = 10, 1.0, 1.0
+    a = rng.standard_normal((n, n)) / math.sqrt(n)
+    b = rng.standard_normal((n, 2))
+    y0 = rng.standard_normal(n)
+    sig, rep = feedback.concatenated_control(systems.build_system(a, b),
+                                             beta, t_seg, math.exp(-2.0),
+                                             y0, 4)
+    with mpmath.workdps(60):
+        # Van Loan: expm([[-M, B B^T], [0, M^T]] T) = [[., F12], [0, F22]]
+        # and G_beta = F22^T F12 for M = A - beta I
+        shifted = mpmath.matrix(a.tolist()) - beta * mpmath.eye(n)
+        b_mp = mpmath.matrix(b.tolist())
+        bbt = b_mp * b_mp.T                 # not b @ b.T: no double rounding
+        block = mpmath.zeros(2 * n, 2 * n)
+        for i in range(n):
+            for j in range(n):
+                block[i, j] = -shifted[i, j]
+                block[i, n + j] = bbt[i, j]
+                block[n + i, n + j] = shifted[j, i]
+        e = mpmath.expm(block * t_seg)
+        f12 = mpmath.matrix(n, n)
+        f22 = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                f12[i, j] = e[i, n + j]
+                f22[i, j] = e[n + i, n + j]
+        gram = f22.T * f12
+        total = mpmath.mpf(0)
+        for seg in sig.segments:
+            eta = mpmath.matrix(seg.eta.tolist())
+            total += (mpmath.exp(2 * beta * seg.t_stop)
+                      * (eta.T * gram * eta)[0, 0])
+        oracle = float(mpmath.sqrt(total))
+    assert abs(rep.weighted_l2 - oracle) <= 1e-10 * oracle
 
 
 def test_concatenated_contraction_precondition():

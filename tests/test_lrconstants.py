@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from stabcert import lrconstants as lrc
 from stabcert import systems
@@ -129,6 +130,25 @@ def test_fitted_bound_on_transient_growth():
     assert bound.m_big > 1.0          # non-normal transient needs M > 1
     assert lrc.verify_semigroup_bound(s, bound,
                                       np.linspace(0, 10, 97)) <= 1.0
+
+
+def test_fitted_bound_equals_per_time_loop():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6)) / math.sqrt(6)
+    s = systems.build_system(a, rng.standard_normal((6, 2)))
+    delta0 = max(0.0, float(np.linalg.eigvals(a).real.max())) + 1e-9
+    m_big = 1.0
+    for t in np.linspace(0.0, 10.0, 200):
+        m_big = max(m_big, np.linalg.norm(expm(a * t), 2)
+                    * math.exp(-delta0 * t))
+    bound = lrc.fit_semigroup_bound(s)
+    assert bound == SemigroupBound(m_big * (1.0 + 1e-12), delta0)
+    grid = [0.0, 0.3, 1.7, 5.0, 9.25]
+    worst = 0.0
+    for t in grid:
+        worst = max(worst, np.linalg.norm(expm(a * t), 2)
+                    / (bound.m_big * math.exp(bound.delta0 * t)))
+    assert lrc.verify_semigroup_bound(s, bound, grid) == worst
 
 
 def test_bound_validation():

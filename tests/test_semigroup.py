@@ -224,6 +224,42 @@ def test_energy_raises_when_refinement_cannot_settle():
                                      QuadratureSpec(panels=1))
 
 
+def _per_time_norms(s, times):
+    return np.array([np.linalg.norm(semigroup.transition_matrix(s, t), 2)
+                     for t in times])
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 20, "diagonal"])
+def test_transition_norms_equal_per_time_loop(n):
+    rng = np.random.default_rng(7)
+    if n == "diagonal":
+        s = systems.build_system(np.diag(rng.standard_normal(7)),
+                                 rng.standard_normal((7, 2)))
+    else:
+        s = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
+                                 rng.standard_normal((n, 2)))
+    for points in (1, 8, 9, 200):        # across the 8-time chunk boundary
+        times = np.linspace(0.0, 10.0, points)
+        norms = semigroup.transition_norms(s, times)
+        assert np.array_equal(norms, _per_time_norms(s, times))
+        assert norms[0] == 1.0
+    with pytest.raises(ValueError):
+        semigroup.transition_norms(s, [0.0, -1.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_transition_norms_raise_where_the_loop_does():
+    # e^{At} overflows on the grid, and the SVD of its stack fails
+    rng = np.random.default_rng(20)
+    s = systems.build_system(30.0 * rng.standard_normal((20, 20)),
+                             rng.standard_normal((20, 2)))
+    times = np.linspace(0.0, 10.0, 200)
+    with pytest.raises(np.linalg.LinAlgError):
+        _per_time_norms(s, times)
+    with pytest.raises(np.linalg.LinAlgError):
+        semigroup.transition_norms(s, times)
+
+
 def test_gramian_result_rejects_asymmetry():
     with pytest.raises(ValueError):
         semigroup.GramianResult(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, 0.0)

@@ -224,6 +224,22 @@ def test_sweep_builds_each_horizon_gramian_once(monkeypatch):
     assert len(calls) == len(horizons)
 
 
+def test_sweep_integrates_each_witness_energy_once(monkeypatch):
+    calls = []
+
+    def counted(sys, horizon, phi, quad=None):
+        calls.append((horizon, np.asarray(phi).tobytes()))
+        return semigroup.observation_energy(sys, horizon, phi, quad)
+
+    monkeypatch.setattr(weakobs, "observation_energy", counted)
+    fam = weakobs.sweep_alpha(_dense_pair("unobservable"),
+                              [1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0],
+                              samples=60)
+    assert fam.verdict == REFUTED
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
 def test_unobservable_direction_stays_out_of_the_gramian():
     # the quadrature Gramian is a sum of squares, so the direction v that
     # B cannot see keeps v^T G v at rounding squared even where e^{2T} is

@@ -138,15 +138,23 @@ def solve_shifted_riccati(sys: LtiSystem, mu: float,
     res_norm = float(np.linalg.norm(residual_of(p)))
 
     gain = -b.T @ p
-    rate, overshoot = closed_loop_rate(sys, gain, horizon=rate_horizon,
-                                       grid=rate_grid)
+    # check the rate before the overshoot grid, whose SVD can fail on a
+    # closed loop that already misses mu
+    rate = _spectral_rate(a + b @ gain)
     if rate < mu - 1e-8:
         raise RuntimeError(
             f"synthesis missed the target: measured rate {rate:.6g} < "
             f"mu={mu:.6g}")
+    _, overshoot = closed_loop_rate(sys, gain, horizon=rate_horizon,
+                                    grid=rate_grid)
     return FeedbackResult(mu=mu, riccati_p=p, gain_k=gain,
                           residual=res_norm, measured_rate=rate,
                           measured_overshoot=overshoot)
+
+
+def _spectral_rate(a_cl):
+    """Minus the spectral abscissa of a_cl."""
+    return -float(np.max(np.linalg.eigvals(a_cl).real))
 
 
 def closed_loop_rate(sys: LtiSystem, gain, horizon: float = 10.0,
@@ -161,7 +169,7 @@ def closed_loop_rate(sys: LtiSystem, gain, horizon: float = 10.0,
         raise ValueError("horizon must be positive")
     gain = np.atleast_2d(np.asarray(gain, dtype=float))
     a_cl = sys.a_matrix + sys.b_matrix @ gain
-    rate = -float(np.max(np.linalg.eigvals(a_cl).real))
+    rate = _spectral_rate(a_cl)
     closed = LtiSystem(a_cl, sys.b_matrix, label="closed-loop")
     ts = np.linspace(0.0, horizon, grid)
     overshoot = 0.0

@@ -52,7 +52,6 @@ __all__ = [
 class QuadratureSpec:
     panels: int = 32
     nodes_per_panel: int = 8
-    adaptive: bool = True
     rel_tol: float = 1e-10
 
     def __post_init__(self):

@@ -15,8 +15,9 @@ two-sided:
   sqrt(2) in (D, C).
 * necessary test: maximize the violation ratio
   r(phi) = (||e^{A^T T} phi|| - C e^{-alpha T} ||phi||)_+ / sqrt(<G phi, phi>)
-  over random, eigen-directed and locally-ascended unit states; a
-  confirmed r(phi) > D refutes with phi stored as the witness.
+  over random, coordinate and eigen-directed unit states (eigenvectors
+  of G, of W and of the pencil (W, G)); a confirmed r(phi) > D refutes
+  with phi stored as the witness.
 
 Between the two the verdict is "inconclusive", never guessed.
 
@@ -243,8 +244,12 @@ def _dense_forms(sys, horizon, quad, gram=None):
     return Forms(gram, trans @ trans.T, trans.T)
 
 
-def _candidate_states(n, forms, rng, samples):
+def _candidate_states(forms, samples, seed):
+    """The seeded unit states a violation search scores: Gaussian samples,
+    the coordinate axes and the eigenvectors of G, W and (W, G)."""
     gram, w_mat = forms.gram, forms.w
+    n = len(gram)
+    rng = np.random.default_rng(seed)
     cands = [rng.standard_normal(n) for _ in range(samples)]
     cands.extend(np.eye(n))
     _, gv = np.linalg.eigh(gram)
@@ -262,45 +267,12 @@ def _candidate_states(n, forms, rng, samples):
     return [v / np.linalg.norm(v) for v in cands if np.linalg.norm(v) > 0]
 
 
-def _ascend(phi, objective, iters=20, step=0.1, h=1e-6):
-    """Normalized-gradient ascent on the unit sphere (numeric gradient)."""
-    phi = phi / np.linalg.norm(phi)
-    best = objective(phi)
-    if not np.isfinite(best):
-        return phi, best
-    for _ in range(iters):
-        grad = np.zeros_like(phi)
-        for i in range(phi.size):
-            e = np.zeros_like(phi)
-            e[i] = h
-            up, dn = objective(phi + e), objective(phi - e)
-            if not (np.isfinite(up) and np.isfinite(dn)):
-                return phi, best
-            grad[i] = (up - dn) / (2 * h)
-        norm = np.linalg.norm(grad)
-        if norm == 0:
-            break
-        cand = phi + step * grad / norm
-        cand /= np.linalg.norm(cand)
-        val = objective(cand)
-        if val > best:
-            phi, best = cand, val
-        else:
-            break
-    return phi, best
+# the doubling search for d_hi stops once D would exceed this: the largest
+# D it tests is 4^14 ~ 2.7e8
+_D_CAP = 1e9
 
 
-def _violation_search(sys, forms, eps, samples, seed):
-    """Seeded search: the best sampled state, then ascent from it."""
-    rng = np.random.default_rng(seed)
-    phi, best = best_state(forms, eps,
-                           _candidate_states(sys.n, forms, rng, samples))
-    if phi is not None and np.isfinite(best) and best > 0:
-        phi, best = _ascend(phi, lambda v: _ratio(v, forms, eps))
-    return phi, best
-
-
-def _d_bracket(forms, eps, best, d_cap=1e9):
+def _d_bracket(forms, eps, best):
     """(sampled lower bound, bisected sufficient-test upper bound) on D."""
     d_lo = max(best, 0.0)
     if not np.isfinite(d_lo):
@@ -314,7 +286,7 @@ def _d_bracket(forms, eps, best, d_cap=1e9):
     hi = 1.0
     while not passes(hi):
         hi *= 4.0
-        if hi > d_cap:
+        if hi > _D_CAP:
             return d_lo, np.inf
     lo = 0.0
     for _ in range(80):
@@ -346,7 +318,8 @@ def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
     forms = _dense_forms(sys, cert.horizon, quad, gram)
     eps = cert.residual
     decision = decide(forms, cert.d_const, eps,
-                      _violation_search(sys, forms, eps, samples, seed),
+                      best_state(forms, eps,
+                                 _candidate_states(forms, samples, seed)),
                       lambda phi: observation_energy(sys, cert.horizon, phi,
                                                      quad))
     return replace(cert, **decision._asdict())
@@ -354,23 +327,22 @@ def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
 
 def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
                       samples: int = 200, seed: int = 0,
-                      quad: Optional[QuadratureSpec] = None,
-                      d_cap: float = 1e9):
+                      quad: Optional[QuadratureSpec] = None):
     """Bracket the smallest valid D for a fixed residual eps.
 
-    Returns (d_lo, d_hi): d_lo is the best sampled violation ratio (a true
-    lower bound), d_hi the smallest D passing the sufficient quadratic test
-    (bisection; a true upper bound).  d_hi is inf when even d_cap fails,
-    which happens exactly when some unobserved direction is not covered by
-    the residual.
+    Returns (d_lo, d_hi): d_lo is the best violation ratio over the
+    candidate states (a true lower bound), d_hi the smallest D passing the
+    sufficient quadratic test (bisection; a true upper bound).  d_hi is inf
+    when no D up to 4^14 ~ 2.7e8 passes, as when some unobserved direction
+    is not covered by the residual.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if eps < 0:
         raise ValueError("residual must be nonnegative")
     forms = _dense_forms(sys, horizon, quad or DEFAULT_QUAD)
-    _, best = _violation_search(sys, forms, eps, samples, seed)
-    return _d_bracket(forms, eps, best, d_cap)
+    _, best = best_state(forms, eps, _candidate_states(forms, samples, seed))
+    return _d_bracket(forms, eps, best)
 
 
 def _resolve_residual_rule(residual_rule, alphas):
@@ -395,10 +367,11 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     positive margins.  Entries with an unobserved direction not covered by
     the residual are refuted with a stored witness.
 
-    Each horizon's forms are built once and each (alpha, T) runs one
-    violation search, which serves the D bracket and every D checked, and
-    each distinct (T, witness) energy is integrated once, so entries equal
-    `check_certificate` with the same seed and samples.
+    Each horizon's forms and candidate states are built once; each
+    (alpha, T) scores the candidates in one violation search, which serves
+    the D bracket and every D checked, and each distinct (T, witness)
+    energy is integrated once, so entries equal `check_certificate` with
+    the same seed and samples.
     """
     alphas = tuple(sorted(float(a) for a in alphas))
     horizons = tuple(sorted(float(t) for t in horizons))
@@ -407,6 +380,8 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     quad = quad or DEFAULT_QUAD
     c_of_alpha, source = _resolve_residual_rule(residual_rule, alphas)
     forms = {t: _dense_forms(sys, t, quad) for t in horizons}
+    candidates = {t: _candidate_states(forms[t], samples, seed)
+                  for t in horizons}
     energies = {}
 
     def energy(t, unit):
@@ -420,7 +395,7 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     def check_alpha(alpha):
         c_val = c_of_alpha[alpha]
         eps = {t: c_val * math.exp(-alpha * t) for t in horizons}
-        searches = {t: _violation_search(sys, forms[t], eps[t], samples, seed)
+        searches = {t: best_state(forms[t], eps[t], candidates[t])
                     for t in horizons}
         brackets = {t: _d_bracket(forms[t], eps[t], searches[t][1])
                     for t in horizons}

@@ -67,6 +67,16 @@ def test_dense_riccati_invariants():
             assert np.max(np.linalg.eigvals(a_cl).real) <= -mu + 1e-8
 
 
+def test_missed_rate_is_reported_before_the_overshoot_grid():
+    # the synthesized loop misses mu = 2 (rate about -4.97) and its
+    # overshoot grid's SVD does not converge; the miss must be named
+    rng = np.random.default_rng([11, 2])
+    s = systems.build_system(rng.standard_normal((20, 20)) / math.sqrt(20),
+                             rng.standard_normal((20, 2)))
+    with pytest.raises(RuntimeError, match="missed the target"):
+        feedback.solve_shifted_riccati(s, 2.0)
+
+
 def test_riccati_matches_scipy_reference():
     rng = np.random.default_rng(8)
     n = 5

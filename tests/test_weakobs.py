@@ -224,6 +224,21 @@ def test_sweep_builds_each_horizon_gramian_once(monkeypatch):
     assert len(calls) == len(horizons)
 
 
+def test_sweep_builds_each_horizon_candidates_once(monkeypatch):
+    original = weakobs._candidate_states
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(weakobs, "_candidate_states", counted)
+    horizons = [0.5, 1.0, 2.0, 4.0]
+    weakobs.sweep_alpha(_dense_pair("dense"), [1.0, 2.0, 4.0, 8.0],
+                        horizons, samples=20)
+    assert len(calls) == len(horizons)
+
+
 def test_sweep_integrates_each_witness_energy_once(monkeypatch):
     calls = []
 

@@ -4,7 +4,7 @@ Integrands throughout the package are smooth exponentials (possibly matrix
 valued), so fixed-order Gauss-Legendre panels converge extremely fast; the
 error estimate is the difference between a run and the same run with the
 panel count doubled.  `refine` is that one doubling rule.  It takes a
-per-level evaluator, so a caller with batched node exponentials (the dense
+per-level evaluator, so a caller with batched node exponentials (the
 Gramian and observation energy in `semigroup`) evaluates a whole level at
 once; `integrate_adaptive` feeds it a pointwise integrand node by node.
 """
@@ -70,18 +70,19 @@ def integrate_adaptive(f, a, b, panels=32, npts=8, rel_tol=1e-10,
                   max_doublings=max_doublings)
 
 
-def refine(level, panels, rel_tol=1e-10, abs_tol=0.0, max_doublings=10):
+def refine(level, panels, rel_tol=1e-10, abs_tol=0.0, max_doublings=10,
+           first=None):
     """The doubling rule: compare level(k) with level(2k) until they agree.
 
-    level(k) is the composite rule with k equal panels, a scalar or an
-    ndarray; callers that can evaluate a whole level at once (batched node
-    values) pass it directly.  Convergence requires
-    err <= rel_tol * |value| + abs_tol; the absolute term lets callers
-    whose integrand carries evaluation noise (e.g. cancellation inside a
-    matrix exponential) declare a floor below which disagreement is
-    meaningless.  Returns (value, error_estimate).
+    level(k) is the composite rule with k panels, a scalar or an ndarray;
+    callers that can evaluate a whole level at once (batched node values)
+    pass it directly, and `first` is level(panels) if already evaluated.
+    Convergence requires err <= rel_tol * |value| + abs_tol; the absolute
+    term lets callers whose integrand carries evaluation noise (e.g.
+    cancellation inside a matrix exponential) declare a floor below which
+    disagreement is meaningless.  Returns (value, error_estimate).
     """
-    prev = level(panels)
+    prev = level(panels) if first is None else first
     for _ in range(max_doublings):
         panels *= 2
         cur = level(panels)

@@ -223,13 +223,14 @@ class ControlSignal:
         return math.sqrt(total)
 
 
-def _steer(sys, horizon, eps, y0, gram, quad):
+def _steer(sys, horizon, eps, y0, gramian):
     """eta, terminal state and control norm for one steering segment.
 
     Solves the regularized normal equations eta = (G + nu I)^{-1} e^{AT} y0
     with nu bisected so the terminal norm lands on (never above)
     eps * ||y0||; nu = 0 when the exact null control already satisfies it.
     """
+    gram = gramian.matrix
     n = sys.n
     z = transition_matrix(sys, horizon) @ y0
     ny0 = float(np.linalg.norm(y0))
@@ -278,8 +279,7 @@ def _steer(sys, horizon, eps, y0, gram, quad):
             else:
                 nu_hi = nu_mid
     terminal = z - gram @ eta
-    l2 = math.sqrt(max(float(eta @ gram @ eta), 0.0))
-    return eta, terminal, l2
+    return eta, terminal, float(np.linalg.norm(gramian.factor @ eta))
 
 
 def min_norm_eps_null(sys: LtiSystem, horizon: float, eps: float, y0,
@@ -287,7 +287,8 @@ def min_norm_eps_null(sys: LtiSystem, horizon: float, eps: float, y0,
     """Minimum-norm control steering y0 into the ball eps*||y0|| at time T.
 
     The control has the closed form u(t) = -B^T e^{A^T (T-t)} eta with eta
-    from the regularized Gramian solve; its L2 norm is sqrt(eta^T G eta).
+    from the regularized Gramian solve; its L2 norm is ||R eta|| with
+    G = R^T R, which unlike sqrt(eta^T G eta) does not cancel.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -295,8 +296,8 @@ def min_norm_eps_null(sys: LtiSystem, horizon: float, eps: float, y0,
         raise ValueError("eps must be nonnegative")
     y0 = np.asarray(y0, dtype=float)
     quad = quad or DEFAULT_QUAD
-    gram = observability_gramian(sys, horizon, quad).matrix
-    eta, _, l2 = _steer(sys, horizon, eps, y0, gram, quad)
+    gramian = observability_gramian(sys, horizon, quad)
+    eta, _, l2 = _steer(sys, horizon, eps, y0, gramian)
     seg = SteeringSegment(0.0, horizon, eta)
     return ControlSignal(breakpoints=(0.0, horizon), segments=(seg,),
                          l2_norm=l2, sys=sys)
@@ -337,12 +338,12 @@ def concatenated_control(sys: LtiSystem, beta: float, t_seg: float,
             f"exp(-2 beta t_seg)={math.exp(-2.0 * beta * t_seg):g}")
     y0 = np.asarray(y0, dtype=float)
     quad = quad or DEFAULT_QUAD
-    gram = observability_gramian(sys, t_seg, quad).matrix
+    gramian = observability_gramian(sys, t_seg, quad)
 
     state = y0
     segs, state_norms, control_norms = [], [float(np.linalg.norm(y0))], []
     for i in range(segments):
-        eta, terminal, l2 = _steer(sys, t_seg, eps_seg, state, gram, quad)
+        eta, terminal, l2 = _steer(sys, t_seg, eps_seg, state, gramian)
         segs.append(SteeringSegment(i * t_seg, (i + 1) * t_seg, eta))
         control_norms.append(l2)
         state = terminal

@@ -8,9 +8,9 @@ energies have exact per-mode closed forms, which the generic certificate
 checker cross-validates by panel quadrature split at the switch times.
 
 Only what is periodic lives here: the per-mode energies g and the decayed
-norms w = e^{2 lambda T}, the candidate states, and the quadrature
-confirmation.  The slack, ratio, confirmation threshold and verdict come
-from the decision core in `stabcert.weakobs`, on diagonal forms.
+norms w = e^{2 lambda T}, the candidates, per-mode margins and quadrature
+confirmation.  Ratio, margin, threshold and verdict come from the decision
+core in `stabcert.weakobs`, on the forms diag(sqrt(g)) and diag(sqrt(w)).
 """
 
 import math
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._quadrature import integrate_adaptive
 from .weakobs import (CERTIFIED, INCONCLUSIVE, REFUTED, Forms, best_state,
-                      decide, slack)
+                      decide)
 
 __all__ = [
     "CERTIFIED",
@@ -260,14 +260,15 @@ def periodic_weakobs_check(sys: PeriodicSystem, k: int, n_k: int,
     eps = math.exp(-k * horizon)
     g = np.array([_mode_energy(sys.a_diag[i], sys.windows[i], n_k)
                   for i in range(sys.n)])
-    forms = Forms(gram=g, w=np.exp(2.0 * sys.a_diag * horizon))
+    w = np.exp(2.0 * sys.a_diag * horizon)
+    forms = Forms(np.diag(np.sqrt(g)), np.diag(np.sqrt(w)))
     cands = list(np.eye(sys.n))
     cands.extend(rng.standard_normal((samples, sys.n)))
     decision = decide(
         forms, c_k, eps, best_state(forms, eps, cands),
         lambda psi: periodic_observation_energy_quadrature(sys, n_k, psi))
     return PeriodicCertificate(k=k, n_k=n_k, c_k=c_k, **decision._asdict(),
-                               per_mode_margins=tuple(slack(forms, c_k, eps)))
+                               per_mode_margins=tuple(c_k**2 * g + eps**2 - w))
 
 
 def multiplexed_stabilizability_check(sys: PeriodicSystem, k: int,

@@ -11,13 +11,15 @@ t = t_p + h(1 + x_j) has e^{Mt} R = e^{M t_p} (e^{M h(1 + x_j)} R), and
 one batched `expm` per chunk of panels gives every offset and panel-start
 exponential of a refinement level.  Each node is formed as these two
 products, never as a power chain, whose rounding grows with the panel
-count.  The Gramian stays a weighted sum of squares S S^T of node values
-rather than Van Loan's block exponential: a direction v with v^T e^{At} B
-= 0 then keeps v^T G v at O(u^2) ||G||, whereas the block exponential
-leaves rounding of about u ||G|| e^{2T} there.  Measured on random dense
-pairs with an uncontrollable mode at +1, the one-shot block exponential
-failed `GramianResult`'s PSD check at T = 4, and a base-step-plus-doubling
-variant certified T = 4 entries that the quadrature refutes.
+count.  Diagonal systems take exact `np.exp` on panels graded towards 0.
+Every Gramian carries its factor R, G = R^T R, accumulated as
+R <- qr([R; S^T]) over the weighted node values S, so a direction v with
+v^T e^{At} B = 0 keeps ||R v|| at the QR's rounding (`floor`).  Van Loan's
+block exponential yields G, not R, and leaves rounding of about
+u ||G|| e^{2T} there: on random dense pairs with an uncontrollable mode at
++1 it failed `GramianResult`'s PSD check at T = 4, and a
+base-step-plus-doubling variant certified T = 4 entries that the
+quadrature refutes.
 
 Grid norms ||e^{At}||_2 (envelope fits, closed-loop rates, decay curves)
 come from `transition_norms`, one batched `expm` and one batched SVD per
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._quadrature import (QuadratureError, gauss_legendre_rule,
-                          pointwise_level, refine)
+                          panel_nodes, refine)
 from .systems import LtiSystem, ProjectionFamily, SpectralSystem
 
 __all__ = [
@@ -80,6 +82,8 @@ class GramianResult:
     matrix: np.ndarray
     horizon: float
     quadrature_error_estimate: float
+    factor: np.ndarray      # upper-triangular R with R^T R = matrix
+    floor: float            # ||R phi|| at or below this is rounding
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -123,19 +127,22 @@ def transition_norms(sys: LtiSystem, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if (times < 0).any():
         raise ValueError("propagation time must be nonnegative")
-    a = sys.a_matrix
-    lam = np.diag(a) if sys.is_diagonal else None
-    diag = np.arange(sys.n)
     norms = np.empty(times.size)
     for first in range(0, times.size, _NORM_CHUNK):
         t = times[first:first + _NORM_CHUNK]
-        if lam is not None:
-            stack = np.zeros((t.size, sys.n, sys.n))
-            stack[:, diag, diag] = np.exp(lam[None] * t[:, None])
-        else:
-            stack = expm(a[None] * t[:, None, None])
+        stack = _exp_stack(sys.a_matrix, t, sys.is_diagonal)
         norms[first:first + t.size] = np.linalg.norm(stack, 2, axis=(1, 2))
     return norms
+
+
+def _exp_stack(m, times, diagonal):
+    """e^{M t} at every t: a batched `expm`, or exact diagonal `np.exp`."""
+    if not diagonal:
+        return expm(m[None] * times[:, None, None])
+    diag = np.arange(m.shape[0])
+    stack = np.zeros((times.size,) + m.shape)
+    stack[:, diag, diag] = np.exp(np.diag(m)[None] * times[:, None])
+    return stack
 
 
 def propagate(sys: LtiSystem, t: float, x, adjoint: bool = False):
@@ -160,37 +167,31 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
         raise ValueError("horizon must be positive")
     quad = quad or DEFAULT_QUAD
     phi = np.asarray(phi, dtype=float)
-    bt = sys.b_matrix.T
-    if sys.is_diagonal:
-        lam = np.diag(sys.a_matrix)
+    a_t, bt = sys.a_matrix.T, sys.b_matrix.T
+    probe = np.linspace(0.0, horizon, 9)
+    amp = max(np.linalg.norm(e @ phi)
+              for e in _exp_stack(a_t, probe, sys.is_diagonal))
 
-        def integrand(t):
-            return float(np.sum((bt @ (np.exp(lam * t) * phi)) ** 2))
+    def level(panels):
+        total = 0.0
+        for f, w in _node_values(a_t, phi[:, None], horizon, panels,
+                                 quad.nodes_per_panel, sys.is_diagonal):
+            total += float(np.sum((bt @ f) ** 2, axis=0) @ w)
+        return total
 
-        amp = np.abs(phi).max() * max(1.0, float(np.exp(lam.max() * horizon)))
-        level = pointwise_level(integrand, 0.0, horizon,
-                                quad.nodes_per_panel)
-    else:
-        a_t = sys.a_matrix.T
-        probe = np.linspace(0.0, horizon, 9)
-        amp = max(np.linalg.norm(e @ phi)
-                  for e in expm(a_t[None] * probe[:, None, None]))
-
-        def level(panels):
-            total = 0.0
-            for f, w in _node_values(a_t, phi[:, None], horizon, panels,
-                                     quad.nodes_per_panel):
-                total += float(np.sum((bt @ f) ** 2, axis=0) @ w)
-            return total
-
-    # cancellation inside the propagated state caps meaningful resolution
-    noise_floor = (1e-13 * np.linalg.norm(bt, 2) * amp) ** 2 * horizon
+    # cancellation inside the propagated state caps meaningful resolution:
+    # noise delta in y puts 2 ||B^T y|| delta + delta^2 into ||B^T y||^2,
+    # at most 2 delta sqrt(T E) + delta^2 T once integrated
+    delta = 1e-13 * np.linalg.norm(bt, 2) * amp
+    first = level(quad.panels)
+    noise_floor = (delta**2 * horizon
+                   + 2.0 * delta * np.sqrt(horizon * max(first, 0.0)))
     value, _ = refine(level, quad.panels, rel_tol=quad.rel_tol,
-                      abs_tol=noise_floor)
+                      abs_tol=noise_floor, first=first)
     return float(value)
 
 
-def _node_values(m, r, horizon, panels, npts):
+def _node_values(m, r, horizon, panels, npts, diagonal=False):
     """Yield (e^{M t} R at the nodes, node weights) chunk by chunk.
 
     The nodes are those of `panels` equal Gauss-Legendre panels of
@@ -198,11 +199,23 @@ def _node_values(m, r, horizon, panels, npts):
     n x (nodes * r) matrix whose columns i*r .. i*r + r - 1 belong to
     node i.  One batched expm per chunk gives the npts shared offset
     exponentials and the chunk's panel-start exponentials.
+
+    A diagonal M takes exact exponentials at any node: its panels are equal
+    in s, t = horizon s^4, which resolves a stiff decay e^{-|lambda| t} with
+    a few dozen panels where equal panels in t need |lambda| horizon.
     """
+    n = m.shape[0]
+    if diagonal:
+        s, ws = panel_nodes(0.0, 1.0, panels, npts)
+        for first in range(0, s.size, _CHUNK * npts):
+            part = s[first:first + _CHUNK * npts]
+            e = np.exp(np.diag(m)[:, None] * (horizon * part**4))
+            yield ((e[:, :, None] * r[:, None, :]).reshape(n, -1),
+                   ws[first:first + part.size] * 4.0 * horizon * part**3)
+        return
     x, w = gauss_legendre_rule(npts)
     h = horizon / (2.0 * panels)
     offsets = h * (1.0 + x)
-    n = m.shape[0]
     for first in range(0, panels, _CHUNK):
         p = np.arange(first, min(first + _CHUNK, panels))
         times = np.concatenate([offsets, horizon * p / panels])
@@ -227,10 +240,12 @@ def _diagonal_gramian(lam, b, horizon):
 def observability_gramian(sys: LtiSystem, horizon: float,
                           quad: Optional[QuadratureSpec] = None,
                           method: str = "auto") -> GramianResult:
-    """G(T) = int_0^T e^{A t} B B^T e^{A^T t} dt.
+    """G(T) = int_0^T e^{A t} B B^T e^{A^T t} dt, with its factor R.
 
     <G phi, phi> equals observation_energy(sys, T, phi).  method is one of
-    "auto" (closed form when A is diagonal), "closed_form", "quadrature".
+    "auto" (closed form when A is diagonal), "closed_form", "quadrature";
+    it picks the matrix, R always comes from the quadrature, whose levels
+    are compared on R^T R (R has a sign ambiguity).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -241,22 +256,26 @@ def observability_gramian(sys: LtiSystem, horizon: float,
         raise ValueError("closed form requires a diagonal system")
     use_closed = method == "closed_form" or (method == "auto"
                                              and sys.is_diagonal)
-    if use_closed:
-        g = _diagonal_gramian(np.diag(sys.a_matrix), sys.b_matrix, horizon)
-        return GramianResult(0.5 * (g + g.T), horizon, 0.0)
-
-    a, b = sys.a_matrix, sys.b_matrix
+    a, b, n = sys.a_matrix, sys.b_matrix, sys.n
+    factor = None
 
     def level(panels):
-        acc = np.zeros((sys.n, sys.n))
+        nonlocal factor
+        factor = np.zeros((n, n))
         for f, w in _node_values(a, b, horizon, panels,
-                                 quad.nodes_per_panel):
+                                 quad.nodes_per_panel, sys.is_diagonal):
             s = f * np.repeat(np.sqrt(w), b.shape[1])
-            acc += s @ s.T
-        return acc
+            factor = np.linalg.qr(np.vstack([factor, s.T]), mode="r")
+        return factor.T @ factor
 
     value, err = refine(level, quad.panels, rel_tol=quad.rel_tol)
-    return GramianResult(0.5 * (value + value.T), horizon, float(err))
+    if use_closed:
+        value, err = _diagonal_gramian(np.diag(a), b, horizon), 0.0
+    # the QR's rounding: n u ||B|| a_T sqrt(T), a_T = max ||e^{At}|| on [0, T]
+    a_t = transition_norms(sys, np.linspace(0.0, horizon, 9)).max()
+    floor = n * np.finfo(float).eps * np.linalg.norm(b, 2) * a_t
+    return GramianResult(0.5 * (value + value.T), horizon, float(err),
+                         factor, float(floor * np.sqrt(horizon)))
 
 
 @dataclass(frozen=True)

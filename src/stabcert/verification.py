@@ -305,7 +305,7 @@ def _soundness(seed):
         cert = weakobs.WeakObsCertificate(horizon=horizon, alpha=alpha,
                                           d_const=d_val, c_const=c_val)
         out = weakobs.check_certificate(sys_i, cert, samples=60,
-                                        seed=seed + i, quad=quad, gram=gram)
+                                        seed=seed + i, quad=quad)
         counts[out.status] += 1
 
         if out.status == weakobs.CERTIFIED:

@@ -3,26 +3,31 @@ bracketing and sweeping.
 
 A certificate (T, alpha, D, C) claims that for every state phi
 
-    ||e^{A^T T} phi||  <=  D * sqrt(<G(T) phi, phi>)  +  C e^{-alpha T} ||phi||
+    ||F phi||  <=  D * ||R phi||  +  eps ||phi||,   eps = C e^{-alpha T},
 
-where G(T) is the observability Gramian.  The decision procedure is
-two-sided:
+where F = e^{A^T T} and G(T) = R^T R is the observability Gramian, so
+||R phi|| is the L^2(0, T) norm of the observed adjoint trajectory.  The
+decision reads the factor R, never G, and is two-sided:
 
-* sufficient (sound) test: the quadratic form
-  D^2 G(T) + (C e^{-alpha T})^2 I - e^{A T} e^{A^T T} is PSD.  By
-  sqrt(x^2 + y^2) <= x + y this certifies the inequality outright; by
-  (x + y)^2 <= 2 x^2 + 2 y^2 it is conservative by at most a factor
+* sufficient (sound) test: the slack D^2 G + eps^2 I - W, W = F^T F, is
+  PSD.  In the basis V of R's right singular vectors, directions with
+  singular value at or below the factor's rounding floor (and residual-
+  covered ones that would swamp the eigensolve, see `_reduce`) form the
+  null block N = eps^2 I - W22; the kept block is scaled by Sigma^{-1}: the
+  congruent slack is [[D^2 I - K11, -K12], [-K12^T, N]] with
+  K = Sigma^{-1} V^T (W - eps^2 I) V Sigma^{-1}.  It is PSD iff N > 0 and
+  D^2 >= lambda_max(K11 + K12 N^{-1} K12^T), one symmetric eigensolve and
+  no D^2 ||G|| rounding.  By sqrt(x^2 + y^2) <= x + y it certifies the
+  inequality; by (x + y)^2 <= 2 x^2 + 2 y^2 it is conservative by at most
   sqrt(2) in (D, C).
-* necessary test: maximize the violation ratio
-  r(phi) = (||e^{A^T T} phi|| - C e^{-alpha T} ||phi||)_+ / sqrt(<G phi, phi>)
-  over random, coordinate and eigen-directed unit states (eigenvectors
-  of G, of W and of the pencil (W, G)); a confirmed r(phi) > D refutes
-  with phi stored as the witness.
+* necessary test: maximize r(phi) = (||F phi|| - eps ||phi||)_+ / ||R phi||
+  over random, coordinate and eigen-directed unit states; a confirmed
+  r(phi) > D refutes with phi stored as the witness.
 
 Between the two the verdict is "inconclusive", never guessed.
 
 Every verdict in the package, `stabcert.periodic` included, goes through
-the one decision core here (`Forms`, `slack`, `best_state`, `decide`);
+the one decision core here (`Forms`, `best_state`, `decide`);
 `check_certificate` and `optimal_d_bracket` are thin wrappers over it.
 """
 
@@ -31,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import eigh as generalized_eigh
 
 from .semigroup import (DEFAULT_QUAD, QuadratureSpec, observability_gramian,
                         observation_energy, transition_matrix)
@@ -47,9 +51,6 @@ __all__ = [
 CERTIFIED = "certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
-
-# relative threshold below which a quadratic form counts as singular
-_SINGULAR_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -147,82 +148,94 @@ class CertificateFamily:
 # ---------------------------------------------------------------------------
 
 class Forms(NamedTuple):
-    """G(T) and W = e^{A T} e^{A^T T} as matrices, with adj = e^{A^T T},
-    or as diagonals (1-D arrays), with adj None."""
+    """The observation norm ||factor @ phi|| (at or below `floor`: rounding)
+    and the free norm ||adj @ phi||, adj = e^{A^T T}."""
 
-    gram: np.ndarray
-    w: np.ndarray
-    adj: Optional[np.ndarray] = None
+    factor: np.ndarray
+    adj: np.ndarray
+    floor: float = 0.0
 
 
 class Decision(NamedTuple):
     status: str
-    margin: float                   # smallest eigenvalue of the PSD slack
+    margin: float                   # D^2 - D_min^2, or lambda_min(N)
     sample_margin: float            # D - best sampled violation ratio
     witness: Optional[np.ndarray]   # the confirmed violating state
 
 
-def slack(forms: Forms, d_const: float, eps: float) -> np.ndarray:
-    """The sufficient-test slack D^2 G + eps^2 I - W (a diagonal for
-    diagonal forms); the inequality holds when it is PSD."""
-    eye = 1.0 if forms.gram.ndim == 1 else np.eye(len(forms.gram))
-    return d_const**2 * forms.gram + eps**2 * eye - forms.w
+# residual-covered directions join the null block once their scaled
+# surplus exceeds _KAPPA times the bound on D_min^2 (a 1/_KAPPA cost)
+_KAPPA = 1e6
 
 
-def _margin(s):
-    if s.ndim == 1:
-        return float(s.min())
-    return float(np.linalg.eigvalsh(0.5 * (s + s.T)).min())
+def _reduce(forms: Forms, eps: float):
+    """(top, lambda_min(N)): the slack is PSD iff D^2 >= top =
+    lambda_max(K11 + K12 N^{-1} K12^T); top is inf when N is not positive
+    definite and -inf when no direction is kept.
 
-
-def _free_norm(forms, phi):
-    """||e^{A^T T} phi||."""
-    if forms.adj is None:
-        return math.sqrt(float(np.sum(forms.w * phi**2)))
-    return np.linalg.norm(forms.adj @ phi)
-
-
-def _ratio(phi, forms, eps):
-    """(||e^{A^T T} phi|| - eps ||phi||)_+ / sqrt(<G phi, phi>)."""
-    phi = phi / np.linalg.norm(phi)
-    num = _free_norm(forms, phi) - eps
-    if num <= 0:
-        return 0.0
-    gram = forms.gram
-    if gram.ndim == 1:
-        q, trace = float(np.sum(gram * phi**2)), gram.sum()
-    else:
-        q, trace = float(phi @ gram @ phi), np.trace(gram)
-    if q <= _SINGULAR_RTOL * max(trace, 1e-300):
-        return np.inf
-    return num / math.sqrt(q)
+    N starts as the directions with sigma <= floor.  While the eigensolver
+    noise n u ||K11 + ...|| exceeds top/_KAPPA, directions whose
+    -K_ii = (eps^2 - ||F v_i||^2)/sigma_i^2 dwarfs top + noise join N:
+    dropping their observation is conservative, and their huge negative
+    entries no longer swamp top."""
+    _, sig, vt = np.linalg.svd(forms.factor)
+    fv = forms.adj @ vt.T
+    m = fv.T @ fv - eps**2 * np.eye(len(sig))
+    null = sig <= forms.floor
+    found = (np.inf, -np.inf)
+    while True:
+        keep = ~null
+        lam, q = np.linalg.eigh(-m[np.ix_(null, null)])
+        null_min = float(lam[0]) if lam.size else np.inf
+        if null_min <= 0.0:
+            # a deflation that breaks N > 0 is undone
+            return found if np.isfinite(found[0]) else (np.inf, null_min)
+        scale = 1.0 / sig[keep]
+        k12 = (scale[:, None] * m[np.ix_(keep, null)] @ q) / np.sqrt(lam)
+        h = np.linalg.eigvalsh(scale[:, None] * m[np.ix_(keep, keep)] * scale
+                               + k12 @ k12.T)
+        if not h.size:
+            return -np.inf, null_min
+        found = (float(h[-1]), null_min)
+        bound = h[-1] + len(sig) * np.finfo(float).eps * np.abs(h).max()
+        more = np.zeros_like(null)
+        more[keep] = -np.diag(m)[keep] * scale**2 > _KAPPA * bound
+        if bound <= 0.0 or bound - h[-1] <= h[-1] / _KAPPA or not more.any():
+            return found
+        null = null | more
 
 
 def best_state(forms: Forms, eps: float, candidates):
-    """Best violation ratio over the candidate states, and its state."""
-    best_phi, best = None, -np.inf
-    for phi in candidates:
-        val = _ratio(phi, forms, eps)
-        if val > best:
-            best_phi, best = phi, val
-    return best_phi, best
+    """Best ratio (||F phi|| - eps)_+ / ||R phi|| over the unit candidate
+    states (inf where ||R phi|| <= floor), and its state."""
+    units = np.array(candidates) / np.linalg.norm(candidates, axis=1)[:, None]
+    num = np.linalg.norm(units @ forms.adj.T, axis=1) - eps
+    obs = np.linalg.norm(units @ forms.factor.T, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(num <= 0.0, 0.0,
+                         np.where(obs <= forms.floor, np.inf, num / obs))
+    best = int(np.argmax(ratio))
+    return candidates[best], float(ratio[best])
 
 
 def decide(forms: Forms, d_const: float, eps: float, search,
            energy: Callable[[np.ndarray], float]) -> Decision:
-    """Verdict on ||e^{A^T T} phi|| <= D sqrt(<G phi, phi>) + eps ||phi||.
+    """Verdict on ||e^{A^T T} phi|| <= D ||R phi|| + eps ||phi||.
 
     `search` is the (state, ratio) found on these forms and eps, whatever
     D is.  Refuted only when that state violates the inequality beyond
     rounding with its observation energy recomputed by `energy`, an
-    independent route; else certified iff the PSD margin is >= 0.
+    independent route; else certified iff the margin, D^2 - top (or
+    lambda_min(N) when N alone decides), is >= 0: it has the sign of
+    lambda_min(D^2 G + eps^2 I - W).
     """
-    margin = _margin(slack(forms, d_const, eps))
+    top, null_min = _reduce(forms, eps)
+    margin = null_min if math.isinf(top) else d_const**2 - top
     phi, best = search
     sample_margin = d_const - best if np.isfinite(best) else -np.inf
     if phi is not None and best > d_const:
         unit = phi / np.linalg.norm(phi)
-        lhs = _free_norm(forms, unit)
+        lhs = np.linalg.norm(forms.adj @ unit)
         rhs = d_const * math.sqrt(max(energy(unit), 0.0)) + eps
         if lhs > rhs + 1e-12 * (1.0 + lhs):
             return Decision(REFUTED, margin, sample_margin, phi)
@@ -237,65 +250,37 @@ def family_verdict(all_certified: bool, statuses) -> str:
     return REFUTED if REFUTED in statuses else INCONCLUSIVE
 
 
-def _dense_forms(sys, horizon, quad, gram=None):
-    if gram is None:
-        gram = observability_gramian(sys, horizon, quad).matrix
-    trans = transition_matrix(sys, horizon)
-    return Forms(gram, trans @ trans.T, trans.T)
+def _dense_forms(sys, horizon, quad):
+    gram = observability_gramian(sys, horizon, quad)
+    return Forms(gram.factor, transition_matrix(sys, horizon, adjoint=True),
+                 gram.floor)
 
 
 def _candidate_states(forms, samples, seed):
     """The seeded unit states a violation search scores: Gaussian samples,
-    the coordinate axes and the eigenvectors of G, W and (W, G)."""
-    gram, w_mat = forms.gram, forms.w
-    n = len(gram)
+    the axes, R's right singular vectors, W's eigenvectors and the eps = 0
+    maximizers V Sigma^{-1} y, y an eigenvector of K11."""
+    n = len(forms.factor)
     rng = np.random.default_rng(seed)
     cands = [rng.standard_normal(n) for _ in range(samples)]
     cands.extend(np.eye(n))
-    _, gv = np.linalg.eigh(gram)
-    cands.extend(gv.T)                       # includes near-null directions
-    _, wv = np.linalg.eigh(0.5 * (w_mat + w_mat.T))
+    _, sig, vt = np.linalg.svd(forms.factor)
+    cands.extend(vt)                         # includes near-null directions
+    _, wv = np.linalg.eigh(forms.adj.T @ forms.adj)
     cands.extend(wv.T)
-    # generalized eigenvectors of (W, G): exact maximizers when eps = 0
-    jitter = max(np.trace(gram), 1e-30) / max(n, 1) * 1e-12
-    try:
-        _, pv = generalized_eigh(0.5 * (w_mat + w_mat.T),
-                                 gram + jitter * np.eye(n))
-        cands.extend(pv.T)
-    except np.linalg.LinAlgError:
-        pass
+    # at eps = 0, K11 = X^T X with X = F V1 Sigma1^{-1}
+    kept = sig > forms.floor
+    _, _, yt = np.linalg.svd((forms.adj @ vt[kept].T) / sig[kept])
+    cands.extend(yt / sig[kept] @ vt[kept])
     return [v / np.linalg.norm(v) for v in cands if np.linalg.norm(v) > 0]
 
 
-# the doubling search for d_hi stops once D would exceed this: the largest
-# D it tests is 4^14 ~ 2.7e8
-_D_CAP = 1e9
-
-
 def _d_bracket(forms, eps, best):
-    """(sampled lower bound, bisected sufficient-test upper bound) on D."""
+    """(sampled lower bound, smallest D passing the sufficient test)."""
     d_lo = max(best, 0.0)
     if not np.isfinite(d_lo):
         return d_lo, np.inf
-
-    def passes(d_const):
-        return _margin(slack(forms, d_const, eps)) >= 0.0
-
-    if passes(0.0):
-        return d_lo, 0.0
-    hi = 1.0
-    while not passes(hi):
-        hi *= 4.0
-        if hi > _D_CAP:
-            return d_lo, np.inf
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return d_lo, hi
+    return d_lo, math.sqrt(max(_reduce(forms, eps)[0], 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +289,17 @@ def _d_bracket(forms, eps, best):
 
 def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
                       samples: int = 200, seed: int = 0,
-                      quad: Optional[QuadratureSpec] = None,
-                      gram: Optional[np.ndarray] = None
+                      quad: Optional[QuadratureSpec] = None
                       ) -> WeakObsCertificate:
     """Two-sided decision on one certificate; returns it with a verdict.
 
-    Certified requires the PSD sufficient test to pass AND no sampled
+    Certified requires the sufficient test to pass AND no sampled
     counterexample to survive independent re-evaluation.  Refuted stores
     the confirmed witness state.  Everything else is inconclusive, with
     both margins reported.
     """
     quad = quad or DEFAULT_QUAD
-    forms = _dense_forms(sys, cert.horizon, quad, gram)
+    forms = _dense_forms(sys, cert.horizon, quad)
     eps = cert.residual
     decision = decide(forms, cert.d_const, eps,
                       best_state(forms, eps,
@@ -332,9 +316,9 @@ def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
 
     Returns (d_lo, d_hi): d_lo is the best violation ratio over the
     candidate states (a true lower bound), d_hi the smallest D passing the
-    sufficient quadratic test (bisection; a true upper bound).  d_hi is inf
-    when no D up to 4^14 ~ 2.7e8 passes, as when some unobserved direction
-    is not covered by the residual.
+    sufficient quadratic test (one symmetric eigensolve; a true upper
+    bound).  d_hi is inf when no D passes, as when some direction the
+    factor cannot see is not covered by the residual.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -385,8 +369,8 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     energies = {}
 
     def energy(t, unit):
-        # depends on neither alpha nor D: alphas and bump levels that find
-        # the same witness share one quadrature
+        # depends on neither alpha nor D: alphas that find the same
+        # witness share one quadrature
         key = (t, unit.tobytes())
         if key not in energies:
             energies[key] = observation_energy(sys, t, unit, quad)
@@ -409,14 +393,8 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
 
         finite = [hi for _, hi in brackets.values() if np.isfinite(hi)]
         if len(finite) == len(horizons):
-            # inflate the common D so certified margins sit clear of the
-            # eigensolver's floating-point noise; escalate if needed
-            for bump in (1e-3, 1e-2, 1e-1, 1.0):
-                d_alpha = max(finite) * (1.0 + bump) + 1e-300
-                certs = [check(t, d_alpha) for t in horizons]
-                if all(c.status == CERTIFIED for c in certs):
-                    break
-            return certs
+            # the common D sits clear of each D_min's eigensolver noise
+            return [check(t, max(finite) * 1.001 + 1e-300) for t in horizons]
         # per-horizon fallback: d_hi, else max(d_lo, 1), else 1
         return [check(t, next(d for d in (d_hi, max(d_lo, 1.0), 1.0)
                               if np.isfinite(d)))

@@ -160,6 +160,28 @@ def test_example_point_heat_logs_convergent(tmp_path):
     assert report["verdict"] == "certified"
 
 
+_POINT_HEAT = ["example", "point-heat", "--x0", "cf", "--depth", "3",
+               "--c", "5"]
+PAPER_EXAMPLES = (
+    [(_POINT_HEAT + ["--modes", str(m)], 0) for m in (8, 16, 30)]
+    + [(["example", "hermite-heat", "--modes", str(m)], 0)
+       for m in (6, 12, 20)]
+    + [(["example", "fractional-heat", "--modes", str(m)], 0)
+       for m in (8, 16)]
+    + [(["example", "periodic-l2", "--modes", "10"], 0),
+       (["example", "periodic-l2", "--modes", "10",
+         "--refute-null-controllability", "--m", "1", "--C", "10"], 1)])
+
+
+@pytest.mark.parametrize("argv, code", PAPER_EXAMPLES,
+                         ids=[" ".join(a[1:]) for a, _ in PAPER_EXAMPLES])
+def test_paper_example_verdicts(argv, code, tmp_path):
+    # the paper's "not null controllable but completely stabilizable"
+    # examples certify at every truncation order; periodic-l2 also refutes
+    # null controllability
+    assert run_cli(argv + ["--seed", "5", "--out", str(tmp_path)]) == code
+
+
 def test_example_periodic_refutation_witness(tmp_path):
     out = tmp_path / "p"
     code = run_cli(["example", "periodic-l2", "--modes", "10",

@@ -279,10 +279,33 @@ def test_weighted_l2_matches_per_node_reference():
     assert abs(rep.weighted_l2 - ref) <= 1e-10 * ref
 
 
+def _van_loan_gramian_mp(mpmath, m_mp, b_mp, horizon):
+    """int_0^T e^{M s} B B^T e^{M^T s} ds at the working precision: with
+    expm([[-M, B B^T], [0, M^T]] T) = [[., F12], [0, F22]], it is F22^T F12."""
+    n = m_mp.rows
+    bbt = b_mp * b_mp.T                     # not b @ b.T: no double rounding
+    block = mpmath.zeros(2 * n, 2 * n)
+    for i in range(n):
+        for j in range(n):
+            block[i, j] = -m_mp[i, j]
+            block[i, n + j] = bbt[i, j]
+            block[n + i, n + j] = m_mp[j, i]
+    e = mpmath.expm(block * horizon)
+    f12 = mpmath.matrix(n, n)
+    f22 = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            f12[i, j] = e[i, n + j]
+            f22[i, j] = e[n + i, n + j]
+    return f22.T * f12
+
+
 def test_weighted_l2_against_high_precision_oracle():
     # |eta| reaches about 1e11 on this ill-conditioned pair; the energy
     # eta^T G_beta eta through the shifted Gramian is off by about 1e-4
-    # relative here, while the observation energy stays a sum of squares
+    # relative here, while the observation energy stays a sum of squares.
+    # Likewise each segment's control norm ||R eta|| is a norm of the
+    # Gramian's factor, where sqrt(eta^T G eta) was off by about 4e-5
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng([11, 142])
     n, beta, t_seg = 10, 1.0, 1.0
@@ -293,32 +316,22 @@ def test_weighted_l2_against_high_precision_oracle():
                                              beta, t_seg, math.exp(-2.0),
                                              y0, 4)
     with mpmath.workdps(60):
-        # Van Loan: expm([[-M, B B^T], [0, M^T]] T) = [[., F12], [0, F22]]
-        # and G_beta = F22^T F12 for M = A - beta I
-        shifted = mpmath.matrix(a.tolist()) - beta * mpmath.eye(n)
+        a_mp = mpmath.matrix(a.tolist())
         b_mp = mpmath.matrix(b.tolist())
-        bbt = b_mp * b_mp.T                 # not b @ b.T: no double rounding
-        block = mpmath.zeros(2 * n, 2 * n)
-        for i in range(n):
-            for j in range(n):
-                block[i, j] = -shifted[i, j]
-                block[i, n + j] = bbt[i, j]
-                block[n + i, n + j] = shifted[j, i]
-        e = mpmath.expm(block * t_seg)
-        f12 = mpmath.matrix(n, n)
-        f22 = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                f12[i, j] = e[i, n + j]
-                f22[i, j] = e[n + i, n + j]
-        gram = f22.T * f12
+        gram = _van_loan_gramian_mp(mpmath, a_mp, b_mp, t_seg)
+        gram_beta = _van_loan_gramian_mp(mpmath, a_mp - beta * mpmath.eye(n),
+                                         b_mp, t_seg)
         total = mpmath.mpf(0)
+        seg_norms = []
         for seg in sig.segments:
             eta = mpmath.matrix(seg.eta.tolist())
             total += (mpmath.exp(2 * beta * seg.t_stop)
-                      * (eta.T * gram * eta)[0, 0])
+                      * (eta.T * gram_beta * eta)[0, 0])
+            seg_norms.append(float(mpmath.sqrt((eta.T * gram * eta)[0, 0])))
         oracle = float(mpmath.sqrt(total))
     assert abs(rep.weighted_l2 - oracle) <= 1e-10 * oracle
+    for norm, ref in zip(rep.control_norms, seg_norms):
+        assert abs(norm - ref) <= 1e-9 * ref
 
 
 def test_concatenated_contraction_precondition():

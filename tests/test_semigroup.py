@@ -224,6 +224,59 @@ def test_energy_raises_when_refinement_cannot_settle():
                                      QuadratureSpec(panels=1))
 
 
+def test_energy_floor_carries_the_cross_term(monkeypatch):
+    # a witness state of a dense n=7, m=1 pair whose observed trajectory
+    # is small, not zero: its evaluation noise enters ||B^T y||^2 through
+    # the cross term 2 ||B^T y|| delta, which the floor must admit, or the
+    # levels disagree by chance and refinement runs to 4096 panels
+    rng = np.random.default_rng([11, 38])
+    s = systems.build_system(rng.standard_normal((7, 7)) / math.sqrt(7),
+                             rng.standard_normal((7, 1)))
+    witness = np.array([-0.1441452108886402, 0.341589912497847,
+                        -0.18850651473315985, 0.6754255912809101,
+                        -0.5871877441592982, 0.07493663214910226,
+                        0.1428254482745899])
+    panels = []
+    original = semigroup._node_values
+
+    def counted(*args):
+        panels.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(semigroup, "_node_values", counted)
+    energy = semigroup.observation_energy(s, 2.0, witness)
+    assert max(panels) == 64
+    assert energy == pytest.approx(2.7539854791650e-14, rel=1e-6)
+
+
+def test_gramian_factor_squares_to_the_matrix():
+    rng = np.random.default_rng(4)
+    dense = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
+                                 rng.standard_normal((5, 2)))
+    diag = systems.build_system(np.diag(-np.arange(1.0, 6.0)),
+                                rng.standard_normal((5, 1)))
+    for s in (dense, diag):
+        g = semigroup.observability_gramian(s, 1.5)
+        r = g.factor
+        assert np.allclose(r, np.triu(r))
+        gap = np.linalg.norm(r.T @ r - g.matrix)
+        assert gap <= 1e-10 * np.linalg.norm(g.matrix)
+
+
+def test_gramian_factor_floor_separates_the_unobserved_direction():
+    # an eigenvalue +1 whose left eigenvector annihilates B: ||R v|| stays
+    # under the factor's rounding floor, every other direction far above
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    a = q @ np.diag([1.0, -0.5, -1.5, -3.0]) @ q.T
+    b = rng.standard_normal((4, 2))
+    b -= np.outer(q[:, 0], q[:, 0] @ b)
+    g = semigroup.observability_gramian(systems.build_system(a, b), 4.0)
+    sig = np.linalg.svd(g.factor, compute_uv=False)
+    assert np.linalg.norm(g.factor @ q[:, 0]) <= g.floor
+    assert sig[-1] <= g.floor < 1e3 * g.floor < sig[-2]
+
+
 def _per_time_norms(s, times):
     return np.array([np.linalg.norm(semigroup.transition_matrix(s, t), 2)
                      for t in times])
@@ -262,7 +315,8 @@ def test_transition_norms_raise_where_the_loop_does():
 
 def test_gramian_result_rejects_asymmetry():
     with pytest.raises(ValueError):
-        semigroup.GramianResult(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, 0.0)
+        semigroup.GramianResult(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, 0.0,
+                                np.eye(2), 0.0)
 
 
 def test_quadrature_spec_validation():

@@ -157,6 +157,79 @@ def test_bracket_gap_on_diagonal_systems():
         assert d_hi <= 1.5 * d_lo
 
 
+def _ill_pair():
+    """n = 10, m = 2 with A ~ N(0, 1/n): cond(R(0.5)) is about 3e6 and
+    cond(G(0.5)) about 9e12."""
+    rng = np.random.default_rng(0)
+    rng.standard_normal((5, 5))
+    rng.standard_normal((5, 2))
+    return (rng.standard_normal((10, 10)) / math.sqrt(10),
+            rng.standard_normal((10, 2)))
+
+
+def _d_min_oracle(mpmath, a, b, horizon, eps):
+    """sqrt(lambda_max(L^{-1} (W - eps^2 I) L^{-T})), G = L L^T, from Van
+    Loan's block exponential at the working precision."""
+    n = a.shape[0]
+    a_mp = mpmath.matrix(a.tolist())
+    b_mp = mpmath.matrix(b.tolist())
+    bbt = b_mp * b_mp.T
+    block = mpmath.zeros(2 * n, 2 * n)
+    for i in range(n):
+        for j in range(n):
+            block[i, j] = -a_mp[i, j]
+            block[i, n + j] = bbt[i, j]
+            block[n + i, n + j] = a_mp[j, i]
+    e = mpmath.expm(block * horizon)
+    f12 = mpmath.matrix(n, n)
+    f22 = mpmath.matrix(n, n)           # e^{A^T T}
+    for i in range(n):
+        for j in range(n):
+            f12[i, j] = e[i, n + j]
+            f22[i, j] = e[n + i, n + j]
+    gram = f22.T * f12
+    inv = mpmath.cholesky((gram + gram.T) / 2) ** -1
+    slack = f22.T * f22 - mpmath.mpf(eps) ** 2 * mpmath.eye(n)
+    top = max(mpmath.eigsy(inv * slack * inv.T, eigvals_only=True))
+    return float(mpmath.sqrt(top))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 8.0])
+def test_bracket_on_the_factor_matches_high_precision_oracle(alpha):
+    # the squared Gramian loses this pair's small eigenvalues below any
+    # relative floor; the factor keeps D_min to about 1e-11 (599950.64 at
+    # alpha = 1 and 871383.29 at alpha = 8 with 50 digits)
+    mpmath = pytest.importorskip("mpmath")
+    a, b = _ill_pair()
+    eps = math.exp(-alpha * 0.5)
+    _, d_hi = weakobs.optimal_d_bracket(systems.build_system(a, b), 0.5,
+                                        eps=eps, samples=20)
+    with mpmath.workdps(50):
+        oracle = _d_min_oracle(mpmath, a, b, 0.5, eps)
+    assert abs(d_hi - oracle) <= 1e-6 * oracle
+
+
+def test_ill_conditioned_controllable_pair_certifies_everywhere():
+    fam = weakobs.sweep_alpha(systems.build_system(*_ill_pair()),
+                              [1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0],
+                              samples=60)
+    assert {c.status for c in fam.certificates} == {CERTIFIED}
+
+
+def test_bracket_residual_covers_weakly_observed_decayed_modes():
+    # heat-like modes far below the residual yet barely observed scale to
+    # -eps^2/sigma^2 ~ -1e21 entries; they leave the kept block, so D = 0
+    # is found exactly rather than inside the eigensolver's noise
+    x0 = systems.continued_fraction_point(3).x0
+    spec = systems.point_control_heat(x0, 5.0, 16)
+    s = systems.truncate(spec, spec.n)
+    for horizon in (0.5, 2.0, 4.0):
+        _, d_hi = weakobs.optimal_d_bracket(s, horizon,
+                                            eps=math.exp(-0.5 * horizon),
+                                            samples=20)
+        assert d_hi == 0.0
+
+
 # ---------------------------------------------------------------------------
 # sweep_alpha and the discrete sequence
 # ---------------------------------------------------------------------------

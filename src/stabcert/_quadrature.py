@@ -9,6 +9,8 @@ Gramian and observation energy in `semigroup`) evaluates a whole level at
 once; `integrate_adaptive` feeds it a pointwise integrand node by node.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -16,9 +18,13 @@ class QuadratureError(RuntimeError):
     """Raised when refinement cannot meet the requested tolerance."""
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre_rule(npts):
-    """Nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(npts)
+    """Nodes and weights on [-1, 1], built once per npts and read-only."""
+    rule = np.polynomial.legendre.leggauss(npts)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def panel_nodes(a, b, panels, npts):

@@ -8,10 +8,26 @@ Gauss-Legendre quadrature with an embedded error estimate.
 The dense quadratures (the Gramian and the observation energy) use batched
 node exponentials: equal panels share their Gauss offsets, so the node
 t = t_p + h(1 + x_j) has e^{Mt} R = e^{M t_p} (e^{M h(1 + x_j)} R), and
-one batched `expm` per chunk of panels gives every offset and panel-start
-exponential of a refinement level.  Each node is formed as these two
-products, never as a power chain, whose rounding grows with the panel
-count.  Diagonal systems take exact `np.exp` on panels graded towards 0.
+one batched `expm` per chunk of panels gives the offset and panel-start
+exponentials of a refinement level that no earlier level computed.  Each
+node is formed as these two products, never as a power chain, whose
+rounding grows with the panel count.  Diagonal systems take exact
+`np.exp` on panels graded towards 0.
+
+Every dense node exponential comes from an `ExpTable`, keyed by the exact
+float time: a level of 2P panels finds level P's panel starts there
+(horizon * 2p / 2P == horizon * p / P in floating point), the Gramian's
+floor and the energy's amplitude probe find eight of their nine times
+among the first level's starts, and Gramians of several horizons of one A
+(a `weakobs.sweep_alpha` call) share node times such as p/64 and equal
+Gauss offsets.  A table computes each miss as one slice of a batched
+`expm(M[None] * t)`, and `expm` treats every slice on its own, so a value
+read from a table is bit for bit the value a fresh call would give.  A
+table lives no longer than the call that builds it: one energy, one
+Gramian, one weakobs decision, or one sweep, whose table also gives
+e^{A^T T} as the transpose of its e^{A T}.  Nothing is cached between
+calls.
+
 Every Gramian carries its factor R, G = R^T R, accumulated as
 R <- qr([R; S^T]) over the weighted node values S, so a direction v with
 v^T e^{At} B = 0 keeps ||R v|| at the QR's rounding (`floor`).  Van Loan's
@@ -40,6 +56,7 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "GramianResult",
+    "ExpTable",
     "TailCheckReport",
     "propagate",
     "transition_matrix",
@@ -145,6 +162,28 @@ def _exp_stack(m, times, diagonal):
     return stack
 
 
+class ExpTable:
+    """e^{M t} for one matrix M, each exact float t exponentiated once.
+
+    `stack(times)` looks every time up and computes the misses in one
+    `_exp_stack` call, so a value equals a fresh `_exp_stack` at that t.
+    A table holds one n x n matrix per distinct time it was asked for.
+    """
+
+    def __init__(self, m, diagonal=False):
+        self.matrix = m
+        self.diagonal = diagonal
+        self._values = {}
+
+    def stack(self, times):
+        keys = np.asarray(times, dtype=float).tolist()
+        miss = [t for t in dict.fromkeys(keys) if t not in self._values]
+        if miss:
+            self._values.update(zip(miss, _exp_stack(
+                self.matrix, np.array(miss), self.diagonal)))
+        return np.stack([self._values[t] for t in keys])
+
+
 def propagate(sys: LtiSystem, t: float, x, adjoint: bool = False):
     """Evaluate e^{A t} x (adjoint=True gives e^{A^T t} x)."""
     x = np.asarray(x, dtype=float)
@@ -168,14 +207,16 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
     quad = quad or DEFAULT_QUAD
     phi = np.asarray(phi, dtype=float)
     a_t, bt = sys.a_matrix.T, sys.b_matrix.T
-    probe = np.linspace(0.0, horizon, 9)
+    table = ExpTable(a_t, sys.is_diagonal)
+    # the probe times but T are panel starts of the first level
     amp = max(np.linalg.norm(e @ phi)
-              for e in _exp_stack(a_t, probe, sys.is_diagonal))
+              for e in table.stack(np.linspace(0.0, horizon, 9)))
 
     def level(panels):
         total = 0.0
         for f, w in _node_values(a_t, phi[:, None], horizon, panels,
-                                 quad.nodes_per_panel, sys.is_diagonal):
+                                 quad.nodes_per_panel, sys.is_diagonal,
+                                 table):
             total += float(np.sum((bt @ f) ** 2, axis=0) @ w)
         return total
 
@@ -191,14 +232,15 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
     return float(value)
 
 
-def _node_values(m, r, horizon, panels, npts, diagonal=False):
+def _node_values(m, r, horizon, panels, npts, diagonal=False, table=None):
     """Yield (e^{M t} R at the nodes, node weights) chunk by chunk.
 
     The nodes are those of `panels` equal Gauss-Legendre panels of
     [0, horizon], at most _CHUNK panels per chunk.  Values come as one
     n x (nodes * r) matrix whose columns i*r .. i*r + r - 1 belong to
-    node i.  One batched expm per chunk gives the npts shared offset
-    exponentials and the chunk's panel-start exponentials.
+    node i.  Per chunk, `table` (an ExpTable of M; call-local if None)
+    gives the npts shared offset exponentials and the chunk's panel-start
+    exponentials, computing those no earlier level or chunk asked for.
 
     A diagonal M takes exact exponentials at any node: its panels are equal
     in s, t = horizon s^4, which resolves a stiff decay e^{-|lambda| t} with
@@ -213,13 +255,13 @@ def _node_values(m, r, horizon, panels, npts, diagonal=False):
             yield ((e[:, :, None] * r[:, None, :]).reshape(n, -1),
                    ws[first:first + part.size] * 4.0 * horizon * part**3)
         return
+    table = ExpTable(m) if table is None else table
     x, w = gauss_legendre_rule(npts)
     h = horizon / (2.0 * panels)
     offsets = h * (1.0 + x)
     for first in range(0, panels, _CHUNK):
         p = np.arange(first, min(first + _CHUNK, panels))
-        times = np.concatenate([offsets, horizon * p / panels])
-        e = expm(m[None] * times[:, None, None])
+        e = table.stack(np.concatenate([offsets, horizon * p / panels]))
         local = (e[:npts] @ r).transpose(1, 0, 2).reshape(n, -1)
         values = e[npts:] @ local
         yield values.transpose(1, 0, 2).reshape(n, -1), np.tile(h * w, p.size)
@@ -239,13 +281,17 @@ def _diagonal_gramian(lam, b, horizon):
 
 def observability_gramian(sys: LtiSystem, horizon: float,
                           quad: Optional[QuadratureSpec] = None,
-                          method: str = "auto") -> GramianResult:
+                          method: str = "auto", *,
+                          table: Optional[ExpTable] = None) -> GramianResult:
     """G(T) = int_0^T e^{A t} B B^T e^{A^T t} dt, with its factor R.
 
     <G phi, phi> equals observation_energy(sys, T, phi).  method is one of
     "auto" (closed form when A is diagonal), "closed_form", "quadrature";
     it picks the matrix, R always comes from the quadrature, whose levels
-    are compared on R^T R (R has a sign ambiguity).
+    are compared on R^T R (R has a sign ambiguity), and whose level-to-
+    level difference is the error estimate either way.  `table`, an
+    ExpTable of A, lets Gramians of one A share node exponentials; values
+    do not depend on it.  Afterwards it holds e^{A T}.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -257,22 +303,31 @@ def observability_gramian(sys: LtiSystem, horizon: float,
     use_closed = method == "closed_form" or (method == "auto"
                                              and sys.is_diagonal)
     a, b, n = sys.a_matrix, sys.b_matrix, sys.n
+    if table is None:
+        table = ExpTable(a, sys.is_diagonal)
+    elif table.diagonal != sys.is_diagonal or not np.array_equal(
+            table.matrix, a):
+        raise ValueError("table is not one of this system's A")
     factor = None
 
     def level(panels):
         nonlocal factor
         factor = np.zeros((n, n))
         for f, w in _node_values(a, b, horizon, panels,
-                                 quad.nodes_per_panel, sys.is_diagonal):
+                                 quad.nodes_per_panel, sys.is_diagonal,
+                                 table):
             s = f * np.repeat(np.sqrt(w), b.shape[1])
             factor = np.linalg.qr(np.vstack([factor, s.T]), mode="r")
         return factor.T @ factor
 
     value, err = refine(level, quad.panels, rel_tol=quad.rel_tol)
     if use_closed:
-        value, err = _diagonal_gramian(np.diag(a), b, horizon), 0.0
-    # the QR's rounding: n u ||B|| a_T sqrt(T), a_T = max ||e^{At}|| on [0, T]
-    a_t = transition_norms(sys, np.linspace(0.0, horizon, 9)).max()
+        value = _diagonal_gramian(np.diag(a), b, horizon)
+    # the QR's rounding: n u ||B|| a_T sqrt(T), a_T = max ||e^{At}|| on
+    # [0, T], probed where `transition_norms` would; the probe times but T
+    # are panel starts of the first level
+    probe = table.stack(np.linspace(0.0, horizon, 9))
+    a_t = np.linalg.norm(probe, 2, axis=(1, 2)).max()
     floor = n * np.finfo(float).eps * np.linalg.norm(b, 2) * a_t
     return GramianResult(0.5 * (value + value.T), horizon, float(err),
                          factor, float(floor * np.sqrt(horizon)))

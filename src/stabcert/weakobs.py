@@ -37,8 +37,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .semigroup import (DEFAULT_QUAD, QuadratureSpec, observability_gramian,
-                        observation_energy, transition_matrix)
+from .semigroup import (DEFAULT_QUAD, ExpTable, QuadratureSpec,
+                        observability_gramian, observation_energy)
 from .systems import LtiSystem
 
 __all__ = [
@@ -149,11 +149,22 @@ class CertificateFamily:
 
 class Forms(NamedTuple):
     """The observation norm ||factor @ phi|| (at or below `floor`: rounding)
-    and the free norm ||adj @ phi||, adj = e^{A^T T}."""
+    and the free norm ||adj @ phi||, adj = e^{A^T T}, with the factor's
+    SVD (sig, vt) and W = adj^T adj in its right singular basis; build
+    with `Forms.of`, which computes these once."""
 
     factor: np.ndarray
     adj: np.ndarray
-    floor: float = 0.0
+    floor: float
+    sig: np.ndarray
+    vt: np.ndarray
+    w_basis: np.ndarray     # V^T W V
+
+    @classmethod
+    def of(cls, factor, adj, floor=0.0):
+        _, sig, vt = np.linalg.svd(factor)
+        fv = adj @ vt.T
+        return cls(factor, adj, floor, sig, vt, fv.T @ fv)
 
 
 class Decision(NamedTuple):
@@ -178,9 +189,8 @@ def _reduce(forms: Forms, eps: float):
     -K_ii = (eps^2 - ||F v_i||^2)/sigma_i^2 dwarfs top + noise join N:
     dropping their observation is conservative, and their huge negative
     entries no longer swamp top."""
-    _, sig, vt = np.linalg.svd(forms.factor)
-    fv = forms.adj @ vt.T
-    m = fv.T @ fv - eps**2 * np.eye(len(sig))
+    sig = forms.sig
+    m = forms.w_basis - eps**2 * np.eye(len(sig))
     null = sig <= forms.floor
     found = (np.inf, -np.inf)
     while True:
@@ -219,17 +229,18 @@ def best_state(forms: Forms, eps: float, candidates):
 
 
 def decide(forms: Forms, d_const: float, eps: float, search,
+           reduced: tuple,
            energy: Callable[[np.ndarray], float]) -> Decision:
     """Verdict on ||e^{A^T T} phi|| <= D ||R phi|| + eps ||phi||.
 
-    `search` is the (state, ratio) found on these forms and eps, whatever
-    D is.  Refuted only when that state violates the inequality beyond
-    rounding with its observation energy recomputed by `energy`, an
-    independent route; else certified iff the margin, D^2 - top (or
-    lambda_min(N) when N alone decides), is >= 0: it has the sign of
-    lambda_min(D^2 G + eps^2 I - W).
+    `search` is the (state, ratio) found on these forms and eps, and
+    `reduced` is `_reduce(forms, eps)`; neither depends on D.  Refuted
+    only when that state violates the inequality beyond rounding with its
+    observation energy recomputed by `energy`, an independent route; else
+    certified iff the margin, D^2 - top (or lambda_min(N) when N alone
+    decides), is >= 0: it has the sign of lambda_min(D^2 G + eps^2 I - W).
     """
-    top, null_min = _reduce(forms, eps)
+    top, null_min = reduced
     margin = null_min if math.isinf(top) else d_const**2 - top
     phi, best = search
     sample_margin = d_const - best if np.isfinite(best) else -np.inf
@@ -250,10 +261,13 @@ def family_verdict(all_certified: bool, statuses) -> str:
     return REFUTED if REFUTED in statuses else INCONCLUSIVE
 
 
-def _dense_forms(sys, horizon, quad):
-    gram = observability_gramian(sys, horizon, quad)
-    return Forms(gram.factor, transition_matrix(sys, horizon, adjoint=True),
-                 gram.floor)
+def _dense_forms(sys, horizon, quad, table=None):
+    """Forms at one horizon; e^{A^T T} is the transpose of the e^{A T} the
+    Gramian left in `table` (an ExpTable of A, call-local if None)."""
+    if table is None:
+        table = ExpTable(sys.a_matrix, sys.is_diagonal)
+    gram = observability_gramian(sys, horizon, quad, table=table)
+    return Forms.of(gram.factor, table.stack([horizon])[0].T, gram.floor)
 
 
 def _candidate_states(forms, samples, seed):
@@ -264,7 +278,7 @@ def _candidate_states(forms, samples, seed):
     rng = np.random.default_rng(seed)
     cands = [rng.standard_normal(n) for _ in range(samples)]
     cands.extend(np.eye(n))
-    _, sig, vt = np.linalg.svd(forms.factor)
+    sig, vt = forms.sig, forms.vt
     cands.extend(vt)                         # includes near-null directions
     _, wv = np.linalg.eigh(forms.adj.T @ forms.adj)
     cands.extend(wv.T)
@@ -272,15 +286,17 @@ def _candidate_states(forms, samples, seed):
     kept = sig > forms.floor
     _, _, yt = np.linalg.svd((forms.adj @ vt[kept].T) / sig[kept])
     cands.extend(yt / sig[kept] @ vt[kept])
-    return [v / np.linalg.norm(v) for v in cands if np.linalg.norm(v) > 0]
+    norms = [np.linalg.norm(v) for v in cands]
+    return [v / norm for v, norm in zip(cands, norms) if norm > 0]
 
 
-def _d_bracket(forms, eps, best):
-    """(sampled lower bound, smallest D passing the sufficient test)."""
+def _d_bracket(top, best):
+    """(sampled lower bound, smallest D passing the sufficient test), from
+    the best sampled ratio and `_reduce`'s top."""
     d_lo = max(best, 0.0)
     if not np.isfinite(d_lo):
         return d_lo, np.inf
-    return d_lo, math.sqrt(max(_reduce(forms, eps)[0], 0.0))
+    return d_lo, math.sqrt(max(top, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +320,7 @@ def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
     decision = decide(forms, cert.d_const, eps,
                       best_state(forms, eps,
                                  _candidate_states(forms, samples, seed)),
+                      _reduce(forms, eps),
                       lambda phi: observation_energy(sys, cert.horizon, phi,
                                                      quad))
     return replace(cert, **decision._asdict())
@@ -326,7 +343,7 @@ def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
         raise ValueError("residual must be nonnegative")
     forms = _dense_forms(sys, horizon, quad or DEFAULT_QUAD)
     _, best = best_state(forms, eps, _candidate_states(forms, samples, seed))
-    return _d_bracket(forms, eps, best)
+    return _d_bracket(_reduce(forms, eps)[0], best)
 
 
 def _resolve_residual_rule(residual_rule, alphas):
@@ -351,11 +368,15 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     positive margins.  Entries with an unobserved direction not covered by
     the residual are refuted with a stored witness.
 
-    Each horizon's forms and candidate states are built once; each
-    (alpha, T) scores the candidates in one violation search, which serves
-    the D bracket and every D checked, and each distinct (T, witness)
-    energy is integrated once, so entries equal `check_certificate` with
-    the same seed and samples.
+    Each horizon's forms (Gramian factor, its SVD, e^{A^T T}) and
+    candidate states are built once, and every horizon's Gramian draws its
+    node exponentials from one ExpTable of A that lives for this call:
+    an A t exponentiated for one horizon or refinement level is reused,
+    bit for bit, by every other.  Each (alpha, T) runs one violation
+    search and one slack reduction, which serve both the D bracket and
+    every D checked, and each distinct (T, witness) energy is integrated
+    once, so entries equal `check_certificate` with the same seed and
+    samples.
     """
     alphas = tuple(sorted(float(a) for a in alphas))
     horizons = tuple(sorted(float(t) for t in horizons))
@@ -363,7 +384,8 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
         raise ValueError("alpha and horizon grids must be nonempty")
     quad = quad or DEFAULT_QUAD
     c_of_alpha, source = _resolve_residual_rule(residual_rule, alphas)
-    forms = {t: _dense_forms(sys, t, quad) for t in horizons}
+    table = ExpTable(sys.a_matrix, sys.is_diagonal)
+    forms = {t: _dense_forms(sys, t, quad, table) for t in horizons}
     candidates = {t: _candidate_states(forms[t], samples, seed)
                   for t in horizons}
     energies = {}
@@ -381,14 +403,15 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
         eps = {t: c_val * math.exp(-alpha * t) for t in horizons}
         searches = {t: best_state(forms[t], eps[t], candidates[t])
                     for t in horizons}
-        brackets = {t: _d_bracket(forms[t], eps[t], searches[t][1])
+        reduced = {t: _reduce(forms[t], eps[t]) for t in horizons}
+        brackets = {t: _d_bracket(reduced[t][0], searches[t][1])
                     for t in horizons}
 
         def check(t, d_const):
             cert = WeakObsCertificate(horizon=t, alpha=alpha,
                                       d_const=d_const, c_const=c_val)
             decision = decide(forms[t], d_const, eps[t], searches[t],
-                              lambda unit: energy(t, unit))
+                              reduced[t], lambda unit: energy(t, unit))
             return replace(cert, **decision._asdict())
 
         finite = [hi for _, hi in brackets.values() if np.isfinite(hi)]

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from stabcert import semigroup, systems
-from stabcert._quadrature import QuadratureError, integrate_adaptive, \
-    panel_nodes
+from stabcert._quadrature import QuadratureError, gauss_legendre_rule, \
+    integrate_adaptive, panel_nodes
 from stabcert.semigroup import QuadratureSpec
 
 
@@ -275,6 +275,66 @@ def test_gramian_factor_floor_separates_the_unobserved_direction():
     sig = np.linalg.svd(g.factor, compute_uv=False)
     assert np.linalg.norm(g.factor @ q[:, 0]) <= g.floor
     assert sig[-1] <= g.floor < 1e3 * g.floor < sig[-2]
+
+
+def test_diagonal_gramian_keeps_the_quadrature_error_estimate():
+    # the closed-form matrix replaces the quadrature's, not the estimate
+    # of the factor R that every decision reads
+    rng = np.random.default_rng(8)
+    s = systems.build_system(np.diag(-np.arange(1.0, 6.0)),
+                             rng.standard_normal((5, 2)))
+    auto = semigroup.observability_gramian(s, 1.5)
+    quad = semigroup.observability_gramian(s, 1.5, method="quadrature")
+    assert auto.quadrature_error_estimate > 0.0
+    assert auto.quadrature_error_estimate == quad.quadrature_error_estimate
+    assert np.array_equal(auto.factor, quad.factor)
+
+
+@pytest.mark.parametrize("n", [3, 6, "diagonal"])
+def test_gramian_floor_reads_the_transition_norm_probe(n):
+    rng = np.random.default_rng(9)
+    if n == "diagonal":
+        s = systems.build_system(np.diag(rng.standard_normal(4)),
+                                 rng.standard_normal((4, 2)))
+    else:
+        s = systems.build_system(rng.standard_normal((n, n)),
+                                 rng.standard_normal((n, 1)))
+    for horizon in (0.5, 1.7, 4.0):
+        g = semigroup.observability_gramian(s, horizon)
+        a_t = semigroup.transition_norms(
+            s, np.linspace(0.0, horizon, 9)).max()
+        assert g.floor == (s.n * np.finfo(float).eps
+                           * np.linalg.norm(s.b_matrix, 2) * a_t
+                           * np.sqrt(horizon))
+
+
+def test_shared_table_leaves_gramians_bit_identical():
+    rng = np.random.default_rng(10)
+    s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
+                             rng.standard_normal((5, 2)))
+    table = semigroup.ExpTable(s.a_matrix)
+    for horizon in (0.5, 1.0, 2.0, 4.0):
+        shared = semigroup.observability_gramian(s, horizon, table=table)
+        alone = semigroup.observability_gramian(s, horizon)
+        assert np.array_equal(shared.factor, alone.factor)
+        assert np.array_equal(shared.matrix, alone.matrix)
+        assert shared.floor == alone.floor
+        assert (shared.quadrature_error_estimate
+                == alone.quadrature_error_estimate)
+        assert np.array_equal(table.stack([horizon])[0],
+                              semigroup.transition_matrix(s, horizon))
+    with pytest.raises(ValueError, match="table"):
+        semigroup.observability_gramian(s, 1.0,
+                                        table=semigroup.ExpTable(-s.a_matrix))
+
+
+def test_gauss_legendre_rule_is_built_once_and_read_only():
+    x, w = gauss_legendre_rule(8)
+    again = gauss_legendre_rule(8)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    ref_x, ref_w = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
 
 
 def _per_time_norms(s, times):

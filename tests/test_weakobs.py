@@ -312,6 +312,43 @@ def test_sweep_builds_each_horizon_candidates_once(monkeypatch):
     assert len(calls) == len(horizons)
 
 
+def test_sweep_exponentiates_each_slice_once(monkeypatch):
+    # one table of A serves every horizon, level and floor probe, and
+    # e^{A^T T} is its e^{A T} transposed
+    seen = []
+    original = semigroup.expm
+
+    def spy(m):
+        m = np.asarray(m)
+        seen.extend(sl.tobytes() for sl in (m[None] if m.ndim == 2 else m))
+        return original(m)
+
+    monkeypatch.setattr(semigroup, "expm", spy)
+    fam = weakobs.sweep_alpha(_dense_pair("dense", n=5),
+                              [1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0],
+                              samples=20)
+    assert fam.verdict == CERTIFIED
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
+def test_sweep_reduces_each_entry_once(monkeypatch):
+    original = weakobs._reduce
+    calls = []
+
+    def counted(forms, eps):
+        calls.append(eps)
+        return original(forms, eps)
+
+    monkeypatch.setattr(weakobs, "_reduce", counted)
+    alphas, horizons = [1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0]
+    fam = weakobs.sweep_alpha(_dense_pair("dense"), alphas, horizons,
+                              samples=20)
+    # every bracket is finite: one common D per alpha
+    assert len({(c.alpha, c.d_const) for c in fam.certificates}) == 4
+    assert len(calls) == len(alphas) * len(horizons)
+
+
 def test_sweep_integrates_each_witness_energy_once(monkeypatch):
     calls = []
 
@@ -357,6 +394,30 @@ def test_sweep_entries_equal_check_certificate(kind):
                                   c_const=entry.c_const)
         alone = weakobs.check_certificate(s, cert, samples=30, seed=3)
         assert alone.status == entry.status
+        assert alone.margin == entry.margin
+        assert alone.sample_margin == entry.sample_margin
+        if entry.witness is None:
+            assert alone.witness is None
+        else:
+            assert np.array_equal(alone.witness, entry.witness)
+
+
+def test_ill_pair_sweep_entries_equal_check_certificate():
+    # the sweep shares one exponential table and one reduction per entry;
+    # check_certificate builds its forms alone, yet every value agrees
+    s = systems.build_system(*_ill_pair())
+    horizons = [0.5, 1.0, 2.0, 4.0]
+    fam = weakobs.sweep_alpha(s, [1.0, 2.0, 4.0, 8.0], horizons, samples=60)
+    for entry in fam.certificates:
+        d_his = [weakobs.optimal_d_bracket(s, t, math.exp(-entry.alpha * t),
+                                           samples=60)[1] for t in horizons]
+        assert entry.d_const == max(d_his) * 1.001 + 1e-300
+        cert = WeakObsCertificate(horizon=entry.horizon, alpha=entry.alpha,
+                                  d_const=entry.d_const,
+                                  c_const=entry.c_const)
+        alone = weakobs.check_certificate(s, cert, samples=60)
+        assert alone.status == entry.status
+        assert alone.d_const == entry.d_const
         assert alone.margin == entry.margin
         assert alone.sample_margin == entry.sample_margin
         if entry.witness is None:

@@ -171,6 +171,14 @@ def _cmd_weakobs(config: RunConfig) -> int:
     return _run_weakobs(config, _load_lti(config))
 
 
+def _unbounded_spec(o):
+    return sysmod.UnboundedConstantsSpec(
+        gamma=float(o.get("gamma", 0.25)),
+        rho0=float(o.get("rho0", 0.0)),
+        c_gamma=float(o.get("c_gamma", 1.0)),
+        b_norm=float(o.get("b_norm", 1.0)))
+
+
 def _cmd_constants(config: RunConfig) -> int:
     o = config.options
     formula = o.get("formula", "spectral")
@@ -190,22 +198,13 @@ def _cmd_constants(config: RunConfig) -> int:
         validity = {"T_min": 2.0 * t0}
     elif formula == "unbounded":
         t0 = float(o.get("t0", 1.0))
-        uspec = sysmod.UnboundedConstantsSpec(
-            gamma=float(o.get("gamma", 0.25)),
-            rho0=float(o.get("rho0", 0.0)),
-            c_gamma=float(o.get("c_gamma", 1.0)),
-            b_norm=float(o.get("b_norm", 1.0)))
         d_c, c_c = lrc.constants_from_truncated_obs_unbounded(
-            bound, uspec, t0, float(o["c_k_t0"]), float(o.get("m_k", 1.0)),
-            alpha)
+            bound, _unbounded_spec(o), t0, float(o["c_k_t0"]),
+            float(o.get("m_k", 1.0)), alpha)
         validity = {"T_min": 2.0 * t0}
     elif formula == "admissibility":
-        uspec = sysmod.UnboundedConstantsSpec(
-            gamma=float(o.get("gamma", 0.25)),
-            rho0=float(o.get("rho0", 0.0)),
-            c_gamma=float(o.get("c_gamma", 1.0)),
-            b_norm=float(o.get("b_norm", 1.0)))
-        value = lrc.admissibility_constant(uspec, float(o.get("horizon", 1.0)))
+        value = lrc.admissibility_constant(_unbounded_spec(o),
+                                           float(o.get("horizon", 1.0)))
         _write_json(Path(config.output_dir) / "report.json", {
             "schema_version": SCHEMA_VERSION,
             "claim": "admissibility-constant",
@@ -333,9 +332,12 @@ def _cmd_example(config: RunConfig) -> int:
 
 def _stabilize_system(config, lti, extra):
     mu = float(config.options.get("mu", 1.0))
+    horizon = float(config.options.get("horizon", 10.0))
+    grid = int(config.options.get("grid", 200))
     out = Path(config.output_dir)
     try:
-        result = fb.solve_shifted_riccati(lti, mu)
+        result = fb.solve_shifted_riccati(lti, mu, rate_horizon=horizon,
+                                          rate_grid=grid)
     except fb.UnstabilizableError as exc:
         _write_json(out / "report.json", {
             "schema_version": SCHEMA_VERSION,
@@ -344,8 +346,6 @@ def _stabilize_system(config, lti, extra):
             "offending_eigenvalue": [exc.eigenvalue.real,
                                      exc.eigenvalue.imag], **extra})
         return EXIT_REFUTED
-    horizon = float(config.options.get("horizon", 10.0))
-    grid = int(config.options.get("grid", 200))
     a_cl = lti.a_matrix + lti.b_matrix @ result.gain_k
     closed = LtiSystem(a_cl, lti.b_matrix, label="closed-loop")
     ts = np.linspace(0.0, horizon, grid)

@@ -10,7 +10,10 @@ matrix (ordered real Schur form) with one Newton refinement.  Undoing the
 shift moves every closed-loop eigenvalue of A + BK, K = -B^T P, left of
 -mu.  The remaining operations build the minimum-norm controls that steer
 into a contraction ball and concatenate them into a geometrically decaying
-control with finite exponentially-weighted norm.
+control with finite exponentially-weighted norm.  Steering reads the
+Gramian's factor R, never G: in R's right singular basis the regularized
+normal equations are diagonal, so each segment is a scalar search on the
+Tikhonov parameter with no linear solve.
 """
 
 import math
@@ -21,11 +24,10 @@ import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
 
 from ._quadrature import integrate_adaptive
-from .semigroup import (DEFAULT_QUAD, QuadratureSpec, observability_gramian,
-                        observation_energy, transition_matrix,
-                        transition_norms)
+from .semigroup import (DEFAULT_QUAD, QuadratureSpec, observation_energy,
+                        transition_matrix, transition_norms)
 from .systems import LtiSystem
-from .weakobs import CertificateFamily
+from .weakobs import CertificateFamily, _dense_forms
 
 __all__ = [
     "UnstabilizableError",
@@ -223,63 +225,61 @@ class ControlSignal:
         return math.sqrt(total)
 
 
-def _steer(sys, horizon, eps, y0, gramian):
+# directions with sigma^2 <= _UNREACHABLE_RTOL * sigma_1^2 are left alone by
+# the exact steer: the rcond cut of a least-squares solve on G = R^T R
+_UNREACHABLE_RTOL = 1e-13
+
+
+def _steer(forms, eps, y0):
     """eta, terminal state and control norm for one steering segment.
 
-    Solves the regularized normal equations eta = (G + nu I)^{-1} e^{AT} y0
-    with nu bisected so the terminal norm lands on (never above)
-    eps * ||y0||; nu = 0 when the exact null control already satisfies it.
+    `forms` carries e^{AT} = adj^T and the SVD R = U diag(sig) V^T of the
+    Gramian's factor (G = R^T R).  With c = V^T e^{AT} y0 the regularized
+    normal equations (G + nu I) eta = e^{AT} y0 are diagonal: eta =
+    V c/(sig^2 + nu), terminal = V nu c/(sig^2 + nu), ||R eta|| =
+    ||sig c/(sig^2 + nu)||.  nu = 0 (the least-squares steer) when that
+    lands within eps * ||y0||; else a geometric bisection between
+    closed-form bounds lands the terminal norm on, never above, it.
     """
-    gram = gramian.matrix
-    n = sys.n
-    z = transition_matrix(sys, horizon) @ y0
-    ny0 = float(np.linalg.norm(y0))
-    if ny0 == 0.0:
-        return np.zeros(n), z, 0.0
-    target = eps * ny0
-    if np.linalg.norm(z) <= target:
-        return np.zeros(n), z, 0.0
-
-    gmax = float(np.linalg.eigvalsh(gram).max())
-    eta_exact, *_ = np.linalg.lstsq(gram, z, rcond=1e-13)
-    term_exact = z - gram @ eta_exact
+    sig, vt = forms.sig, forms.vt
+    z = forms.adj.T @ y0
+    target = eps * float(np.linalg.norm(y0))
+    c = vt @ z
+    norm_c = float(np.linalg.norm(c))
+    if norm_c <= target:
+        return np.zeros(len(z)), z, 0.0
+    s2 = sig**2
+    reach = s2 > _UNREACHABLE_RTOL * s2[0]
+    stuck = float(np.linalg.norm(c[~reach]))
     if eps == 0.0:
-        if np.linalg.norm(term_exact) > 1e-9 * np.linalg.norm(z):
+        if stuck > 1e-9 * norm_c:
             raise SteeringError(
                 "exact null steering requires a nonsingular controllability "
                 "Gramian; the residual component is unreachable")
-        eta = eta_exact
-    elif np.linalg.norm(term_exact) >= target:
-        if np.linalg.norm(term_exact) <= target * (1.0 + 1e-9):
-            eta = eta_exact
-        else:
-            raise SteeringError(
-                f"terminal tolerance {eps:g}||y0|| is unreachable: the "
-                f"uncontrollable component has norm "
-                f"{np.linalg.norm(term_exact):.3e}")
+    elif stuck > target * (1.0 + 1e-9):
+        raise SteeringError(
+            f"terminal tolerance {eps:g}||y0|| is unreachable: the "
+            f"uncontrollable component has norm {stuck:.3e}")
+    if stuck >= target:
+        eta_c = np.divide(c, s2, out=np.zeros_like(c), where=reach)
+        term_c = np.where(reach, 0.0, c)
     else:
-        def terminal_norm(nu):
-            eta_nu = np.linalg.solve(gram + nu * np.eye(n), z)
-            return float(np.linalg.norm(z - gram @ eta_nu)), eta_nu
-
-        nu_hi = max(gmax, 1e-12)
-        f_hi, _ = terminal_norm(nu_hi)
-        while f_hi < target:
-            nu_hi *= 10.0
-            f_hi, _ = terminal_norm(nu_hi)
-            if nu_hi > 1e30:
-                break
-        nu_lo = 0.0
-        eta = eta_exact
-        for _ in range(60):
-            nu_mid = 0.5 * (nu_lo + nu_hi) if nu_lo > 0 else nu_hi / 2.0
-            f_mid, eta_mid = terminal_norm(nu_mid)
-            if f_mid <= target:
-                nu_lo, eta = nu_mid, eta_mid
+        # nu ||c|| / (sig_1^2 + nu) <= ||terminal(nu)||
+        #   <= sqrt(nu^2 ||c_reach / sig_reach^2||^2 + stuck^2)
+        lo = (math.sqrt((target - stuck) * (target + stuck))
+              / float(np.linalg.norm(c[reach] / s2[reach])))
+        hi = s2[0] * target / (norm_c - target)
+        # compare the norm of the vector returned, not of its coefficients
+        # in V, so "never above" holds in floating point too
+        nu = math.sqrt(lo) * math.sqrt(hi)
+        while lo < nu < hi:
+            if np.linalg.norm(vt.T @ (nu * c / (s2 + nu))) <= target:
+                lo = nu
             else:
-                nu_hi = nu_mid
-    terminal = z - gram @ eta
-    return eta, terminal, float(np.linalg.norm(gramian.factor @ eta))
+                hi = nu
+            nu = math.sqrt(lo) * math.sqrt(hi)
+        eta_c, term_c = c / (s2 + lo), lo * c / (s2 + lo)
+    return vt.T @ eta_c, vt.T @ term_c, float(np.linalg.norm(sig * eta_c))
 
 
 def min_norm_eps_null(sys: LtiSystem, horizon: float, eps: float, y0,
@@ -287,17 +287,16 @@ def min_norm_eps_null(sys: LtiSystem, horizon: float, eps: float, y0,
     """Minimum-norm control steering y0 into the ball eps*||y0|| at time T.
 
     The control has the closed form u(t) = -B^T e^{A^T (T-t)} eta with eta
-    from the regularized Gramian solve; its L2 norm is ||R eta|| with
-    G = R^T R, which unlike sqrt(eta^T G eta) does not cancel.
+    the Tikhonov solution of the Gramian's normal equations, diagonal in
+    the right singular basis of its factor R (G = R^T R); its L2 norm is
+    ||R eta||, which unlike sqrt(eta^T G eta) does not cancel.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    y0 = np.asarray(y0, dtype=float)
-    quad = quad or DEFAULT_QUAD
-    gramian = observability_gramian(sys, horizon, quad)
-    eta, _, l2 = _steer(sys, horizon, eps, y0, gramian)
+    forms = _dense_forms(sys, horizon, quad or DEFAULT_QUAD)
+    eta, _, l2 = _steer(forms, eps, np.asarray(y0, dtype=float))
     seg = SteeringSegment(0.0, horizon, eta)
     return ControlSignal(breakpoints=(0.0, horizon), segments=(seg,),
                          l2_norm=l2, sys=sys)
@@ -338,12 +337,12 @@ def concatenated_control(sys: LtiSystem, beta: float, t_seg: float,
             f"exp(-2 beta t_seg)={math.exp(-2.0 * beta * t_seg):g}")
     y0 = np.asarray(y0, dtype=float)
     quad = quad or DEFAULT_QUAD
-    gramian = observability_gramian(sys, t_seg, quad)
+    forms = _dense_forms(sys, t_seg, quad)
 
     state = y0
     segs, state_norms, control_norms = [], [float(np.linalg.norm(y0))], []
     for i in range(segments):
-        eta, terminal, l2 = _steer(sys, t_seg, eps_seg, state, gramian)
+        eta, terminal, l2 = _steer(forms, eps_seg, state)
         segs.append(SteeringSegment(i * t_seg, (i + 1) * t_seg, eta))
         control_norms.append(l2)
         state = terminal

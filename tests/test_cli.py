@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stabcert import cli, verification
+from stabcert import cli, lrconstants, systems, verification
 
 SCALAR_SPEC = '{"kind": "matrix", "a": [[0.0]], "b": [[1.0]]}'
 DEAD_SPEC = '{"kind": "matrix", "a": [[0.0]], "b": [[0.0]]}'
@@ -127,6 +127,23 @@ def test_constants_admissibility(tmp_path):
     assert read_report(out)["value"] == pytest.approx(2.0)
 
 
+def test_constants_unbounded(tmp_path):
+    out = tmp_path / "c"
+    assert run_cli(["constants", "--formula", "unbounded", "--m-big", "2",
+                    "--delta0", "0.5", "--m-k", "1.5", "--alpha", "1",
+                    "--t0", "0.5", "--c-k-t0", "3", "--gamma", "0.3",
+                    "--rho0", "0.2", "--c-gamma", "1.2", "--b-norm", "0.8",
+                    "--out", str(out)]) == 0
+    report = read_report(out)
+    d_c, c_c = lrconstants.constants_from_truncated_obs_unbounded(
+        lrconstants.SemigroupBound(m_big=2.0, delta0=0.5),
+        systems.UnboundedConstantsSpec(gamma=0.3, rho0=0.2, c_gamma=1.2,
+                                       b_norm=0.8),
+        0.5, 3.0, 1.5, 1.0)
+    assert (report["D"], report["C"]) == (d_c, c_c)
+    assert report["validity"] == {"T_min": 1.0}
+
+
 def test_stabilize_outputs(tmp_path):
     out = tmp_path / "s"
     assert run_cli(["stabilize", "--system", SCALAR_SPEC, "--mu", "1",
@@ -139,6 +156,22 @@ def test_stabilize_outputs(tmp_path):
     decay = (out / "decay" / "decay.csv").read_text().splitlines()
     assert decay[0] == "t,norm"
     assert len(decay) == 201
+
+
+def test_stabilize_overshoot_is_measured_on_the_written_curve(tmp_path):
+    # the transient peaks after t = 0.5, so the report's overshoot must
+    # come from the --horizon/--grid curve, not from the default [0, 10]
+    out = tmp_path / "s"
+    spec = '{"kind": "matrix", "a": [[0, 5], [0, 0]], "b": [[0], [1]]}'
+    assert run_cli(["stabilize", "--system", spec, "--mu", "1",
+                    "--horizon", "0.5", "--grid", "20",
+                    "--out", str(out)]) == 0
+    report = read_report(out)
+    rows = (out / "decay" / "decay.csv").read_text().splitlines()[1:]
+    assert len(rows) == 20
+    peak = max(float(norm) * math.exp(report["measured_rate"] * float(t))
+               for t, norm in (row.split(",") for row in rows))
+    assert report["measured_overshoot"] == pytest.approx(peak, rel=1e-12)
 
 
 def test_stabilize_unstabilizable_exit_one(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_continuous_are
 
-from stabcert import feedback, systems, weakobs
+from stabcert import feedback, semigroup, systems, weakobs
 from stabcert._quadrature import integrate_adaptive
 from stabcert.semigroup import observability_gramian
 
@@ -300,21 +300,46 @@ def _van_loan_gramian_mp(mpmath, m_mp, b_mp, horizon):
     return f22.T * f12
 
 
+def _tikhonov_root_mp(mpmath, gram, z, target):
+    """(eta, terminal) of (G + nu I) eta = z with ||z - G eta|| = target,
+    nu found by geometric bisection at the working precision."""
+    n = gram.rows
+
+    def at(nu):
+        eta = mpmath.lu_solve(gram + nu * mpmath.eye(n), z)
+        return eta, z - gram * eta
+
+    hi = mpmath.norm(gram, 1)
+    while mpmath.norm(at(hi)[1]) < target:
+        hi *= 10
+    lo = hi
+    while mpmath.norm(at(lo)[1]) > target:
+        lo /= 10
+    for _ in range(200):
+        mid = mpmath.sqrt(lo * hi)
+        if mpmath.norm(at(mid)[1]) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return at(lo)
+
+
 def test_weighted_l2_against_high_precision_oracle():
     # |eta| reaches about 1e11 on this ill-conditioned pair; the energy
     # eta^T G_beta eta through the shifted Gramian is off by about 1e-4
     # relative here, while the observation energy stays a sum of squares.
     # Likewise each segment's control norm ||R eta|| is a norm of the
-    # Gramian's factor, where sqrt(eta^T G eta) was off by about 4e-5
+    # Gramian's factor, where sqrt(eta^T G eta) was off by about 4e-5.
+    # The first segment's eta is the Tikhonov root, which solves of
+    # G + nu I (cond(G) about 1e12) missed by about 1e-5 relative
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng([11, 142])
-    n, beta, t_seg = 10, 1.0, 1.0
+    n, beta, t_seg, eps = 10, 1.0, 1.0, math.exp(-2.0)
     a = rng.standard_normal((n, n)) / math.sqrt(n)
     b = rng.standard_normal((n, 2))
     y0 = rng.standard_normal(n)
     sig, rep = feedback.concatenated_control(systems.build_system(a, b),
-                                             beta, t_seg, math.exp(-2.0),
-                                             y0, 4)
+                                             beta, t_seg, eps, y0, 4)
     with mpmath.workdps(60):
         a_mp = mpmath.matrix(a.tolist())
         b_mp = mpmath.matrix(b.tolist())
@@ -329,9 +354,56 @@ def test_weighted_l2_against_high_precision_oracle():
                       * (eta.T * gram_beta * eta)[0, 0])
             seg_norms.append(float(mpmath.sqrt((eta.T * gram * eta)[0, 0])))
         oracle = float(mpmath.sqrt(total))
+        y0_mp = mpmath.matrix(y0.tolist())
+        eta1, terminal1 = _tikhonov_root_mp(
+            mpmath, gram, mpmath.expm(a_mp * t_seg) * y0_mp,
+            mpmath.exp(-2) * mpmath.norm(y0_mp))
+        eta1 = np.array([float(v) for v in eta1])
+        terminal1 = float(mpmath.norm(terminal1))
     assert abs(rep.weighted_l2 - oracle) <= 1e-10 * oracle
     for norm, ref in zip(rep.control_norms, seg_norms):
         assert abs(norm - ref) <= 1e-9 * ref
+    eta = sig.segments[0].eta
+    assert np.linalg.norm(eta - eta1) <= 1e-9 * np.linalg.norm(eta1)
+    assert abs(rep.state_norms[1] - terminal1) <= 1e-12 * terminal1
+
+
+def test_regularized_segments_land_on_the_target():
+    rng = np.random.default_rng(29)
+    landed = 0
+    for n in range(2, 11):
+        for eps in (0.5, 0.1, 1e-3, 1e-6):
+            s = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
+                                     rng.standard_normal((n, 2)))
+            _, rep = feedback.concatenated_control(
+                s, 0.1, 1.0, eps, rng.standard_normal(n), 3)
+            for before, after, control in zip(rep.state_norms,
+                                              rep.state_norms[1:],
+                                              rep.control_norms):
+                if control > 0.0:
+                    target = eps * before
+                    assert target * (1.0 - 1e-12) <= after <= target
+                    landed += 1
+    assert landed >= 90
+
+
+def test_concatenated_control_exponentiates_a_t_seg_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    n, t_seg = 5, 0.7
+    a = rng.standard_normal((n, n)) / math.sqrt(n)
+    s = systems.build_system(a, rng.standard_normal((n, 2)))
+    hits = []
+
+    def spy(m, real=semigroup.expm):
+        hits.extend(np.array_equal(x, a * t_seg)
+                    for x in np.reshape(m, (-1, n, n)))
+        return real(m)
+
+    monkeypatch.setattr(semigroup, "expm", spy)
+    _, rep = feedback.concatenated_control(s, 0.5, t_seg, math.exp(-1.0),
+                                           rng.standard_normal(n), 4)
+    assert len(rep.control_norms) == 4 and all(rep.control_norms)
+    assert sum(hits) == 1
 
 
 def test_concatenated_contraction_precondition():

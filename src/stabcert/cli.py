@@ -21,8 +21,7 @@ from . import lrconstants as lrc
 from . import periodic as per
 from . import systems as sysmod
 from . import verification, weakobs
-from .semigroup import QuadratureSpec, observability_gramian, \
-    transition_norms
+from .semigroup import QuadratureSpec, grid_norms, observability_gramian
 from .systems import LtiSystem, SpectralSystem
 
 __all__ = ["RunConfig", "run", "main"]
@@ -335,29 +334,34 @@ def _stabilize_system(config, lti, extra):
     horizon = float(config.options.get("horizon", 10.0))
     grid = int(config.options.get("grid", 200))
     out = Path(config.output_dir)
+    head = {"schema_version": SCHEMA_VERSION, "claim": "rapid-decay-feedback",
+            "system": lti.label, "mu": mu}
     try:
         result = fb.solve_shifted_riccati(lti, mu, rate_horizon=horizon,
                                           rate_grid=grid)
     except fb.UnstabilizableError as exc:
         _write_json(out / "report.json", {
-            "schema_version": SCHEMA_VERSION,
-            "claim": "rapid-decay-feedback",
-            "system": lti.label, "mu": mu, "verdict": "unstabilizable",
+            **head, "verdict": "unstabilizable",
             "offending_eigenvalue": [exc.eigenvalue.real,
                                      exc.eigenvalue.imag], **extra})
         return EXIT_REFUTED
+    except RuntimeError as exc:
+        if not hasattr(exc, "measured_rate"):
+            raise
+        _write_json(out / "report.json", {
+            **head, "verdict": "missed-target",
+            "measured_rate": exc.measured_rate, **extra})
+        return EXIT_INCONCLUSIVE
     a_cl = lti.a_matrix + lti.b_matrix @ result.gain_k
     closed = LtiSystem(a_cl, lti.b_matrix, label="closed-loop")
-    ts = np.linspace(0.0, horizon, grid)
-    decay = zip(ts, transition_norms(closed, ts))
+    decay = zip(np.linspace(0.0, horizon, grid),
+                grid_norms(closed, horizon, grid))
     _write_csv(out / "gain.csv",
                [f"k{j}" for j in range(result.gain_k.shape[1])],
                result.gain_k.tolist())
     _write_csv(out / "decay" / "decay.csv", ["t", "norm"], decay)
     _write_json(out / "report.json", {
-        "schema_version": SCHEMA_VERSION,
-        "claim": "rapid-decay-feedback",
-        "system": lti.label, "mu": mu, "verdict": "synthesized",
+        **head, "verdict": "synthesized",
         "measured_rate": result.measured_rate,
         "measured_overshoot": result.measured_overshoot,
         "riccati_residual": result.residual, **extra})

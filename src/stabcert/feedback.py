@@ -24,8 +24,8 @@ import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
 
 from ._quadrature import integrate_adaptive
-from .semigroup import (DEFAULT_QUAD, QuadratureSpec, observation_energy,
-                        transition_matrix, transition_norms)
+from .semigroup import (DEFAULT_QUAD, ExpTable, QuadratureSpec, grid_norms,
+                        observation_energy, transition_matrix)
 from .systems import LtiSystem
 from .weakobs import CertificateFamily, _dense_forms
 
@@ -102,9 +102,17 @@ def _pbh_stabilizable(a_shift, b):
 def solve_shifted_riccati(sys: LtiSystem, mu: float,
                           rate_horizon: float = 10.0,
                           rate_grid: int = 200) -> FeedbackResult:
-    """Feedback gain pushing every closed-loop eigenvalue left of -mu."""
+    """Feedback gain pushing every closed-loop eigenvalue left of -mu.
+
+    A closed loop whose spectral rate misses mu raises `RuntimeError`
+    with that rate as its `measured_rate` attribute.
+    """
     if mu <= 0:
         raise ValueError("target rate mu must be positive")
+    if rate_horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if rate_grid < 1:
+        raise ValueError("grid must be >= 1")
     a = sys.a_matrix
     b = sys.b_matrix
     n = sys.n
@@ -144,9 +152,11 @@ def solve_shifted_riccati(sys: LtiSystem, mu: float,
     # closed loop that already misses mu
     rate = _spectral_rate(a + b @ gain)
     if rate < mu - 1e-8:
-        raise RuntimeError(
+        missed = RuntimeError(
             f"synthesis missed the target: measured rate {rate:.6g} < "
             f"mu={mu:.6g}")
+        missed.measured_rate = rate
+        raise missed
     _, overshoot = closed_loop_rate(sys, gain, horizon=rate_horizon,
                                     grid=rate_grid)
     return FeedbackResult(mu=mu, riccati_p=p, gain_k=gain,
@@ -175,7 +185,7 @@ def closed_loop_rate(sys: LtiSystem, gain, horizon: float = 10.0,
     closed = LtiSystem(a_cl, sys.b_matrix, label="closed-loop")
     ts = np.linspace(0.0, horizon, grid)
     overshoot = 0.0
-    for t, norm in zip(ts, transition_norms(closed, ts)):
+    for t, norm in zip(ts, grid_norms(closed, horizon, grid)):
         overshoot = max(overshoot, norm * math.exp(rate * t))
     return rate, float(overshoot)
 
@@ -364,12 +374,15 @@ def concatenated_control(sys: LtiSystem, beta: float, t_seg: float,
     # s = t_stop - t, int e^{2 beta t} ||u||^2 dt is e^{2 beta t_stop} times
     # the observation energy of eta under A - beta I over one segment.  The
     # energy is a sum of squares; eta^T G_beta eta from the shifted Gramian
-    # cancels badly when |eta| is large
+    # cancels badly when |eta| is large.  Every segment integrates over
+    # the same nodes, so one table of (A - beta I)^T serves them all
     shifted = LtiSystem(sys.a_matrix - beta * np.eye(sys.n), sys.b_matrix,
                         label="beta-shifted")
+    table = ExpTable(shifted.a_matrix.T, shifted.is_diagonal)
     weighted_l2 = math.sqrt(sum(
         math.exp(2.0 * beta * seg.t_stop)
-        * observation_energy(shifted, t_seg, seg.eta, quad) for seg in segs))
+        * observation_energy(shifted, t_seg, seg.eta, quad, table=table)
+        for seg in segs))
     bound = (fitted_gain * ny0 * math.exp(beta * t_seg)
              / (1.0 - math.exp(-beta * t_seg)))
     report = DecayReport(

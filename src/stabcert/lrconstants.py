@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .semigroup import transition_norms
+from .semigroup import grid_norms, transition_norms
 from .systems import (LtiSystem, ProjectionFamily, SpectralSystem,
                       UnboundedConstantsSpec)
 
@@ -89,7 +89,7 @@ def fit_semigroup_bound(sys: LtiSystem, t_max: float = 10.0,
     delta0 = max(0.0, abscissa) + slack
     ts = np.linspace(0.0, t_max, n_grid)
     m_big = 1.0
-    for t, norm in zip(ts, transition_norms(sys, ts)):
+    for t, norm in zip(ts, grid_norms(sys, t_max, n_grid)):
         m_big = max(m_big, norm * math.exp(-delta0 * t))
     return SemigroupBound(m_big=m_big * (1.0 + 1e-12), delta0=delta0)
 

@@ -24,8 +24,10 @@ Gauss offsets.  A table computes each miss as one slice of a batched
 `expm(M[None] * t)`, and `expm` treats every slice on its own, so a value
 read from a table is bit for bit the value a fresh call would give.  A
 table lives no longer than the call that builds it: one energy, one
-Gramian, one weakobs decision, or one sweep, whose table also gives
-e^{A^T T} as the transpose of its e^{A T}.  Nothing is cached between
+Gramian, one weakobs decision, one sweep, whose table of A also gives
+e^{A^T T} as the transpose of its e^{A T} and whose witness energies
+share a table of A^T, or one concatenated steering, whose segments'
+energies share a table of (A - beta I)^T.  Nothing is cached between
 calls.
 
 Every Gramian carries its factor R, G = R^T R, accumulated as
@@ -37,9 +39,27 @@ u ||G|| e^{2T} there: on random dense pairs with an uncontrollable mode at
 base-step-plus-doubling variant certified T = 4 entries that the
 quadrature refutes.
 
-Grid norms ||e^{At}||_2 (envelope fits, closed-loop rates, decay curves)
-come from `transition_norms`, one batched `expm` and one batched SVD per
-few grid times, equal to the per-time loop.
+Grid norms ||e^{At}||_2 on an equispaced grid t_k = k h, h = T/(grid - 1)
+(envelope fits, closed-loop rates, decay curves) come from `grid_norms`:
+one `expm` gives E = e^{Ah}, and binary doubling fills the stack level by
+level, e^{A(f + k)h} = e^{Akh} E_f for k < f with E_f = e^{Afh}, f = 1,
+2, 4, ..., then squares E_2f = E_f^2.  So e^{Akh} is a product of one
+factor per set bit of k, at most ceil(log2 grid) (8 for grid = 200), and
+each factor is at most that many squarings deep: rounding grows with
+log2 k, not with k as in a power chain E^k.  One batched SVD reads the
+norms; a diagonal A takes the exact e^{lambda_max t}.  If that SVD fails,
+`grid_norms` raises a fresh `LinAlgError` once the stack is dropped, as
+the one numpy raises keeps the SVD's frame, and with it the stack, alive
+in any caller that keeps the exception.  Arbitrary time lists (bound
+checks, the Gramian's floor probe) go through `transition_norms`, one
+batched `expm` and one batched SVD per few times, equal to the per-time
+loop.
+
+Neither is accurate on closed loops with ||A + BK|| of about 1e6 and more
+(ROADMAP item 4): on `perfbench` feedback job 1 of seed 11 (n = 10) at
+mu = 4, ||A + BK|| = 9.5e6 and the true overshoot is 6.2e8 (50- and
+80-digit oracles agree), while the per-time loop reads 4.3e15 and
+doubling 7.4e14.
 """
 
 from dataclasses import dataclass
@@ -61,6 +81,7 @@ __all__ = [
     "propagate",
     "transition_matrix",
     "transition_norms",
+    "grid_norms",
     "observation_energy",
     "observability_gramian",
     "dissipative_tail_check",
@@ -152,6 +173,40 @@ def transition_norms(sys: LtiSystem, times) -> np.ndarray:
     return norms
 
 
+def grid_norms(sys: LtiSystem, horizon: float, grid: int) -> np.ndarray:
+    """||e^{A t}||_2 at every t of `np.linspace(0, horizon, grid)`.
+
+    Binary doubling from one e^{Ah}, h = horizon/(grid - 1), into one
+    stack of grid n x n matrices (see the module docstring), then one
+    batched SVD; a diagonal A gives the exact e^{lambda_max t}.  A failing
+    SVD raises a fresh `LinAlgError` that keeps no reference to the stack.
+    """
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    if horizon < 0:
+        raise ValueError("propagation time must be nonnegative")
+    a = sys.a_matrix
+    if sys.is_diagonal:
+        return np.exp(np.diag(a).max() * np.linspace(0.0, horizon, grid))
+    stack = np.empty((grid,) + a.shape)
+    stack[0] = np.eye(sys.n)
+    if grid > 1:
+        power = transition_matrix(sys, horizon / (grid - 1))
+        stack[1] = power
+        filled = 2
+        while filled < grid:
+            power = power @ power
+            k = min(filled, grid - filled)
+            np.matmul(stack[:k], power, out=stack[filled:filled + k])
+            filled += k
+    try:
+        return np.linalg.norm(stack, 2, axis=(1, 2))
+    except np.linalg.LinAlgError as exc:
+        message = str(exc)
+    del stack
+    raise np.linalg.LinAlgError(message)
+
+
 def _exp_stack(m, times, diagonal):
     """e^{M t} at every t: a batched `expm`, or exact diagonal `np.exp`."""
     if not diagonal:
@@ -184,6 +239,15 @@ class ExpTable:
         return np.stack([self._values[t] for t in keys])
 
 
+def _own_table(table, m, diagonal, name):
+    """`table` if it is an ExpTable of exactly M, a fresh one if None."""
+    if table is None:
+        return ExpTable(m, diagonal)
+    if table.diagonal != diagonal or not np.array_equal(table.matrix, m):
+        raise ValueError(f"table is not one of this system's {name}")
+    return table
+
+
 def propagate(sys: LtiSystem, t: float, x, adjoint: bool = False):
     """Evaluate e^{A t} x (adjoint=True gives e^{A^T t} x)."""
     x = np.asarray(x, dtype=float)
@@ -195,19 +259,21 @@ def propagate(sys: LtiSystem, t: float, x, adjoint: bool = False):
 
 
 def observation_energy(sys: LtiSystem, horizon: float, phi,
-                       quad: Optional[QuadratureSpec] = None) -> float:
+                       quad: Optional[QuadratureSpec] = None, *,
+                       table: Optional[ExpTable] = None) -> float:
     """Integral over [0, horizon] of ||B^T e^{A^T t} phi||^2.
 
     By the change of variable s = horizon - t this equals the squared
     L^2(0, horizon) norm of the observed adjoint trajectory started from
-    phi at the far end.
+    phi at the far end.  `table`, an ExpTable of A^T, lets energies of one
+    A share node exponentials; values do not depend on it.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     quad = quad or DEFAULT_QUAD
     phi = np.asarray(phi, dtype=float)
     a_t, bt = sys.a_matrix.T, sys.b_matrix.T
-    table = ExpTable(a_t, sys.is_diagonal)
+    table = _own_table(table, a_t, sys.is_diagonal, "A^T")
     # the probe times but T are panel starts of the first level
     amp = max(np.linalg.norm(e @ phi)
               for e in table.stack(np.linspace(0.0, horizon, 9)))
@@ -303,11 +369,7 @@ def observability_gramian(sys: LtiSystem, horizon: float,
     use_closed = method == "closed_form" or (method == "auto"
                                              and sys.is_diagonal)
     a, b, n = sys.a_matrix, sys.b_matrix, sys.n
-    if table is None:
-        table = ExpTable(a, sys.is_diagonal)
-    elif table.diagonal != sys.is_diagonal or not np.array_equal(
-            table.matrix, a):
-        raise ValueError("table is not one of this system's A")
+    table = _own_table(table, a, sys.is_diagonal, "A")
     factor = None
 
     def level(panels):

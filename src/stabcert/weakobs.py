@@ -375,8 +375,8 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     bit for bit, by every other.  Each (alpha, T) runs one violation
     search and one slack reduction, which serve both the D bracket and
     every D checked, and each distinct (T, witness) energy is integrated
-    once, so entries equal `check_certificate` with the same seed and
-    samples.
+    once, its nodes drawn from one ExpTable of A^T, so entries equal
+    `check_certificate` with the same seed and samples.
     """
     alphas = tuple(sorted(float(a) for a in alphas))
     horizons = tuple(sorted(float(t) for t in horizons))
@@ -388,6 +388,7 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     forms = {t: _dense_forms(sys, t, quad, table) for t in horizons}
     candidates = {t: _candidate_states(forms[t], samples, seed)
                   for t in horizons}
+    adj_table = ExpTable(sys.a_matrix.T, sys.is_diagonal)
     energies = {}
 
     def energy(t, unit):
@@ -395,7 +396,8 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
         # witness share one quadrature
         key = (t, unit.tobytes())
         if key not in energies:
-            energies[key] = observation_energy(sys, t, unit, quad)
+            energies[key] = observation_energy(sys, t, unit, quad,
+                                               table=adj_table)
         return energies[key]
 
     def check_alpha(alpha):

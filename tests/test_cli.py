@@ -181,6 +181,33 @@ def test_stabilize_unstabilizable_exit_one(tmp_path):
     assert read_report(out)["verdict"] == "unstabilizable"
 
 
+def _missed_target_spec():
+    # a dense n = 20, m = 2 pair whose rate-2 Riccati gain misses mu = 2:
+    # the closed loop's spectral rate comes out near -5
+    rng = np.random.default_rng([11, 2])
+    a = rng.standard_normal((20, 20)) / math.sqrt(20)
+    b = rng.standard_normal((20, 2))
+    return json.dumps({"kind": "matrix", "a": a.tolist(), "b": b.tolist()})
+
+
+def test_stabilize_missed_target_exit_two(tmp_path):
+    out = tmp_path / "s"
+    assert run_cli(["stabilize", "--system", _missed_target_spec(),
+                    "--mu", "2", "--out", str(out)]) == 2
+    report = read_report(out)
+    assert report["verdict"] == "missed-target"
+    assert report["mu"] == 2.0 and report["measured_rate"] < 2.0
+    assert not (out / "gain.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_stabilize_rejects_an_empty_grid(tmp_path, grid):
+    out = tmp_path / "s"
+    assert run_cli(["stabilize", "--system", SCALAR_SPEC, "--grid", grid,
+                    "--out", str(out)]) == 3
+    assert not (out / "report.json").exists()
+
+
 def test_example_point_heat_logs_convergent(tmp_path):
     out = tmp_path / "e"
     code = run_cli(["example", "point-heat", "--x0", "cf", "--depth", "3",

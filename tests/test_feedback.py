@@ -133,18 +133,31 @@ def test_jordan_block_transient_overshoot():
     assert overshoot > 1.0
 
 
-def test_rate_and_overshoot_equal_per_time_loop():
+def test_rate_and_overshoot_equal_per_time_loop(grid_norm_oracle):
+    # the rate is exact; the overshoot's grid norms come from doubling,
+    # so it is held to a 40-digit oracle, not to the per-time loop
     rng = np.random.default_rng(4)
     s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
                              rng.standard_normal((5, 2)))
     gain = rng.standard_normal((2, 5))
     a_cl = s.a_matrix + s.b_matrix @ gain
     rate = -float(np.max(np.linalg.eigvals(a_cl).real))
-    overshoot = 0.0
-    for t in np.linspace(0.0, 10.0, 200):
-        overshoot = max(overshoot, np.linalg.norm(expm(a_cl * t), 2)
-                        * math.exp(rate * t))
-    assert feedback.closed_loop_rate(s, gain) == (rate, overshoot)
+    overshoot = max(norm * math.exp(rate * t) for t, norm in zip(
+        np.linspace(0.0, 10.0, 200), grid_norm_oracle(a_cl, 10.0, 200)))
+    measured_rate, measured_overshoot = feedback.closed_loop_rate(s, gain)
+    assert measured_rate == rate
+    assert measured_overshoot == pytest.approx(overshoot, rel=1e-13)
+
+
+def test_closed_loop_rate_validates_its_grid():
+    gain = np.zeros((1, 1))
+    with pytest.raises(ValueError, match="grid"):
+        feedback.closed_loop_rate(SCALAR_01, gain, grid=0)
+    assert feedback.closed_loop_rate(SCALAR_01, gain, grid=1)[1] == 1.0
+    with pytest.raises(ValueError, match="grid"):
+        feedback.solve_shifted_riccati(SCALAR_01, 1.0, rate_grid=0)
+    with pytest.raises(ValueError, match="horizon"):
+        feedback.solve_shifted_riccati(SCALAR_01, 1.0, rate_horizon=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +417,27 @@ def test_concatenated_control_exponentiates_a_t_seg_once(monkeypatch):
                                            rng.standard_normal(n), 4)
     assert len(rep.control_norms) == 4 and all(rep.control_norms)
     assert sum(hits) == 1
+
+
+def test_concatenated_control_exponentiates_each_slice_once(monkeypatch):
+    # the segments' weighted energies share one table of (A - beta I)^T;
+    # it and the Gramian's table of A meet only at t = 0
+    rng = np.random.default_rng(3)
+    n = 5
+    s = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
+                             rng.standard_normal((n, 2)))
+    seen = []
+
+    def spy(m, real=semigroup.expm):
+        seen.extend(x.tobytes() for x in np.reshape(m, (-1, n, n)))
+        return real(m)
+
+    monkeypatch.setattr(semigroup, "expm", spy)
+    _, rep = feedback.concatenated_control(s, 0.5, 0.7, math.exp(-1.0),
+                                           rng.standard_normal(n), 4)
+    assert len(rep.control_norms) == 4 and rep.weighted_l2 > 0.0
+    nonzero = [x for x in seen if np.frombuffer(x).any()]
+    assert len(nonzero) == len(set(nonzero))
 
 
 def test_concatenated_contraction_precondition():

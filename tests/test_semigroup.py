@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,21 @@ def test_shared_table_leaves_gramians_bit_identical():
                                         table=semigroup.ExpTable(-s.a_matrix))
 
 
+def test_shared_table_leaves_energies_bit_identical():
+    rng = np.random.default_rng(10)
+    s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
+                             rng.standard_normal((5, 2)))
+    table = semigroup.ExpTable(s.a_matrix.T)
+    for horizon in (0.5, 1.0, 2.0):
+        for phi in rng.standard_normal((3, 5)):
+            assert (semigroup.observation_energy(s, horizon, phi,
+                                                 table=table)
+                    == semigroup.observation_energy(s, horizon, phi))
+    with pytest.raises(ValueError, match="table"):
+        semigroup.observation_energy(s, 1.0, phi,
+                                     table=semigroup.ExpTable(s.a_matrix))
+
+
 def test_gauss_legendre_rule_is_built_once_and_read_only():
     x, w = gauss_legendre_rule(8)
     again = gauss_legendre_rule(8)
@@ -342,15 +358,25 @@ def _per_time_norms(s, times):
                      for t in times])
 
 
-@pytest.mark.parametrize("n", [2, 5, 10, 20, "diagonal"])
-def test_transition_norms_equal_per_time_loop(n):
+def _grid_system(n):
     rng = np.random.default_rng(7)
     if n == "diagonal":
-        s = systems.build_system(np.diag(rng.standard_normal(7)),
-                                 rng.standard_normal((7, 2)))
-    else:
-        s = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
-                                 rng.standard_normal((n, 2)))
+        return systems.build_system(np.diag(rng.standard_normal(7)),
+                                    rng.standard_normal((7, 2)))
+    return systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
+                                rng.standard_normal((n, 2)))
+
+
+def _overflowing_system():
+    # e^{At} overflows on [0, 10], and the SVD of its norms' stack fails
+    rng = np.random.default_rng(20)
+    return systems.build_system(30.0 * rng.standard_normal((20, 20)),
+                                rng.standard_normal((20, 2)))
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 20, "diagonal"])
+def test_transition_norms_equal_per_time_loop(n):
+    s = _grid_system(n)
     for points in (1, 8, 9, 200):        # across the 8-time chunk boundary
         times = np.linspace(0.0, 10.0, points)
         norms = semigroup.transition_norms(s, times)
@@ -362,15 +388,57 @@ def test_transition_norms_equal_per_time_loop(n):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_transition_norms_raise_where_the_loop_does():
-    # e^{At} overflows on the grid, and the SVD of its stack fails
-    rng = np.random.default_rng(20)
-    s = systems.build_system(30.0 * rng.standard_normal((20, 20)),
-                             rng.standard_normal((20, 2)))
+    s = _overflowing_system()
     times = np.linspace(0.0, 10.0, 200)
     with pytest.raises(np.linalg.LinAlgError):
         _per_time_norms(s, times)
     with pytest.raises(np.linalg.LinAlgError):
         semigroup.transition_norms(s, times)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 20, "diagonal"])
+def test_grid_norms_against_high_precision_oracle(n, grid_norm_oracle):
+    s = _grid_system(n)
+    for grid in (1, 2, 9, 200):
+        norms = semigroup.grid_norms(s, 10.0, grid)
+        assert norms.shape == (grid,) and norms[0] == 1.0
+        np.testing.assert_allclose(
+            norms, grid_norm_oracle(s.a_matrix, 10.0, grid), rtol=1e-13)
+
+
+def test_grid_norms_validate_their_grid():
+    s = _grid_system(2)
+    for grid in (0, -3):
+        with pytest.raises(ValueError, match="grid"):
+            semigroup.grid_norms(s, 10.0, grid)
+    with pytest.raises(ValueError):
+        semigroup.grid_norms(s, -1.0, 5)
+    assert np.array_equal(semigroup.grid_norms(s, 0.0, 3), np.ones(3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_norms_raise_where_transition_norms_do():
+    s = _overflowing_system()
+    with pytest.raises(np.linalg.LinAlgError):
+        semigroup.transition_norms(s, np.linspace(0.0, 10.0, 200))
+    with pytest.raises(np.linalg.LinAlgError):
+        semigroup.grid_norms(s, 10.0, 200)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kept_grid_norms_error_does_not_keep_the_stack():
+    s = _overflowing_system()
+    stack_bytes = 200 * s.n * s.n * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(np.linalg.LinAlgError) as kept:
+            semigroup.grid_norms(s, 10.0, 200)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept.value.__context__ is None
+    assert held < stack_bytes / 8
 
 
 def test_gramian_result_rejects_asymmetry():

@@ -312,9 +312,7 @@ def test_sweep_builds_each_horizon_candidates_once(monkeypatch):
     assert len(calls) == len(horizons)
 
 
-def test_sweep_exponentiates_each_slice_once(monkeypatch):
-    # one table of A serves every horizon, level and floor probe, and
-    # e^{A^T T} is its e^{A T} transposed
+def _spy_expm_slices(monkeypatch):
     seen = []
     original = semigroup.expm
 
@@ -324,12 +322,41 @@ def test_sweep_exponentiates_each_slice_once(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(semigroup, "expm", spy)
+    return seen
+
+
+def test_sweep_exponentiates_each_slice_once(monkeypatch):
+    # one table of A serves every horizon, level and floor probe, and
+    # e^{A^T T} is its e^{A T} transposed
+    seen = _spy_expm_slices(monkeypatch)
     fam = weakobs.sweep_alpha(_dense_pair("dense", n=5),
                               [1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0],
                               samples=20)
     assert fam.verdict == CERTIFIED
     assert seen
     assert len(seen) == len(set(seen))
+
+
+def test_sweep_energies_exponentiate_each_slice_once(monkeypatch):
+    # the witness energies of every horizon share one table of A^T; A t
+    # and A^T t are distinct slices except at t = 0, which both tables
+    # exponentiate
+    energies = []
+
+    def counted(sys, horizon, phi, quad=None, **kwargs):
+        energies.append(horizon)
+        return semigroup.observation_energy(sys, horizon, phi, quad,
+                                            **kwargs)
+
+    monkeypatch.setattr(weakobs, "observation_energy", counted)
+    seen = _spy_expm_slices(monkeypatch)
+    fam = weakobs.sweep_alpha(_dense_pair("unobservable", n=5),
+                              [1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0],
+                              samples=20)
+    assert fam.verdict == REFUTED
+    assert len(set(energies)) > 1
+    nonzero = [sl for sl in seen if np.frombuffer(sl).any()]
+    assert len(nonzero) == len(set(nonzero))
 
 
 def test_sweep_reduces_each_entry_once(monkeypatch):
@@ -352,9 +379,10 @@ def test_sweep_reduces_each_entry_once(monkeypatch):
 def test_sweep_integrates_each_witness_energy_once(monkeypatch):
     calls = []
 
-    def counted(sys, horizon, phi, quad=None):
+    def counted(sys, horizon, phi, quad=None, **kwargs):
         calls.append((horizon, np.asarray(phi).tobytes()))
-        return semigroup.observation_energy(sys, horizon, phi, quad)
+        return semigroup.observation_energy(sys, horizon, phi, quad,
+                                            **kwargs)
 
     monkeypatch.setattr(weakobs, "observation_energy", counted)
     fam = weakobs.sweep_alpha(_dense_pair("unobservable"),

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
 
 from ._quadrature import integrate_adaptive
-from .semigroup import (DEFAULT_QUAD, ExpTable, QuadratureSpec, grid_norms,
+from .semigroup import (DEFAULT_QUAD, ExpTable, QuadratureSpec, grid_peak,
                         observation_energy, transition_matrix)
 from .systems import LtiSystem
 from .weakobs import CertificateFamily, _dense_forms
@@ -183,11 +183,7 @@ def closed_loop_rate(sys: LtiSystem, gain, horizon: float = 10.0,
     a_cl = sys.a_matrix + sys.b_matrix @ gain
     rate = _spectral_rate(a_cl)
     closed = LtiSystem(a_cl, sys.b_matrix, label="closed-loop")
-    ts = np.linspace(0.0, horizon, grid)
-    overshoot = 0.0
-    for t, norm in zip(ts, grid_norms(closed, horizon, grid)):
-        overshoot = max(overshoot, norm * math.exp(rate * t))
-    return rate, float(overshoot)
+    return rate, grid_peak(closed, horizon, grid, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .semigroup import grid_norms, transition_norms
+from .semigroup import grid_peak, transition_norms
 from .systems import (LtiSystem, ProjectionFamily, SpectralSystem,
                       UnboundedConstantsSpec)
 
@@ -87,10 +87,7 @@ def fit_semigroup_bound(sys: LtiSystem, t_max: float = 10.0,
     """
     abscissa = float(np.max(np.linalg.eigvals(sys.a_matrix).real))
     delta0 = max(0.0, abscissa) + slack
-    ts = np.linspace(0.0, t_max, n_grid)
-    m_big = 1.0
-    for t, norm in zip(ts, grid_norms(sys, t_max, n_grid)):
-        m_big = max(m_big, norm * math.exp(-delta0 * t))
+    m_big = max(1.0, grid_peak(sys, t_max, n_grid, -delta0))
     return SemigroupBound(m_big=m_big * (1.0 + 1e-12), delta0=delta0)
 
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from stabcert import cli, lrconstants, systems, verification
+from stabcert import (cli, feedback, lrconstants, semigroup, systems,
+                      verification)
 
 SCALAR_SPEC = '{"kind": "matrix", "a": [[0.0]], "b": [[1.0]]}'
 DEAD_SPEC = '{"kind": "matrix", "a": [[0.0]], "b": [[0.0]]}'
@@ -172,6 +173,27 @@ def test_stabilize_overshoot_is_measured_on_the_written_curve(tmp_path):
     peak = max(float(norm) * math.exp(report["measured_rate"] * float(t))
                for t, norm in (row.split(",") for row in rows))
     assert report["measured_overshoot"] == pytest.approx(peak, rel=1e-12)
+
+
+def test_stabilize_takes_one_curve_and_one_peak(tmp_path, monkeypatch):
+    calls = {"grid_norms": [], "grid_peak": []}
+
+    def spy(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name].append(args[1:3])
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(cli, "grid_norms")
+    spy(semigroup, "grid_norms")
+    spy(feedback, "grid_peak")
+    spec = '{"kind": "matrix", "a": [[0, 5], [0, 0]], "b": [[0], [1]]}'
+    assert run_cli(["stabilize", "--system", spec, "--mu", "1",
+                    "--out", str(tmp_path / "s")]) == 0
+    assert calls == {"grid_norms": [(10.0, 200)], "grid_peak": [(10.0, 200)]}
 
 
 def test_stabilize_unstabilizable_exit_one(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stabcert import semigroup, systems
+from stabcert import feedback, semigroup, systems
 from stabcert._quadrature import QuadratureError, gauss_legendre_rule, \
     integrate_adaptive, panel_nodes
 from stabcert.semigroup import QuadratureSpec
@@ -411,9 +411,14 @@ def test_grid_norms_validate_their_grid():
     for grid in (0, -3):
         with pytest.raises(ValueError, match="grid"):
             semigroup.grid_norms(s, 10.0, grid)
+        with pytest.raises(ValueError, match="grid"):
+            semigroup.grid_peak(s, 10.0, grid, 0.0)
     with pytest.raises(ValueError):
         semigroup.grid_norms(s, -1.0, 5)
+    with pytest.raises(ValueError):
+        semigroup.grid_peak(s, -1.0, 5, 0.0)
     assert np.array_equal(semigroup.grid_norms(s, 0.0, 3), np.ones(3))
+    assert semigroup.grid_peak(s, 0.0, 3, 0.0) == 1.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -434,6 +439,111 @@ def test_kept_grid_norms_error_does_not_keep_the_stack():
         before = tracemalloc.get_traced_memory()[0]
         with pytest.raises(np.linalg.LinAlgError) as kept:
             semigroup.grid_norms(s, 10.0, 200)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept.value.__context__ is None
+    assert held < stack_bytes / 8
+
+
+def _folded_peak(s, horizon, grid, rate):
+    peak = 0.0
+    for t, norm in zip(np.linspace(0.0, horizon, grid),
+                       semigroup.grid_norms(s, horizon, grid)):
+        peak = max(peak, norm * math.exp(rate * t))
+    return peak
+
+
+def _peak_system(kind):
+    rng = np.random.default_rng(9)
+    if kind == "jordan":
+        a = -0.5 * np.eye(6) + np.eye(6, k=1)
+    elif kind == "skew":
+        # e^{At} is orthogonal: every norm ties at 1, none can be passed
+        # over, as the bound of an orthogonal X is n^(1/8)
+        g = rng.standard_normal((6, 6))
+        a = g - g.T
+    else:
+        return _grid_system(kind)
+    return systems.build_system(a, rng.standard_normal((6, 2)))
+
+
+@pytest.mark.parametrize("kind", [2, 5, 10, 20, "jordan", "skew",
+                                  "diagonal"])
+def test_grid_peak_equals_the_full_curve_fold(kind):
+    s = _peak_system(kind)
+    for rate in (-0.7, 0.0, 0.3):
+        for grid in (1, 2, 3, 200):
+            peak = semigroup.grid_peak(s, 10.0, grid, rate)
+            assert type(peak) is float
+            assert peak == _folded_peak(s, 10.0, grid, rate)
+    # math.exp(1000 t) overflows from t = 0.71 on, in both
+    with pytest.raises(OverflowError):
+        _folded_peak(s, 10.0, 200, 1000.0)
+    with pytest.raises(OverflowError):
+        semigroup.grid_peak(s, 10.0, 200, 1000.0)
+
+
+def _count_svd_slices(monkeypatch):
+    slices = []
+    norms = semigroup._spectral_norms
+
+    def spy(stack):
+        slices.append(len(stack))
+        return norms(stack)
+
+    monkeypatch.setattr(semigroup, "_spectral_norms", spy)
+    return slices
+
+
+def test_grid_peak_takes_few_svds_on_a_damped_closed_loop(monkeypatch):
+    s = _grid_system(10)
+    gain = feedback.solve_shifted_riccati(s, 1.0).gain_k
+    closed = systems.build_system(s.a_matrix + s.b_matrix @ gain,
+                                  s.b_matrix)
+    rate, overshoot = feedback.closed_loop_rate(s, gain)
+    slices = _count_svd_slices(monkeypatch)
+    assert semigroup.grid_peak(closed, 10.0, 200, rate) == overshoot
+    assert 0 < sum(slices) <= 20
+    assert overshoot == _folded_peak(closed, 10.0, 200, rate)
+
+
+def test_grid_peak_passes_over_no_tied_norm(monkeypatch):
+    s = _peak_system("skew")
+    slices = _count_svd_slices(monkeypatch)
+    semigroup.grid_peak(s, 10.0, 200, 0.0)
+    assert sum(slices) == 200
+
+
+def _positive_overflow_system():
+    # all entries of e^{At} are positive: the doubling overflows to inf
+    # and forms no 0 * inf, so the stack holds inf but no nan
+    return systems.build_system(np.array([[700.0, 1.0], [1.0, 700.0]]),
+                                np.ones((2, 1)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_norms_of_an_overflowed_stack_without_nan_raise():
+    s = _positive_overflow_system()
+    with pytest.raises(np.linalg.LinAlgError):
+        semigroup.transition_norms(s, np.linspace(0.0, 10.0, 200))
+    with pytest.raises(np.linalg.LinAlgError):
+        semigroup.grid_norms(s, 10.0, 200)
+    with pytest.raises(np.linalg.LinAlgError):
+        semigroup.grid_peak(s, 10.0, 200, -700.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        semigroup.grid_peak(_overflowing_system(), 10.0, 200, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kept_grid_peak_error_does_not_keep_the_stack():
+    s = _overflowing_system()
+    stack_bytes = 200 * s.n * s.n * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(np.linalg.LinAlgError) as kept:
+            semigroup.grid_peak(s, 10.0, 200, 0.0)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -1,5 +1,11 @@
 """Command-line front end: load system specs, run analyses, write reports.
 
+Each subcommand's handler reads its flags from the parsed argparse
+namespace.  A default is stated once: in the parser, or as a module
+constant where a handler must agree with a flag that one of its commands
+lacks (`example`'s `--samples` and the `--horizon`/`--grid` of
+`example --check stabilize`).
+
 Reports are deterministic machine-readable JSON (sorted keys, no
 timestamps: a fixed seed reproduces byte-identical output) plus plot-ready
 CSV files with 17-significant-digit floats.  Exit codes follow the
@@ -11,7 +17,6 @@ import argparse
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +29,7 @@ from . import verification, weakobs
 from .semigroup import QuadratureSpec, grid_norms, observability_gramian
 from .systems import LtiSystem, SpectralSystem
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 SCHEMA_VERSION = 1
 EXIT_CERTIFIED = 0
@@ -38,16 +43,19 @@ _STATUS_EXIT = {
     weakobs.INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
 
+# random states searched by a weakobs sweep and by the periodic check
+WEAKOBS_SAMPLES = 120
+PERIODIC_SAMPLES = 100
+# the decay curve of `stabilize`, and of `example --check stabilize`
+STABILIZE_HORIZON = 10.0
+STABILIZE_GRID = 200
 
-@dataclass
-class RunConfig:
-    command: str
-    system_spec: str = ""
-    output_dir: str = "stabcert-out"
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-    grids: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
+# `constants` inputs a formula falls back on; alpha_k, c_k and c_k_t0
+# have none, so a formula that needs one fails without it
+_CONSTANTS_DEFAULTS = {
+    "m_big": 1.0, "delta0": 0.0, "m_k": 1.0, "b_norm": 1.0, "alpha": 1.0,
+    "t0": 1.0, "gamma": 0.25, "rho0": 0.0, "c_gamma": 1.0, "horizon": 1.0,
+}
 
 
 def _fmt(x):
@@ -76,12 +84,10 @@ def _load_spec_dict(raw: str) -> dict:
     return json.loads(Path(raw).read_text())
 
 
-def _load_lti(config: RunConfig) -> LtiSystem:
-    spec = _load_spec_dict(config.system_spec)
-    obj = sysmod.system_from_spec(spec)
+def _load_lti(args) -> LtiSystem:
+    obj = sysmod.system_from_spec(_load_spec_dict(args.system))
     if isinstance(obj, SpectralSystem):
-        modes = int(config.options.get("modes") or obj.n)
-        return sysmod.truncate(obj, modes)
+        return sysmod.truncate(obj, args.modes or obj.n)
     return obj
 
 
@@ -103,12 +109,11 @@ def _cert_payload(cert):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_gramian(config: RunConfig) -> int:
-    lti = _load_lti(config)
-    horizon = float(config.options.get("horizon", 1.0))
-    quad = QuadratureSpec(rel_tol=config.tolerances.get("quad", 1e-10))
-    result = observability_gramian(lti, horizon, quad)
-    out = Path(config.output_dir)
+def _cmd_gramian(args) -> int:
+    lti = _load_lti(args)
+    result = observability_gramian(lti, args.horizon,
+                                   QuadratureSpec(rel_tol=args.tol))
+    out = Path(args.out)
     _write_csv(out / "gramian.csv",
                [f"g{j}" for j in range(result.matrix.shape[1])],
                result.matrix.tolist())
@@ -116,7 +121,7 @@ def _cmd_gramian(config: RunConfig) -> int:
         "schema_version": SCHEMA_VERSION,
         "claim": "observability-gramian",
         "system": lti.label,
-        "horizon": horizon,
+        "horizon": args.horizon,
         "trace": float(np.trace(result.matrix)),
         "min_eigenvalue": float(np.linalg.eigvalsh(result.matrix).min()),
         "quadrature_error_estimate": result.quadrature_error_estimate,
@@ -127,29 +132,27 @@ def _cmd_gramian(config: RunConfig) -> int:
 def _parse_grid(text, default):
     if not text:
         return list(default)
-    return [float(v) for v in str(text).split(",") if v != ""]
+    return [float(v) for v in text.split(",") if v != ""]
 
 
-def _run_weakobs(config: RunConfig, lti: LtiSystem, extra=None) -> int:
-    alphas = _parse_grid(config.grids.get("alpha"), (0.5, 1.0, 2.0, 4.0, 8.0))
-    horizons = _parse_grid(config.grids.get("t"), (0.5, 1.0, 2.0, 4.0))
-    residual = config.options.get("c_alpha", 1.0)
-    if isinstance(residual, str) and residual.strip().startswith("{"):
-        table = json.loads(residual)
-        residual = {float(k): float(v) for k, v in table.items()}
+def _run_weakobs(args, lti: LtiSystem, extra=None) -> int:
+    alphas = _parse_grid(args.alpha_grid, (0.5, 1.0, 2.0, 4.0, 8.0))
+    horizons = _parse_grid(args.t_grid, (0.5, 1.0, 2.0, 4.0))
+    if args.c_alpha.strip().startswith("{"):
+        residual = {float(k): float(v)
+                    for k, v in json.loads(args.c_alpha).items()}
     else:
-        residual = float(residual)
+        residual = float(args.c_alpha)
+    samples = WEAKOBS_SAMPLES if args.samples is None else args.samples
     fam = weakobs.sweep_alpha(lti, alphas, horizons,
-                              residual_rule=residual,
-                              samples=int(config.options.get("samples", 120)),
-                              seed=config.seed,
-                              t_zero=float(config.options.get("t0", 0.0)))
-    out = Path(config.output_dir)
+                              residual_rule=residual, samples=samples,
+                              seed=args.seed, t_zero=args.t0)
+    out = Path(args.out)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "claim": "weak-observability-family",
         "system": lti.label,
-        "seed": config.seed,
+        "seed": args.seed,
         "alphas": list(fam.alphas),
         "horizons": list(fam.horizons),
         "residual_source": fam.residual_source,
@@ -166,76 +169,60 @@ def _run_weakobs(config: RunConfig, lti: LtiSystem, extra=None) -> int:
     return _STATUS_EXIT[fam.verdict]
 
 
-def _cmd_weakobs(config: RunConfig) -> int:
-    return _run_weakobs(config, _load_lti(config))
+def _cmd_weakobs(args) -> int:
+    return _run_weakobs(args, _load_lti(args))
 
 
 def _unbounded_spec(o):
-    return sysmod.UnboundedConstantsSpec(
-        gamma=float(o.get("gamma", 0.25)),
-        rho0=float(o.get("rho0", 0.0)),
-        c_gamma=float(o.get("c_gamma", 1.0)),
-        b_norm=float(o.get("b_norm", 1.0)))
+    return sysmod.UnboundedConstantsSpec(gamma=o["gamma"], rho0=o["rho0"],
+                                         c_gamma=o["c_gamma"],
+                                         b_norm=o["b_norm"])
 
 
-def _cmd_constants(config: RunConfig) -> int:
-    o = config.options
-    formula = o.get("formula", "spectral")
-    bound = lrc.SemigroupBound(m_big=float(o.get("m_big", 1.0)),
-                               delta0=float(o.get("delta0", 0.0)))
-    alpha = float(o.get("alpha", 1.0))
-    if formula == "spectral":
-        d_c, c_c = lrc.constants_from_spectral_inequality(
-            bound, float(o.get("m_k", 1.0)), float(o["alpha_k"]),
-            float(o["c_k"]), float(o.get("b_norm", 1.0)), alpha)
-        validity = {"T_min": 1.0}
-    elif formula == "truncated":
-        t0 = float(o.get("t0", 1.0))
-        d_c, c_c = lrc.constants_from_truncated_obs(
-            bound, t0, float(o["c_k_t0"]), float(o.get("m_k", 1.0)),
-            float(o["alpha_k"]), float(o.get("b_norm", 1.0)), alpha)
-        validity = {"T_min": 2.0 * t0}
-    elif formula == "unbounded":
-        t0 = float(o.get("t0", 1.0))
-        d_c, c_c = lrc.constants_from_truncated_obs_unbounded(
-            bound, _unbounded_spec(o), t0, float(o["c_k_t0"]),
-            float(o.get("m_k", 1.0)), alpha)
-        validity = {"T_min": 2.0 * t0}
-    elif formula == "admissibility":
-        value = lrc.admissibility_constant(_unbounded_spec(o),
-                                           float(o.get("horizon", 1.0)))
-        _write_json(Path(config.output_dir) / "report.json", {
-            "schema_version": SCHEMA_VERSION,
-            "claim": "admissibility-constant",
-            "formula": formula,
-            "inputs": {k: v for k, v in o.items() if k != "formula"},
-            "value": value,
-        })
-        return EXIT_CERTIFIED
+def _cmd_constants(args) -> int:
+    formula = args.formula
+    given = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "out", "seed",
+                                            "formula")}
+    o = {**_CONSTANTS_DEFAULTS, **given}
+    if formula == "admissibility":
+        result = {"claim": "admissibility-constant",
+                  "value": lrc.admissibility_constant(_unbounded_spec(o),
+                                                      o["horizon"])}
     else:
-        raise ValueError(f"unknown formula {formula!r}")
-    _write_json(Path(config.output_dir) / "report.json", {
-        "schema_version": SCHEMA_VERSION,
-        "claim": f"certificate-constants-{formula}",
-        "formula": formula,
-        "inputs": {k: v for k, v in o.items() if k != "formula"},
-        "D": d_c,
-        "C": c_c,
-        "validity": validity,
-    })
+        bound = lrc.SemigroupBound(m_big=o["m_big"], delta0=o["delta0"])
+        if formula == "spectral":
+            d_c, c_c = lrc.constants_from_spectral_inequality(
+                bound, o["m_k"], o["alpha_k"], o["c_k"], o["b_norm"],
+                o["alpha"])
+            validity = {"T_min": 1.0}
+        elif formula == "truncated":
+            d_c, c_c = lrc.constants_from_truncated_obs(
+                bound, o["t0"], o["c_k_t0"], o["m_k"], o["alpha_k"],
+                o["b_norm"], o["alpha"])
+            validity = {"T_min": 2.0 * o["t0"]}
+        else:
+            d_c, c_c = lrc.constants_from_truncated_obs_unbounded(
+                bound, _unbounded_spec(o), o["t0"], o["c_k_t0"], o["m_k"],
+                o["alpha"])
+            validity = {"T_min": 2.0 * o["t0"]}
+        result = {"claim": f"certificate-constants-{formula}",
+                  "D": d_c, "C": c_c, "validity": validity}
+    _write_json(Path(args.out) / "report.json", {
+        "schema_version": SCHEMA_VERSION, "formula": formula,
+        "inputs": given, **result})
     return EXIT_CERTIFIED
 
 
-def _cmd_stabilize(config: RunConfig) -> int:
-    return _stabilize_system(config, _load_lti(config), {})
+def _cmd_stabilize(args) -> int:
+    return _stabilize_system(args, _load_lti(args), {}, args.horizon,
+                             args.grid)
 
 
-def _cmd_periodic(config: RunConfig) -> int:
-    o = config.options
-    modes = int(o.get("modes", 10))
-    terms = int(o.get("series_terms", 12))
-    sys_p = per.build_multiplexed_system(modes, terms)
-    out = Path(config.output_dir)
+def _cmd_periodic(args, samples=PERIODIC_SAMPLES) -> int:
+    modes = args.modes
+    sys_p = per.build_multiplexed_system(modes, args.series_terms)
+    out = Path(args.out)
     energies = [(n + 1, per.periodic_observation_energy(
         sys_p, 1, np.eye(modes)[n])) for n in range(modes)]
     _write_csv(out / "energies.csv", ["mode", "energy_one_period"], energies)
@@ -246,15 +233,13 @@ def _cmd_periodic(config: RunConfig) -> int:
         "modes": modes,
         "alpha_series": sys_p.alpha_series,
         "tail_bound": sys_p.tail_bound,
-        "seed": config.seed,
+        "seed": args.seed,
     }
-    if o.get("refute_null_controllability"):
-        m = int(o.get("m", 1))
-        big_c = float(o.get("C", 10.0))
-        n, lhs, rhs = per.noncontrollability_witness(sys_p, m, big_c)
+    if args.refute_null_controllability:
+        n, lhs, rhs = per.noncontrollability_witness(sys_p, args.m, args.C)
         payload.update({
             "claim": "null-controllability-refutation",
-            "witness": {"m": m, "C": big_c, "mode": n,
+            "witness": {"m": args.m, "C": args.C, "mode": n,
                         "free_adjoint_norm": lhs,
                         "scaled_energy": rhs},
             "verdict": weakobs.REFUTED,
@@ -262,10 +247,9 @@ def _cmd_periodic(config: RunConfig) -> int:
         _write_json(out / "report.json", payload)
         return EXIT_REFUTED        # refuting null controllability succeeded
 
-    k_grid = [int(v) for v in str(o.get("k_grid", "1,2,3,4,5")).split(",")]
-    samples = int(o.get("samples", 100))
+    k_grid = [int(v) for v in args.k_grid.split(",")]
     certs = [per.multiplexed_stabilizability_check(sys_p, k, samples=samples,
-                                                   seed=config.seed)
+                                                   seed=args.seed)
              for k in k_grid]
     payload["certificates"] = [{
         "k": c.k, "n_k": c.n_k, "C": c.c_k, "status": c.status,
@@ -279,61 +263,49 @@ def _cmd_periodic(config: RunConfig) -> int:
     return _STATUS_EXIT[verdict]
 
 
-def _cmd_example(config: RunConfig) -> int:
-    o = config.options
-    name = o.get("name")
-    if isinstance(o.get("intervals"), str):
-        o = {**o, "intervals": json.loads(o["intervals"])}
+def _cmd_example(args) -> int:
+    name, c = args.name, args.c
+    intervals = None if args.intervals is None else json.loads(args.intervals)
+    if name == "periodic-l2":
+        return _cmd_periodic(args, PERIODIC_SAMPLES if args.samples is None
+                             else args.samples)
     extra = {}
     if name == "point-heat":
-        depth = int(o.get("depth", 3))
-        raw_x0 = o.get("x0", "cf")
-        if raw_x0 == "cf":
-            cf = sysmod.continued_fraction_point(depth)
+        if args.x0 == "cf":
+            cf = sysmod.continued_fraction_point(args.depth)
             x0 = cf.x0
             last = cf.convergents[-1]
             extra["x0"] = {
                 "source": "continued-fraction",
-                "depth": depth,
+                "depth": args.depth,
                 "value": x0,
                 "convergent": f"{last.numerator}/{last.denominator}",
                 "partial_quotients": list(cf.partial_quotients),
             }
         else:
-            x0 = float(raw_x0)
+            x0 = float(args.x0)
             extra["x0"] = {"source": "literal", "value": x0}
-        spec = sysmod.point_control_heat(x0, float(o.get("c", 5.0)),
-                                         int(o.get("modes", 8)))
-        lti = sysmod.truncate(spec, spec.n)
+        spec = sysmod.point_control_heat(x0, 5.0 if c is None else c,
+                                         args.modes)
     elif name == "fractional-heat":
-        spec = sysmod.fractional_heat(float(o.get("s", 0.5)),
-                                      float(o.get("c", 2.0)),
-                                      o.get("intervals", [[0.3, 0.8]]),
-                                      int(o.get("modes", 8)))
-        lti = sysmod.truncate(spec, spec.n)
-    elif name == "hermite-heat":
-        spec = sysmod.hermite_heat(float(o.get("c", 1.0)),
-                                   o.get("intervals", [[0.0, math.inf]]),
-                                   int(o.get("modes", 6)))
-        lti = sysmod.truncate(spec, spec.n)
-    elif name == "periodic-l2":
-        return _cmd_periodic(config)
+        spec = sysmod.fractional_heat(
+            args.s, 2.0 if c is None else c,
+            [[0.3, 0.8]] if intervals is None else intervals, args.modes)
     else:
-        raise ValueError(f"unknown example {name!r}")
+        spec = sysmod.hermite_heat(
+            1.0 if c is None else c,
+            [[0.0, math.inf]] if intervals is None else intervals,
+            args.modes)
+    lti = sysmod.truncate(spec, spec.n)
+    if args.check == "stabilize":
+        return _stabilize_system(args, lti, extra, STABILIZE_HORIZON,
+                                 STABILIZE_GRID)
+    return _run_weakobs(args, lti, extra=extra)
 
-    check = o.get("check", "weakobs")
-    if check == "weakobs":
-        return _run_weakobs(config, lti, extra=extra)
-    if check == "stabilize":
-        return _stabilize_system(config, lti, extra)
-    raise ValueError(f"unknown check {check!r}")
 
-
-def _stabilize_system(config, lti, extra):
-    mu = float(config.options.get("mu", 1.0))
-    horizon = float(config.options.get("horizon", 10.0))
-    grid = int(config.options.get("grid", 200))
-    out = Path(config.output_dir)
+def _stabilize_system(args, lti, extra, horizon, grid):
+    mu = args.mu
+    out = Path(args.out)
     head = {"schema_version": SCHEMA_VERSION, "claim": "rapid-decay-feedback",
             "system": lti.label, "mu": mu}
     try:
@@ -368,15 +340,14 @@ def _stabilize_system(config, lti, extra):
     return EXIT_CERTIFIED
 
 
-def _cmd_verify_all(config: RunConfig) -> int:
-    results = verification.run_all(config.seed)
+def _cmd_verify_all(args) -> int:
+    results = verification.run_all(args.seed)
     for r in results:
         print(r.line)
-    out = Path(config.output_dir)
-    _write_json(out / "report.json", {
+    _write_json(Path(args.out) / "report.json", {
         "schema_version": SCHEMA_VERSION,
         "claim": "acceptance-suite",
-        "seed": config.seed,
+        "seed": args.seed,
         "results": [{"name": r.name, "passed": r.passed,
                      "duration": round(r.duration, 3), "detail": r.detail}
                     for r in results],
@@ -396,20 +367,6 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed run configuration; IO/parse failures exit 3."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        print(f"error: unknown command {config.command!r}", file=_sys.stderr)
-        return EXIT_ERROR
-    try:
-        return handler(config)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            TypeError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
-        return EXIT_ERROR
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -426,6 +383,22 @@ def _build_parser():
                        help="output directory for report.json and CSVs")
         p.add_argument("--seed", type=int, default=0)
 
+    def weakobs_flags(p, **samples):
+        p.add_argument("--alpha-grid", default="")
+        p.add_argument("--t-grid", default="")
+        p.add_argument("--c-alpha", default="1.0",
+                       help="residual constant C(alpha): number or JSON "
+                            "table")
+        p.add_argument("--samples", type=int, **samples)
+        p.add_argument("--t0", type=float, default=0.0)
+
+    def periodic_flags(p):
+        p.add_argument("--series-terms", type=int, default=12)
+        p.add_argument("--k-grid", default="1,2,3,4,5")
+        p.add_argument("--refute-null-controllability", action="store_true")
+        p.add_argument("--m", type=int, default=1)
+        p.add_argument("--C", type=float, default=10.0)
+
     p = sub.add_parser("gramian", help="observability Gramian dump")
     common(p)
     p.add_argument("--tol", type=float, default=1e-10,
@@ -439,12 +412,7 @@ def _build_parser():
                                        "certificates over (alpha, T)")
     common(p)
     p.add_argument("--system", required=True)
-    p.add_argument("--alpha-grid", default="")
-    p.add_argument("--t-grid", default="")
-    p.add_argument("--c-alpha", default="1.0",
-                   help="residual constant C(alpha): number or JSON table")
-    p.add_argument("--samples", type=int, default=120)
-    p.add_argument("--t0", type=float, default=0.0)
+    weakobs_flags(p, default=WEAKOBS_SAMPLES)
     p.add_argument("--modes", type=int, default=None)
 
     p = sub.add_parser("constants", help="evaluate certificate-constant "
@@ -462,19 +430,15 @@ def _build_parser():
     common(p)
     p.add_argument("--system", required=True)
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--horizon", type=float, default=10.0)
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--horizon", type=float, default=STABILIZE_HORIZON)
+    p.add_argument("--grid", type=int, default=STABILIZE_GRID)
     p.add_argument("--modes", type=int, default=None)
 
     p = sub.add_parser("periodic", help="periodic benchmark certificates "
                                         "or refutation witness")
     common(p)
     p.add_argument("--modes", type=int, default=10)
-    p.add_argument("--series-terms", type=int, default=12)
-    p.add_argument("--k-grid", default="1,2,3,4,5")
-    p.add_argument("--refute-null-controllability", action="store_true")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--C", type=float, default=10.0)
+    periodic_flags(p)
 
     p = sub.add_parser("example", help="run a bundled benchmark end to end")
     common(p)
@@ -490,55 +454,28 @@ def _build_parser():
     p.add_argument("--check", default="weakobs",
                    choices=["weakobs", "stabilize"])
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--alpha-grid", default="")
-    p.add_argument("--t-grid", default="")
-    p.add_argument("--c-alpha", default="1.0")
-    p.add_argument("--samples", type=int, default=None,
-                   help="random states searched (default 120; 100 for "
-                        "periodic-l2)")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--series-terms", type=int, default=12)
-    p.add_argument("--k-grid", default="1,2,3,4,5")
-    p.add_argument("--refute-null-controllability", action="store_true")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--C", type=float, default=10.0)
+    weakobs_flags(p, default=None,
+                  help=f"random states searched (default {WEAKOBS_SAMPLES}; "
+                       f"{PERIODIC_SAMPLES} for periodic-l2)")
+    periodic_flags(p)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
     common(p)
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    opts = {}
-    for key, value in vars(args).items():
-        if key in ("command", "out", "seed", "tol", "alpha_grid", "t_grid",
-                   "system"):
-            continue
-        if value is not None:
-            opts[key] = value
-    grids = {}
-    if getattr(args, "alpha_grid", ""):
-        grids["alpha"] = args.alpha_grid
-    if getattr(args, "t_grid", ""):
-        grids["t"] = args.t_grid
-    return RunConfig(
-        command=args.command,
-        system_spec=getattr(args, "system", ""),
-        output_dir=args.out,
-        seed=args.seed,
-        tolerances={"quad": args.tol} if args.command == "gramian" else {},
-        grids=grids,
-        options=opts,
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one subcommand; IO/parse failures and usage errors exit 3."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:         # --help exits 0, usage errors nonzero
         return EXIT_ERROR if exc.code else 0
-    return run(_config_from_args(args))
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, json.JSONDecodeError, KeyError, ValueError,
+            TypeError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

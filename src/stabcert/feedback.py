@@ -17,7 +17,7 @@ Tikhonov parameter with no linear solve.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -197,9 +197,6 @@ class SteeringSegment:
     t_start: float
     t_stop: float
     eta: np.ndarray
-
-    def local_time(self, t):
-        return self.t_stop - t
 
 
 @dataclass(frozen=True)
@@ -423,8 +420,4 @@ def certificate_to_feedback(sys: LtiSystem, family: CertificateFamily,
         "c_const": pick.c_const,
         "residual_bound": math.exp(-k * pick.horizon),
     }
-    return FeedbackResult(mu=result.mu, riccati_p=result.riccati_p,
-                          gain_k=result.gain_k, residual=result.residual,
-                          measured_rate=result.measured_rate,
-                          measured_overshoot=result.measured_overshoot,
-                          certificate_chain=chain)
+    return replace(result, certificate_chain=chain)

@@ -49,13 +49,13 @@ ceil(log2 grid) (8 for grid = 200), and each factor is at most that many
 squarings deep: rounding grows with log2 k, not with k as in a power
 chain E^k.  One batched SVD reads the norms; a diagonal A takes the
 exact e^{lambda_max t}.  If that SVD fails, or a norm is not finite (an
-entry overflowed to inf without any nan), `grid_norms` raises a fresh
-`LinAlgError` once the stack is dropped, as the one numpy raises keeps
-the SVD's frame, and with it the stack, alive in any caller that keeps
-the exception.  Arbitrary time lists (bound checks, the Gramian's floor
-probe) go through `transition_norms`, one batched `expm` and one batched
-SVD per few times, equal to the per-time loop, which raises on a
-non-finite norm too.
+entry overflowed to inf without any nan), `grid_norms` and `grid_peak`
+raise a fresh `LinAlgError` once the stack is dropped, as the one numpy
+raises keeps the SVD's frame, and with it the stack, alive in any caller
+that keeps the exception.  Arbitrary time lists (bound checks, the
+Gramian's floor probe) go through `transition_norms`, one batched `expm`
+and one batched SVD per few times, equal to the per-time loop, which
+raises on a non-finite norm too.
 
 Envelope fits and closed-loop overshoots need only the peak
 max_k ||e^{A t_k}||_2 e^{r t_k}, which `grid_peak` returns as the same
@@ -69,10 +69,11 @@ value.  The SVD then runs in descending order of bound and stops once no
 bound left exceeds the running maximum: every slice passed over holds a
 value no larger than the maximum, so the maximizer is never passed over,
 and ties return the same float.  A non-finite bound is never passed over,
-and a stack with a non-finite entry takes the full `grid_norms` fold,
-which raises.  On `perfbench` feedback jobs 1.3 of 200 slices per closed
-loop and 4.6 per envelope fit reach the SVD on average; an orthogonal
-e^{At}, whose bound n^(1/8) exceeds its norm 1, sends all 200.
+and a stack with a non-finite entry takes the SVD of every slice, as
+`grid_norms` does, which raises.  On `perfbench` feedback jobs 1.3 of 200
+slices per closed loop and 4.6 per envelope fit reach the SVD on average;
+an orthogonal e^{At}, whose bound n^(1/8) exceeds its norm 1, sends all
+200.
 
 Neither is accurate on closed loops with ||A + BK|| of about 1e6 and more
 (ROADMAP item 4): on `perfbench` feedback job 1 of seed 11 (n = 10) at
@@ -213,13 +214,7 @@ def grid_norms(sys: LtiSystem, horizon: float, grid: int) -> np.ndarray:
     if sys.is_diagonal:
         return np.exp(np.diag(sys.a_matrix).max()
                       * np.linspace(0.0, horizon, grid))
-    stack = _grid_stack(sys, horizon, grid)
-    try:
-        return _spectral_norms(stack)
-    except np.linalg.LinAlgError as exc:
-        message = str(exc)
-    del stack
-    raise np.linalg.LinAlgError(message)
+    return _read_grid_stack(sys, horizon, grid, _spectral_norms)
 
 
 def grid_peak(sys: LtiSystem, horizon: float, grid: int,
@@ -230,18 +225,23 @@ def grid_peak(sys: LtiSystem, horizon: float, grid: int,
     `max(norm * math.exp(rate * t))`, but the SVD runs only on slices
     whose certified bound can still exceed the running maximum (see the
     module docstring).  A stack with a non-finite entry, and a diagonal A,
-    take the full `grid_norms` fold.
+    take the full fold, and a failure raises as `grid_norms` does.
     """
     _check_grid(horizon, grid)
     times = np.linspace(0.0, horizon, grid).tolist()
-    if not sys.is_diagonal:
-        stack = _grid_stack(sys, horizon, grid)
+
+    def fold(norms):
+        return float(max(norm * math.exp(rate * t)
+                         for t, norm in zip(times, norms)))
+
+    def peak(stack):
         if np.isfinite(stack).all():
             return _pruned_peak(stack, [math.exp(rate * t) for t in times])
-        del stack
-    norms = grid_norms(sys, horizon, grid)
-    return float(max(norm * math.exp(rate * t)
-                     for t, norm in zip(times, norms)))
+        return fold(_spectral_norms(stack))
+
+    if sys.is_diagonal:
+        return fold(grid_norms(sys, horizon, grid))
+    return _read_grid_stack(sys, horizon, grid, peak)
 
 
 def _check_grid(horizon, grid):
@@ -251,8 +251,14 @@ def _check_grid(horizon, grid):
         raise ValueError("propagation time must be nonnegative")
 
 
-def _grid_stack(sys, horizon, grid):
-    """e^{A t} at every t of `np.linspace(0, horizon, grid)` by doubling."""
+def _read_grid_stack(sys, horizon, grid, read):
+    """read(stack) of e^{A t} at every t of `np.linspace(0, horizon, grid)`.
+
+    The stack is filled by doubling.  A `LinAlgError` from `read` is
+    raised afresh, with its message, once the stack is dropped: numpy's
+    own keeps the SVD's frame, and with it the stack, alive in any caller
+    that keeps the exception.
+    """
     stack = np.empty((grid,) + sys.a_matrix.shape)
     stack[0] = np.eye(sys.n)
     if grid > 1:
@@ -264,7 +270,12 @@ def _grid_stack(sys, horizon, grid):
             k = min(filled, grid - filled)
             np.matmul(stack[:k], power, out=stack[filled:filled + k])
             filled += k
-    return stack
+    try:
+        return read(stack)
+    except np.linalg.LinAlgError as exc:
+        message = str(exc)
+    del stack
+    raise np.linalg.LinAlgError(message)
 
 
 def _spectral_norms(stack):

@@ -119,6 +119,21 @@ def test_constants_subcommand(tmp_path):
     assert report["validity"] == {"T_min": 1.0}
 
 
+def test_constants_echo_only_the_given_flags(tmp_path, capsys):
+    # m_big, delta0, m_k, b_norm and alpha fall back on the values that
+    # test_constants_subcommand passes, so D and C come out the same
+    out = tmp_path / "c"
+    assert run_cli(["constants", "--formula", "spectral", "--alpha-k", "5",
+                    "--c-k", "1", "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["inputs"] == {"alpha_k": 5.0, "c_k": 1.0}
+    assert report["D"] == pytest.approx(math.sqrt(2.0))
+    assert report["C"] == pytest.approx(4.708202236182293)
+    assert run_cli(["constants", "--formula", "spectral", "--c-k", "1",
+                    "--out", str(tmp_path / "e")]) == 3
+    assert "error: KeyError: 'alpha_k'" in capsys.readouterr().err
+
+
 def test_constants_admissibility(tmp_path):
     out = tmp_path / "c"
     assert run_cli(["constants", "--formula", "admissibility",
@@ -311,6 +326,26 @@ def test_example_fractional_stabilize(tmp_path):
                     "--out", str(out)])
     assert code == 0
     assert read_report(out)["measured_rate"] >= 1.5
+    # example has no --horizon or --grid: the curve is stabilize's default
+    rows = (out / "decay" / "decay.csv").read_text().splitlines()[1:]
+    assert len(rows) == 200
+    assert float(rows[-1].split(",")[0]) == 10.0
+
+
+@pytest.mark.parametrize("argv, modes", [
+    (["example", "point-heat"], 8),
+    (["example", "hermite-heat"], 8),
+    (["example", "fractional-heat"], 8),
+    (["example", "periodic-l2"], 8),
+    (["periodic"], 10),
+])
+def test_default_truncation_order(argv, modes, tmp_path):
+    run_cli(argv + ["--out", str(tmp_path)])
+    report = read_report(tmp_path)
+    if argv[-1].startswith("periodic"):
+        assert report["modes"] == modes
+    else:
+        assert report["system"].endswith(f"[trunc n={modes}]")
 
 
 def test_verify_all_plumbing(tmp_path, monkeypatch, capsys):

@@ -446,6 +446,24 @@ def test_kept_grid_norms_error_does_not_keep_the_stack():
     assert held < stack_bytes / 8
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_peak_raises_from_the_stack_in_hand(monkeypatch):
+    s = _overflowing_system()
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return expm(m)
+
+    monkeypatch.setattr(semigroup, "expm", counted)
+    with pytest.raises(np.linalg.LinAlgError) as peak:
+        semigroup.grid_peak(s, 10.0, 200, 0.0)
+    assert len(calls) == 1
+    with pytest.raises(np.linalg.LinAlgError) as norms:
+        semigroup.grid_norms(s, 10.0, 200)
+    assert str(peak.value) == str(norms.value)
+
+
 def _folded_peak(s, horizon, grid, rate):
     peak = 0.0
     for t, norm in zip(np.linspace(0.0, horizon, grid),

@@ -87,7 +87,8 @@ def _load_spec_dict(raw: str) -> dict:
 def _load_lti(args) -> LtiSystem:
     obj = sysmod.system_from_spec(_load_spec_dict(args.system))
     if isinstance(obj, SpectralSystem):
-        return sysmod.truncate(obj, args.modes or obj.n)
+        modes = obj.n if args.modes is None else args.modes
+        return sysmod.truncate(obj, modes)
     return obj
 
 

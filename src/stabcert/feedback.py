@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
 
-from ._quadrature import integrate_adaptive
 from .semigroup import (DEFAULT_QUAD, ExpTable, QuadratureSpec, grid_peak,
                         observation_energy, transition_matrix)
 from .systems import LtiSystem
@@ -217,15 +216,6 @@ class ControlSignal:
                          @ transition_matrix(self.sys, back, adjoint=True)
                          @ seg.eta)
         return np.zeros(self.sys.m)
-
-    def l2_norm_by_quadrature(self, rel_tol=1e-10):
-        total = 0.0
-        for seg in self.segments:
-            val, _ = integrate_adaptive(
-                lambda t: float(np.sum(self.evaluate(t) ** 2)),
-                seg.t_start, seg.t_stop, panels=16, npts=8, rel_tol=rel_tol)
-            total += val
-        return math.sqrt(total)
 
 
 # directions with sigma^2 <= _UNREACHABLE_RTOL * sigma_1^2 are left alone by

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from ._quadrature import integrate_adaptive
-from .weakobs import (CERTIFIED, INCONCLUSIVE, REFUTED, Forms, _reduce,
-                      best_state, decide)
+from .weakobs import (CERTIFIED, INCONCLUSIVE, REFUTED, Forms, Scores,
+                      _reduce, best_state, decide)
 
 __all__ = [
     "CERTIFIED",
@@ -262,10 +262,10 @@ def periodic_weakobs_check(sys: PeriodicSystem, k: int, n_k: int,
                   for i in range(sys.n)])
     w = np.exp(2.0 * sys.a_diag * horizon)
     forms = Forms.of(np.diag(np.sqrt(g)), np.diag(np.sqrt(w)))
-    cands = list(np.eye(sys.n))
-    cands.extend(rng.standard_normal((samples, sys.n)))
+    cands = np.vstack([np.eye(sys.n), rng.standard_normal((samples, sys.n))])
     decision = decide(
-        forms, c_k, eps, best_state(forms, eps, cands), _reduce(forms, eps),
+        forms, c_k, eps, best_state(Scores.of(forms, cands), eps),
+        _reduce(forms, eps),
         lambda psi: periodic_observation_energy_quadrature(sys, n_k, psi))
     return PeriodicCertificate(k=k, n_k=n_k, c_k=c_k, **decision._asdict(),
                                per_mode_margins=tuple(c_k**2 * g + eps**2 - w))

@@ -22,7 +22,8 @@ among the first level's starts, and Gramians of several horizons of one A
 (a `weakobs.sweep_alpha` call) share node times such as p/64 and equal
 Gauss offsets.  A table computes each miss as one slice of a batched
 `expm(M[None] * t)`, and `expm` treats every slice on its own, so a value
-read from a table is bit for bit the value a fresh call would give.  A
+read from a table is bit for bit the value a fresh call would give; a
+lookup is one fancy-index gather from the table's array of slices.  A
 table lives no longer than the call that builds it: one energy, one
 Gramian, one weakobs decision, one sweep, whose table of A also gives
 e^{A^T T} as the transpose of its e^{A T} and whose witness energies
@@ -330,23 +331,33 @@ def _exp_stack(m, times, diagonal):
 class ExpTable:
     """e^{M t} for one matrix M, each exact float t exponentiated once.
 
-    `stack(times)` looks every time up and computes the misses in one
-    `_exp_stack` call, so a value equals a fresh `_exp_stack` at that t.
-    A table holds one n x n matrix per distinct time it was asked for.
+    `stack(times)` computes the misses in one `_exp_stack` call and
+    returns every time's slice as one gather from an array of the values
+    so far, which doubles its capacity as it fills, so a value equals a
+    fresh `_exp_stack` at that t.  A table holds one n x n matrix per
+    distinct time it was asked for.
     """
 
     def __init__(self, m, diagonal=False):
         self.matrix = m
         self.diagonal = diagonal
-        self._values = {}
+        self._slot = {}          # exact float time -> index into _values
+        self._values = np.empty((0,) + np.shape(m))
 
     def stack(self, times):
         keys = np.asarray(times, dtype=float).tolist()
-        miss = [t for t in dict.fromkeys(keys) if t not in self._values]
+        miss = [t for t in dict.fromkeys(keys) if t not in self._slot]
         if miss:
-            self._values.update(zip(miss, _exp_stack(
-                self.matrix, np.array(miss), self.diagonal)))
-        return np.stack([self._values[t] for t in keys])
+            new = _exp_stack(self.matrix, np.array(miss), self.diagonal)
+            held = len(self._slot)
+            if held + len(miss) > len(self._values):
+                grown = np.empty((max(2 * held, held + len(miss)),)
+                                 + new.shape[1:], new.dtype)
+                grown[:held] = self._values[:held]
+                self._values = grown
+            self._values[held:held + len(miss)] = new
+            self._slot.update(zip(miss, range(held, held + len(miss))))
+        return self._values[[self._slot[t] for t in keys]]
 
 
 def _own_table(table, m, diagonal, name):

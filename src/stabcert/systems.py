@@ -116,11 +116,6 @@ class SpectralSystem:
     def n(self):
         return self.eigenvalues.shape[0]
 
-    def to_lti(self):
-        """Exact conversion: a_matrix = diag(eigenvalues)."""
-        return LtiSystem(np.diag(self.eigenvalues), self.control_rows,
-                         label=self.basis_label)
-
 
 @dataclass(frozen=True)
 class UnboundedConstantsSpec:
@@ -410,12 +405,6 @@ class ProjectionFamily:
             raise ValueError("alpha_k must be nondecreasing")
         if any(b < a for a, b in zip(self.mode_counts, self.mode_counts[1:])):
             raise ValueError("projection ranges must be nested")
-
-    def projection_matrix(self, k):
-        i = self.ks.index(k)
-        m = self.mode_counts[i]
-        n = max(self.mode_counts)
-        return np.diag((np.arange(n) < m).astype(float))
 
     def entry(self, k):
         i = self.ks.index(k)

@@ -27,8 +27,19 @@ decision reads the factor R, never G, and is two-sided:
 Between the two the verdict is "inconclusive", never guessed.
 
 Every verdict in the package, `stabcert.periodic` included, goes through
-the one decision core here (`Forms`, `best_state`, `decide`);
+the one decision core here (`Forms`, `Scores`, `best_state`, `decide`);
 `check_certificate` and `optimal_d_bracket` are thin wrappers over it.
+
+The search computes each quantity once, at the scope it depends on:
+
+* per call (`sweep_alpha`, `check_certificate`, `optimal_d_bracket`):
+  the seeded Gaussian states and the axes, normalized, as one block
+  (`_shared_states`);
+* per horizon: the forms, the candidates they add (R's right singular
+  vectors, W's eigenvectors, the K11 maximizers; `_candidate_states`) and
+  one `Scores` record of ||F u|| and ||R u|| over all candidates u;
+* per (alpha, T), i.e. per eps: the ratio and its argmax (`best_state`),
+  the slack reduction (`_reduce`) and the verdict (`decide`).
 """
 
 import math
@@ -215,17 +226,37 @@ def _reduce(forms: Forms, eps: float):
         null = null | more
 
 
-def best_state(forms: Forms, eps: float, candidates):
-    """Best ratio (||F phi|| - eps)_+ / ||R phi|| over the unit candidate
-    states (inf where ||R phi|| <= floor), and its state."""
-    units = np.array(candidates) / np.linalg.norm(candidates, axis=1)[:, None]
-    num = np.linalg.norm(units @ forms.adj.T, axis=1) - eps
-    obs = np.linalg.norm(units @ forms.factor.T, axis=1)
+class Scores(NamedTuple):
+    """Candidate states scored once on one horizon's forms: the states (a
+    search returns one of them), and for each, scaled to a unit u, the
+    free norm ||F u|| and the observation norm ||R u||, the forms' `floor`
+    and below counting as rounding.  None of it depends on eps; build with
+    `Scores.of`."""
+
+    states: np.ndarray
+    free: np.ndarray
+    obs: np.ndarray
+    floor: float
+
+    @classmethod
+    def of(cls, forms: Forms, states):
+        states = np.asarray(states, dtype=float)
+        units = states / np.linalg.norm(states, axis=1)[:, None]
+        return cls(states, np.linalg.norm(units @ forms.adj.T, axis=1),
+                   np.linalg.norm(units @ forms.factor.T, axis=1),
+                   forms.floor)
+
+
+def best_state(scores: Scores, eps: float):
+    """Best ratio (||F u|| - eps)_+ / ||R u|| over the scored states (inf
+    where ||R u|| <= floor), and its state."""
+    num = scores.free - eps
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(num <= 0.0, 0.0,
-                         np.where(obs <= forms.floor, np.inf, num / obs))
+                         np.where(scores.obs <= scores.floor, np.inf,
+                                  num / scores.obs))
     best = int(np.argmax(ratio))
-    return candidates[best], float(ratio[best])
+    return scores.states[best], float(ratio[best])
 
 
 def decide(forms: Forms, d_const: float, eps: float, search,
@@ -270,24 +301,41 @@ def _dense_forms(sys, horizon, quad, table=None):
     return Forms.of(gram.factor, table.stack([horizon])[0].T, gram.floor)
 
 
-def _candidate_states(forms, samples, seed):
-    """The seeded unit states a violation search scores: Gaussian samples,
-    the axes, R's right singular vectors, W's eigenvectors and the eps = 0
-    maximizers V Sigma^{-1} y, y an eigenvector of K11."""
-    n = len(forms.factor)
-    rng = np.random.default_rng(seed)
-    cands = [rng.standard_normal(n) for _ in range(samples)]
-    cands.extend(np.eye(n))
+def _unit_rows(block):
+    """The nonzero rows of `block`, each divided by its norm.  A row's norm
+    is the BLAS dot that `np.linalg.norm` takes of a lone vector, so a row
+    equals that vector normalized on its own, bit for bit."""
+    block = np.ascontiguousarray(block, dtype=float)
+    norms = np.sqrt((block[:, None, :] @ block[:, :, None])[:, 0, 0])
+    keep = norms > 0
+    return block[keep] / norms[keep, None]
+
+
+def _shared_states(n, samples, seed):
+    """The unit states every horizon's search shares: `samples` seeded
+    Gaussian states, then the axes."""
+    gauss = np.random.default_rng(seed).standard_normal((samples, n))
+    return np.vstack([_unit_rows(gauss), np.eye(n)])
+
+
+def _candidate_states(forms, shared):
+    """The unit states a violation search scores on these forms: the
+    `_shared_states` block, R's right singular vectors, W's eigenvectors
+    and the eps = 0 maximizers V Sigma^{-1} y, y an eigenvector of K11."""
     sig, vt = forms.sig, forms.vt
-    cands.extend(vt)                         # includes near-null directions
     _, wv = np.linalg.eigh(forms.adj.T @ forms.adj)
-    cands.extend(wv.T)
     # at eps = 0, K11 = X^T X with X = F V1 Sigma1^{-1}
     kept = sig > forms.floor
     _, _, yt = np.linalg.svd((forms.adj @ vt[kept].T) / sig[kept])
-    cands.extend(yt / sig[kept] @ vt[kept])
-    norms = [np.linalg.norm(v) for v in cands]
-    return [v / norm for v, norm in zip(cands, norms) if norm > 0]
+    # vt includes near-null directions
+    own = np.vstack([vt, wv.T, yt / sig[kept] @ vt[kept]])
+    return np.vstack([shared, _unit_rows(own)])
+
+
+def _scores(forms, samples, seed):
+    """Scores of one horizon's candidates, for a call with one horizon."""
+    shared = _shared_states(len(forms.factor), samples, seed)
+    return Scores.of(forms, _candidate_states(forms, shared))
 
 
 def _d_bracket(top, best):
@@ -318,8 +366,7 @@ def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
     forms = _dense_forms(sys, cert.horizon, quad)
     eps = cert.residual
     decision = decide(forms, cert.d_const, eps,
-                      best_state(forms, eps,
-                                 _candidate_states(forms, samples, seed)),
+                      best_state(_scores(forms, samples, seed), eps),
                       _reduce(forms, eps),
                       lambda phi: observation_energy(sys, cert.horizon, phi,
                                                      quad))
@@ -342,7 +389,7 @@ def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
     if eps < 0:
         raise ValueError("residual must be nonnegative")
     forms = _dense_forms(sys, horizon, quad or DEFAULT_QUAD)
-    _, best = best_state(forms, eps, _candidate_states(forms, samples, seed))
+    _, best = best_state(_scores(forms, samples, seed), eps)
     return _d_bracket(_reduce(forms, eps)[0], best)
 
 
@@ -368,15 +415,18 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     positive margins.  Entries with an unobserved direction not covered by
     the residual are refuted with a stored witness.
 
-    Each horizon's forms (Gramian factor, its SVD, e^{A^T T}) and
-    candidate states are built once, and every horizon's Gramian draws its
-    node exponentials from one ExpTable of A that lives for this call:
-    an A t exponentiated for one horizon or refinement level is reused,
-    bit for bit, by every other.  Each (alpha, T) runs one violation
-    search and one slack reduction, which serve both the D bracket and
-    every D checked, and each distinct (T, witness) energy is integrated
-    once, its nodes drawn from one ExpTable of A^T, so entries equal
-    `check_certificate` with the same seed and samples.
+    Per call, the seeded Gaussian and axis states are drawn and
+    normalized once.  Per horizon, the forms (Gramian factor, its SVD,
+    e^{A^T T}), the candidates they add and the scores of every candidate
+    (||F u||, ||R u||) are built once, and every horizon's Gramian draws
+    its node exponentials from one ExpTable of A that lives for this
+    call: an A t exponentiated for one horizon or refinement level is
+    reused, bit for bit, by every other.  Per (alpha, T), only eps
+    changes: one ratio argmax over the scores and one slack reduction
+    serve both the D bracket and every D checked.  Each distinct
+    (T, witness) energy is integrated once, its nodes drawn from one
+    ExpTable of A^T, so entries equal `check_certificate` with the same
+    seed and samples.
     """
     alphas = tuple(sorted(float(a) for a in alphas))
     horizons = tuple(sorted(float(t) for t in horizons))
@@ -386,8 +436,9 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     c_of_alpha, source = _resolve_residual_rule(residual_rule, alphas)
     table = ExpTable(sys.a_matrix, sys.is_diagonal)
     forms = {t: _dense_forms(sys, t, quad, table) for t in horizons}
-    candidates = {t: _candidate_states(forms[t], samples, seed)
-                  for t in horizons}
+    shared = _shared_states(sys.n, samples, seed)
+    scores = {t: Scores.of(forms[t], _candidate_states(forms[t], shared))
+              for t in horizons}
     adj_table = ExpTable(sys.a_matrix.T, sys.is_diagonal)
     energies = {}
 
@@ -403,8 +454,7 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     def check_alpha(alpha):
         c_val = c_of_alpha[alpha]
         eps = {t: c_val * math.exp(-alpha * t) for t in horizons}
-        searches = {t: best_state(forms[t], eps[t], candidates[t])
-                    for t in horizons}
+        searches = {t: best_state(scores[t], eps[t]) for t in horizons}
         reduced = {t: _reduce(forms[t], eps[t]) for t in horizons}
         brackets = {t: _d_bracket(reduced[t][0], searches[t][1])
                     for t in horizons}

@@ -348,6 +348,19 @@ def test_default_truncation_order(argv, modes, tmp_path):
         assert report["system"].endswith(f"[trunc n={modes}]")
 
 
+_POINT_HEAT_SPEC = '{"kind": "point_heat", "x0": 0.3, "c": 5, "modes": 12}'
+
+
+@pytest.mark.parametrize("command", ["gramian", "weakobs", "stabilize"])
+def test_zero_truncation_order_is_rejected(command, tmp_path, capsys):
+    out = tmp_path / "z"
+    code = run_cli([command, "--system", _POINT_HEAT_SPEC, "--modes", "0",
+                    "--out", str(out)])
+    assert code == 3
+    assert "truncation order 0 outside [1, 12]" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_verify_all_plumbing(tmp_path, monkeypatch, capsys):
     fake = (
         ("always-green", 5.0, lambda seed: "fine"),

@@ -344,6 +344,30 @@ def test_shared_table_leaves_energies_bit_identical():
                                      table=semigroup.ExpTable(s.a_matrix))
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_exp_table_gathers_fresh_slices(diagonal):
+    rng = np.random.default_rng(12)
+    m = (np.diag(rng.standard_normal(4)) if diagonal
+         else rng.standard_normal((4, 4)))
+    table = semigroup.ExpTable(m, diagonal)
+    asked = set()
+    # unsorted, duplicated, overlapping calls, enough to grow the store
+    for times in ([0.5, 0.0, 0.5, 2.0], [2.0, 0.25, 3.0, 0.25],
+                  list(rng.uniform(0.0, 4.0, 9)) + [0.5, 0.5],
+                  [3.0, 0.0], list(np.linspace(0.0, 4.0, 17))):
+        times = np.array(times)
+        got = table.stack(times)
+        fresh = semigroup._exp_stack(m, times, diagonal)
+        assert got.shape == fresh.shape
+        assert got.tobytes() == fresh.tobytes()
+        asked.update(times.tolist())
+        assert len(table._slot) == len(asked)
+    # a lookup is a copy: writing to it leaves the table as it was
+    got[:] = 0.0
+    assert (table.stack([3.0]).tobytes()
+            == semigroup._exp_stack(m, np.array([3.0]), diagonal).tobytes())
+
+
 def test_gauss_legendre_rule_is_built_once_and_read_only():
     x, w = gauss_legendre_rule(8)
     again = gauss_legendre_rule(8)

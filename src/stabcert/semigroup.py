@@ -77,7 +77,7 @@ an orthogonal e^{At}, whose bound n^(1/8) exceeds its norm 1, sends all
 200.
 
 Neither is accurate on closed loops with ||A + BK|| of about 1e6 and more
-(ROADMAP item 4): on `perfbench` feedback job 1 of seed 11 (n = 10) at
+(ROADMAP item 3): on `perfbench` feedback job 1 of seed 11 (n = 10) at
 mu = 4, ||A + BK|| = 9.5e6 and the true overshoot is 6.2e8 (50- and
 80-digit oracles agree), while the per-time loop reads 4.3e15 and
 doubling 7.4e14.

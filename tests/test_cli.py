@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -79,6 +80,51 @@ def test_usage_error_exit_three(capsys):
 def test_tol_is_a_gramian_only_flag(argv, tmp_path):
     assert run_cli(argv + ["--tol", "1e-8", "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "point-heat", "--modes", "6",
+     "--refute-null-controllability", "--mu", "3"],
+    ["example", "hermite-heat", "--x0", "0.3", "--depth", "9"],
+    ["example", "point-heat", "--s", "0.3"],
+    ["example", "point-heat", "--intervals", "[[0.1, 0.2]]"],
+    ["example", "hermite-heat", "--s", "0.3"],
+    ["example", "periodic-l2", "--alpha-grid", "1,2"],
+    ["example", "periodic-l2", "--check", "stabilize"],
+    ["example", "fractional-heat", "--k-grid", "1"],
+    ["example", "point-heat", "--mu", "3"],
+    ["example", "hermite-heat", "--check", "weakobs", "--mu", "3"],
+])
+def test_example_takes_only_the_flags_it_reads(argv, tmp_path):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "report.json").exists()
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_main_builds_only_the_invoked_command(tmp_path, monkeypatch):
+    built = []
+    build = cli._build_parser
+
+    def spy(command=None):
+        built.append(build(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    args = ["weakobs", "--system", SCALAR_SPEC, "--alpha-grid", "1",
+            "--t-grid", "1"]
+    assert run_cli(args + ["--out", str(tmp_path / "a")]) == 0
+    assert run_cli(args + ["--out", str(tmp_path / "b")]) == 0
+    assert run_cli(["--help"]) == 0
+    assert len(built) == 3 and built[0] is not built[1]
+    assert [_subcommands(p) for p in built] == \
+        [["weakobs"], ["weakobs"], list(cli._COMMANDS)]
+    # a usage error prints the same usage line on either path
+    assert built[0].format_usage() == built[2].format_usage()
 
 
 def test_gramian_accepts_tol(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_continuous_are
 
-from stabcert import feedback, semigroup, systems, weakobs
+from stabcert import feedback, semigroup, systems, verification, weakobs
 from stabcert._quadrature import integrate_adaptive
 from stabcert.semigroup import observability_gramian
 
@@ -49,6 +49,56 @@ def test_unstabilizable_mode_reported():
         feedback.solve_shifted_riccati(systems.build_system([[0.0]], [[0.0]]),
                                        1.0)
     assert err.value.eigenvalue.real >= 0.9
+
+
+def _pbh_every_eigenvalue(a_shift, b):
+    """Reference PBH test: one pencil SVD per eigenvalue, conjugates too."""
+    n = a_shift.shape[0]
+    scale = max(np.linalg.norm(a_shift, 2) + np.linalg.norm(b, 2), 1.0)
+    for lam in np.linalg.eigvals(a_shift):
+        if lam.real < -1e-9 * scale:
+            continue
+        pencil = np.hstack([lam * np.eye(n) - a_shift, b.astype(complex)])
+        if np.linalg.svd(pencil, compute_uv=False)[-1] <= 1e-10 * scale:
+            return lam
+    return None
+
+
+def _hidden_rotation(rng, n=6):
+    """Dense pair whose unstable eigenvalues 0.5 +- 2i B cannot reach."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    block = np.zeros((n, n))
+    block[:2, :2] = [[0.5, 2.0], [-2.0, 0.5]]
+    block[2:, 2:] = rng.standard_normal((n - 2, n - 2))
+    # block lower triangular in q's basis: q[:, :2] spans a left
+    # invariant subspace, and B has no component in it
+    block[2:, :2] = rng.standard_normal((n - 2, 2))
+    b = np.zeros((n, 2))
+    b[2:] = rng.standard_normal((n - 2, 2))
+    return systems.build_system(q @ block @ q.T, q @ b)
+
+
+@pytest.mark.parametrize("kind", ["dense", "unobservable", "rotation"])
+def test_pbh_skips_conjugates_without_changing_the_answer(kind):
+    rng = np.random.default_rng(["dense", "unobservable",
+                                 "rotation"].index(kind))
+    for _ in range(10):
+        if kind == "dense":
+            n = int(rng.integers(2, 9))
+            s = systems.build_system(rng.standard_normal((n, n)),
+                                     rng.standard_normal((n, 1 + n % 2)))
+        elif kind == "unobservable":
+            s = verification._unobservable_unstable(rng)
+        else:
+            s = _hidden_rotation(rng)
+        for mu in (1.0, 2.0, 4.0):
+            a_shift = s.a_matrix + mu * np.eye(s.n)
+            got = feedback._pbh_stabilizable(a_shift, s.b_matrix)
+            want = _pbh_every_eigenvalue(a_shift, s.b_matrix)
+            assert (got is None) == (want is None)
+            assert got is None or got == want
+            if kind != "dense":
+                assert got is not None
 
 
 def test_dense_riccati_invariants():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabcert import semigroup, systems, weakobs
+from stabcert import semigroup, systems, verification, weakobs
 from stabcert.weakobs import (CERTIFIED, INCONCLUSIVE, REFUTED,
                               WeakObsCertificate)
 
@@ -228,6 +228,42 @@ def test_bracket_residual_covers_weakly_observed_decayed_modes():
                                             eps=math.exp(-0.5 * horizon),
                                             samples=20)
         assert d_hi == 0.0
+
+
+def _scaling_pairs(kind):
+    if kind == "unobservable":
+        return [verification._unobservable_unstable(np.random.default_rng(k))
+                for k in range(5)]
+    # 30 dense n = 4 pairs on which D = d_hi certifies with margins at
+    # rounding level: where rounding can decide, an exact map must not
+    pairs = []
+    for k in range(30):
+        rng = np.random.default_rng([1, k])
+        pairs.append(systems.build_system(rng.standard_normal((4, 4)) / 2,
+                                          rng.standard_normal((4, 1 + k % 2))))
+    return pairs
+
+
+@pytest.mark.parametrize("kind", ["dense", "unobservable"])
+def test_time_scaling_is_exact(kind):
+    # (A, B, T, alpha) -> (4A, 2B, T/4, 4 alpha) multiplies every node time,
+    # weight and exponent by a power of two and leaves eps = C e^{-alpha T}
+    # alone, so the Gramian, the bracket and every verdict repeat bit for bit
+    statuses = set()
+    for i, s in enumerate(_scaling_pairs(kind)):
+        fast = systems.build_system(4.0 * s.a_matrix, 2.0 * s.b_matrix)
+        assert weakobs.optimal_d_bracket(fast, 0.25, eps=0.3) == \
+            weakobs.optimal_d_bracket(s, 1.0, eps=0.3)
+        slow = weakobs.sweep_alpha(s, [0.5, 1.0, 2.0], [0.5, 1.0, 2.0],
+                                   samples=60, seed=i)
+        quick = weakobs.sweep_alpha(fast, [2.0, 4.0, 8.0],
+                                    [0.125, 0.25, 0.5], samples=60, seed=i)
+        for c, q in zip(slow.certificates, quick.certificates):
+            assert (q.status, q.d_const, q.margin) == \
+                (c.status, c.d_const, c.margin)
+            assert (q.alpha, q.horizon) == (4.0 * c.alpha, c.horizon / 4.0)
+            statuses.add(c.status)
+    assert statuses == {CERTIFIED if kind == "dense" else REFUTED}
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,14 @@ print(gram.matrix)
 print(f"quadratic form <G phi, phi> = {gram.quad_form(phi):.12f} "
       "(matches the energy)")
 
-# closed form vs quadrature on the same system
-quad = observability_gramian(sys2, 1.0, method="quadrature")
+# the closed form of a diagonal system,
+# G_ij = b_i b_j (e^{(l_i + l_j) T} - 1) / (l_i + l_j), against the quadrature
+lam = np.array([-1.0, -2.0])
+rate = lam[:, None] + lam[None, :]
+closed = np.outer(sys2.b_matrix[:, 0], sys2.b_matrix[:, 0]) \
+    * np.expm1(rate * 1.0) / rate
 print(f"\nclosed form vs quadrature gramian, max deviation: "
-      f"{np.abs(gram.matrix - quad.matrix).max():.2e}")
+      f"{np.abs(gram.matrix - closed).max():.2e}")
 
 # the Gramian grows monotonically with the horizon
 g_short = observability_gramian(sys2, 0.5).matrix

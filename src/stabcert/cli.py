@@ -3,8 +3,9 @@
 Each subcommand's handler reads its flags from the parsed argparse
 namespace.  A default is stated once: in the parser, or as a module
 constant where a handler must agree with a flag that one of its commands
-lacks (the `--horizon`/`--grid` of `example --check stabilize`).  Each
-`example` takes only the flags it reads.
+lacks (the `--horizon`/`--grid` of `example --check stabilize`) or must
+tell a flag given from one left unset (the sweep flags of `example`).
+Each `example` takes only the flags it reads.
 
 Reports are deterministic machine-readable JSON (sorted keys, no
 timestamps: a fixed seed reproduces byte-identical output) plus plot-ready
@@ -50,6 +51,9 @@ PERIODIC_SAMPLES = 100
 STABILIZE_MU = 1.0
 STABILIZE_HORIZON = 10.0
 STABILIZE_GRID = 200
+# the weakobs sweep flags' defaults, by argparse dest
+_SWEEP_DEFAULTS = {"alpha_grid": "", "t_grid": "", "c_alpha": "1.0",
+                   "samples": WEAKOBS_SAMPLES, "t0": 0.0}
 
 # `constants` inputs a formula falls back on; alpha_k, c_k and c_k_t0
 # have none, so a formula that needs one fails without it
@@ -270,6 +274,11 @@ def _cmd_example(args) -> int:
         return _cmd_periodic(args, args.samples)
     if args.mu is not None and args.check != "stabilize":
         raise ValueError("--mu is read only by --check stabilize")
+    swept = [dest for dest in _SWEEP_DEFAULTS if dest in vars(args)]
+    if swept and args.check == "stabilize":
+        raise ValueError("sweep flags are read only by --check weakobs: "
+                         + ", ".join("--" + dest.replace("_", "-")
+                                     for dest in swept))
     extra = {}
     if name == "point-heat":
         if args.x0 == "cf":
@@ -298,6 +307,7 @@ def _cmd_example(args) -> int:
         mu = STABILIZE_MU if args.mu is None else args.mu
         return _stabilize_system(args, lti, extra, mu, STABILIZE_HORIZON,
                                  STABILIZE_GRID)
+    args = argparse.Namespace(**{**_SWEEP_DEFAULTS, **vars(args)})
     return _run_weakobs(args, lti, extra=extra)
 
 
@@ -363,13 +373,18 @@ def _common(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _sweep_flags(p):
-    p.add_argument("--alpha-grid", default="")
-    p.add_argument("--t-grid", default="")
-    p.add_argument("--c-alpha", default="1.0",
+def _sweep_flags(p, given_only=False):
+    """The weakobs sweep flags; with `given_only`, one not given sets no
+    attribute, and `_SWEEP_DEFAULTS` fills it in."""
+    def default(dest):
+        return argparse.SUPPRESS if given_only else _SWEEP_DEFAULTS[dest]
+
+    p.add_argument("--alpha-grid", default=default("alpha_grid"))
+    p.add_argument("--t-grid", default=default("t_grid"))
+    p.add_argument("--c-alpha", default=default("c_alpha"),
                    help="residual constant C(alpha): number or JSON table")
-    p.add_argument("--samples", type=int, default=WEAKOBS_SAMPLES)
-    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--samples", type=int, default=default("samples"))
+    p.add_argument("--t0", type=float, default=default("t0"))
 
 
 def _periodic_flags(p):
@@ -459,7 +474,8 @@ def _example_parser(p):
         q.add_argument("--mu", type=float, default=None,
                        help="rate of --check stabilize (default "
                             f"{STABILIZE_MU:g})")
-        _sweep_flags(q)
+        # given with --check stabilize, a sweep flag is a usage error
+        _sweep_flags(q, given_only=True)
     q = names.add_parser("periodic-l2",
                          help="periodic benchmark certificates or "
                               "refutation witness")

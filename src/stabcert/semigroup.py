@@ -2,8 +2,8 @@
 
 Dense matrix exponentials go through scipy's scaling-and-squaring Pade
 implementation; diagonal systems use exact exponentials.  Gramians come
-either from the closed-form diagonal expression or from adaptive composite
-Gauss-Legendre quadrature with an embedded error estimate.
+from adaptive composite Gauss-Legendre quadrature with an embedded error
+estimate.
 
 The dense quadratures (the Gramian and the observation energy) use batched
 node exponentials: equal panels share their Gauss offsets, so the node
@@ -31,12 +31,12 @@ share a table of A^T, or one concatenated steering, whose segments'
 energies share a table of (A - beta I)^T.  Nothing is cached between
 calls.
 
-Every Gramian carries its factor R, G = R^T R, accumulated as
-R <- qr([R; S^T]) over the weighted node values S, so a direction v with
-v^T e^{At} B = 0 keeps ||R v|| at the QR's rounding (`floor`).  Van Loan's
-block exponential yields G, not R, and leaves rounding of about
+A Gramian is its factor R, G = R^T R, accumulated as R <- qr([R; S^T])
+over the weighted node values S, so a direction v with v^T e^{At} B = 0
+keeps ||R v|| at the QR's rounding (`floor`); G is formed only when read.
+Van Loan's block exponential yields G, not R, and leaves rounding of about
 u ||G|| e^{2T} there: on random dense pairs with an uncontrollable mode at
-+1 it failed `GramianResult`'s PSD check at T = 4, and a
++1 its G had eigenvalues below -1e-12 trace(G) at T = 4, and a
 base-step-plus-doubling variant certified T = 4 entries that the
 quadrature refutes.
 
@@ -143,31 +143,30 @@ _BOUND_SAFETY = 1.0 + 1e-10
 
 @dataclass(frozen=True)
 class GramianResult:
-    """Symmetric PSD matrix of the observation-energy quadratic form."""
+    """The factor R of the observability Gramian G = R^T R.
 
-    matrix: np.ndarray
+    ||R phi||^2 is the observation energy of phi, so R^T R is symmetric
+    PSD by construction; G itself is formed only when `matrix` is read.
+    """
+
+    factor: np.ndarray      # upper-triangular R
     horizon: float
     quadrature_error_estimate: float
-    factor: np.ndarray      # upper-triangular R with R^T R = matrix
     floor: float            # ||R phi|| at or below this is rounding
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        scale = max(np.abs(m).max(), 1e-300)
-        if np.abs(m - m.T).max() > 1e-12 * scale:
-            raise ValueError("gramian must be symmetric")
-        sym = 0.5 * (m + m.T)
-        sym.setflags(write=False)
-        object.__setattr__(self, "matrix", sym)
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        eigs = np.linalg.eigvalsh(sym)
-        if eigs.min() < -1e-12 * max(np.trace(sym), 1e-300):
-            raise ValueError("gramian must be positive semidefinite")
+
+    @property
+    def matrix(self):
+        """G = R^T R, formed afresh on each read."""
+        return self.factor.T @ self.factor
 
     def quad_form(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        return float(phi @ self.matrix @ phi)
+        """<G phi, phi> as ||R phi||^2."""
+        r_phi = self.factor @ np.asarray(phi, dtype=float)
+        return float(r_phi @ r_phi)
 
 
 def transition_matrix(sys: LtiSystem, t: float, adjoint: bool = False):
@@ -454,41 +453,20 @@ def _node_values(m, r, horizon, panels, npts, diagonal=False, table=None):
         yield values.transpose(1, 0, 2).reshape(n, -1), np.tile(h * w, p.size)
 
 
-def _diagonal_gramian(lam, b, horizon):
-    """Closed form for diag(lam): G_ij = <b_i, b_j>(e^{(li+lj)T}-1)/(li+lj)."""
-    inner = b @ b.T
-    s = lam[:, None] + lam[None, :]
-    small = np.abs(s) * horizon < 1e-8
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = (np.exp(s * horizon) - 1.0) / s
-    # series limit T + s T^2/2 avoids cancellation near s = 0
-    factor = np.where(small, horizon + s * horizon**2 / 2.0, factor)
-    return inner * factor
-
-
 def observability_gramian(sys: LtiSystem, horizon: float,
-                          quad: Optional[QuadratureSpec] = None,
-                          method: str = "auto", *,
+                          quad: Optional[QuadratureSpec] = None, *,
                           table: Optional[ExpTable] = None) -> GramianResult:
-    """G(T) = int_0^T e^{A t} B B^T e^{A^T t} dt, with its factor R.
+    """The factor R of G(T) = int_0^T e^{A t} B B^T e^{A^T t} dt.
 
-    <G phi, phi> equals observation_energy(sys, T, phi).  method is one of
-    "auto" (closed form when A is diagonal), "closed_form", "quadrature";
-    it picks the matrix, R always comes from the quadrature, whose levels
-    are compared on R^T R (R has a sign ambiguity), and whose level-to-
-    level difference is the error estimate either way.  `table`, an
-    ExpTable of A, lets Gramians of one A share node exponentials; values
-    do not depend on it.  Afterwards it holds e^{A T}.
+    ||R phi||^2 equals observation_energy(sys, T, phi).  Quadrature levels
+    are compared on R^T R (R has a sign ambiguity), and their last
+    difference is the error estimate.  `table`, an ExpTable of A, lets
+    Gramians of one A share node exponentials; values do not depend on
+    it.  Afterwards it holds e^{A T}.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     quad = quad or DEFAULT_QUAD
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed_form" and not sys.is_diagonal:
-        raise ValueError("closed form requires a diagonal system")
-    use_closed = method == "closed_form" or (method == "auto"
-                                             and sys.is_diagonal)
     a, b, n = sys.a_matrix, sys.b_matrix, sys.n
     table = _own_table(table, a, sys.is_diagonal, "A")
     factor = None
@@ -503,17 +481,15 @@ def observability_gramian(sys: LtiSystem, horizon: float,
             factor = np.linalg.qr(np.vstack([factor, s.T]), mode="r")
         return factor.T @ factor
 
-    value, err = refine(level, quad.panels, rel_tol=quad.rel_tol)
-    if use_closed:
-        value = _diagonal_gramian(np.diag(a), b, horizon)
+    _, err = refine(level, quad.panels, rel_tol=quad.rel_tol)
     # the QR's rounding: n u ||B|| a_T sqrt(T), a_T = max ||e^{At}|| on
     # [0, T], probed where `transition_norms` would; the probe times but T
     # are panel starts of the first level
     probe = table.stack(np.linspace(0.0, horizon, 9))
     a_t = np.linalg.norm(probe, 2, axis=(1, 2)).max()
     floor = n * np.finfo(float).eps * np.linalg.norm(b, 2) * a_t
-    return GramianResult(0.5 * (value + value.T), horizon, float(err),
-                         factor, float(floor * np.sqrt(horizon)))
+    return GramianResult(factor, horizon, float(err),
+                         float(floor * np.sqrt(horizon)))
 
 
 @dataclass(frozen=True)

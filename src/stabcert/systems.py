@@ -51,7 +51,6 @@ class LtiSystem:
     a_matrix: np.ndarray
     b_matrix: np.ndarray
     label: str = ""
-    parent: Optional[str] = None
 
     def __post_init__(self):
         a = _readonly(np.atleast_2d(self.a_matrix))
@@ -140,9 +139,9 @@ class UnboundedConstantsSpec:
             raise ValueError("b_norm must be nonnegative")
 
 
-def build_system(a_matrix, b_matrix, label="", parent=None):
+def build_system(a_matrix, b_matrix, label=""):
     """Validate and wrap a matrix pair as an LtiSystem."""
-    return LtiSystem(a_matrix, b_matrix, label=label, parent=parent)
+    return LtiSystem(a_matrix, b_matrix, label=label)
 
 
 def truncate(spec: SpectralSystem, n: int) -> LtiSystem:
@@ -152,7 +151,7 @@ def truncate(spec: SpectralSystem, n: int) -> LtiSystem:
     lam = spec.eigenvalues[:n]
     rows = spec.control_rows[:n, :]
     label = f"{spec.basis_label}[trunc n={n}]"
-    return LtiSystem(np.diag(lam), rows, label=label, parent=spec.basis_label)
+    return LtiSystem(np.diag(lam), rows, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +452,10 @@ def spectral_projection_family(spec: SpectralSystem,
 def system_from_spec(spec: dict):
     """Build a system from the JSON system-spec schema.
 
-    Supported kinds: "matrix", "point_heat", "hermite", "fractional".
-    The periodic kind lives in stabcert.periodic.
+    Supported kinds: "matrix", "point_heat", "hermite", "fractional"; any
+    other kind raises ValueError.  The periodic benchmark ("periodic_l2")
+    is not one of them: `periodic.periodic_from_spec` builds it, and the
+    CLI runs it only through `periodic` and `example periodic-l2`.
     """
     kind = spec.get("kind")
     if kind == "matrix":

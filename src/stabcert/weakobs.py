@@ -104,8 +104,7 @@ class CertificateFamily:
     alphas: tuple
     horizons: tuple
     certificates: tuple
-    kind: str = "alpha-grid"          # which family statement is instanced
-    residual_source: str = "user"     # where C(alpha) came from
+    residual_source: str              # where C(alpha) came from
     t_zero: float = 0.0
 
     def __post_init__(self):
@@ -478,8 +477,7 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     certificates = tuple(c for alpha in alphas for c in check_alpha(alpha))
     return CertificateFamily(alphas=alphas, horizons=horizons,
                              certificates=certificates,
-                             kind="alpha-grid", residual_source=source,
-                             t_zero=t_zero)
+                             residual_source=source, t_zero=t_zero)
 
 
 def discrete_sequence(family: CertificateFamily, k_max: int,

@@ -153,6 +153,37 @@ def test_gramian_csv_matches_closed_form(tmp_path):
     assert mat[0, 1] == pytest.approx((1 - math.exp(-3.0)) / 3.0, abs=1e-12)
 
 
+def test_gramian_csv_is_the_factor_squared(tmp_path):
+    # the dump is R^T R of the factor every decision reads, bit for bit
+    rng = np.random.default_rng(21)
+    a, b = rng.standard_normal((5, 5)), rng.standard_normal((5, 2))
+    spec = json.dumps({"kind": "matrix", "a": a.tolist(), "b": b.tolist()})
+    out = tmp_path / "g"
+    assert run_cli(["gramian", "--system", spec, "--horizon", "2",
+                    "--out", str(out)]) == 0
+    rows = (out / "gramian.csv").read_text().splitlines()[1:]
+    mat = np.array([[float(v) for v in r.split(",")] for r in rows])
+    r = semigroup.observability_gramian(
+        systems.build_system(a, b), 2.0,
+        semigroup.QuadratureSpec(rel_tol=1e-10)).factor
+    assert mat.shape == (5, 5)
+    assert np.array_equal(mat, r.T @ r)
+
+
+_PERIODIC_SPEC = '{"kind": "periodic_l2", "modes": 4}'
+
+
+@pytest.mark.parametrize("command", ["gramian", "weakobs", "stabilize"])
+def test_periodic_spec_is_not_a_system_spec(command, tmp_path, capsys):
+    # the periodic benchmark runs only through `periodic` and `example
+    # periodic-l2`
+    out = tmp_path / "p"
+    assert run_cli([command, "--system", _PERIODIC_SPEC,
+                    "--out", str(out)]) == 3
+    assert "unknown system kind 'periodic_l2'" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_constants_subcommand(tmp_path):
     out = tmp_path / "c"
     assert run_cli(["constants", "--formula", "spectral", "--m-big", "1",
@@ -363,6 +394,23 @@ def test_periodic_example_passes_samples(extra, samples, tmp_path,
                     "1,2", "--out", str(tmp_path / "p")] + extra)
     assert code in (0, 1, 2)
     assert seen == [samples, samples]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha-grid", "1,2"), ("--t-grid", "1"), ("--c-alpha", "2"),
+    ("--samples", "3"), ("--t0", "0.1"),
+])
+def test_sweep_flags_are_rejected_with_check_stabilize(flag, value,
+                                                       tmp_path, capsys):
+    out = tmp_path / "s"
+    code = run_cli(["example", "point-heat", "--check", "stabilize", flag,
+                    value, "--out", str(out)])
+    assert code == 3
+    assert f"read only by --check weakobs: {flag}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    # the same flag is a sweep setting under --check weakobs
+    assert run_cli(["example", "point-heat", "--modes", "3", flag, value,
+                    "--out", str(out)]) in (0, 1, 2)
 
 
 def test_example_fractional_stabilize(tmp_path):

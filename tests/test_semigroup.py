@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stabcert import feedback, semigroup, systems
+from stabcert import feedback, semigroup, systems, verification
 from stabcert._quadrature import QuadratureError, gauss_legendre_rule, \
     integrate_adaptive, panel_nodes
 from stabcert.semigroup import QuadratureSpec
@@ -119,12 +119,38 @@ def test_gramian_closed_vs_quadrature():
         s = systems.build_system(np.diag(rng.uniform(-3, 1, n)),
                                  rng.standard_normal((n, 2)))
         horizon = float(rng.uniform(0.3, 2.0))
-        closed = semigroup.observability_gramian(s, horizon,
-                                                 method="closed_form").matrix
+        closed = verification._diagonal_gramian(np.diag(s.a_matrix),
+                                                s.b_matrix, horizon)
         quad = semigroup.observability_gramian(
-            s, horizon, QuadratureSpec(panels=8, rel_tol=1e-11),
-            method="quadrature").matrix
+            s, horizon, QuadratureSpec(panels=8, rel_tol=1e-11)).matrix
         assert np.linalg.norm(closed - quad) <= 1e-9 * np.linalg.norm(closed)
+
+
+# the heat benchmarks at their example parameters, by truncation order
+_HEAT = {
+    "point-heat": lambda n: systems.point_control_heat(
+        systems.continued_fraction_point(3).x0, 5.0, n),
+    "hermite-heat": lambda n: systems.hermite_heat(1.0, [[0.0, math.inf]], n),
+    "fractional-heat": lambda n: systems.fractional_heat(0.5, 2.0,
+                                                         [[0.3, 0.8]], n),
+}
+
+
+@pytest.mark.parametrize("name, n", [
+    *(("point-heat", n) for n in (8, 16, 30, 60)),
+    *(("hermite-heat", n) for n in (6, 12, 20)),
+    *(("fractional-heat", n) for n in (8, 16, 32)),
+])
+def test_diagonal_factor_matches_the_closed_form(name, n):
+    # the diagonal quadrature's R^T R against verification's closed-form
+    # reference on the heat benchmarks' spectral truncations
+    s = systems.truncate(_HEAT[name](n), n)
+    for horizon in (0.5, 1.0, 2.0):
+        g = semigroup.observability_gramian(s, horizon)
+        closed = verification._diagonal_gramian(np.diag(s.a_matrix),
+                                                s.b_matrix, horizon)
+        assert np.linalg.norm(g.matrix - closed) \
+            <= 1e-14 * np.linalg.norm(closed)
 
 
 def test_gramian_quadratic_form_matches_energy():
@@ -207,8 +233,7 @@ def test_batched_quadratures_match_per_node_reference(n):
     for horizon in (0.5, 2.0, 4.0):
         for quad in (semigroup.DEFAULT_QUAD, QuadratureSpec(panels=48)):
             ref = _per_node_gramian(s, horizon, quad)
-            g = semigroup.observability_gramian(s, horizon, quad,
-                                                method="quadrature").matrix
+            g = semigroup.observability_gramian(s, horizon, quad).matrix
             assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
             phi = rng.standard_normal(n)
             ref = _per_node_energy(s, horizon, phi, quad)
@@ -279,16 +304,14 @@ def test_gramian_factor_floor_separates_the_unobserved_direction():
 
 
 def test_diagonal_gramian_keeps_the_quadrature_error_estimate():
-    # the closed-form matrix replaces the quadrature's, not the estimate
-    # of the factor R that every decision reads
+    # the estimate is the last level-to-level difference of R^T R, which
+    # met the refinement's stopping rule
     rng = np.random.default_rng(8)
     s = systems.build_system(np.diag(-np.arange(1.0, 6.0)),
                              rng.standard_normal((5, 2)))
-    auto = semigroup.observability_gramian(s, 1.5)
-    quad = semigroup.observability_gramian(s, 1.5, method="quadrature")
-    assert auto.quadrature_error_estimate > 0.0
-    assert auto.quadrature_error_estimate == quad.quadrature_error_estimate
-    assert np.array_equal(auto.factor, quad.factor)
+    g = semigroup.observability_gramian(s, 1.5)
+    assert 0.0 < g.quadrature_error_estimate \
+        <= semigroup.DEFAULT_QUAD.rel_tol * np.linalg.norm(g.matrix)
 
 
 @pytest.mark.parametrize("n", [3, 6, "diagonal"])
@@ -593,10 +616,18 @@ def test_kept_grid_peak_error_does_not_keep_the_stack():
     assert held < stack_bytes / 8
 
 
-def test_gramian_result_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        semigroup.GramianResult(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, 0.0,
-                                np.eye(2), 0.0)
+def test_gramian_result_rejects_nonpositive_horizon():
+    for horizon in (0.0, -1.0):
+        with pytest.raises(ValueError, match="horizon"):
+            semigroup.GramianResult(np.eye(2), horizon, 0.0, 0.0)
+
+
+def test_gramian_result_forms_the_matrix_from_its_factor():
+    r = np.array([[2.0, -1.0], [0.0, 0.5]])
+    g = semigroup.GramianResult(r, 1.0, 0.0, 0.0)
+    assert np.array_equal(g.matrix, r.T @ r)
+    phi = np.array([0.3, -1.2])
+    assert g.quad_form(phi) == pytest.approx(phi @ r.T @ r @ phi, rel=1e-15)
 
 
 def test_quadrature_spec_validation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabcert import semigroup, systems, verification, weakobs
+from stabcert import feedback, semigroup, systems, verification, weakobs
 from stabcert.weakobs import (CERTIFIED, INCONCLUSIVE, REFUTED,
                               WeakObsCertificate)
 
@@ -610,12 +610,36 @@ def test_discrete_sequence_realizes_residual_form():
     assert lhs <= rhs * (1 + 1e-12)
 
 
+def test_decisions_never_form_the_gramian(monkeypatch):
+    # every verdict and the steering read R alone: G = R^T R is never built
+    def unread(self):
+        raise AssertionError("GramianResult.matrix was read")
+
+    monkeypatch.setattr(semigroup.GramianResult, "matrix", property(unread))
+    rng = np.random.default_rng(14)
+    dense = systems.build_system(rng.standard_normal((4, 4)),
+                                 rng.standard_normal((4, 1)))
+    with pytest.raises(AssertionError, match="matrix was read"):
+        semigroup.observability_gramian(dense, 1.0).matrix
+    heat = systems.truncate(systems.point_control_heat(0.3, 5.0, 8), 8)
+    cert = WeakObsCertificate(horizon=1.0, alpha=1.0, d_const=2.0,
+                              c_const=1.0)
+    for s in (dense, heat):
+        fam = weakobs.sweep_alpha(s, [1.0, 2.0], [0.5, 1.0], samples=20)
+        assert len(fam.certificates) == 4
+        assert weakobs.check_certificate(s, cert, samples=20).status \
+            in (CERTIFIED, REFUTED, INCONCLUSIVE)
+    _, rep = feedback.concatenated_control(dense, 1.0, 1.0, math.exp(-2.0),
+                                           np.ones(4), 3)
+    assert len(rep.state_norms) == 4
+
+
 def test_family_grid_validation():
     with pytest.raises(ValueError):
         weakobs.sweep_alpha(SCALAR_01, [], [1.0])
     with pytest.raises(ValueError):
         weakobs.CertificateFamily(alphas=(2.0, 1.0), horizons=(1.0,),
-                                  certificates=())
+                                  certificates=(), residual_source="table")
 
 
 # ---------------------------------------------------------------------------

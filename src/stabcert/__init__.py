@@ -22,7 +22,6 @@ from .weakobs import (CERTIFIED, INCONCLUSIVE, REFUTED, CertificateFamily,
                       discrete_sequence, optimal_d_bracket, sweep_alpha)
 from .lrconstants import (IllConditionedGramError, ModeVanishesError,
                           SemigroupBound, admissibility_constant,
-                          attach_spectral_constants,
                           constants_from_spectral_inequality,
                           constants_from_truncated_obs,
                           constants_from_truncated_obs_unbounded,

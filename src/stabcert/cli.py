@@ -53,7 +53,7 @@ STABILIZE_HORIZON = 10.0
 STABILIZE_GRID = 200
 # the weakobs sweep flags' defaults, by argparse dest
 _SWEEP_DEFAULTS = {"alpha_grid": "", "t_grid": "", "c_alpha": "1.0",
-                   "samples": WEAKOBS_SAMPLES, "t0": 0.0}
+                   "samples": WEAKOBS_SAMPLES}
 
 # `constants` inputs a formula falls back on; alpha_k, c_k and c_k_t0
 # have none, so a formula that needs one fails without it
@@ -119,17 +119,20 @@ def _cmd_gramian(args) -> int:
     lti = _load_lti(args)
     result = observability_gramian(lti, args.horizon,
                                    QuadratureSpec(rel_tol=args.tol))
+    gram = result.matrix
+    # lambda_min(R^T R) = sigma_min(R)^2 >= 0; eigvalsh of the formed G
+    # rounds a tiny eigenvalue to either sign
+    sigma_min = np.linalg.svd(result.factor, compute_uv=False).min()
     out = Path(args.out)
-    _write_csv(out / "gramian.csv",
-               [f"g{j}" for j in range(result.matrix.shape[1])],
-               result.matrix.tolist())
+    _write_csv(out / "gramian.csv", [f"g{j}" for j in range(gram.shape[1])],
+               gram.tolist())
     _write_json(out / "report.json", {
         "schema_version": SCHEMA_VERSION,
         "claim": "observability-gramian",
         "system": lti.label,
         "horizon": args.horizon,
-        "trace": float(np.trace(result.matrix)),
-        "min_eigenvalue": float(np.linalg.eigvalsh(result.matrix).min()),
+        "trace": float(np.trace(gram)),
+        "min_eigenvalue": float(sigma_min) ** 2,
         "quadrature_error_estimate": result.quadrature_error_estimate,
     })
     return EXIT_CERTIFIED
@@ -151,7 +154,7 @@ def _run_weakobs(args, lti: LtiSystem, extra=None) -> int:
         residual = float(args.c_alpha)
     fam = weakobs.sweep_alpha(lti, alphas, horizons,
                               residual_rule=residual, samples=args.samples,
-                              seed=args.seed, t_zero=args.t0)
+                              seed=args.seed)
     out = Path(args.out)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -384,7 +387,6 @@ def _sweep_flags(p, given_only=False):
     p.add_argument("--c-alpha", default=default("c_alpha"),
                    help="residual constant C(alpha): number or JSON table")
     p.add_argument("--samples", type=int, default=default("samples"))
-    p.add_argument("--t0", type=float, default=default("t0"))
 
 
 def _periodic_flags(p):

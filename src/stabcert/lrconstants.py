@@ -12,7 +12,7 @@ distances feeding the point-control heat constant.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "constants_from_truncated_obs_unbounded",
     "admissibility_constant",
     "estimate_spectral_constant",
-    "attach_spectral_constants",
     "fattorini_distance",
     "point_heat_truncated_obs_constant",
     "pick_family_entry",
@@ -40,6 +39,12 @@ __all__ = [
 # exponential Gram matrices degrade fast in double precision
 DEFAULT_POOL_CAP = 8
 GRAM_RCOND = 1e-14
+GRAM_COND_LIMIT = 1e14
+# the grid `fit_semigroup_bound` fits M on, and the margin of delta0 above
+# the spectral abscissa
+FIT_T_MAX = 10.0
+FIT_GRID = 200
+FIT_SLACK = 1e-9
 
 
 class IllConditionedGramError(RuntimeError):
@@ -77,17 +82,16 @@ class SemigroupBound:
             raise ValueError("delta0 must be >= 0")
 
 
-def fit_semigroup_bound(sys: LtiSystem, t_max: float = 10.0,
-                        n_grid: int = 200, slack: float = 1e-9
-                        ) -> SemigroupBound:
+def fit_semigroup_bound(sys: LtiSystem) -> SemigroupBound:
     """Fit the smallest M with ||e^{A t}|| <= M e^{delta0 t} on a grid.
 
-    delta0 is pinned at max(0, spectral abscissa) + slack, then M is the
-    grid maximum of the ratio (always >= 1 because of t = 0).
+    delta0 is pinned at max(0, spectral abscissa) + FIT_SLACK, then M is
+    the maximum of the ratio over FIT_GRID points of [0, FIT_T_MAX]
+    (always >= 1 because of t = 0).
     """
     abscissa = float(np.max(np.linalg.eigvals(sys.a_matrix).real))
-    delta0 = max(0.0, abscissa) + slack
-    m_big = max(1.0, grid_peak(sys, t_max, n_grid, -delta0))
+    delta0 = max(0.0, abscissa) + FIT_SLACK
+    m_big = max(1.0, grid_peak(sys, FIT_T_MAX, FIT_GRID, -delta0))
     return SemigroupBound(m_big=m_big * (1.0 + 1e-12), delta0=delta0)
 
 
@@ -211,21 +215,13 @@ def estimate_spectral_constant(spec: SpectralSystem, fam: ProjectionFamily,
     return 1.0 / float(smin)
 
 
-def attach_spectral_constants(spec: SpectralSystem,
-                              fam: ProjectionFamily) -> ProjectionFamily:
-    """Fill the family's c_k slots with estimated spectral constants."""
-    return fam.with_constants(
-        c_k=[estimate_spectral_constant(spec, fam, k) for k in fam.ks])
-
-
 def fattorini_distance(decay_rates: Sequence[float], t0: float, j: int,
-                       pool: Sequence[int], cond_limit: float = 1e14
-                       ) -> float:
+                       pool: Sequence[int]) -> float:
     """L^2(0, t0) distance of exp(-lam_j t) to span{exp(-lam_i t), i in pool}.
 
     Indices are 1-based into `decay_rates`, which must be positive.  The
     distance comes from least squares on the closed-form exponential Gram
-    matrix; a Gram condition number beyond cond_limit raises
+    matrix; a Gram condition number beyond GRAM_COND_LIMIT raises
     IllConditionedGramError carrying the estimate.
     """
     rates = np.asarray(decay_rates, dtype=float)
@@ -250,7 +246,7 @@ def fattorini_distance(decay_rates: Sequence[float], t0: float, j: int,
     cross = np.array([gram_entry(lam_j, b) for b in lam_pool])
     sing = np.linalg.svd(gram, compute_uv=False)
     cond = sing[0] / max(sing[-1], 1e-300)
-    if cond > cond_limit:
+    if cond > GRAM_COND_LIMIT:
         raise IllConditionedGramError(cond)
     coef, *_ = np.linalg.lstsq(gram, cross, rcond=GRAM_RCOND)
     dist_sq = max(norm_sq - float(cross @ coef), 0.0)
@@ -258,9 +254,7 @@ def fattorini_distance(decay_rates: Sequence[float], t0: float, j: int,
 
 
 def point_heat_truncated_obs_constant(x0: float, c: float, k: int,
-                                      t0: float,
-                                      pool_cap: int = DEFAULT_POOL_CAP
-                                      ) -> float:
+                                      t0: float) -> float:
     """Truncated observability constant for the point-controlled heat modes.
 
     Sum over the first k adjoint modes of e^{-2 lam_j t0} /
@@ -274,10 +268,10 @@ def point_heat_truncated_obs_constant(x0: float, c: float, k: int,
         raise ValueError("k must be nonnegative")
     if k == 0:
         return 0.0
-    if k > pool_cap:
+    if k > DEFAULT_POOL_CAP:
         raise ValueError(
-            f"k={k} exceeds the pool cap {pool_cap}; exponential Gram "
-            f"matrices degrade beyond that in double precision")
+            f"k={k} exceeds the pool cap {DEFAULT_POOL_CAP}; exponential "
+            f"Gram matrices degrade beyond that in double precision")
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     js = np.arange(1, k + 1)

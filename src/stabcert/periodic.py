@@ -155,9 +155,13 @@ def periodic_observation_energy(sys: PeriodicSystem, horizon_periods: int,
         for i in range(sys.n)))
 
 
+# relative tolerance of each panel of the quadrature cross-check
+QUADRATURE_REL_TOL = 1e-11
+
+
 def periodic_observation_energy_quadrature(sys: PeriodicSystem,
-                                           horizon_periods: int, psi,
-                                           rel_tol: float = 1e-11) -> float:
+                                           horizon_periods: int,
+                                           psi) -> float:
     """Quadrature cross-check of the closed-form energy.
 
     Integrates the pointwise observed norm with panels split at every
@@ -184,20 +188,20 @@ def periodic_observation_energy_quadrature(sys: PeriodicSystem,
         if b - a < 1e-15:
             continue
         val, _ = integrate_adaptive(integrand, a, b, panels=4, npts=8,
-                                    rel_tol=rel_tol)
+                                    rel_tol=QUADRATURE_REL_TOL)
         total += val
     return total
 
 
-def noncontrollability_witness(sys: PeriodicSystem, m: int, big_c: float,
-                               auto_extend: bool = True):
+def noncontrollability_witness(sys: PeriodicSystem, m: int, big_c: float):
     """Mode index defeating every steering bound with constant big_c.
 
     Returns (n, lhs, rhs) where lhs = e^{-n m} is the free adjoint norm of
     mode n at time 0 and rhs = big_c * sqrt(observation energy over m
     periods); the index solves
     n >= m + sqrt(m^2 + 2 ln C + ln(2/alpha)), which forces lhs > rhs and
-    so refutes null controllability over [0, m].
+    so refutes null controllability over [0, m].  A witness index beyond
+    the truncation is read from a multiplexed system extended to reach it.
     """
     if big_c <= 1.0:
         raise ValueError("the constant must exceed 1")
@@ -212,9 +216,6 @@ def noncontrollability_witness(sys: PeriodicSystem, m: int, big_c: float,
     n = int(math.ceil(threshold))
     work = sys
     if n > sys.n:
-        if not auto_extend:
-            raise ValueError(f"witness index {n} exceeds the truncation "
-                             f"{sys.n}")
         terms = max(sys.series_terms or 12, n + 2)
         work = build_multiplexed_system(n, terms)
     lhs = math.exp(-n * m)

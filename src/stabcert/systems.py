@@ -9,7 +9,7 @@ point-controlled heat with a continued-fraction actuation point, and -- in
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -175,6 +175,10 @@ def point_control_heat(x0: float, c: float, n: int) -> SpectralSystem:
                           basis_label=f"point-heat(x0={x0:.12g}, c={c:g})")
 
 
+# the Hermite control Gram matrix is integrated to this relative tolerance
+HERMITE_REL_TOL = 1e-12
+
+
 def _hermite_values(k_max, x):
     """Orthonormal Hermite function values h_0..h_{k_max-1} at points x."""
     x = np.asarray(x, dtype=float)
@@ -188,8 +192,7 @@ def _hermite_values(k_max, x):
     return h
 
 
-def hermite_heat(c: float, control_set: Sequence, n: int,
-                 rel_tol: float = 1e-12) -> SpectralSystem:
+def hermite_heat(c: float, control_set: Sequence, n: int) -> SpectralSystem:
     """1-D harmonic-oscillator heat system observed on a union of intervals.
 
     Eigenvalues are -(2k+1)+c for k = 0..n-1; the control matrix is the
@@ -221,7 +224,7 @@ def hermite_heat(c: float, control_set: Sequence, n: int,
             continue
         panels = max(8, int(math.ceil((b - a) * max(1.0, n / 4.0))))
         part, _ = integrate_adaptive(integrand, a, b, panels=panels, npts=10,
-                                     rel_tol=rel_tol, vector=True)
+                                     rel_tol=HERMITE_REL_TOL, vector=True)
         gram += part
     gram = 0.5 * (gram + gram.T)
     k = np.arange(n)
@@ -323,9 +326,7 @@ class ContinuedFractionPoint:
         return (inner, outer) if inner < outer else (outer, inner)
 
 
-def continued_fraction_point(depth: int,
-                             overflow_guard: float = OVERFLOW_GUARD
-                             ) -> ContinuedFractionPoint:
+def continued_fraction_point(depth: int) -> ContinuedFractionPoint:
     """Expand the benchmark actuation point to the requested depth.
 
     Recurrences: q_{n+1} = a_n q_n + q_{n-1} with seeds a_0=0, a_1=2,
@@ -350,7 +351,7 @@ def continued_fraction_point(depth: int,
             log_q.append(math.log(q_next))
             convergents.append(Fraction(p_next, q_next))
             cube = float(q_next) ** 3
-            if cube <= overflow_guard:
+            if cube <= OVERFLOW_GUARD:
                 # floor(e^cube) is exact for the small q reachable here
                 a_exact.append(int(math.floor(math.exp(cube))) + 1)
             else:
@@ -383,16 +384,13 @@ class ProjectionFamily:
 
     Entry k keeps the first mode_counts[k] coordinates; the tail decays
     like m_k[k] * exp(-alpha_k[k] * t) where alpha_k is minus the first
-    discarded eigenvalue (+inf when nothing is discarded).  Optional
-    spectral / truncated-observability constants ride along once computed.
+    discarded eigenvalue (+inf when nothing is discarded).
     """
 
     ks: tuple
     mode_counts: tuple
     m_k: tuple
     alpha_k: tuple
-    c_k: Optional[tuple] = None
-    c_k_t0: Optional[tuple] = None      # (T0, tuple of C(k, T0))
 
     def __post_init__(self):
         if len({len(self.ks), len(self.mode_counts), len(self.m_k),
@@ -408,10 +406,6 @@ class ProjectionFamily:
     def entry(self, k):
         i = self.ks.index(k)
         return self.mode_counts[i], self.m_k[i], self.alpha_k[i]
-
-    def with_constants(self, c_k=None, c_k_t0=None):
-        return replace(self, c_k=tuple(c_k) if c_k is not None else self.c_k,
-                       c_k_t0=c_k_t0 if c_k_t0 is not None else self.c_k_t0)
 
 
 def spectral_projection_family(spec: SpectralSystem,

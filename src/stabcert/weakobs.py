@@ -105,7 +105,6 @@ class CertificateFamily:
     horizons: tuple
     certificates: tuple
     residual_source: str              # where C(alpha) came from
-    t_zero: float = 0.0
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
@@ -131,12 +130,10 @@ class CertificateFamily:
         return family_verdict(self.all_certified,
                               [c.status for c in self.certificates])
 
-    def sequence_entry(self, k: int, t_zero: Optional[float] = None):
+    def sequence_entry(self, k: int):
         """The certified entry at alpha = k+1 with the smallest grid horizon
-        T exceeding both t_zero (default: the family's) and ln C(k+1), so
-        that C(k+1) e^{-(k+1) T} <= e^{-k T}."""
-        if t_zero is None:
-            t_zero = self.t_zero
+        T > ln C(k+1), so that C(k+1) e^{-(k+1) T} <= e^{-k T}; C = 0
+        admits every horizon."""
         alpha = float(k + 1)
         entries = [c for c in self.entries_for_alpha(alpha)
                    if c.status == CERTIFIED]
@@ -144,12 +141,11 @@ class CertificateFamily:
             raise ValueError(f"family has no certified entries at "
                              f"alpha={alpha:g} (needed for k={k})")
         c_val = entries[0].c_const
-        admissible = [c for c in entries
-                      if c.horizon > t_zero and c.horizon > math.log(c_val)]
+        log_c = math.log(c_val) if c_val > 0 else -math.inf
+        admissible = [c for c in entries if c.horizon > log_c]
         if not admissible:
-            raise ValueError(
-                f"no grid horizon exceeds max(t_zero={t_zero:g}, "
-                f"ln C={math.log(c_val):.6g}) for k={k}")
+            raise ValueError(f"no grid horizon exceeds ln C={log_c:.6g} "
+                             f"for k={k}")
         return min(admissible, key=lambda c: c.horizon)
 
 
@@ -393,8 +389,6 @@ def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
 
 
 def _resolve_residual_rule(residual_rule, alphas):
-    if callable(residual_rule):
-        return {a: float(residual_rule(a)) for a in alphas}, "formula"
     if isinstance(residual_rule, dict):
         return {a: float(residual_rule[a]) for a in alphas}, "table"
     value = float(residual_rule)
@@ -403,10 +397,9 @@ def _resolve_residual_rule(residual_rule, alphas):
 
 def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
                 horizons: Sequence[float],
-                residual_rule: Union[float, dict, Callable] = 1.0,
+                residual_rule: Union[float, dict] = 1.0,
                 samples: int = 200, seed: int = 0,
-                quad: Optional[QuadratureSpec] = None,
-                t_zero: float = 0.0) -> CertificateFamily:
+                quad: Optional[QuadratureSpec] = None) -> CertificateFamily:
     """For each alpha, look for one (D, C(alpha)) certifying every horizon.
 
     The per-alpha D is the largest sufficient-test bound over the horizon
@@ -477,21 +470,20 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     certificates = tuple(c for alpha in alphas for c in check_alpha(alpha))
     return CertificateFamily(alphas=alphas, horizons=horizons,
                              certificates=certificates,
-                             residual_source=source, t_zero=t_zero)
+                             residual_source=source)
 
 
-def discrete_sequence(family: CertificateFamily, k_max: int,
-                      t_zero: Optional[float] = None):
+def discrete_sequence(family: CertificateFamily, k_max: int):
     """Select the discrete certificate sequence from a certified family.
 
-    For each k <= k_max this takes `family.sequence_entry(k, t_zero)`, the
-    smallest grid horizon T_k exceeding both t_zero and ln C(k+1) among the
-    certified entries at alpha = k+1; the returned entries (k, T_k, D(k))
-    then satisfy the inequality with residual e^{-k T_k}.
+    For each k <= k_max this takes `family.sequence_entry(k)`, the
+    smallest grid horizon T_k > ln C(k+1) among the certified entries at
+    alpha = k+1; the returned entries (k, T_k, D(k)) then satisfy the
+    inequality with residual e^{-k T_k}.
     """
     out = []
     for k in range(1, k_max + 1):
-        pick = family.sequence_entry(k, t_zero)
+        pick = family.sequence_entry(k)
         out.append(SequenceEntry(k=k, horizon=pick.horizon,
                                  d_const=pick.d_const))
     return out

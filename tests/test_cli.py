@@ -100,6 +100,16 @@ def test_example_takes_only_the_flags_it_reads(argv, tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["weakobs", "--system", SCALAR_SPEC],
+    ["example", "point-heat"],
+])
+def test_t0_is_no_flag(argv, tmp_path):
+    # T_k is the smallest certified horizon above ln C(k+1): no t0 to set
+    assert run_cli(argv + ["--t0", "1", "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "report.json").exists()
+
+
 def _subcommands(parser):
     (sub,) = [a for a in parser._actions
               if isinstance(a, argparse._SubParsersAction)]
@@ -168,6 +178,19 @@ def test_gramian_csv_is_the_factor_squared(tmp_path):
         semigroup.QuadratureSpec(rel_tol=1e-10)).factor
     assert mat.shape == (5, 5)
     assert np.array_equal(mat, r.T @ r)
+
+
+@pytest.mark.parametrize("horizon", ["0.5", "1", "2"])
+def test_gramian_min_eigenvalue_is_sigma_min_squared(horizon, tmp_path):
+    # eigvalsh of the formed G read these as -1e-23; R^T R is PSD
+    spec = '{"kind": "point_heat", "x0": "cf", "c": 5, "modes": 30}'
+    out = tmp_path / "g"
+    assert run_cli(["gramian", "--system", spec, "--horizon", horizon,
+                    "--out", str(out)]) == 0
+    lti = systems.truncate(systems.system_from_spec(json.loads(spec)), 30)
+    r = semigroup.observability_gramian(lti, float(horizon)).factor
+    sigma_min = np.linalg.svd(r, compute_uv=False).min()
+    assert read_report(out)["min_eigenvalue"] == float(sigma_min) ** 2 >= 0
 
 
 _PERIODIC_SPEC = '{"kind": "periodic_l2", "modes": 4}'
@@ -398,7 +421,7 @@ def test_periodic_example_passes_samples(extra, samples, tmp_path,
 
 @pytest.mark.parametrize("flag, value", [
     ("--alpha-grid", "1,2"), ("--t-grid", "1"), ("--c-alpha", "2"),
-    ("--samples", "3"), ("--t0", "0.1"),
+    ("--samples", "3"),
 ])
 def test_sweep_flags_are_rejected_with_check_stabilize(flag, value,
                                                        tmp_path, capsys):

@@ -152,12 +152,6 @@ def test_fitted_bound_equals_per_time_loop(grid_norm_oracle):
     assert lrc.verify_semigroup_bound(s, bound, grid) == worst
 
 
-def test_fit_validates_its_grid():
-    s = systems.build_system(np.array([[-1.0]]), np.ones((1, 1)))
-    with pytest.raises(ValueError, match="grid"):
-        lrc.fit_semigroup_bound(s, n_grid=0)
-
-
 def test_bound_validation():
     with pytest.raises(ValueError):
         SemigroupBound(m_big=0.5, delta0=0.0)
@@ -208,12 +202,6 @@ def test_spectral_constant_antitone_in_sensors():
         c1 = lrc.estimate_spectral_constant(spec1, fam, k)
         c2 = lrc.estimate_spectral_constant(spec2, fam, k)
         assert c2 <= c1 * (1 + 1e-12)
-
-
-def test_attach_spectral_constants():
-    spec = systems.SpectralSystem(-np.arange(1.0, 5.0), np.eye(4))
-    fam = lrc.attach_spectral_constants(spec, _family(spec, 3))
-    assert fam.c_k == (1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

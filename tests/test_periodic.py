@@ -174,9 +174,6 @@ def test_witness_auto_extends_truncation():
     small = periodic.build_multiplexed_system(3)
     n, lhs, rhs = periodic.noncontrollability_witness(small, 1, 10.0)
     assert n == 4 and lhs > rhs
-    with pytest.raises(ValueError):
-        periodic.noncontrollability_witness(small, 1, 10.0,
-                                            auto_extend=False)
 
 
 def test_witness_requires_constant_above_one(bench10):

@@ -301,9 +301,6 @@ def test_sweep_residual_sources():
     fam_t = weakobs.sweep_alpha(SCALAR_01, [1.0], [0.5, 1.0],
                                 residual_rule={1.0: 2.0})
     assert fam_t.residual_source == "table"
-    fam_f = weakobs.sweep_alpha(SCALAR_01, [1.0], [0.5, 1.0],
-                                residual_rule=lambda a: 1.0 + a)
-    assert fam_f.residual_source == "formula"
 
 
 def _dense_pair(kind, n=4, seed=5):
@@ -578,7 +575,7 @@ def test_discrete_sequence_picks_smallest_admissible():
     fam = weakobs.sweep_alpha(SCALAR_01, [2.0, 3.0], [0.5, 1.0, 2.0, 4.0])
     seq = weakobs.discrete_sequence(fam, 2)
     assert [e.k for e in seq] == [1, 2]
-    # C = 1 makes every horizon beyond t_zero = 0 admissible
+    # C = 1 makes every horizon T > ln C = 0 admissible
     assert seq[0].horizon == 0.5
 
 
@@ -588,6 +585,18 @@ def test_discrete_sequence_respects_large_residual_constant():
     seq = weakobs.discrete_sequence(fam, 1)
     # needs e^{-2T} * e^3 <= e^{-T}, i.e. T > 3: only T = 4 qualifies
     assert seq[0].horizon == 4.0
+
+
+def test_discrete_sequence_admits_every_horizon_at_zero_residual():
+    # C = 0: ln C = -inf, so the smallest certified horizon is T_k
+    s = systems.build_system([[0.0]], [[1.0]])
+    fam = weakobs.sweep_alpha(s, [2.0, 3.0], [0.5, 1.0, 2.0],
+                              residual_rule=0.0)
+    assert all(c.status == CERTIFIED for c in fam.certificates)
+    assert [e.horizon for e in weakobs.discrete_sequence(fam, 2)] == [0.5,
+                                                                      0.5]
+    result = feedback.certificate_to_feedback(s, fam, 1.0)
+    assert result.certificate_chain["horizon"] == 0.5
 
 
 def test_discrete_sequence_requires_certified_entries():

@@ -12,8 +12,12 @@ shift moves every closed-loop eigenvalue of A + BK, K = -B^T P, left of
 into a contraction ball and concatenate them into a geometrically decaying
 control with finite exponentially-weighted norm.  Steering reads the
 Gramian's factor R, never G: in R's right singular basis the regularized
-normal equations are diagonal, so each segment is a scalar search on the
-Tikhonov parameter with no linear solve.
+normal equations are diagonal, so each segment is a scalar root of the
+secular equation for the Tikhonov parameter, found by safeguarded Newton
+steps with no linear solve.  A concatenated steering exponentiates A
+once per node time: the beta-weighted energies are ||R_beta eta||^2, with
+R_beta the factor of the Gramian of A - beta I, whose node exponentials
+come from a shifted view of the table the forms' Gramian filled.
 """
 
 import math
@@ -24,7 +28,7 @@ import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
 
 from .semigroup import (DEFAULT_QUAD, ExpTable, QuadratureSpec, grid_peak,
-                        observation_energy, transition_matrix)
+                        observability_gramian, transition_matrix)
 from .systems import LtiSystem
 from .weakobs import CertificateFamily, _dense_forms
 
@@ -90,18 +94,19 @@ def _pbh_stabilizable(a_shift, b):
     The pencil at conj(lam) is the entrywise conjugate of the one at lam,
     with the same singular values, and LAPACK lists the member of a
     conjugate pair with positive imaginary part first: only that one is
-    tested.
+    tested.  The tested pencils take one batched SVD, and the first
+    offender in `eigvals` order is returned.
     """
     n = a_shift.shape[0]
     scale = max(np.linalg.norm(a_shift, 2) + np.linalg.norm(b, 2), 1.0)
-    for lam in np.linalg.eigvals(a_shift):
-        if lam.real < -1e-9 * scale or lam.imag < 0:
-            continue
-        pencil = np.hstack([lam * np.eye(n) - a_shift, b.astype(complex)])
-        smin = np.linalg.svd(pencil, compute_uv=False)[-1]
-        if smin <= 1e-10 * scale:
-            return lam
-    return None
+    lam = np.linalg.eigvals(a_shift)
+    lam = lam[(lam.real >= -1e-9 * scale) & (lam.imag >= 0)]
+    pencils = np.concatenate(
+        [lam[:, None, None] * np.eye(n) - a_shift,
+         np.broadcast_to(b.astype(complex), (lam.size,) + b.shape)], axis=2)
+    smin = np.linalg.svd(pencils, compute_uv=False)[:, -1]
+    bad = np.flatnonzero(smin <= 1e-10 * scale)
+    return lam[bad[0]] if bad.size else None
 
 
 def solve_shifted_riccati(sys: LtiSystem, mu: float,
@@ -227,6 +232,12 @@ class ControlSignal:
 # directions with sigma^2 <= _UNREACHABLE_RTOL * sigma_1^2 are left alone by
 # the exact steer: the rcond cut of a least-squares solve on G = R^T R
 _UNREACHABLE_RTOL = 1e-13
+# Newton steps on the Tikhonov nu stop once a step moves log nu by less
+# than _NEWTON_RTOL; _NEWTON_STEPS caps them, enough for bisection alone
+# to close any bracket of positive floats
+_NEWTON_RTOL = 2.0**-46
+_NEWTON_STEPS = 64
+_BRACKET = 2.0**-44
 
 
 def _steer(forms, eps, y0):
@@ -237,8 +248,8 @@ def _steer(forms, eps, y0):
     normal equations (G + nu I) eta = e^{AT} y0 are diagonal: eta =
     V c/(sig^2 + nu), terminal = V nu c/(sig^2 + nu), ||R eta|| =
     ||sig c/(sig^2 + nu)||.  nu = 0 (the least-squares steer) when that
-    lands within eps * ||y0||; else a geometric bisection between
-    closed-form bounds lands the terminal norm on, never above, it.
+    lands within eps * ||y0||; else `_tikhonov_nu` lands the terminal
+    norm on, never above, it.
     """
     sig, vt = forms.sig, forms.vt
     z = forms.adj.T @ y0
@@ -268,17 +279,64 @@ def _steer(forms, eps, y0):
         lo = (math.sqrt((target - stuck) * (target + stuck))
               / float(np.linalg.norm(c[reach] / s2[reach])))
         hi = s2[0] * target / (norm_c - target)
-        # compare the norm of the vector returned, not of its coefficients
-        # in V, so "never above" holds in floating point too
-        nu = math.sqrt(lo) * math.sqrt(hi)
-        while lo < nu < hi:
-            if np.linalg.norm(vt.T @ (nu * c / (s2 + nu))) <= target:
-                lo = nu
-            else:
-                hi = nu
-            nu = math.sqrt(lo) * math.sqrt(hi)
-        eta_c, term_c = c / (s2 + lo), lo * c / (s2 + lo)
+        nu = _tikhonov_nu(c, s2, vt, target, lo, hi)
+        eta_c, term_c = c / (s2 + nu), nu * c / (s2 + nu)
     return vt.T @ eta_c, vt.T @ term_c, float(np.linalg.norm(sig * eta_c))
+
+
+def _tikhonov_nu(c, s2, vt, target, lo, hi):
+    """The largest nu in [lo, hi], to the last bits, whose returned
+    terminal vt^T (nu c/(s2 + nu)) has norm <= target; lo is returned
+    when none does.
+
+    Newton's method in x = log nu on the secular equation
+    g(x) = 1/2 log sum c_i^2 nu^2/(s2_i + nu)^2 = log target, whose
+    derivative is sum c_i^2 nu^2 s2_i/(s2_i + nu)^3 over the same sum
+    (Moré and Sorensen, "Computing a trust region step", SIAM J. Sci.
+    Stat. Comput. 4(3), 1983), each step kept inside the bracket that
+    the signs of g - log target leave; a step that leaves it bisects.
+    Geometric bisection then closes the bracket nu (1 -+ _BRACKET) around
+    Newton's root, or all of [lo, hi] where that one fails, verified on
+    the norm of the vector returned, not of its coefficients in V, so
+    "never above" holds in floating point too.
+    """
+    def lands(nu):
+        return np.linalg.norm(vt.T @ (nu * c / (s2 + nu))) <= target
+
+    scale = float(np.linalg.norm(c))
+    c2 = (c / scale)**2
+    log_target = math.log(target / scale)
+    below, above = lo, hi
+    nu = math.sqrt(lo) * math.sqrt(hi)
+    for _ in range(_NEWTON_STEPS):
+        q = nu / (s2 + nu)
+        terms = c2 * q * q
+        total = float(terms.sum())
+        slope = float(terms @ (s2 / (s2 + nu)))
+        gap = 0.5 * math.log(total) - log_target if total > 0.0 else -math.inf
+        if gap <= 0.0:
+            below = nu
+        else:
+            above = nu
+        step = gap * total / slope if slope > 0.0 else math.inf
+        if abs(step) <= _NEWTON_RTOL:
+            break
+        nu = nu * math.exp(-step) if abs(step) < 700.0 else 0.0
+        if not below < nu < above:
+            nu = math.sqrt(below) * math.sqrt(above)
+            if not below < nu < above:
+                break
+    down, up = nu * (1.0 - _BRACKET), nu * (1.0 + _BRACKET)
+    if lo < down and lands(down) and up < hi and not lands(up):
+        lo, hi = down, up
+    nu = math.sqrt(lo) * math.sqrt(hi)
+    while lo < nu < hi:
+        if lands(nu):
+            lo = nu
+        else:
+            hi = nu
+        nu = math.sqrt(lo) * math.sqrt(hi)
+    return lo
 
 
 def min_norm_eps_null(sys: LtiSystem, horizon: float, eps: float, y0,
@@ -336,16 +394,23 @@ def concatenated_control(sys: LtiSystem, beta: float, t_seg: float,
             f"exp(-2 beta t_seg)={math.exp(-2.0 * beta * t_seg):g}")
     y0 = np.asarray(y0, dtype=float)
     quad = quad or DEFAULT_QUAD
-    forms = _dense_forms(sys, t_seg, quad)
+    table = ExpTable(sys.a_matrix, sys.is_diagonal)
+    forms = _dense_forms(sys, t_seg, quad, table)
 
     state = y0
     segs, state_norms, control_norms = [], [float(np.linalg.norm(y0))], []
-    for i in range(segments):
-        eta, terminal, l2 = _steer(forms, eps_seg, state)
-        segs.append(SteeringSegment(i * t_seg, (i + 1) * t_seg, eta))
-        control_norms.append(l2)
-        state = terminal
-        state_norms.append(float(np.linalg.norm(state)))
+    try:
+        for i in range(segments):
+            eta, terminal, l2 = _steer(forms, eps_seg, state)
+            segs.append(SteeringSegment(i * t_seg, (i + 1) * t_seg, eta))
+            control_norms.append(l2)
+            state = terminal
+            state_norms.append(float(np.linalg.norm(state)))
+    except SteeringError:
+        # a caller that keeps the exception keeps this frame: drop the
+        # table's slices first
+        del table
+        raise
 
     total_l2 = math.sqrt(sum(c**2 for c in control_norms))
     breakpoints = tuple(i * t_seg for i in range(segments + 1))
@@ -361,17 +426,18 @@ def concatenated_control(sys: LtiSystem, beta: float, t_seg: float,
 
     # L2 norm of the beta-weighted control, segment by segment: with
     # s = t_stop - t, int e^{2 beta t} ||u||^2 dt is e^{2 beta t_stop} times
-    # the observation energy of eta under A - beta I over one segment.  The
-    # energy is a sum of squares; eta^T G_beta eta from the shifted Gramian
-    # cancels badly when |eta| is large.  Every segment integrates over
-    # the same nodes, so one table of (A - beta I)^T serves them all
-    shifted = LtiSystem(sys.a_matrix - beta * np.eye(sys.n), sys.b_matrix,
-                        label="beta-shifted")
-    table = ExpTable(shifted.a_matrix.T, shifted.is_diagonal)
+    # the observation energy of eta under A - beta I over one segment,
+    # ||R_beta eta||^2 with R_beta the factor of that pair's Gramian.  A
+    # norm of the factor does not cancel as eta^T G_beta eta does when
+    # |eta| is large.  Its node exponentials e^{(A - beta I) t} are
+    # e^{-beta t} times the e^{A t} that the forms' Gramian left in the
+    # table, so a shifted view of it computes no new expm
+    view = table.shifted(-beta)
+    shifted = LtiSystem(view.matrix, sys.b_matrix, label="beta-shifted")
+    r_beta = observability_gramian(shifted, t_seg, quad, table=view).factor
     weighted_l2 = math.sqrt(sum(
         math.exp(2.0 * beta * seg.t_stop)
-        * observation_energy(shifted, t_seg, seg.eta, quad, table=table)
-        for seg in segs))
+        * float(np.linalg.norm(r_beta @ seg.eta))**2 for seg in segs))
     bound = (fitted_gain * ny0 * math.exp(beta * t_seg)
              / (1.0 - math.exp(-beta * t_seg)))
     report = DecayReport(

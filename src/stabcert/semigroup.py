@@ -22,14 +22,19 @@ among the first level's starts, and Gramians of several horizons of one A
 (a `weakobs.sweep_alpha` call) share node times such as p/64 and equal
 Gauss offsets.  A table computes each miss as one slice of a batched
 `expm(M[None] * t)`, and `expm` treats every slice on its own, so a value
-read from a table is bit for bit the value a fresh call would give; a
-lookup is one fancy-index gather from the table's array of slices.  A
-table lives no longer than the call that builds it: one energy, one
-Gramian, one weakobs decision, one sweep, whose table of A also gives
-e^{A^T T} as the transpose of its e^{A T} and whose witness energies
-share a table of A^T, or one concatenated steering, whose segments'
-energies share a table of (A - beta I)^T.  Nothing is cached between
-calls.
+read from such a table is bit for bit the value a fresh call would give;
+a lookup is one fancy-index gather from the table's array of slices.  A
+view `table.shifted(s)` stands for M + sI and computes each of its misses
+as e^{st} times the table's slice, so no (M + sI) t reaches `expm`; its
+values are exact only in exact arithmetic, and carry the rounding of that
+product besides the slice's own.  A table lives no longer than the call
+that builds it: one energy, one Gramian, one weakobs decision, one sweep,
+whose table of A also gives e^{A^T T} as the transpose of its e^{A T} and
+whose witness energies share a table of A^T, or one concatenated
+steering, whose table of A serves the forms' Gramian and, through a view
+shifted by -beta, the Gramian of A - beta I that weights the segments'
+energies.  A steering that fails drops its table before the error leaves
+the call.  Nothing is cached between calls.
 
 A Gramian is its factor R, G = R^T R, accumulated as R <- qr([R; S^T])
 over the weighted node values S, so a direction v with v^T e^{At} B = 0
@@ -328,13 +333,14 @@ def _exp_stack(m, times, diagonal):
 
 
 class ExpTable:
-    """e^{M t} for one matrix M, each exact float t exponentiated once.
+    """e^{M t} for one matrix M, each exact float t computed once.
 
-    `stack(times)` computes the misses in one `_exp_stack` call and
-    returns every time's slice as one gather from an array of the values
-    so far, which doubles its capacity as it fills, so a value equals a
-    fresh `_exp_stack` at that t.  A table holds one n x n matrix per
-    distinct time it was asked for.
+    `stack(times)` computes the misses in one call and returns every
+    time's slice as one gather from an array of the values so far, which
+    doubles its capacity as it fills.  A table holds one n x n matrix per
+    distinct time it was asked for.  A table built here computes its
+    misses with one `_exp_stack`, so a value equals a fresh `_exp_stack`
+    at that t bit for bit.  A view from `shifted` does not meet that.
     """
 
     def __init__(self, m, diagonal=False):
@@ -342,12 +348,24 @@ class ExpTable:
         self.diagonal = diagonal
         self._slot = {}          # exact float time -> index into _values
         self._values = np.empty((0,) + np.shape(m))
+        self._fresh = lambda times: _exp_stack(m, times, diagonal)
+
+    def shifted(self, s):
+        """A table of M + sI whose misses are e^{st} times this table's
+        slices (computed here if this table misses them too), so no
+        (M + sI) t reaches `expm`.  Its values are e^{(M + sI) t} in
+        exact arithmetic, and within a few roundings of a fresh call."""
+        view = ExpTable(self.matrix + s * np.eye(len(self.matrix)),
+                        self.diagonal)
+        view._fresh = lambda times: (np.exp(s * times)[:, None, None]
+                                     * self.stack(times))
+        return view
 
     def stack(self, times):
         keys = np.asarray(times, dtype=float).tolist()
         miss = [t for t in dict.fromkeys(keys) if t not in self._slot]
         if miss:
-            new = _exp_stack(self.matrix, np.array(miss), self.diagonal)
+            new = self._fresh(np.array(miss))
             held = len(self._slot)
             if held + len(miss) > len(self._values):
                 grown = np.empty((max(2 * held, held + len(miss)),)
@@ -462,7 +480,8 @@ def observability_gramian(sys: LtiSystem, horizon: float,
     are compared on R^T R (R has a sign ambiguity), and their last
     difference is the error estimate.  `table`, an ExpTable of A, lets
     Gramians of one A share node exponentials; values do not depend on
-    it.  Afterwards it holds e^{A T}.
+    it, except that a shifted view gives them to its rounding.
+    Afterwards it holds e^{A T}.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")

@@ -1,4 +1,6 @@
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
@@ -401,9 +403,10 @@ def _tikhonov_root_mp(mpmath, gram, z, target):
 def test_weighted_l2_against_high_precision_oracle():
     # |eta| reaches about 1e11 on this ill-conditioned pair; the energy
     # eta^T G_beta eta through the shifted Gramian is off by about 1e-4
-    # relative here, while the observation energy stays a sum of squares.
-    # Likewise each segment's control norm ||R eta|| is a norm of the
-    # Gramian's factor, where sqrt(eta^T G eta) was off by about 4e-5.
+    # relative here, while ||R_beta eta||^2 through its factor stays a sum
+    # of squares.  Likewise each segment's control norm ||R eta|| is a
+    # norm of the Gramian's factor, where sqrt(eta^T G eta) was off by
+    # about 4e-5.
     # The first segment's eta is the Tikhonov root, which solves of
     # G + nu I (cond(G) about 1e12) missed by about 1e-5 relative
     mpmath = pytest.importorskip("mpmath")
@@ -442,23 +445,75 @@ def test_weighted_l2_against_high_precision_oracle():
     assert abs(rep.state_norms[1] - terminal1) <= 1e-12 * terminal1
 
 
+def _with_hidden_mode(rng, n, decay):
+    """Dense pair with one stable mode e^{decay t} that B cannot reach."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    block = np.zeros((n, n))
+    block[:-1, :-1] = rng.standard_normal((n - 1, n - 1)) / math.sqrt(n)
+    block[-1, -1] = decay
+    b = np.zeros((n, 2))
+    b[:-1] = rng.standard_normal((n - 1, 2))
+    return systems.build_system(q @ block @ q.T, q @ b)
+
+
 def test_regularized_segments_land_on_the_target():
+    # the hidden-mode pairs leave an unreachable component 0 < stuck <
+    # target in every segment, which the Tikhonov root's lower bound reads
     rng = np.random.default_rng(29)
-    landed = 0
-    for n in range(2, 11):
-        for eps in (0.5, 0.1, 1e-3, 1e-6):
+    landed = hidden = 0
+    cases = [(n, eps, False) for n in range(2, 11)
+             for eps in (0.5, 0.1, 1e-3, 1e-6)]
+    cases += [(n, eps, True) for n in range(3, 11) for eps in (0.5, 0.1)]
+    for n, eps, hide in cases:
+        if hide:
+            s = _with_hidden_mode(rng, n, -3.0)
+            forms = weakobs._dense_forms(s, 1.0, semigroup.DEFAULT_QUAD)
+            assert forms.sig[-1]**2 <= feedback._UNREACHABLE_RTOL * \
+                forms.sig[0]**2
+        else:
             s = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
                                      rng.standard_normal((n, 2)))
-            _, rep = feedback.concatenated_control(
-                s, 0.1, 1.0, eps, rng.standard_normal(n), 3)
-            for before, after, control in zip(rep.state_norms,
-                                              rep.state_norms[1:],
-                                              rep.control_norms):
-                if control > 0.0:
-                    target = eps * before
-                    assert target * (1.0 - 1e-12) <= after <= target
-                    landed += 1
-    assert landed >= 90
+        _, rep = feedback.concatenated_control(
+            s, 0.1, 1.0, eps, rng.standard_normal(n), 3)
+        for before, after, control in zip(rep.state_norms,
+                                          rep.state_norms[1:],
+                                          rep.control_norms):
+            if control > 0.0:
+                target = eps * before
+                assert target * (1.0 - 1e-12) <= after <= target
+                landed += 1
+                hidden += hide
+    assert landed >= 130 and hidden >= 45
+
+
+def _tikhonov_nu_by_bisection(c, s2, vt, target, lo, hi):
+    """Reference: the same nu by geometric bisection over [lo, hi]."""
+    nu = math.sqrt(lo) * math.sqrt(hi)
+    while lo < nu < hi:
+        if np.linalg.norm(vt.T @ (nu * c / (s2 + nu))) <= target:
+            lo = nu
+        else:
+            hi = nu
+        nu = math.sqrt(lo) * math.sqrt(hi)
+    return lo
+
+
+def test_tikhonov_nu_agrees_with_bisection():
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        vt, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s2 = np.sort(10.0 ** rng.uniform(-12, 2, n))[::-1]
+        c = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        target = rng.uniform(0.01, 0.99) * np.linalg.norm(c)
+        lo = target / np.linalg.norm(c / s2)
+        hi = s2[0] * target / (np.linalg.norm(c) - target)
+        nu = feedback._tikhonov_nu(c, s2, vt, target, lo, hi)
+        ref = _tikhonov_nu_by_bisection(c, s2, vt, target, lo, hi)
+        assert np.linalg.norm(vt.T @ (nu * c / (s2 + nu))) <= target
+        worst = max(worst, abs(nu - ref) / ref)
+    assert worst <= 1e-13
 
 
 def test_concatenated_control_exponentiates_a_t_seg_once(monkeypatch):
@@ -480,13 +535,20 @@ def test_concatenated_control_exponentiates_a_t_seg_once(monkeypatch):
     assert sum(hits) == 1
 
 
+def _multiple_of(x, m):
+    """Whether x = m t for some scalar t, to rounding."""
+    t = float(np.vdot(m, x) / np.vdot(m, m))
+    return np.allclose(x, m * t, rtol=1e-12, atol=0.0)
+
+
 def test_concatenated_control_exponentiates_each_slice_once(monkeypatch):
-    # the segments' weighted energies share one table of (A - beta I)^T;
-    # it and the Gramian's table of A meet only at t = 0
+    # the segments' weighted energies read a shifted view of the forms'
+    # table of A: no (A - beta I) t, or its transpose, reaches expm
     rng = np.random.default_rng(3)
-    n = 5
+    n, beta = 5, 0.5
     s = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
                              rng.standard_normal((n, 2)))
+    shifted = s.a_matrix - beta * np.eye(n)
     seen = []
 
     def spy(m, real=semigroup.expm):
@@ -494,11 +556,50 @@ def test_concatenated_control_exponentiates_each_slice_once(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(semigroup, "expm", spy)
-    _, rep = feedback.concatenated_control(s, 0.5, 0.7, math.exp(-1.0),
+    _, rep = feedback.concatenated_control(s, beta, 0.7, math.exp(-1.0),
                                            rng.standard_normal(n), 4)
     assert len(rep.control_norms) == 4 and rep.weighted_l2 > 0.0
     nonzero = [x for x in seen if np.frombuffer(x).any()]
     assert len(nonzero) == len(set(nonzero))
+    for x in nonzero:
+        x = np.frombuffer(x).reshape(n, n)
+        assert not _multiple_of(x, shifted)
+        assert not _multiple_of(x, shifted.T)
+        assert _multiple_of(x, s.a_matrix)
+
+
+def _tables_in_frames(tb):
+    """ExpTables reachable from the locals of a traceback's frames."""
+    skip = (type, types.ModuleType, types.FunctionType, types.FrameType,
+            types.TracebackType, types.BuiltinFunctionType)
+    todo = []
+    while tb is not None:
+        todo.extend(tb.tb_frame.f_locals.values())
+        tb = tb.tb_next
+    seen, found = set(), []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, semigroup.ExpTable):
+            found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_no_table_survives_a_steering_failure():
+    # a caller that keeps the exception keeps every frame of its traceback
+    rng = np.random.default_rng([11, 2])
+    n = 20
+    dense = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
+                                 rng.standard_normal((n, 2)))
+    pairs = [(systems.build_system([[0.0]], [[0.0]]), [1.0]),
+             (dense, rng.standard_normal(n))]
+    for s, y0 in pairs:
+        with pytest.raises(feedback.SteeringError) as kept:
+            feedback.concatenated_control(s, 1.0, 1.0, math.exp(-2.0), y0, 4)
+        assert _tables_in_frames(kept.value.__traceback__.tb_next) == []
 
 
 def test_concatenated_contraction_precondition():

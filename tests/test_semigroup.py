@@ -391,6 +391,60 @@ def test_exp_table_gathers_fresh_slices(diagonal):
             == semigroup._exp_stack(m, np.array([3.0]), diagonal).tobytes())
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shifted_view_matches_a_fresh_expm(seed, monkeypatch):
+    rng = np.random.default_rng([13, seed])
+    n = 3 + 2 * seed
+    m = rng.standard_normal((n, n)) / math.sqrt(n)
+    table = semigroup.ExpTable(m)
+    table.stack([0.5, 1.0])                 # hits and misses of the parent
+    for s in (-1.0, 0.3, -2.5):
+        view = table.shifted(s)
+        assert np.array_equal(view.matrix, m + s * np.eye(n))
+        times = np.array([0.0, 0.25, 0.5, 1.0, 1.7, 3.0])
+        got = view.stack(times)
+        assert np.array_equal(got, np.exp(s * times)[:, None, None]
+                              * table.stack(times))
+        # beyond t = 1.7 the two differ by expm's own error: at t = 3 on
+        # seed 0 the parent's expm(3 M) is 1.9e-13 off a 40-digit value
+        for slice_, t in zip(got[:-1], times[:-1]):
+            fresh = expm((m + s * np.eye(n)) * t)
+            assert (np.linalg.norm(slice_ - fresh)
+                    <= 1e-13 * np.linalg.norm(fresh))
+    # a fresh view of a filled parent computes no exponential at all
+    monkeypatch.setattr(semigroup, "expm", None)
+    table.shifted(-1.0).stack([0.5, 1.0, 1.7])
+
+
+def test_shifted_view_of_a_diagonal_table():
+    lam = np.array([-3.0, -0.5, 0.2, 1.0])
+    table = semigroup.ExpTable(np.diag(lam), diagonal=True)
+    view = table.shifted(-1.0)
+    assert view.diagonal
+    times = np.array([0.0, 0.5, 2.0])
+    want = semigroup._exp_stack(np.diag(lam - 1.0), times, True)
+    np.testing.assert_allclose(view.stack(times), want, rtol=1e-15, atol=0)
+    g = semigroup.observability_gramian(
+        systems.build_system(np.diag(lam - 1.0), np.ones((4, 1))), 1.0,
+        table=view)
+    alone = semigroup.observability_gramian(
+        systems.build_system(np.diag(lam - 1.0), np.ones((4, 1))), 1.0)
+    np.testing.assert_allclose(g.matrix, alone.matrix, rtol=1e-14, atol=0)
+
+
+def test_own_table_takes_a_shifted_view_for_the_shifted_system_only():
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((4, 4)) / 2.0
+    table = semigroup.ExpTable(a)
+    view = table.shifted(-1.0)
+    shifted = a - 1.0 * np.eye(4)
+    assert semigroup._own_table(view, shifted, False, "A") is view
+    with pytest.raises(ValueError, match="table"):
+        semigroup._own_table(view, a, False, "A")
+    with pytest.raises(ValueError, match="table"):
+        semigroup._own_table(table, shifted, False, "A")
+
+
 def test_gauss_legendre_rule_is_built_once_and_read_only():
     x, w = gauss_legendre_rule(8)
     again = gauss_legendre_rule(8)

@@ -14,9 +14,8 @@ from .systems import (ContinuedFractionPoint, LtiSystem, ProjectionFamily,
                       continued_fraction_point, fractional_heat,
                       hermite_heat, point_control_heat,
                       spectral_projection_family, system_from_spec, truncate)
-from .semigroup import (GramianResult, QuadratureSpec, dissipative_tail_check,
-                        observability_gramian, observation_energy, propagate,
-                        transition_matrix)
+from .semigroup import (GramianResult, QuadratureSpec, observability_gramian,
+                        observation_energy, propagate, transition_matrix)
 from .weakobs import (CERTIFIED, INCONCLUSIVE, REFUTED, CertificateFamily,
                       SequenceEntry, WeakObsCertificate, check_certificate,
                       discrete_sequence, optimal_d_bracket, sweep_alpha)
@@ -27,8 +26,7 @@ from .lrconstants import (IllConditionedGramError, ModeVanishesError,
                           constants_from_truncated_obs_unbounded,
                           estimate_spectral_constant, fattorini_distance,
                           fit_semigroup_bound, pick_family_entry,
-                          point_heat_truncated_obs_constant,
-                          verify_semigroup_bound)
+                          point_heat_truncated_obs_constant)
 from .feedback import (ControlSignal, DecayReport, FeedbackResult,
                        SteeringError, UnstabilizableError,
                        certificate_to_feedback, closed_loop_rate,
@@ -37,8 +35,8 @@ from .feedback import (ControlSignal, DecayReport, FeedbackResult,
 from .periodic import (PeriodicCertificate, PeriodicSystem,
                        build_multiplexed_system,
                        multiplexed_stabilizability_check,
-                       noncontrollability_witness, periodic_evolution,
-                       periodic_from_spec, periodic_observation_energy,
+                       noncontrollability_witness,
+                       periodic_observation_energy,
                        periodic_observation_energy_quadrature,
                        periodic_weakobs_check)
 

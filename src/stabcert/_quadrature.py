@@ -13,6 +13,9 @@ import functools
 
 import numpy as np
 
+# doublings `refine` tries before it gives up
+_MAX_DOUBLINGS = 10
+
 
 class QuadratureError(RuntimeError):
     """Raised when refinement cannot meet the requested tolerance."""
@@ -60,7 +63,7 @@ def pointwise_level(f, a, b, npts, vector=False):
 
 
 def integrate_adaptive(f, a, b, panels=32, npts=8, rel_tol=1e-10,
-                       abs_tol=0.0, max_doublings=10, vector=False):
+                       vector=False):
     """Integrate f on [a, b], doubling panels until the estimate settles.
 
     f maps a scalar t to a scalar (or to an ndarray when vector=True); the
@@ -72,12 +75,10 @@ def integrate_adaptive(f, a, b, panels=32, npts=8, rel_tol=1e-10,
         zero = f(a) * 0.0 if vector else 0.0
         return zero, 0.0
     return refine(pointwise_level(f, a, b, npts, vector), panels,
-                  rel_tol=rel_tol, abs_tol=abs_tol,
-                  max_doublings=max_doublings)
+                  rel_tol=rel_tol)
 
 
-def refine(level, panels, rel_tol=1e-10, abs_tol=0.0, max_doublings=10,
-           first=None):
+def refine(level, panels, rel_tol=1e-10, abs_tol=0.0, first=None):
     """The doubling rule: compare level(k) with level(2k) until they agree.
 
     level(k) is the composite rule with k panels, a scalar or an ndarray;
@@ -89,7 +90,7 @@ def refine(level, panels, rel_tol=1e-10, abs_tol=0.0, max_doublings=10,
     disagreement is meaningless.  Returns (value, error_estimate).
     """
     prev = level(panels) if first is None else first
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         panels *= 2
         cur = level(panels)
         err = np.linalg.norm(np.asarray(cur - prev))
@@ -99,4 +100,4 @@ def refine(level, panels, rel_tol=1e-10, abs_tol=0.0, max_doublings=10,
         prev = cur
     raise QuadratureError(
         f"quadrature failed to reach rel_tol={rel_tol} after "
-        f"{max_doublings} refinements (last estimate {err:.3e})")
+        f"{_MAX_DOUBLINGS} refinements (last estimate {err:.3e})")

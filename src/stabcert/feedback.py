@@ -21,14 +21,14 @@ come from a shifted view of the table the forms' Gramian filled.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
 
 from .semigroup import (DEFAULT_QUAD, ExpTable, QuadratureSpec, grid_peak,
-                        observability_gramian, transition_matrix)
+                        observability_gramian)
 from .systems import LtiSystem
 from .weakobs import CertificateFamily, _dense_forms
 
@@ -216,17 +216,6 @@ class ControlSignal:
     breakpoints: tuple
     segments: tuple
     l2_norm: float
-    sys: LtiSystem = field(repr=False, default=None)
-
-    def evaluate(self, t: float):
-        for seg in self.segments:
-            if seg.t_start <= t < seg.t_stop or (t == seg.t_stop
-                                                 and seg is self.segments[-1]):
-                back = seg.t_stop - t
-                return -(self.sys.b_matrix.T
-                         @ transition_matrix(self.sys, back, adjoint=True)
-                         @ seg.eta)
-        return np.zeros(self.sys.m)
 
 
 # directions with sigma^2 <= _UNREACHABLE_RTOL * sigma_1^2 are left alone by
@@ -356,7 +345,7 @@ def min_norm_eps_null(sys: LtiSystem, horizon: float, eps: float, y0,
     eta, _, l2 = _steer(forms, eps, np.asarray(y0, dtype=float))
     seg = SteeringSegment(0.0, horizon, eta)
     return ControlSignal(breakpoints=(0.0, horizon), segments=(seg,),
-                         l2_norm=l2, sys=sys)
+                         l2_norm=l2)
 
 
 @dataclass(frozen=True)
@@ -415,7 +404,7 @@ def concatenated_control(sys: LtiSystem, beta: float, t_seg: float,
     total_l2 = math.sqrt(sum(c**2 for c in control_norms))
     breakpoints = tuple(i * t_seg for i in range(segments + 1))
     signal = ControlSignal(breakpoints=breakpoints, segments=tuple(segs),
-                           l2_norm=total_l2, sys=sys)
+                           l2_norm=total_l2)
 
     ny0 = max(state_norms[0], 1e-300)
     contraction_ok = all(

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .semigroup import grid_peak, transition_norms
+from .semigroup import grid_peak
 from .systems import (LtiSystem, ProjectionFamily, SpectralSystem,
                       UnboundedConstantsSpec)
 
@@ -25,7 +25,6 @@ __all__ = [
     "IllConditionedGramError",
     "ModeVanishesError",
     "fit_semigroup_bound",
-    "verify_semigroup_bound",
     "constants_from_spectral_inequality",
     "constants_from_truncated_obs",
     "constants_from_truncated_obs_unbounded",
@@ -93,16 +92,6 @@ def fit_semigroup_bound(sys: LtiSystem) -> SemigroupBound:
     delta0 = max(0.0, abscissa) + FIT_SLACK
     m_big = max(1.0, grid_peak(sys, FIT_T_MAX, FIT_GRID, -delta0))
     return SemigroupBound(m_big=m_big * (1.0 + 1e-12), delta0=delta0)
-
-
-def verify_semigroup_bound(sys: LtiSystem, bound: SemigroupBound,
-                           t_grid) -> float:
-    """Worst ratio ||e^{A t}|| / (M e^{delta0 t}) over the grid (<= 1 ok)."""
-    ts = np.asarray(list(t_grid), dtype=float)
-    worst = 0.0
-    for t, norm in zip(ts, transition_norms(sys, ts)):
-        worst = max(worst, norm / (bound.m_big * math.exp(bound.delta0 * t)))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,11 @@ __all__ = [
     "PeriodicSystem",
     "PeriodicCertificate",
     "build_multiplexed_system",
-    "periodic_evolution",
     "periodic_observation_energy",
     "periodic_observation_energy_quadrature",
     "noncontrollability_witness",
     "multiplexed_stabilizability_check",
     "periodic_weakobs_check",
-    "periodic_from_spec",
 ]
 
 @dataclass(frozen=True)
@@ -105,19 +103,6 @@ def build_multiplexed_system(n: int, series_terms: int = 12
         series_terms=series_terms,
         tail_bound=math.exp(-float(series_terms + 1) ** 2),
     )
-
-
-def periodic_evolution(sys: PeriodicSystem, t: float, s: float) -> np.ndarray:
-    """Evolution matrix Phi(t, s) for 0 <= s <= t.
-
-    The generator is time-invariant here, so Phi(t, s) = diag(e^{lam (t-s)})
-    and periodicity Phi(t+1, s+1) = Phi(t, s) holds identically.
-    """
-    if s > t:
-        raise ValueError("need s <= t")
-    if s < 0:
-        raise ValueError("times must be nonnegative")
-    return np.diag(np.exp(sys.a_diag * (t - s)))
 
 
 def _mode_energy(lam: float, window, m: int) -> float:
@@ -286,11 +271,3 @@ def multiplexed_stabilizability_check(sys: PeriodicSystem, k: int,
     cert = periodic_weakobs_check(sys, k, 1, c_k, samples=samples, seed=seed)
     key = tuple(math.exp(float(k**2 - nn**2)) for nn in range(1, k + 1))
     return replace(cert, key_fact=key)
-
-
-def periodic_from_spec(spec: dict) -> PeriodicSystem:
-    """Build the periodic benchmark from the JSON system-spec schema."""
-    if spec.get("kind") != "periodic_l2":
-        raise ValueError(f"unknown periodic kind {spec.get('kind')!r}")
-    return build_multiplexed_system(int(spec["modes"]),
-                                    int(spec.get("series_terms", 12)))

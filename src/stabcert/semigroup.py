@@ -58,10 +58,7 @@ exact e^{lambda_max t}.  If that SVD fails, or a norm is not finite (an
 entry overflowed to inf without any nan), `grid_norms` and `grid_peak`
 raise a fresh `LinAlgError` once the stack is dropped, as the one numpy
 raises keeps the SVD's frame, and with it the stack, alive in any caller
-that keeps the exception.  Arbitrary time lists (bound checks, the
-Gramian's floor probe) go through `transition_norms`, one batched `expm`
-and one batched SVD per few times, equal to the per-time loop, which
-raises on a non-finite norm too.
+that keeps the exception.
 
 Envelope fits and closed-loop overshoots need only the peak
 max_k ||e^{A t_k}||_2 e^{r t_k}, which `grid_peak` returns as the same
@@ -97,22 +94,19 @@ from scipy.linalg import expm
 
 from ._quadrature import (QuadratureError, gauss_legendre_rule,
                           panel_nodes, refine)
-from .systems import LtiSystem, ProjectionFamily, SpectralSystem
+from .systems import LtiSystem
 
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "GramianResult",
     "ExpTable",
-    "TailCheckReport",
     "propagate",
     "transition_matrix",
-    "transition_norms",
     "grid_norms",
     "grid_peak",
     "observation_energy",
     "observability_gramian",
-    "dissipative_tail_check",
 ]
 
 
@@ -135,9 +129,7 @@ DEFAULT_QUAD = QuadratureSpec()
 
 # panels per batched expm call; bounds the exponentials held at once
 _CHUNK = 64
-# grid times per batched expm and SVD in `transition_norms`.  Small on
-# purpose: a caller that keeps a raised exception keeps its traceback's
-# frames, and with them the last chunk's stack, until a full collection
+# the largest batch of slices `_pruned_peak` takes one SVD of
 _NORM_CHUNK = 8
 # slices per bound evaluation in `grid_peak`: bounds the temporaries
 _BOUND_CHUNK = 16
@@ -184,26 +176,6 @@ def transition_matrix(sys: LtiSystem, t: float, adjoint: bool = False):
     else:
         mat = expm(a * t)
     return mat.T if adjoint else mat
-
-
-def transition_norms(sys: LtiSystem, times) -> np.ndarray:
-    """||e^{A t}||_2 at every time of a grid.
-
-    Equal to `np.linalg.norm(transition_matrix(sys, t), 2)` time by time:
-    each chunk of at most _NORM_CHUNK times is one batched `expm` (or the
-    same diagonal stack) and one batched spectral norm.  A failing SVD
-    raises `LinAlgError` as the per-time loop does, and so does a norm
-    that is not finite.
-    """
-    times = np.asarray(times, dtype=float)
-    if (times < 0).any():
-        raise ValueError("propagation time must be nonnegative")
-    norms = np.empty(times.size)
-    for first in range(0, times.size, _NORM_CHUNK):
-        t = times[first:first + _NORM_CHUNK]
-        stack = _exp_stack(sys.a_matrix, t, sys.is_diagonal)
-        norms[first:first + t.size] = _spectral_norms(stack)
-    return norms
 
 
 def grid_norms(sys: LtiSystem, horizon: float, grid: int) -> np.ndarray:
@@ -502,62 +474,10 @@ def observability_gramian(sys: LtiSystem, horizon: float,
 
     _, err = refine(level, quad.panels, rel_tol=quad.rel_tol)
     # the QR's rounding: n u ||B|| a_T sqrt(T), a_T = max ||e^{At}|| on
-    # [0, T], probed where `transition_norms` would; the probe times but T
-    # are panel starts of the first level
+    # [0, T], probed at nine equispaced times; all but T are panel starts
+    # of the first level
     probe = table.stack(np.linspace(0.0, horizon, 9))
     a_t = np.linalg.norm(probe, 2, axis=(1, 2)).max()
     floor = n * np.finfo(float).eps * np.linalg.norm(b, 2) * a_t
     return GramianResult(factor, horizon, float(err),
                          float(floor * np.sqrt(horizon)))
-
-
-@dataclass(frozen=True)
-class TailCheckReport:
-    worst_ratio: float
-    per_k: dict
-    violations: tuple
-
-    @property
-    def passed(self):
-        return len(self.violations) == 0
-
-
-def dissipative_tail_check(spec: SpectralSystem, fam: ProjectionFamily,
-                           t_grid, samples: int = 100,
-                           seed: int = 0) -> TailCheckReport:
-    """Verify the tail decay bound on random states over a time grid.
-
-    For each projection entry the check evaluates
-    ||(I-P_k) e^{A^* t} phi|| / (M_k e^{-alpha_k t} ||phi||) on `samples`
-    random unit states and every grid time; violations are reported in the
-    result, never raised.
-    """
-    rng = np.random.default_rng(seed)
-    lam = spec.eigenvalues
-    n = lam.shape[0]
-    t_grid = np.asarray(list(t_grid), dtype=float)
-    worst = 0.0
-    per_k = {}
-    violations = []
-    for k in fam.ks:
-        m, m_k, alpha_k = fam.entry(k)
-        ratios = []
-        for _ in range(samples):
-            phi = rng.standard_normal(n)
-            phi /= np.linalg.norm(phi)
-            for t in t_grid:
-                tail = np.exp(lam[m:] * t) * phi[m:]
-                lhs = np.linalg.norm(tail)
-                bound = (m_k * np.exp(-alpha_k * t)
-                         if np.isfinite(alpha_k) else 0.0)
-                if bound == 0.0:
-                    ratio = 0.0 if lhs == 0.0 else np.inf
-                else:
-                    ratio = lhs / bound
-                ratios.append(ratio)
-                if ratio > 1.0 + 1e-12:
-                    violations.append((k, float(t), float(ratio)))
-        per_k[k] = max(ratios)
-        worst = max(worst, per_k[k])
-    return TailCheckReport(worst_ratio=float(worst), per_k=per_k,
-                           violations=tuple(violations))

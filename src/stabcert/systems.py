@@ -448,8 +448,8 @@ def system_from_spec(spec: dict):
 
     Supported kinds: "matrix", "point_heat", "hermite", "fractional"; any
     other kind raises ValueError.  The periodic benchmark ("periodic_l2")
-    is not one of them: `periodic.periodic_from_spec` builds it, and the
-    CLI runs it only through `periodic` and `example periodic-l2`.
+    is not one of them: the CLI runs it only through `periodic` and
+    `example periodic-l2`.
     """
     kind = spec.get("kind")
     if kind == "matrix":

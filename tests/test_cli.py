@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -496,3 +497,15 @@ def test_verify_all_plumbing(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(verification, "ALL_CRITERIA", fake[:1])
     assert run_cli(["verify-all", "--out", str(out)]) == 0
+
+    # a criterion's wall-clock time is printed, never written: a slower
+    # run of the same criteria writes the same bytes
+    naps = iter((0.0, 0.05))
+    monkeypatch.setattr(verification, "ALL_CRITERIA", (
+        ("naps", 5.0, lambda seed: time.sleep(next(naps)) or "rested"),))
+    written = []
+    for run in ("fast", "slow"):
+        assert run_cli(["verify-all", "--out", str(tmp_path / run)]) == 0
+        written.append((tmp_path / run / "report.json").read_bytes())
+    assert written[0] == written[1]
+    assert "s / budget 5s): rested" in capsys.readouterr().out

@@ -14,9 +14,21 @@ from stabcert.semigroup import observability_gramian
 SCALAR_01 = systems.build_system([[0.0]], [[1.0]])
 
 
+def _control_at(sys, signal, t):
+    """u(t) = -B^T e^{A^T (t_stop - t)} eta on the segment holding t; the
+    last segment holds its stop time, and u = 0 outside the signal."""
+    for seg in signal.segments:
+        if seg.t_start <= t < seg.t_stop or (t == seg.t_stop
+                                             and seg is signal.segments[-1]):
+            back = semigroup.transition_matrix(sys, seg.t_stop - t,
+                                               adjoint=True)
+            return -(sys.b_matrix.T @ back @ seg.eta)
+    return np.zeros(sys.m)
+
+
 def simulate_terminal(sys, signal, y0, horizon):
     def rhs(t, y):
-        return sys.a_matrix @ y + sys.b_matrix @ signal.evaluate(t)
+        return sys.a_matrix @ y + sys.b_matrix @ _control_at(sys, signal, t)
 
     sol = solve_ivp(rhs, [0.0, horizon], np.asarray(y0, dtype=float),
                     rtol=1e-11, atol=1e-13)
@@ -218,7 +230,8 @@ def test_closed_loop_rate_validates_its_grid():
 
 def test_exact_null_scalar():
     sig = feedback.min_norm_eps_null(SCALAR_01, 1.0, 0.0, [1.0])
-    assert sig.evaluate(0.3)[0] == pytest.approx(-1.0, abs=1e-12)
+    assert _control_at(SCALAR_01, sig, 0.3)[0] == pytest.approx(-1.0,
+                                                                abs=1e-12)
     assert sig.l2_norm == pytest.approx(1.0, abs=1e-12)
     terminal = simulate_terminal(SCALAR_01, sig, [1.0], 1.0)
     assert abs(terminal[0]) <= 1e-9
@@ -228,7 +241,7 @@ def test_free_dynamics_suffice():
     s = systems.build_system([[-1.0]], [[1.0]])
     sig = feedback.min_norm_eps_null(s, 1.0, 0.9, [1.0])
     assert sig.l2_norm == 0.0
-    assert np.all(sig.evaluate(0.5) == 0.0)
+    assert np.all(_control_at(s, sig, 0.5) == 0.0)
 
 
 def test_two_mode_exact_null_simulated():
@@ -288,12 +301,12 @@ def test_steering_errors():
         feedback.min_norm_eps_null(s0, 1.0, 0.5, [1.0])     # unreachable ball
 
 
-def _l2_norm_by_quadrature(signal):
+def _l2_norm_by_quadrature(sys, signal):
     """The control's L2 norm integrated node by node, segment by segment."""
     total = 0.0
     for seg in signal.segments:
         val, _ = integrate_adaptive(
-            lambda t: float(np.sum(signal.evaluate(t) ** 2)),
+            lambda t: float(np.sum(_control_at(sys, signal, t) ** 2)),
             seg.t_start, seg.t_stop, panels=16, npts=8, rel_tol=1e-10)
         total += val
     return math.sqrt(total)
@@ -302,8 +315,8 @@ def _l2_norm_by_quadrature(signal):
 def test_l2_norm_consistent_with_quadrature():
     s = systems.build_system(np.diag([0.1, -1.5]), np.array([[1.0], [0.5]]))
     sig = feedback.min_norm_eps_null(s, 1.2, 0.1, [1.0, 1.0])
-    assert _l2_norm_by_quadrature(sig) == pytest.approx(sig.l2_norm,
-                                                        rel=1e-9)
+    assert _l2_norm_by_quadrature(s, sig) == pytest.approx(sig.l2_norm,
+                                                           rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +345,12 @@ def test_concatenated_free_decay_needs_no_control():
     assert rep.state_norms[-1] == pytest.approx(math.exp(-12.0), rel=1e-12)
 
 
-def _weighted_l2_per_node(signal, beta):
+def _weighted_l2_per_node(sys, signal, beta):
     """The beta-weighted control norm integrated node by node."""
     total = 0.0
     for seg in signal.segments:
         def integrand(t, seg=seg):
-            u = signal.evaluate(t)
+            u = _control_at(sys, signal, t)
             return math.exp(2.0 * beta * t) * float(np.sum(u**2))
         val, _ = integrate_adaptive(integrand, seg.t_start, seg.t_stop,
                                     panels=8, npts=8, rel_tol=1e-9)
@@ -351,7 +364,7 @@ def test_weighted_l2_matches_per_node_reference():
                              rng.standard_normal((5, 2)))
     sig, rep = feedback.concatenated_control(s, 1.0, 1.0, math.exp(-2.0),
                                              rng.standard_normal(5), 4)
-    ref = _weighted_l2_per_node(sig, 1.0)
+    ref = _weighted_l2_per_node(s, sig, 1.0)
     assert abs(rep.weighted_l2 - ref) <= 1e-10 * ref
 
 

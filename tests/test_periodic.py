@@ -32,6 +32,10 @@ def test_tau_values(bench10):
     assert all(t > 0 for t in taus)
 
 
+def test_decay_rates_are_one_to_n(bench10):
+    assert np.array_equal(bench10.a_diag, -np.arange(1.0, 11.0))
+
+
 def test_windows_cover_heads_of_period(bench10):
     for n, (lo, hi) in enumerate(bench10.windows, start=1):
         assert lo == bench10.switch_times[n]
@@ -50,44 +54,6 @@ def test_periodic_system_validation():
     with pytest.raises(ValueError):
         PeriodicSystem(period=1.0, a_diag=np.array([-1.0]),
                        windows=((0.0, 1.0),), switch_times=(0.9, 0.5))
-
-
-# ---------------------------------------------------------------------------
-# evolution
-# ---------------------------------------------------------------------------
-
-def test_evolution_one_period(bench10):
-    phi = periodic.periodic_evolution(bench10, 1.0, 0.0)
-    assert np.allclose(np.diag(phi), np.exp(-np.arange(1.0, 11.0)),
-                       rtol=1e-15)
-
-
-def test_evolution_identity_and_composition(bench10):
-    assert np.array_equal(periodic.periodic_evolution(bench10, 0.7, 0.7),
-                          np.eye(10))
-    p20 = periodic.periodic_evolution(bench10, 2.0, 0.0)
-    p10 = periodic.periodic_evolution(bench10, 1.0, 0.0)
-    assert np.allclose(p20, p10 @ p10, rtol=1e-13)
-    r, s, t = 0.2, 0.9, 1.7
-    full = periodic.periodic_evolution(bench10, t, r)
-    split = (periodic.periodic_evolution(bench10, t, s)
-             @ periodic.periodic_evolution(bench10, s, r))
-    assert np.max(np.abs(full - split)) <= 1e-12 * np.abs(full).max()
-
-
-def test_evolution_periodicity_exact(bench10):
-    # dyadic times keep the elapsed-time subtraction exact in floats
-    a = periodic.periodic_evolution(bench10, 1.5, 0.25)
-    b = periodic.periodic_evolution(bench10, 2.5, 1.25)
-    assert np.array_equal(a, b)
-    c = periodic.periodic_evolution(bench10, 1.3, 0.4)
-    d = periodic.periodic_evolution(bench10, 2.3, 1.4)
-    assert np.allclose(c, d, rtol=1e-14)
-
-
-def test_evolution_rejects_reversed_times(bench10):
-    with pytest.raises(ValueError):
-        periodic.periodic_evolution(bench10, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +200,3 @@ def test_benchmark_delegates_to_generic(bench10):
     assert direct.status == wrapped.status
     assert direct.margin == wrapped.margin
     assert direct.per_mode_margins == wrapped.per_mode_margins
-
-
-def test_spec_loader():
-    sys_p = periodic.periodic_from_spec({"kind": "periodic_l2", "modes": 4})
-    assert sys_p.n == 4
-    with pytest.raises(ValueError):
-        periodic.periodic_from_spec({"kind": "matrix"})

@@ -32,8 +32,7 @@ from .feedback import (ControlSignal, DecayReport, FeedbackResult,
                        certificate_to_feedback, closed_loop_rate,
                        concatenated_control, min_norm_eps_null,
                        solve_shifted_riccati)
-from .periodic import (PeriodicCertificate, PeriodicSystem,
-                       build_multiplexed_system,
+from .periodic import (PeriodicSystem, build_multiplexed_system,
                        multiplexed_stabilizability_check,
                        noncontrollability_witness,
                        periodic_observation_energy,

@@ -9,9 +9,11 @@ Each `example` takes only the flags it reads.
 
 Reports are deterministic machine-readable JSON (sorted keys, no
 timestamps: a fixed seed reproduces byte-identical output) plus plot-ready
-CSV files with 17-significant-digit floats.  Exit codes follow the
-certificate verdict: 0 certified, 1 refuted, 2 inconclusive, 3 on IO or
-parse failures, including command-line usage errors.
+CSV files with 17-significant-digit floats.  A report's `verdict` sets
+the exit code through one table, `_STATUS_EXIT`: 0 certified or
+synthesized, 1 refuted or unstabilizable, 2 inconclusive or
+missed-target.  IO or parse failures, command-line usage errors and
+numerical breakdowns (`ArithmeticError`) exit 3.
 """
 
 import argparse
@@ -37,10 +39,14 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
+# every report `verdict` -> its exit code
 _STATUS_EXIT = {
     weakobs.CERTIFIED: EXIT_CERTIFIED,
     weakobs.REFUTED: EXIT_REFUTED,
     weakobs.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    "synthesized": EXIT_CERTIFIED,
+    "unstabilizable": EXIT_REFUTED,
+    "missed-target": EXIT_INCONCLUSIVE,
 }
 
 # random states searched by a weakobs sweep and by the periodic check
@@ -244,6 +250,7 @@ def _cmd_periodic(args, samples=PERIODIC_SAMPLES) -> int:
         "seed": args.seed,
     }
     if args.refute_null_controllability:
+        # refuting null controllability succeeded: the verdict is refuted
         n, lhs, rhs = per.noncontrollability_witness(sys_p, args.m, args.C)
         payload.update({
             "claim": "null-controllability-refutation",
@@ -252,23 +259,19 @@ def _cmd_periodic(args, samples=PERIODIC_SAMPLES) -> int:
                         "scaled_energy": rhs},
             "verdict": weakobs.REFUTED,
         })
-        _write_json(out / "report.json", payload)
-        return EXIT_REFUTED        # refuting null controllability succeeded
-
-    k_grid = [int(v) for v in args.k_grid.split(",")]
-    certs = [per.multiplexed_stabilizability_check(sys_p, k, samples=samples,
-                                                   seed=args.seed)
-             for k in k_grid]
-    payload["certificates"] = [{
-        "k": c.k, "n_k": c.n_k, "C": c.c_k, "status": c.status,
-        "margin": c.margin,
-    } for c in certs]
-    statuses = [c.status for c in certs]
-    verdict = weakobs.family_verdict(
-        all(s == weakobs.CERTIFIED for s in statuses), statuses)
-    payload["verdict"] = verdict
+    else:
+        # each certificate is over the benchmark's one period, n_k = 1
+        k_grid = [int(v) for v in args.k_grid.split(",")]
+        certs = [per.multiplexed_stabilizability_check(
+            sys_p, k, samples=samples, seed=args.seed) for k in k_grid]
+        payload["certificates"] = [{
+            "k": k, "n_k": 1, "C": c.d_const, "status": c.status,
+            "margin": c.margin,
+        } for k, c in zip(k_grid, certs)]
+        payload["verdict"] = weakobs.family_verdict(
+            [c.status for c in certs])
     _write_json(out / "report.json", payload)
-    return _STATUS_EXIT[verdict]
+    return _STATUS_EXIT[payload["verdict"]]
 
 
 def _cmd_example(args) -> int:
@@ -316,38 +319,36 @@ def _cmd_example(args) -> int:
 
 def _stabilize_system(args, lti, extra, mu, horizon, grid):
     out = Path(args.out)
-    head = {"schema_version": SCHEMA_VERSION, "claim": "rapid-decay-feedback",
-            "system": lti.label, "mu": mu}
+    report = {"schema_version": SCHEMA_VERSION,
+              "claim": "rapid-decay-feedback", "system": lti.label, "mu": mu}
     try:
         result = fb.solve_shifted_riccati(lti, mu, rate_horizon=horizon,
                                           rate_grid=grid)
     except fb.UnstabilizableError as exc:
-        _write_json(out / "report.json", {
-            **head, "verdict": "unstabilizable",
-            "offending_eigenvalue": [exc.eigenvalue.real,
-                                     exc.eigenvalue.imag], **extra})
-        return EXIT_REFUTED
+        report.update({"verdict": "unstabilizable",
+                       "offending_eigenvalue": [exc.eigenvalue.real,
+                                                exc.eigenvalue.imag]})
     except RuntimeError as exc:
         if not hasattr(exc, "measured_rate"):
             raise
-        _write_json(out / "report.json", {
-            **head, "verdict": "missed-target",
-            "measured_rate": exc.measured_rate, **extra})
-        return EXIT_INCONCLUSIVE
-    a_cl = lti.a_matrix + lti.b_matrix @ result.gain_k
-    closed = LtiSystem(a_cl, lti.b_matrix, label="closed-loop")
-    decay = zip(np.linspace(0.0, horizon, grid),
-                grid_norms(closed, horizon, grid))
-    _write_csv(out / "gain.csv",
-               [f"k{j}" for j in range(result.gain_k.shape[1])],
-               result.gain_k.tolist())
-    _write_csv(out / "decay" / "decay.csv", ["t", "norm"], decay)
-    _write_json(out / "report.json", {
-        **head, "verdict": "synthesized",
-        "measured_rate": result.measured_rate,
-        "measured_overshoot": result.measured_overshoot,
-        "riccati_residual": result.residual, **extra})
-    return EXIT_CERTIFIED
+        report.update({"verdict": "missed-target",
+                       "measured_rate": exc.measured_rate})
+    else:
+        a_cl = lti.a_matrix + lti.b_matrix @ result.gain_k
+        closed = LtiSystem(a_cl, lti.b_matrix, label="closed-loop")
+        decay = zip(np.linspace(0.0, horizon, grid),
+                    grid_norms(closed, horizon, grid))
+        _write_csv(out / "gain.csv",
+                   [f"k{j}" for j in range(result.gain_k.shape[1])],
+                   result.gain_k.tolist())
+        _write_csv(out / "decay" / "decay.csv", ["t", "norm"], decay)
+        report.update({"verdict": "synthesized",
+                       "measured_rate": result.measured_rate,
+                       "measured_overshoot": result.measured_overshoot,
+                       "riccati_residual": result.residual})
+    report.update(extra)
+    _write_json(out / "report.json", report)
+    return _STATUS_EXIT[report["verdict"]]
 
 
 def _cmd_verify_all(args) -> int:
@@ -523,7 +524,8 @@ def _build_parser(command=None):
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; IO/parse failures and usage errors exit 3."""
+    """Run one subcommand; IO/parse failures, usage errors and numerical
+    breakdowns exit 3."""
     argv = _sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
@@ -533,7 +535,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command][0](args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            TypeError) as exc:
+            TypeError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return EXIT_ERROR
 

@@ -7,28 +7,27 @@ e^{-n^2}.  Because every channel is scalar and disjoint, observation
 energies have exact per-mode closed forms, which the generic certificate
 checker cross-validates by panel quadrature split at the switch times.
 
-Only what is periodic lives here: the per-mode energies g and the decayed
-norms w = e^{2 lambda T}, the candidates, per-mode margins and quadrature
-confirmation.  Ratio, margin, threshold and verdict come from the decision
-core in `stabcert.weakobs`, on the forms diag(sqrt(g)) and diag(sqrt(w)).
+A periodic certificate is a `WeakObsCertificate`: the claim
+||Phi(n_k,0)^* psi|| <= c_k ||obs|| + e^{-k n_k} ||psi|| is the one with
+horizon n_k periods, alpha = k, D = c_k and C = 1.  Only what is periodic
+lives here: the per-mode energies g and the decayed norms
+w = e^{2 lambda T}, the candidates and quadrature confirmation.  Ratio,
+margin, threshold and verdict come from the decision core in
+`stabcert.weakobs`, on the forms diag(sqrt(g)) and diag(sqrt(w)).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._quadrature import integrate_adaptive
-from .weakobs import (CERTIFIED, INCONCLUSIVE, REFUTED, Forms, Scores,
-                      _reduce, best_state, decide)
+from .weakobs import (Forms, Scores, WeakObsCertificate, _reduce,
+                      best_state, decide)
 
 __all__ = [
-    "CERTIFIED",
-    "REFUTED",
-    "INCONCLUSIVE",
     "PeriodicSystem",
-    "PeriodicCertificate",
     "build_multiplexed_system",
     "periodic_observation_energy",
     "periodic_observation_energy_quadrature",
@@ -212,26 +211,12 @@ def noncontrollability_witness(sys: PeriodicSystem, m: int, big_c: float):
     return n, lhs, rhs
 
 
-@dataclass(frozen=True)
-class PeriodicCertificate:
-    """Weak-observability verdict for a periodic system."""
-
-    k: int
-    n_k: int
-    c_k: float
-    margin: Optional[float] = None
-    sample_margin: Optional[float] = None
-    status: str = "unchecked"
-    witness: Optional[np.ndarray] = None
-    per_mode_margins: Optional[tuple] = None
-    key_fact: Optional[tuple] = None   # e^{k^2} a_n for n = 1..k
-
-
 def periodic_weakobs_check(sys: PeriodicSystem, k: int, n_k: int,
                            c_k: float, samples: int = 100,
-                           seed: int = 0) -> PeriodicCertificate:
+                           seed: int = 0) -> WeakObsCertificate:
     """Decide ||Phi(n_k,0)^* psi|| <= c_k ||obs|| + e^{-k n_k} ||psi||.
 
+    That is the certificate (T, alpha, D, C) = (n_k period, k, c_k, 1).
     Everything is diagonal, so the sufficient quadratic test reduces to
     per-mode margins c_k^2 g_n + eps^2 - w_n >= 0; the unit vectors and
     `samples` Gaussian states are searched for a violation, which must be
@@ -239,35 +224,29 @@ def periodic_weakobs_check(sys: PeriodicSystem, k: int, n_k: int,
     """
     if k < 1 or n_k < 1:
         raise ValueError("k and n_k must be positive integers")
-    if c_k < 0:
-        raise ValueError("c_k must be nonnegative")
     rng = np.random.default_rng(seed)
-    horizon = n_k * sys.period
-    eps = math.exp(-k * horizon)
+    cert = WeakObsCertificate(horizon=n_k * sys.period, alpha=k,
+                              d_const=c_k, c_const=1.0)
+    eps = cert.residual
     g = np.array([_mode_energy(sys.a_diag[i], sys.windows[i], n_k)
                   for i in range(sys.n)])
-    w = np.exp(2.0 * sys.a_diag * horizon)
+    w = np.exp(2.0 * sys.a_diag * cert.horizon)
     forms = Forms.of(np.diag(np.sqrt(g)), np.diag(np.sqrt(w)))
     cands = np.vstack([np.eye(sys.n), rng.standard_normal((samples, sys.n))])
-    decision = decide(
-        forms, c_k, eps, best_state(Scores.of(forms, cands), eps),
+    return decide(
+        forms, cert, best_state(Scores.of(forms, cands), eps),
         _reduce(forms, eps),
         lambda psi: periodic_observation_energy_quadrature(sys, n_k, psi))
-    return PeriodicCertificate(k=k, n_k=n_k, c_k=c_k, **decision._asdict(),
-                               per_mode_margins=tuple(c_k**2 * g + eps**2 - w))
 
 
 def multiplexed_stabilizability_check(sys: PeriodicSystem, k: int,
                                       samples: int = 100,
-                                      seed: int = 0) -> PeriodicCertificate:
-    """Benchmark certificate with c_k = sqrt(alpha) e^{k^2/2} over one period.
-
-    Also reports the per-mode key quantities e^{k^2} a_n (>= 1 for n <= k),
-    which are what make the first k channels carry the decayed modes.
-    """
+                                      seed: int = 0) -> WeakObsCertificate:
+    """Benchmark certificate with c_k = sqrt(alpha) e^{k^2/2} over one
+    period: e^{k^2} a_n >= 1 for n <= k, so the first k channels carry
+    the decayed modes."""
     if sys.alpha_series is None:
         raise ValueError("requires the multiplexed benchmark construction")
-    c_k = math.sqrt(sys.alpha_series) * math.exp(k**2 / 2.0)
-    cert = periodic_weakobs_check(sys, k, 1, c_k, samples=samples, seed=seed)
-    key = tuple(math.exp(float(k**2 - nn**2)) for nn in range(1, k + 1))
-    return replace(cert, key_fact=key)
+    return periodic_weakobs_check(
+        sys, k, 1, math.sqrt(sys.alpha_series) * math.exp(k**2 / 2.0),
+        samples=samples, seed=seed)

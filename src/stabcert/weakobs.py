@@ -29,6 +29,8 @@ Between the two the verdict is "inconclusive", never guessed.
 Every verdict in the package, `stabcert.periodic` included, goes through
 the one decision core here (`Forms`, `Scores`, `best_state`, `decide`);
 `check_certificate` and `optimal_d_bracket` are thin wrappers over it.
+A verdict has one record: `decide` reads D and eps from a
+`WeakObsCertificate` and returns it with its status, margins and witness.
 
 The search computes each quantity once, at the scope it depends on:
 
@@ -127,8 +129,7 @@ class CertificateFamily:
 
     @property
     def verdict(self):
-        return family_verdict(self.all_certified,
-                              [c.status for c in self.certificates])
+        return family_verdict([c.status for c in self.certificates])
 
     def sequence_entry(self, k: int):
         """The certified entry at alpha = k+1 with the smallest grid horizon
@@ -171,13 +172,6 @@ class Forms(NamedTuple):
         _, sig, vt = np.linalg.svd(factor)
         fv = adj @ vt.T
         return cls(factor, adj, floor, sig, vt, fv.T @ fv)
-
-
-class Decision(NamedTuple):
-    status: str
-    margin: float                   # D^2 - D_min^2, or lambda_min(N)
-    sample_margin: float            # D - best sampled violation ratio
-    witness: Optional[np.ndarray]   # the confirmed violating state
 
 
 # residual-covered directions join the null block once their scaled
@@ -254,10 +248,10 @@ def best_state(scores: Scores, eps: float):
     return scores.states[best], float(ratio[best])
 
 
-def decide(forms: Forms, d_const: float, eps: float, search,
-           reduced: tuple,
-           energy: Callable[[np.ndarray], float]) -> Decision:
-    """Verdict on ||e^{A^T T} phi|| <= D ||R phi|| + eps ||phi||.
+def decide(forms: Forms, cert: WeakObsCertificate, search, reduced: tuple,
+           energy: Callable[[np.ndarray], float]) -> WeakObsCertificate:
+    """`cert` with its verdict on ||e^{A^T T} phi|| <= D ||R phi|| + eps
+    ||phi||, D = cert.d_const and eps = cert.residual.
 
     `search` is the (state, ratio) found on these forms and eps, and
     `reduced` is `_reduce(forms, eps)`; neither depends on D.  Refuted
@@ -266,6 +260,7 @@ def decide(forms: Forms, d_const: float, eps: float, search,
     certified iff the margin, D^2 - top (or lambda_min(N) when N alone
     decides), is >= 0: it has the sign of lambda_min(D^2 G + eps^2 I - W).
     """
+    d_const, eps = cert.d_const, cert.residual
     top, null_min = reduced
     margin = null_min if math.isinf(top) else d_const**2 - top
     phi, best = search
@@ -275,14 +270,16 @@ def decide(forms: Forms, d_const: float, eps: float, search,
         lhs = np.linalg.norm(forms.adj @ unit)
         rhs = d_const * math.sqrt(max(energy(unit), 0.0)) + eps
         if lhs > rhs + 1e-12 * (1.0 + lhs):
-            return Decision(REFUTED, margin, sample_margin, phi)
-    status = CERTIFIED if margin >= 0.0 else INCONCLUSIVE
-    return Decision(status, margin, sample_margin, None)
+            return replace(cert, status=REFUTED, margin=margin,
+                           sample_margin=sample_margin, witness=phi)
+    return replace(cert, status=CERTIFIED if margin >= 0.0 else INCONCLUSIVE,
+                   margin=margin, sample_margin=sample_margin, witness=None)
 
 
-def family_verdict(all_certified: bool, statuses) -> str:
-    """Certified when every claim is, else refuted when some entry is."""
-    if all_certified:
+def family_verdict(statuses) -> str:
+    """Certified when there are claims and every one is, else refuted when
+    some entry is."""
+    if statuses and all(s == CERTIFIED for s in statuses):
         return CERTIFIED
     return REFUTED if REFUTED in statuses else INCONCLUSIVE
 
@@ -360,12 +357,11 @@ def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
     quad = quad or DEFAULT_QUAD
     forms = _dense_forms(sys, cert.horizon, quad)
     eps = cert.residual
-    decision = decide(forms, cert.d_const, eps,
-                      best_state(_scores(forms, samples, seed), eps),
-                      _reduce(forms, eps),
-                      lambda phi: observation_energy(sys, cert.horizon, phi,
-                                                     quad))
-    return replace(cert, **decision._asdict())
+    return decide(forms, cert,
+                  best_state(_scores(forms, samples, seed), eps),
+                  _reduce(forms, eps),
+                  lambda phi: observation_energy(sys, cert.horizon, phi,
+                                                 quad))
 
 
 def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
@@ -454,9 +450,8 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
         def check(t, d_const):
             cert = WeakObsCertificate(horizon=t, alpha=alpha,
                                       d_const=d_const, c_const=c_val)
-            decision = decide(forms[t], d_const, eps[t], searches[t],
-                              reduced[t], lambda unit: energy(t, unit))
-            return replace(cert, **decision._asdict())
+            return decide(forms[t], cert, searches[t], reduced[t],
+                          lambda unit: energy(t, unit))
 
         finite = [hi for _, hi in brackets.values() if np.isfinite(hi)]
         if len(finite) == len(horizons):

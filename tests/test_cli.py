@@ -338,6 +338,20 @@ def test_stabilize_missed_target_exit_two(tmp_path):
     assert not (out / "gain.csv").exists()
 
 
+def test_stabilize_numerical_breakdown_exits_three(tmp_path, monkeypatch,
+                                                  capsys):
+    # exit 1 means unstabilizable; an overflow decides nothing
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli.fb, "solve_shifted_riccati", overflow)
+    out = tmp_path / "s"
+    assert run_cli(["stabilize", "--system", SCALAR_SPEC,
+                    "--out", str(out)]) == 3
+    assert "OverflowError" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("grid", ["0", "-1"])
 def test_stabilize_rejects_an_empty_grid(tmp_path, grid):
     out = tmp_path / "s"
@@ -400,6 +414,16 @@ def test_periodic_certificates_exit_zero(tmp_path):
     assert report["verdict"] == "certified"
     energies = (out / "energies.csv").read_text().splitlines()
     assert len(energies) == 9
+
+
+def test_periodic_writes_the_requested_k_as_integers(tmp_path):
+    out = tmp_path / "p"
+    assert run_cli(["periodic", "--modes", "8", "--k-grid", "3,1,2",
+                    "--out", str(out)]) == 0
+    certs = read_report(out)["certificates"]
+    assert [c["k"] for c in certs] == [3, 1, 2]
+    assert all(type(c["k"]) is int and type(c["n_k"]) is int
+               and c["n_k"] == 1 for c in certs)
 
 
 @pytest.mark.parametrize("extra, samples", [([], 100),
@@ -509,3 +533,16 @@ def test_verify_all_plumbing(tmp_path, monkeypatch, capsys):
         written.append((tmp_path / run / "report.json").read_bytes())
     assert written[0] == written[1]
     assert "s / budget 5s): rested" in capsys.readouterr().out
+
+    # nor is the time of a criterion over its budget
+    naps = iter((0.01, 0.03))
+    monkeypatch.setattr(verification, "ALL_CRITERIA", (
+        ("slow", 0.001, lambda seed: time.sleep(next(naps)) or "rested"),))
+    written = []
+    for run in ("over", "further-over"):
+        assert run_cli(["verify-all", "--out", str(tmp_path / run)]) == 1
+        written.append((tmp_path / run / "report.json").read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["results"][0]["detail"] == \
+        "over budget: rested"
+    assert "s / budget 0s): over budget: rested" in capsys.readouterr().out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stabcert import periodic
+from stabcert import periodic, weakobs
 from stabcert.periodic import PeriodicSystem
 
 
@@ -153,42 +153,65 @@ def test_witness_requires_constant_above_one(bench10):
 
 def test_benchmark_certificate_k1(bench10):
     cert = periodic.multiplexed_stabilizability_check(bench10, 1)
-    assert cert.status == periodic.CERTIFIED
-    assert cert.c_k == pytest.approx(
+    assert cert.status == weakobs.CERTIFIED
+    assert cert.d_const == pytest.approx(
         math.sqrt(bench10.alpha_series) * math.exp(0.5), abs=1e-12)
-    assert cert.c_k == pytest.approx(1.0247550131303769, abs=1e-12)
+    assert cert.d_const == pytest.approx(1.0247550131303769, abs=1e-12)
     assert cert.margin > 0
 
 
 def test_benchmark_certificates_k1_to_k5(bench10):
     for k in range(1, 6):
         cert = periodic.multiplexed_stabilizability_check(bench10, k)
-        assert cert.status == periodic.CERTIFIED, f"k={k}"
-        assert all(v >= 1.0 for v in cert.key_fact)
-        assert cert.key_fact[-1] == pytest.approx(1.0)   # n = k term
+        assert cert.status == weakobs.CERTIFIED, f"k={k}"
+        # the key fact e^{k^2} a_n >= 1 for n <= k, with equality at n = k
+        key = [math.exp(k**2 - n**2) for n in range(1, k + 1)]
+        assert all(v >= 1.0 for v in key)
+        assert key[-1] == 1.0
+
+
+@pytest.mark.parametrize("k, n_k, c_k", [(1, 1, 1.5), (2, 3, 0.25),
+                                         (3, 2, 40.0)])
+def test_periodic_certificate_is_a_weakobs_certificate(bench10, k, n_k,
+                                                       c_k):
+    cert = periodic.periodic_weakobs_check(bench10, k, n_k, c_k)
+    assert isinstance(cert, weakobs.WeakObsCertificate)
+    assert cert.alpha == k
+    assert cert.horizon == n_k * bench10.period
+    assert cert.c_const == 1.0
+    assert cert.d_const == c_k
+    assert cert.residual == math.exp(-k * n_k * bench10.period)
+    assert cert.status in (weakobs.CERTIFIED, weakobs.REFUTED,
+                           weakobs.INCONCLUSIVE)
 
 
 def test_tail_mode_covered_by_residual(bench10):
     # the mode just past the certificate index is carried by the e^{-k}
-    # residual alone: its margin stays positive even with zero energy
+    # residual alone: its margin c_k^2 g_n + e^{-2k} - w_n stays positive
+    # even with zero energy
     k = 3
     cert = periodic.multiplexed_stabilizability_check(bench10, k)
-    margin_tail = cert.per_mode_margins[k]      # mode n = k + 1
-    assert margin_tail >= math.exp(-2 * k) - math.exp(-2 * (k + 1))
+    assert cert.status == weakobs.CERTIFIED
+    g = np.array([periodic.periodic_observation_energy(bench10, 1, e)
+                  for e in np.eye(bench10.n)])
+    w = np.exp(2.0 * bench10.a_diag)
+    margins = cert.d_const**2 * g + math.exp(-2 * k) - w
+    assert np.all(margins > 0)
+    assert margins[k] >= math.exp(-2 * k) - math.exp(-2 * (k + 1))
 
 
 def test_generic_checker_full_observation():
     sys1 = PeriodicSystem(period=1.0, a_diag=-np.ones(3),
                           windows=((0.0, 1.0),) * 3)
     cert = periodic.periodic_weakobs_check(sys1, 1, 1, 1.0)
-    assert cert.status == periodic.CERTIFIED
+    assert cert.status == weakobs.CERTIFIED
 
 
 def test_generic_checker_refutes_unobserved_undamped():
     sys0 = PeriodicSystem(period=1.0, a_diag=np.array([0.0]),
                           windows=((0.3, 0.3),))
     cert = periodic.periodic_weakobs_check(sys0, 1, 1, 5.0)
-    assert cert.status == periodic.REFUTED
+    assert cert.status == weakobs.REFUTED
     assert cert.witness is not None
 
 
@@ -197,6 +220,5 @@ def test_benchmark_delegates_to_generic(bench10):
     c_k = math.sqrt(bench10.alpha_series) * math.exp(k**2 / 2.0)
     direct = periodic.periodic_weakobs_check(bench10, k, 1, c_k)
     wrapped = periodic.multiplexed_stabilizability_check(bench10, k)
-    assert direct.status == wrapped.status
-    assert direct.margin == wrapped.margin
-    assert direct.per_mode_margins == wrapped.per_mode_margins
+    assert direct.witness is None and wrapped.witness is None
+    assert direct == wrapped

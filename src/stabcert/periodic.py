@@ -38,7 +38,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeriodicSystem:
-    """Diagonal 1-periodic system with one observation window per mode."""
+    """Diagonal `period`-periodic system with one observation window per
+    mode, given as a fraction of the period."""
 
     period: float
     a_diag: np.ndarray
@@ -104,29 +105,31 @@ def build_multiplexed_system(n: int, series_terms: int = 12
     )
 
 
-def _mode_energy(lam: float, window, m: int) -> float:
-    """int_0^m of the windowed squared adjoint mode, in closed form.
+def _mode_energy(lam: float, window, m: int, period: float) -> float:
+    """int_0^{m period} of the windowed squared adjoint mode, in closed form.
 
-    The mode contributes e^{2 lam (m - t)} whenever the fractional part of
-    t lies in its window; summing the per-period integrals gives
-    sum_{j=1..m} (e^{-s(j-hi)} - e^{-s(j-lo)})/s with s = -2 lam.
+    The mode contributes e^{2 lam (m period - t)} whenever the fractional
+    part of t/period lies in its window.  With t = period tau this is
+    period times the unit-period integral of rate lam period; summing the
+    per-period integrals gives sum_{j=1..m} (e^{-s(j-hi)} - e^{-s(j-lo)})/s
+    with s = -2 lam period.
     """
     lo, hi = window
     if hi <= lo:
         return 0.0
-    s = -2.0 * lam
+    s = -2.0 * lam * period
     total = 0.0
     for j in range(1, m + 1):
         if abs(s) < 1e-12:
             total += hi - lo
         else:
             total += (math.exp(-s * (j - hi)) - math.exp(-s * (j - lo))) / s
-    return total
+    return period * total
 
 
 def periodic_observation_energy(sys: PeriodicSystem, horizon_periods: int,
                                 psi) -> float:
-    """||B(.)^* Phi(m, .)^* psi||^2 over m periods, mode by mode."""
+    """||B(.)^* Phi(m period, .)^* psi||^2 over m periods, mode by mode."""
     if horizon_periods < 1:
         raise ValueError("need at least one period")
     psi = np.asarray(psi, dtype=float)
@@ -135,7 +138,7 @@ def periodic_observation_energy(sys: PeriodicSystem, horizon_periods: int,
                          f"truncation {sys.n}")
     return float(sum(
         psi[i] ** 2 * _mode_energy(sys.a_diag[i], sys.windows[i],
-                                   horizon_periods)
+                                   horizon_periods, sys.period)
         for i in range(sys.n)))
 
 
@@ -148,12 +151,13 @@ def periodic_observation_energy_quadrature(sys: PeriodicSystem,
                                            psi) -> float:
     """Quadrature cross-check of the closed-form energy.
 
-    Integrates the pointwise observed norm with panels split at every
-    switch time, where the integrand is smooth.
+    Integrates the pointwise observed norm in tau = t/period, with rates
+    lam period and panels split at every switch time, where the integrand
+    is smooth, then scales by the period.
     """
     psi = np.asarray(psi, dtype=float)
     m = horizon_periods
-    lam = sys.a_diag
+    lam = sys.a_diag * sys.period
 
     def integrand(t):
         frac = t - math.floor(t)
@@ -174,7 +178,7 @@ def periodic_observation_energy_quadrature(sys: PeriodicSystem,
         val, _ = integrate_adaptive(integrand, a, b, panels=4, npts=8,
                                     rel_tol=QUADRATURE_REL_TOL)
         total += val
-    return total
+    return sys.period * total
 
 
 def noncontrollability_witness(sys: PeriodicSystem, m: int, big_c: float):
@@ -191,7 +195,7 @@ def noncontrollability_witness(sys: PeriodicSystem, m: int, big_c: float):
         raise ValueError("the constant must exceed 1")
     if m < 1:
         raise ValueError("need at least one period")
-    if sys.alpha_series is None:
+    if sys.alpha_series is None or sys.period != 1.0:
         raise ValueError("witness formula requires the multiplexed "
                          "benchmark construction")
     alpha = sys.alpha_series
@@ -228,8 +232,8 @@ def periodic_weakobs_check(sys: PeriodicSystem, k: int, n_k: int,
     cert = WeakObsCertificate(horizon=n_k * sys.period, alpha=k,
                               d_const=c_k, c_const=1.0)
     eps = cert.residual
-    g = np.array([_mode_energy(sys.a_diag[i], sys.windows[i], n_k)
-                  for i in range(sys.n)])
+    g = np.array([_mode_energy(sys.a_diag[i], sys.windows[i], n_k,
+                               sys.period) for i in range(sys.n)])
     w = np.exp(2.0 * sys.a_diag * cert.horizon)
     forms = Forms.of(np.diag(np.sqrt(g)), np.diag(np.sqrt(w)))
     cands = np.vstack([np.eye(sys.n), rng.standard_normal((samples, sys.n))])

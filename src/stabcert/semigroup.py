@@ -14,27 +14,42 @@ node is formed as these two products, never as a power chain, whose
 rounding grows with the panel count.  Diagonal systems take exact
 `np.exp` on panels graded towards 0.
 
+A dense Gramian or energy on [0, T] starts `refine` at
+P = min(quad.panels, 2^ceil(log2(T ||M||_F))) panels, 1 when
+T ||M||_F <= 1, M being the matrix it exponentiates.  A first-level
+panel is then at most 1/||M||_F wide whatever T is, so the first level
+meets the integrand's growth or oscillation at one relative scale (the
+Gauss-Legendre error on analytic integrands: Trefethen, *Approximation
+Theory and Approximation Practice*, Thm 19.3); `refine`'s doubling check
+is unchanged, and `quad.panels` is the most a first level uses.  Beyond
+T ||M||_F = 16 this is quad.panels; (M, T) -> (2^k M, T/2^k) keeps P.
+Diagonal systems start at quad.panels on their graded panels.
+
 Every dense node exponential comes from an `ExpTable`, keyed by the exact
 float time: a level of 2P panels finds level P's panel starts there
 (horizon * 2p / 2P == horizon * p / P in floating point), the Gramian's
 floor and the energy's amplitude probe find eight of their nine times
-among the first level's starts, and Gramians of several horizons of one A
-(a `weakobs.sweep_alpha` call) share node times such as p/64 and equal
-Gauss offsets.  A table computes each miss as one slice of a batched
-`expm(M[None] * t)`, and `expm` treats every slice on its own, so a value
-read from such a table is bit for bit the value a fresh call would give;
-a lookup is one fancy-index gather from the table's array of slices.  A
-view `table.shifted(s)` stands for M + sI and computes each of its misses
-as e^{st} times the table's slice, so no (M + sI) t reaches `expm`; its
-values are exact only in exact arithmetic, and carry the rounding of that
-product besides the slice's own.  A table lives no longer than the call
-that builds it: one energy, one Gramian, one weakobs decision, one sweep,
-whose table of A also gives e^{A^T T} as the transpose of its e^{A T} and
-whose witness energies share a table of A^T, or one concatenated
-steering, whose table of A serves the forms' Gramian and, through a view
-shifted by -beta, the Gramian of A - beta I that weights the segments'
-energies.  A steering that fails drops its table before the error leaves
-the call.  Nothing is cached between calls.
+among the panel starts of any level with 8 panels or more, and Gramians of
+several horizons of one A (a `weakobs.sweep_alpha` call) share node times:
+dyadic horizons below the cap get one panel width T/P, hence one set of
+Gauss offsets and one grid of panel starts.  A table computes each miss as
+one slice of a batched `expm(M[None] * t)`, and `expm` treats every slice
+on its own, so a value read from such a table is bit for bit the value a
+fresh call would give; a lookup is one fancy-index gather from the table's
+array of slices.  A view `table.shifted(s)` stands for M + sI and computes
+each of its misses as e^{st} times the table's slice, so no (M + sI) t
+reaches `expm`; its values are exact only in exact arithmetic, and carry
+the rounding of that product besides the slice's own.  A view
+`table.transposed()` stands for M^T and computes each miss as the table's
+slice transposed, with no arithmetic, so its values are the table's slices
+transposed, bit for bit.  A table lives no longer than the call that
+builds it: one energy, one Gramian, one weakobs decision, one sweep, whose
+table of A also gives e^{A^T T} as the transpose of its e^{A T} and,
+through its transposed view, every node exponential of the witness
+energies, or one concatenated steering, whose table of A serves the forms'
+Gramian and, through a view shifted by -beta, the Gramian of A - beta I
+that weights the segments' energies.  A steering that fails drops its
+table before the error leaves the call.  Nothing is cached between calls.
 
 A Gramian is its factor R, G = R^T R, accumulated as R <- qr([R; S^T])
 over the weighted node values S, so a direction v with v^T e^{At} B = 0
@@ -112,6 +127,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Composite Gauss-Legendre settings: `panels` is the first level of a
+    diagonal system's graded panels and the most a dense first level
+    uses (see `_first_panels`); levels double until two agree to
+    `rel_tol`."""
+
     panels: int = 32
     nodes_per_panel: int = 8
     rel_tol: float = 1e-10
@@ -322,6 +342,15 @@ class ExpTable:
         self._values = np.empty((0,) + np.shape(m))
         self._fresh = lambda times: _exp_stack(m, times, diagonal)
 
+    def transposed(self):
+        """A table of M^T whose misses are this table's slices transposed
+        (computed here if this table misses them too): no arithmetic, so
+        no M^T t reaches `expm`.  Its values are e^{M^T t} in exact
+        arithmetic, and the transpose of this table's values bit for bit."""
+        view = ExpTable(self.matrix.T, self.diagonal)
+        view._fresh = lambda times: self.stack(times).transpose(0, 2, 1)
+        return view
+
     def shifted(self, s):
         """A table of M + sI whose misses are e^{st} times this table's
         slices (computed here if this table misses them too), so no
@@ -358,6 +387,24 @@ def _own_table(table, m, diagonal, name):
     return table
 
 
+def _first_panels(m, horizon, quad, diagonal):
+    """Panels of the first quadrature level on [0, horizon] for e^{M t}.
+
+    Dense: P = min(quad.panels, 2^ceil(log2(T ||M||_F))), 1 when
+    T ||M||_F <= 1, so a first-level panel is at most 1/||M||_F wide;
+    diagonal systems take quad.panels on their graded panels.
+    """
+    if diagonal:
+        return quad.panels
+    scale = horizon * float(np.linalg.norm(m))
+    if not scale > 1.0:
+        return 1
+    if not scale < quad.panels:
+        return quad.panels
+    mantissa, exponent = math.frexp(scale)
+    return min(quad.panels, 1 << (exponent - (mantissa == 0.5)))
+
+
 def propagate(sys: LtiSystem, t: float, x, adjoint: bool = False):
     """Evaluate e^{A t} x (adjoint=True gives e^{A^T t} x)."""
     x = np.asarray(x, dtype=float)
@@ -375,8 +422,10 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
 
     By the change of variable s = horizon - t this equals the squared
     L^2(0, horizon) norm of the observed adjoint trajectory started from
-    phi at the far end.  `table`, an ExpTable of A^T, lets energies of one
-    A share node exponentials; values do not depend on it.
+    phi at the far end.  `table`, an ExpTable of A^T such as the
+    `transposed()` view of a table of A, lets energies and Gramians of one
+    A share node exponentials; values do not depend on it but for the
+    rounding in which expm(A^T t) and expm(A t)^T differ.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -384,7 +433,8 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
     phi = np.asarray(phi, dtype=float)
     a_t, bt = sys.a_matrix.T, sys.b_matrix.T
     table = _own_table(table, a_t, sys.is_diagonal, "A^T")
-    # the probe times but T are panel starts of the first level
+    # the probe times but T are panel starts of every level with 8
+    # panels or more
     amp = max(np.linalg.norm(e @ phi)
               for e in table.stack(np.linspace(0.0, horizon, 9)))
 
@@ -400,10 +450,11 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
     # noise delta in y puts 2 ||B^T y|| delta + delta^2 into ||B^T y||^2,
     # at most 2 delta sqrt(T E) + delta^2 T once integrated
     delta = 1e-13 * np.linalg.norm(bt, 2) * amp
-    first = level(quad.panels)
+    panels = _first_panels(a_t, horizon, quad, sys.is_diagonal)
+    first = level(panels)
     noise_floor = (delta**2 * horizon
                    + 2.0 * delta * np.sqrt(horizon * max(first, 0.0)))
-    value, _ = refine(level, quad.panels, rel_tol=quad.rel_tol,
+    value, _ = refine(level, panels, rel_tol=quad.rel_tol,
                       abs_tol=noise_floor, first=first)
     return float(value)
 
@@ -472,10 +523,11 @@ def observability_gramian(sys: LtiSystem, horizon: float,
             factor = np.linalg.qr(np.vstack([factor, s.T]), mode="r")
         return factor.T @ factor
 
-    _, err = refine(level, quad.panels, rel_tol=quad.rel_tol)
+    _, err = refine(level, _first_panels(a, horizon, quad, sys.is_diagonal),
+                    rel_tol=quad.rel_tol)
     # the QR's rounding: n u ||B|| a_T sqrt(T), a_T = max ||e^{At}|| on
     # [0, T], probed at nine equispaced times; all but T are panel starts
-    # of the first level
+    # of every level with 8 panels or more
     probe = table.stack(np.linspace(0.0, horizon, 9))
     a_t = np.linalg.norm(probe, 2, axis=(1, 2)).max()
     floor = n * np.finfo(float).eps * np.linalg.norm(b, 2) * a_t

@@ -355,13 +355,15 @@ def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
     both margins reported.
     """
     quad = quad or DEFAULT_QUAD
-    forms = _dense_forms(sys, cert.horizon, quad)
+    table = ExpTable(sys.a_matrix, sys.is_diagonal)
+    forms = _dense_forms(sys, cert.horizon, quad, table)
     eps = cert.residual
     return decide(forms, cert,
                   best_state(_scores(forms, samples, seed), eps),
                   _reduce(forms, eps),
                   lambda phi: observation_energy(sys, cert.horizon, phi,
-                                                 quad))
+                                                 quad,
+                                                 table=table.transposed()))
 
 
 def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
@@ -412,9 +414,10 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     reused, bit for bit, by every other.  Per (alpha, T), only eps
     changes: one ratio argmax over the scores and one slack reduction
     serve both the D bracket and every D checked.  Each distinct
-    (T, witness) energy is integrated once, its nodes drawn from one
-    ExpTable of A^T, so entries equal `check_certificate` with the same
-    seed and samples.
+    (T, witness) energy is integrated once, its nodes read from the table
+    of A through its transposed view, as `check_certificate` reads its
+    own, so entries equal `check_certificate` with the same seed and
+    samples and no A^T t is exponentiated.
     """
     alphas = tuple(sorted(float(a) for a in alphas))
     horizons = tuple(sorted(float(t) for t in horizons))
@@ -427,7 +430,7 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     shared = _shared_states(sys.n, samples, seed)
     scores = {t: Scores.of(forms[t], _candidate_states(forms[t], shared))
               for t in horizons}
-    adj_table = ExpTable(sys.a_matrix.T, sys.is_diagonal)
+    adj_table = table.transposed()
     energies = {}
 
     def energy(t, unit):

@@ -97,6 +97,28 @@ def test_energy_mode_four_paper_bound(bench10):
     assert energy <= 2.0 / bench10.alpha_series * math.exp(-16.0)
 
 
+def test_energies_and_check_scale_with_the_period():
+    # period 2, observed over the whole period: one period's energy of
+    # e^{-(2 - t)} is (1 - e^{-4})/2 = 0.4908, not the unit period's 0.4323
+    sys2 = PeriodicSystem(period=2.0, a_diag=np.array([-1.0]),
+                          windows=((0.0, 1.0),))
+    due = (1.0 - math.exp(-4.0)) / 2.0
+    assert due == pytest.approx(0.4908, abs=1e-4)
+    assert periodic.periodic_observation_energy(sys2, 1, [1.0]) == \
+        pytest.approx(due, rel=1e-14)
+    assert periodic.periodic_observation_energy_quadrature(sys2, 1, [1.0]) \
+        == pytest.approx(due, rel=1e-10)
+    assert periodic.periodic_observation_energy(sys2, 3, [1.0]) == \
+        pytest.approx((1.0 - math.exp(-12.0)) / 2.0, rel=1e-14)
+    # k = 2 over one period: eps^2 = e^{-8} and w = e^{-4}, so the smallest
+    # D is sqrt((w - eps^2)/g) = sqrt(2) e^{-2} = 0.1914; a unit-period g
+    # would make it 0.2039 and leave D = 0.195 unproven
+    cert = periodic.periodic_weakobs_check(sys2, 2, 1, 0.195)
+    assert cert.status == weakobs.CERTIFIED
+    assert cert.margin == pytest.approx(0.195**2 - 2.0 * math.exp(-4.0),
+                                        rel=1e-12)
+
+
 def test_energy_undamped_mode_limit():
     sys0 = PeriodicSystem(period=1.0, a_diag=np.array([0.0]),
                           windows=((0.25, 0.75),))

@@ -271,8 +271,68 @@ def test_energy_floor_carries_the_cross_term(monkeypatch):
 
     monkeypatch.setattr(semigroup, "_node_values", counted)
     energy = semigroup.observation_energy(s, 2.0, witness)
-    assert max(panels) == 64
+    # refinement stops at the first doubling
+    assert max(panels) == 2 * min(panels)
     assert energy == pytest.approx(2.7539854791650e-14, rel=1e-6)
+
+
+def test_first_level_panels_follow_t_times_frobenius_norm():
+    # P = min(quad.panels, 2^ceil(log2(T ||M||_F))), 1 up to T ||M||_F = 1:
+    # a first-level panel is at most 1/||M||_F wide
+    m = np.array([[0.0, 1.0], [0.0, 0.0]])      # ||M||_F = 1: T ||M||_F = T
+    quad = semigroup.DEFAULT_QUAD
+
+    def first(t, q=quad, scale=1.0):
+        return semigroup._first_panels(scale * m, t, q, False)
+
+    for t, panels in [(0.25, 1), (1.0, 1), (1.5, 2), (2.0, 2), (2.5, 4),
+                      (4.0, 4), (9.0, 16), (16.0, 16), (16.5, 32),
+                      (32.0, 32), (40.0, 32), (1e300, 32)]:
+        assert first(t) == panels
+        # (M, T) -> (2^k M, T/2^k) keeps T ||M||_F, so it keeps P
+        for k in (-3, 5):
+            assert first(t / 2.0**k, scale=2.0**k) == panels
+    # quad.panels caps the count, a power of two or not
+    for t, panels in [(1.5, 2), (2.5, 4), (16.5, 4), (1e300, 4)]:
+        assert first(t, QuadratureSpec(panels=4)) == panels
+    for t, panels in [(16.5, 32), (40.0, 48), (64.0, 48)]:
+        assert first(t, QuadratureSpec(panels=48)) == panels
+    # diagonal systems keep their graded panels
+    for t in (1e-6, 1.0, 1e3):
+        assert semigroup._first_panels(np.diag([-1e3, 1.0]), t, quad,
+                                       True) == quad.panels
+
+
+def test_first_level_reaches_node_values(monkeypatch):
+    rng = np.random.default_rng(15)
+    dense = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
+                                 rng.standard_normal((5, 2)))
+    diag = systems.build_system(np.diag(-np.arange(1.0, 6.0)),
+                                rng.standard_normal((5, 1)))
+    phi = rng.standard_normal(5)
+    norm = np.linalg.norm(dense.a_matrix)
+    panels = []
+    original = semigroup._node_values
+
+    def counted(*args):
+        panels.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(semigroup, "_node_values", counted)
+    # T ||A||_F > 16 keeps the 32 then 64 panels of quad.panels
+    for scale, want in ((20.0, 32), (3.0, 4), (0.5, 1)):
+        for run in (lambda t: semigroup.observability_gramian(dense, t),
+                    lambda t: semigroup.observation_energy(dense, t, phi)):
+            panels.clear()
+            run(scale / norm)
+            assert panels[:2] == [want, 2 * want]
+            if want == 32:
+                assert panels == [32, 64]
+    for run in (lambda: semigroup.observability_gramian(diag, 0.01),
+                lambda: semigroup.observation_energy(diag, 0.01, phi)):
+        panels.clear()
+        run()
+        assert panels[0] == semigroup.DEFAULT_QUAD.panels
 
 
 def test_gramian_factor_squares_to_the_matrix():
@@ -413,6 +473,26 @@ def test_shifted_view_matches_a_fresh_expm(seed, monkeypatch):
     # a fresh view of a filled parent computes no exponential at all
     monkeypatch.setattr(semigroup, "expm", None)
     table.shifted(-1.0).stack([0.5, 1.0, 1.7])
+
+
+def test_transposed_view_transposes_the_table(monkeypatch):
+    rng = np.random.default_rng(16)
+    s = systems.build_system(rng.standard_normal((4, 4)) / 2.0,
+                             rng.standard_normal((4, 1)))
+    table = semigroup.ExpTable(s.a_matrix)
+    table.stack([0.5, 1.0])                 # hits and misses of the parent
+    view = table.transposed()
+    assert np.array_equal(view.matrix, s.a_matrix.T)
+    times = np.array([0.0, 0.25, 0.5, 1.0, 1.7])
+    assert np.array_equal(view.stack(times),
+                          table.stack(times).transpose(0, 2, 1))
+    phi = rng.standard_normal(4)
+    through_view = semigroup.observation_energy(s, 1.5, phi, table=view)
+    assert through_view == pytest.approx(
+        semigroup.observation_energy(s, 1.5, phi), rel=1e-13)
+    # a fresh view of a filled parent computes no exponential at all
+    monkeypatch.setattr(semigroup, "_exp_stack", None)
+    table.transposed().stack(times)
 
 
 def test_shifted_view_of_a_diagonal_table():

@@ -455,9 +455,10 @@ def test_sweep_exponentiates_each_slice_once(monkeypatch):
 
 
 def test_sweep_energies_exponentiate_each_slice_once(monkeypatch):
-    # the witness energies of every horizon share one table of A^T; A t
-    # and A^T t are distinct slices except at t = 0, which both tables
-    # exponentiate
+    # the witness energies of every horizon read the Gramians' table of A
+    # through its transposed view, so no nonzero slice is exponentiated
+    # twice (test_sweep_exponentiates_only_a_once_witnesses_included
+    # checks the times themselves)
     energies = []
 
     def counted(sys, horizon, phi, quad=None, **kwargs):
@@ -474,6 +475,49 @@ def test_sweep_energies_exponentiate_each_slice_once(monkeypatch):
     assert len(set(energies)) > 1
     nonzero = [sl for sl in seen if np.frombuffer(sl).any()]
     assert len(nonzero) == len(set(nonzero))
+
+
+def test_sweep_exponentiates_only_a_once_witnesses_included(monkeypatch):
+    # the witness energies read the forms' table of A through its
+    # transposed view: no A^T t reaches _exp_stack, and no time twice
+    s = _dense_pair("unobservable", n=5)
+    a = s.a_matrix
+    assert not np.array_equal(a, a.T)
+    energies, calls = [], []
+
+    def counted(sys, horizon, phi, quad=None, **kwargs):
+        energies.append(horizon)
+        return semigroup.observation_energy(sys, horizon, phi, quad,
+                                            **kwargs)
+
+    def spy(m, times, diagonal, original=semigroup._exp_stack):
+        calls.append((m, times.tolist()))
+        return original(m, times, diagonal)
+
+    monkeypatch.setattr(weakobs, "observation_energy", counted)
+    monkeypatch.setattr(semigroup, "_exp_stack", spy)
+    fam = weakobs.sweep_alpha(s, [1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0],
+                              samples=60)
+    assert fam.verdict == REFUTED
+    assert len(set(energies)) > 1
+    assert all(np.array_equal(m, a) for m, _ in calls)
+    times = [t for _, chunk in calls for t in chunk]
+    assert len(times) == len(set(times))
+
+
+@pytest.mark.parametrize("kind", ["dense", "ill", "unobservable"])
+def test_sweep_statuses_do_not_depend_on_the_first_level(kind):
+    # aim 3: a verdict does not hang on the quadrature's panel count; two
+    # first-level panels are at least 1/||A||_F wide at every T here
+    s = {"dense": lambda: _dense_pair("dense", n=5),
+         "ill": lambda: systems.build_system(*_ill_pair()),
+         "unobservable": lambda: _dense_pair("unobservable", n=5)}[kind]()
+    grid = ([1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0])
+    coarse = weakobs.sweep_alpha(s, *grid, samples=60,
+                                 quad=semigroup.QuadratureSpec(panels=2))
+    fine = weakobs.sweep_alpha(s, *grid, samples=60)
+    assert ([c.status for c in coarse.certificates]
+            == [c.status for c in fine.certificates])
 
 
 def test_sweep_reduces_each_entry_once(monkeypatch):

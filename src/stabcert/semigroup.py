@@ -77,21 +77,30 @@ that keeps the exception.
 
 Envelope fits and closed-loop overshoots need only the peak
 max_k ||e^{A t_k}||_2 e^{r t_k}, which `grid_peak` returns as the same
-float as the `grid_norms` fold.  It builds the same stack and bounds every
-slice X by ||X||_2 <= ||X||_F ||(Y^T Y)^2||_F^(1/4), Y = X/||X||_F (the
-right side is ||X||_F (sum sigma_i(Y)^8)^(1/8); scaling by ||X||_F keeps
-it from overflowing or underflowing).  Each bound times e^{r t_k} and
+float as the `grid_norms` fold.  It builds the same stack and screens
+every slice X by ||X||_2 <= ||X||_F, one einsum over the stack, then
+seeds the running maximum with the SVD of the slice of largest screen.
+Only the slices whose screen still exceeds that maximum take the
+sharper bound ||X||_2 <= ||X||_F ||(Y^T Y)^2||_F^(1/4), Y = X/||X||_F
+(the right side is ||X||_F (sum sigma_i(Y)^8)^(1/8); scaling by ||X||_F
+keeps it from overflowing or underflowing), in blocks of
+`_BOUND_BLOCK_BYTES` of slices, so that each temporary, 6400 float64,
+stays in L2 (256 slices at n = 5, 64 at n = 10, 16 at n = 20; on the
+stacks of `perfbench` feedback jobs at n = 20, one block of all 200
+slices took 1.4 times as long).  Each bound times e^{r t_k} and
 1 + 1e-10, which covers the few n u by which the computed bound and
 LAPACK's singular value can stray, is at least that slice's folded
 value.  The SVD then runs in descending order of bound and stops once no
 bound left exceeds the running maximum: every slice passed over holds a
 value no larger than the maximum, so the maximizer is never passed over,
-and ties return the same float.  A non-finite bound is never passed over,
-and a stack with a non-finite entry takes the SVD of every slice, as
-`grid_norms` does, which raises.  On `perfbench` feedback jobs 1.3 of 200
-slices per closed loop and 4.6 per envelope fit reach the SVD on average;
-an orthogonal e^{At}, whose bound n^(1/8) exceeds its norm 1, sends all
-200.
+and ties return the same float.  A non-finite bound is never passed
+over, and a stack with a non-finite entry takes the SVD of every slice,
+as `grid_norms` does, which raises.  On `perfbench` feedback jobs (seeds
+11-13, 540 jobs) a closed loop sends 3.6 of its 200 slices to the
+Schatten-8 bound and 1.3 to the SVD on average, and an envelope fit,
+whose weight e^{-delta0 t} leaves most Frobenius norms above the peak,
+sends 162 and 5.5; an orthogonal e^{At}, whose bounds sqrt(n) and
+n^(1/8) exceed its norm 1, sends all 200 to both.
 
 Neither is accurate on closed loops with ||A + BK|| of about 1e6 and more
 (ROADMAP item 3): on `perfbench` feedback job 1 of seed 11 (n = 10) at
@@ -151,8 +160,9 @@ DEFAULT_QUAD = QuadratureSpec()
 _CHUNK = 64
 # the largest batch of slices `_pruned_peak` takes one SVD of
 _NORM_CHUNK = 8
-# slices per bound evaluation in `grid_peak`: bounds the temporaries
-_BOUND_CHUNK = 16
+# bytes of slices per Schatten-8 bound evaluation in `grid_peak`: each
+# temporary, 6400 float64, stays in a core's L2 cache
+_BOUND_BLOCK_BYTES = 6400 * 8
 # covers the gap, a few n u relative, between the computed bound and
 # LAPACK's computed largest singular value
 _BOUND_SAFETY = 1.0 + 1e-10
@@ -286,25 +296,35 @@ def _spectral_norms(stack):
 def _pruned_peak(stack, scale):
     """max_k ||stack[k]||_2 scale[k] for a finite stack.
 
-    Bounds every slice by ||X||_F ||(Y^T Y)^2||_F^(1/4), Y = X/||X||_F,
-    in chunks of _BOUND_CHUNK slices, then takes SVDs in batches of 1, 2,
-    4, ... _NORM_CHUNK slices in descending order of bound until no bound
-    left exceeds the maximum.  A non-finite bound is never passed over.
+    Screens every slice by ||X||_F and seeds the maximum with the SVD of
+    the slice of largest screen value.  The slices whose screen still
+    exceeds it are bounded by ||X||_F ||(Y^T Y)^2||_F^(1/4),
+    Y = X/||X||_F, `_BOUND_BLOCK_BYTES` of slices at a time; SVDs then run
+    in batches of 1, 2, 4, ... _NORM_CHUNK slices in descending order of
+    bound until no bound left exceeds the maximum.  A non-finite bound is
+    never passed over.
     """
-    bound = np.empty(len(stack))
+    safe = np.array(scale) * _BOUND_SAFETY
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, len(stack), _BOUND_CHUNK):
-            x = stack[first:first + _BOUND_CHUNK]
-            fro = np.sqrt(np.einsum("kij,kij->k", x, x))
-            y = x / fro[:, None, None]
+        fro = np.sqrt(np.einsum("kij,kij->k", stack, stack))
+        bound = fro * safe
+    bound[np.isnan(bound)] = np.inf
+    seed = int(np.argmax(bound))
+    peak = _spectral_norms(stack[seed:seed + 1])[0] * scale[seed]
+    bound[seed] = peak
+    rest = np.flatnonzero(bound > peak)
+    block = max(1, _BOUND_BLOCK_BYTES // stack[0].nbytes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, rest.size, block):
+            part = rest[first:first + block]
+            y = stack[part] / fro[part, None, None]
             g = np.matmul(y.transpose(0, 2, 1), y)
             g2 = np.matmul(g, g)
-            bound[first:first + len(x)] = fro * np.einsum(
-                "kij,kij->k", g2, g2) ** 0.125
-        bound *= np.array(scale) * _BOUND_SAFETY
+            bound[part] = (fro[part] * np.einsum("kij,kij->k", g2, g2)
+                           ** 0.125 * safe[part])
     bound[np.isnan(bound)] = np.inf
-    order = np.argsort(-bound, kind="stable")
-    peak, first, size = 0.0, 0, 1
+    order = rest[np.argsort(-bound[rest], kind="stable")]
+    first, size = 0, 1
     while first < order.size and bound[order[first]] > peak:
         batch = order[first:first + size]
         for k, norm in zip(batch.tolist(), _spectral_norms(stack[batch])):

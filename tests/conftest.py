@@ -1,3 +1,11 @@
+import os
+
+# one BLAS thread, set before numpy loads OpenBLAS: tier-1's timing and
+# equality checks are measured this way, and threads that share the cores
+# with other work slow the budgeted acceptance criteria several-fold
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

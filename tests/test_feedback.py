@@ -78,8 +78,9 @@ def _pbh_every_eigenvalue(a_shift, b):
     return None
 
 
-def _hidden_rotation(rng, n=6):
-    """Dense pair whose unstable eigenvalues 0.5 +- 2i B cannot reach."""
+def _hidden_rotation(rng, n=6, coupling=0.0):
+    """Dense pair whose unstable eigenvalues 0.5 +- 2i B cannot reach, or
+    reaches through a block of size `coupling`."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     block = np.zeros((n, n))
     block[:2, :2] = [[0.5, 2.0], [-2.0, 0.5]]
@@ -89,6 +90,8 @@ def _hidden_rotation(rng, n=6):
     block[2:, :2] = rng.standard_normal((n - 2, 2))
     b = np.zeros((n, 2))
     b[2:] = rng.standard_normal((n - 2, 2))
+    if coupling:
+        b[:2] = coupling * rng.standard_normal((2, 2))
     return systems.build_system(q @ block @ q.T, q @ b)
 
 
@@ -113,6 +116,69 @@ def test_pbh_skips_conjugates_without_changing_the_answer(kind):
             assert got is None or got == want
             if kind != "dense":
                 assert got is not None
+
+
+def _pencil_svds(monkeypatch):
+    """Count the batched (3-d) SVDs: the pencils' fallback."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            calls.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def _coupled_hidden_mode(rng, kind, delta):
+    """A pair whose unstable modes B reaches only through a coupling of
+    size delta along their left invariant subspace."""
+    if kind == "rotation":
+        return _hidden_rotation(rng, coupling=delta)
+    s = verification._unobservable_unstable(rng)
+    # A is symmetric, and +1 is its largest eigenvalue
+    v = np.linalg.eigh(s.a_matrix)[1][:, -1]
+    return systems.build_system(
+        s.a_matrix, s.b_matrix + delta * np.outer(v, rng.standard_normal(2)))
+
+
+@pytest.mark.parametrize("kind", ["real", "rotation"])
+def test_pbh_screen_gives_the_reference_answer(kind, monkeypatch):
+    # across the threshold 1e-10 scale: the Cholesky screen decides far
+    # from it, the fallback SVD near it and below
+    rng = np.random.default_rng(["real", "rotation"].index(kind))
+    calls = _pencil_svds(monkeypatch)
+    outcomes = set()
+    for _ in range(6):
+        for delta in 10.0 ** np.arange(-16, 1):
+            s = _coupled_hidden_mode(rng, kind, delta)
+            for mu in (0.0, 1.0, 4.0):
+                a_shift = s.a_matrix + mu * np.eye(s.n)
+                before = len(calls)
+                got = feedback._pbh_stabilizable(a_shift, s.b_matrix)
+                want = _pbh_every_eigenvalue(a_shift, s.b_matrix)
+                assert (got is None) == (want is None)
+                assert got is None or got == want
+                outcomes.add((len(calls) > before, got is None))
+    assert outcomes == {(False, True), (True, True), (True, False)}
+
+
+def test_pbh_screen_takes_no_svd_on_a_controllable_pair(monkeypatch):
+    rng = np.random.default_rng(5)
+    calls = _pencil_svds(monkeypatch)
+    for n in (5, 10, 20):
+        s = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
+                                 rng.standard_normal((n, 2)))
+        for mu in (1.0, 2.0, 4.0):
+            assert feedback._pbh_stabilizable(
+                s.a_matrix + mu * np.eye(n), s.b_matrix) is None
+    assert calls == []
+    s = verification._unobservable_unstable(rng)
+    assert feedback._pbh_stabilizable(s.a_matrix + np.eye(s.n),
+                                      s.b_matrix) is not None
+    assert len(calls) == 1
 
 
 def test_dense_riccati_invariants():

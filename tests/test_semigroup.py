@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stabcert import feedback, semigroup, systems, verification
+from stabcert import feedback, lrconstants, semigroup, systems, verification
 from stabcert._quadrature import QuadratureError, gauss_legendre_rule, \
     integrate_adaptive, panel_nodes, pointwise_level, refine
 from stabcert.semigroup import QuadratureSpec
@@ -689,6 +689,42 @@ def test_grid_peak_passes_over_no_tied_norm(monkeypatch):
     slices = _count_svd_slices(monkeypatch)
     semigroup.grid_peak(s, 10.0, 200, 0.0)
     assert sum(slices) == 200
+
+
+def _peak_or_error(peak, *args):
+    try:
+        return peak(*args)
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [5, 10, 20])
+def test_grid_peak_equals_the_fold_on_feedback_loops(n, monkeypatch):
+    # every loop `fit_semigroup_bound` (the open loop at rate -delta0)
+    # and `solve_shifted_riccati` at mu = 1, 2, 4 (its closed loops) read
+    loops = []
+
+    def recorded(*args):
+        loops.append(args)
+        return semigroup.grid_peak(*args)
+
+    monkeypatch.setattr(lrconstants, "grid_peak", recorded)
+    monkeypatch.setattr(feedback, "grid_peak", recorded)
+    rng = np.random.default_rng([20, n])
+    for _ in range(4):
+        s = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
+                                 rng.standard_normal((n, 2)))
+        lrconstants.fit_semigroup_bound(s)
+        for mu in (1.0, 2.0, 4.0):
+            try:
+                feedback.solve_shifted_riccati(s, mu)
+            except (RuntimeError, np.linalg.LinAlgError):
+                pass
+    assert len(loops) > 8
+    for args in loops:
+        assert (_peak_or_error(semigroup.grid_peak, *args)
+                == _peak_or_error(_folded_peak, *args))
 
 
 def _positive_overflow_system():

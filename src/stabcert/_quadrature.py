@@ -3,10 +3,11 @@
 Integrands throughout the package are smooth exponentials (possibly matrix
 valued), so fixed-order Gauss-Legendre panels converge extremely fast; the
 error estimate is the difference between a run and the same run with the
-panel count doubled.  `refine` is that one doubling rule.  It takes a
-per-level evaluator, so a caller with batched node exponentials (the
-Gramian and observation energy in `semigroup`) evaluates a whole level at
-once; `integrate_adaptive` feeds it a pointwise integrand node by node.
+panel count doubled.  `refine` is that one doubling rule, and every
+integral in the package goes through it with an evaluator that takes a
+whole refinement level at once: the Gramian and observation energy in
+`semigroup` from batched node exponentials, and `integrate_adaptive`'s
+callers from the arrays (nodes, weights) of one level.
 """
 
 import functools
@@ -44,46 +45,26 @@ def panel_nodes(a, b, panels, npts):
     return nodes, weights
 
 
-def pointwise_level(f, a, b, npts, vector=False):
-    """Per-level evaluator for `refine` that visits the nodes one at a time.
+def integrate_adaptive(f, a, b, panels=32, npts=8, rel_tol=1e-10):
+    """Integrate on [a, b], doubling panels until the estimate settles.
 
-    f maps a scalar t to a scalar (or to an ndarray when vector=True).
-    """
-    def run(k):
-        nodes, weights = panel_nodes(a, b, k, npts)
-        if vector:
-            acc = None
-            for t, w in zip(nodes, weights):
-                term = w * f(t)
-                acc = term if acc is None else acc + term
-            return acc
-        return sum(w * f(t) for t, w in zip(nodes, weights))
-
-    return run
-
-
-def integrate_adaptive(f, a, b, panels=32, npts=8, rel_tol=1e-10,
-                       vector=False):
-    """Integrate f on [a, b], doubling panels until the estimate settles.
-
-    f maps a scalar t to a scalar (or to an ndarray when vector=True); the
-    stopping rule is `refine`'s.  Returns (value, error_estimate).
+    f(nodes, weights) gets the flat arrays of one level, from
+    `panel_nodes(a, b, k, npts)`, and returns that level's weighted sum
+    (a scalar or an ndarray); the stopping rule is `refine`'s.  Returns
+    (value, error_estimate); an empty interval integrates to zero.
     """
     if b < a:
         raise ValueError("integration interval is reversed")
-    if b == a:
-        zero = f(a) * 0.0 if vector else 0.0
-        return zero, 0.0
-    return refine(pointwise_level(f, a, b, npts, vector), panels,
+    return refine(lambda k: f(*panel_nodes(a, b, k, npts)), panels,
                   rel_tol=rel_tol)
 
 
 def refine(level, panels, rel_tol=1e-10, abs_tol=0.0, first=None):
     """The doubling rule: compare level(k) with level(2k) until they agree.
 
-    level(k) is the composite rule with k panels, a scalar or an ndarray;
-    callers that can evaluate a whole level at once (batched node values)
-    pass it directly, and `first` is level(panels) if already evaluated.
+    level(k) is the composite rule with k panels, a scalar or an ndarray,
+    evaluated over all of its nodes at once; `first` is level(panels) if
+    already evaluated.
     Convergence requires err <= rel_tol * |value| + abs_tol; the absolute
     term lets callers whose integrand carries evaluation noise (e.g.
     cancellation inside a matrix exponential) declare a floor below which

@@ -127,15 +127,21 @@ def _mode_energy(lam: float, window, m: int, period: float) -> float:
     return period * total
 
 
-def periodic_observation_energy(sys: PeriodicSystem, horizon_periods: int,
-                                psi) -> float:
-    """||B(.)^* Phi(m period, .)^* psi||^2 over m periods, mode by mode."""
+def _checked_state(sys: PeriodicSystem, horizon_periods: int, psi):
+    """psi as a float array, once the horizon and the state's shape pass."""
     if horizon_periods < 1:
         raise ValueError("need at least one period")
     psi = np.asarray(psi, dtype=float)
-    if psi.shape[0] != sys.n:
-        raise ValueError(f"state dimension {psi.shape[0]} exceeds the "
-                         f"truncation {sys.n}")
+    if psi.shape != (sys.n,):
+        raise ValueError(f"state of shape {psi.shape} does not match the "
+                         f"truncation of {sys.n} modes")
+    return psi
+
+
+def periodic_observation_energy(sys: PeriodicSystem, horizon_periods: int,
+                                psi) -> float:
+    """||B(.)^* Phi(m period, .)^* psi||^2 over m periods, mode by mode."""
+    psi = _checked_state(sys, horizon_periods, psi)
     return float(sum(
         psi[i] ** 2 * _mode_energy(sys.a_diag[i], sys.windows[i],
                                    horizon_periods, sys.period)
@@ -153,20 +159,20 @@ def periodic_observation_energy_quadrature(sys: PeriodicSystem,
 
     Integrates the pointwise observed norm in tau = t/period, with rates
     lam period and panels split at every switch time, where the integrand
-    is smooth, then scales by the period.
+    is smooth, then scales by the period.  Each level evaluates the
+    windowed squared modes at all of its nodes as one (modes x nodes)
+    masked array.
     """
-    psi = np.asarray(psi, dtype=float)
+    psi = _checked_state(sys, horizon_periods, psi)
     m = horizon_periods
     lam = sys.a_diag * sys.period
+    lo, hi = np.array(sys.windows).T
 
-    def integrand(t):
-        frac = t - math.floor(t)
-        val = 0.0
-        for i in range(sys.n):
-            lo, hi = sys.windows[i]
-            if lo < frac < hi:
-                val += (psi[i] * math.exp(lam[i] * (m - t))) ** 2
-        return val
+    def level(t, weights):
+        frac = t - np.floor(t)
+        inside = (lo[:, None] < frac) & (frac < hi[:, None])
+        amp = psi[:, None] * np.exp(lam[:, None] * (m - t))
+        return np.where(inside, amp ** 2, 0.0).sum(axis=0) @ weights
 
     cuts = sorted({float(i + w) for i in range(m)
                    for pair in sys.windows for w in pair}
@@ -175,10 +181,10 @@ def periodic_observation_energy_quadrature(sys: PeriodicSystem,
     for a, b in zip(cuts, cuts[1:]):
         if b - a < 1e-15:
             continue
-        val, _ = integrate_adaptive(integrand, a, b, panels=4, npts=8,
+        val, _ = integrate_adaptive(level, a, b, panels=4, npts=8,
                                     rel_tol=QUADRATURE_REL_TOL)
         total += val
-    return sys.period * total
+    return float(sys.period * total)
 
 
 def noncontrollability_witness(sys: PeriodicSystem, m: int, big_c: float):

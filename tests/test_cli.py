@@ -375,11 +375,11 @@ def test_example_point_heat_logs_convergent(tmp_path):
 _POINT_HEAT = ["example", "point-heat", "--x0", "cf", "--depth", "3",
                "--c", "5"]
 PAPER_EXAMPLES = (
-    [(_POINT_HEAT + ["--modes", str(m)], 0) for m in (8, 16, 30)]
+    [(_POINT_HEAT + ["--modes", str(m)], 0) for m in (8, 16, 30, 60)]
     + [(["example", "hermite-heat", "--modes", str(m)], 0)
-       for m in (6, 12, 20)]
+       for m in (6, 12, 20, 40)]
     + [(["example", "fractional-heat", "--modes", str(m)], 0)
-       for m in (8, 16)]
+       for m in (8, 16, 32)]
     + [(["example", "periodic-l2", "--modes", "10"], 0),
        (["example", "periodic-l2", "--modes", "10",
          "--refute-null-controllability", "--m", "1", "--C", "10"], 1)])

@@ -11,6 +11,8 @@ from stabcert import feedback, semigroup, systems, verification, weakobs
 from stabcert._quadrature import integrate_adaptive
 from stabcert.semigroup import observability_gramian
 
+from oracles import per_node, tikhonov_root_mp, van_loan_gramian_mp
+
 SCALAR_01 = systems.build_system([[0.0]], [[1.0]])
 
 
@@ -369,11 +371,13 @@ def test_steering_errors():
 
 def _l2_norm_by_quadrature(sys, signal):
     """The control's L2 norm integrated node by node, segment by segment."""
+    def power(t):
+        return float(np.sum(_control_at(sys, signal, t) ** 2))
+
     total = 0.0
     for seg in signal.segments:
-        val, _ = integrate_adaptive(
-            lambda t: float(np.sum(_control_at(sys, signal, t) ** 2)),
-            seg.t_start, seg.t_stop, panels=16, npts=8, rel_tol=1e-10)
+        val, _ = integrate_adaptive(per_node(power), seg.t_start, seg.t_stop,
+                                    panels=16, npts=8, rel_tol=1e-10)
         total += val
     return math.sqrt(total)
 
@@ -418,8 +422,9 @@ def _weighted_l2_per_node(sys, signal, beta):
         def integrand(t, seg=seg):
             u = _control_at(sys, signal, t)
             return math.exp(2.0 * beta * t) * float(np.sum(u**2))
-        val, _ = integrate_adaptive(integrand, seg.t_start, seg.t_stop,
-                                    panels=8, npts=8, rel_tol=1e-9)
+        val, _ = integrate_adaptive(per_node(integrand), seg.t_start,
+                                    seg.t_stop, panels=8, npts=8,
+                                    rel_tol=1e-9)
         total += val
     return math.sqrt(total)
 
@@ -432,51 +437,6 @@ def test_weighted_l2_matches_per_node_reference():
                                              rng.standard_normal(5), 4)
     ref = _weighted_l2_per_node(s, sig, 1.0)
     assert abs(rep.weighted_l2 - ref) <= 1e-10 * ref
-
-
-def _van_loan_gramian_mp(mpmath, m_mp, b_mp, horizon):
-    """int_0^T e^{M s} B B^T e^{M^T s} ds at the working precision: with
-    expm([[-M, B B^T], [0, M^T]] T) = [[., F12], [0, F22]], it is F22^T F12."""
-    n = m_mp.rows
-    bbt = b_mp * b_mp.T                     # not b @ b.T: no double rounding
-    block = mpmath.zeros(2 * n, 2 * n)
-    for i in range(n):
-        for j in range(n):
-            block[i, j] = -m_mp[i, j]
-            block[i, n + j] = bbt[i, j]
-            block[n + i, n + j] = m_mp[j, i]
-    e = mpmath.expm(block * horizon)
-    f12 = mpmath.matrix(n, n)
-    f22 = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            f12[i, j] = e[i, n + j]
-            f22[i, j] = e[n + i, n + j]
-    return f22.T * f12
-
-
-def _tikhonov_root_mp(mpmath, gram, z, target):
-    """(eta, terminal) of (G + nu I) eta = z with ||z - G eta|| = target,
-    nu found by geometric bisection at the working precision."""
-    n = gram.rows
-
-    def at(nu):
-        eta = mpmath.lu_solve(gram + nu * mpmath.eye(n), z)
-        return eta, z - gram * eta
-
-    hi = mpmath.norm(gram, 1)
-    while mpmath.norm(at(hi)[1]) < target:
-        hi *= 10
-    lo = hi
-    while mpmath.norm(at(lo)[1]) > target:
-        lo /= 10
-    for _ in range(200):
-        mid = mpmath.sqrt(lo * hi)
-        if mpmath.norm(at(mid)[1]) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return at(lo)
 
 
 def test_weighted_l2_against_high_precision_oracle():
@@ -499,9 +459,9 @@ def test_weighted_l2_against_high_precision_oracle():
     with mpmath.workdps(60):
         a_mp = mpmath.matrix(a.tolist())
         b_mp = mpmath.matrix(b.tolist())
-        gram = _van_loan_gramian_mp(mpmath, a_mp, b_mp, t_seg)
-        gram_beta = _van_loan_gramian_mp(mpmath, a_mp - beta * mpmath.eye(n),
-                                         b_mp, t_seg)
+        gram = van_loan_gramian_mp(mpmath, a_mp, b_mp, t_seg)
+        gram_beta = van_loan_gramian_mp(mpmath, a_mp - beta * mpmath.eye(n),
+                                        b_mp, t_seg)
         total = mpmath.mpf(0)
         seg_norms = []
         for seg in sig.segments:
@@ -511,7 +471,7 @@ def test_weighted_l2_against_high_precision_oracle():
             seg_norms.append(float(mpmath.sqrt((eta.T * gram * eta)[0, 0])))
         oracle = float(mpmath.sqrt(total))
         y0_mp = mpmath.matrix(y0.tolist())
-        eta1, terminal1 = _tikhonov_root_mp(
+        eta1, terminal1 = tikhonov_root_mp(
             mpmath, gram, mpmath.expm(a_mp * t_seg) * y0_mp,
             mpmath.exp(-2) * mpmath.norm(y0_mp))
         eta1 = np.array([float(v) for v in eta1])

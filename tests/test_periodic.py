@@ -81,6 +81,25 @@ def test_energy_dimension_guard(bench10):
         periodic.periodic_observation_energy(bench10, 1, np.ones(11))
 
 
+@pytest.mark.parametrize("energy", [
+    periodic.periodic_observation_energy,
+    periodic.periodic_observation_energy_quadrature],
+    ids=["closed-form", "quadrature"])
+@pytest.mark.parametrize("periods, size, message", [
+    (1, 3, "does not match"),
+    (1, 6, "does not match"),
+    (1, 1, "does not match"),
+    (0, 4, "at least one period")],
+    ids=["short", "long", "length-1", "zero-periods"])
+def test_energies_reject_a_bad_horizon_or_state(energy, periods, size,
+                                                message):
+    # both energies run one check; a length-1 state would otherwise
+    # broadcast across the quadrature's (modes x nodes) array
+    sys4 = periodic.build_multiplexed_system(4)
+    with pytest.raises(ValueError, match=message):
+        energy(sys4, periods, np.ones(size))
+
+
 def test_energy_closed_form_vs_quadrature(bench10):
     rng = np.random.default_rng(1)
     for _ in range(50):

@@ -7,8 +7,10 @@ from scipy.linalg import expm
 
 from stabcert import feedback, lrconstants, semigroup, systems, verification
 from stabcert._quadrature import QuadratureError, gauss_legendre_rule, \
-    integrate_adaptive, panel_nodes, pointwise_level, refine
+    integrate_adaptive, panel_nodes, refine
 from stabcert.semigroup import QuadratureSpec
+
+from oracles import per_node
 
 
 def taylor_expm(a, t, terms=40, squarings=None):
@@ -204,9 +206,10 @@ def _per_node_gramian(s, horizon, quad):
         eb = expm(s.a_matrix * t) @ s.b_matrix
         return eb @ eb.T
 
-    value, _ = integrate_adaptive(integrand, 0.0, horizon, panels=quad.panels,
+    value, _ = integrate_adaptive(per_node(integrand), 0.0, horizon,
+                                  panels=quad.panels,
                                   npts=quad.nodes_per_panel,
-                                  rel_tol=quad.rel_tol, vector=True)
+                                  rel_tol=quad.rel_tol)
     return value
 
 
@@ -219,7 +222,10 @@ def _per_node_energy(s, horizon, phi, quad):
     def integrand(t):
         return float(np.sum((bt @ (expm(a_t * t) @ phi)) ** 2))
 
-    level = pointwise_level(integrand, 0.0, horizon, quad.nodes_per_panel)
+    def level(panels):
+        return per_node(integrand)(*panel_nodes(0.0, horizon, panels,
+                                                quad.nodes_per_panel))
+
     value, _ = refine(level, quad.panels, rel_tol=quad.rel_tol,
                       abs_tol=floor)
     return value
@@ -845,4 +851,5 @@ def test_adaptive_quadrature_reports_failure():
         return 1.0 + rng.standard_normal()      # never settles
 
     with pytest.raises(QuadratureError):
-        integrate_adaptive(noisy, 0.0, 1.0, panels=2, npts=4, rel_tol=1e-12)
+        integrate_adaptive(per_node(noisy), 0.0, 1.0, panels=2, npts=4,
+                           rel_tol=1e-12)

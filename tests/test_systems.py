@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabcert import systems
+from stabcert._quadrature import integrate_adaptive
+
+from oracles import hermite_gram_mp, per_node
 
 
 def test_build_system_scalar():
@@ -155,9 +158,78 @@ def test_hermite_validation():
         systems.hermite_heat(1.0, [(2.0, 1.0)], 3)        # reversed interval
 
 
+@pytest.mark.parametrize("a, b", [(-1.0, 2.5), (0.0, math.inf)])
+def test_hermite_gram_matches_a_40_digit_oracle(a, b):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = np.array(hermite_gram_mp(mpmath, 8, a, b).tolist(),
+                       dtype=float)
+    gram = systems.hermite_heat(1.0, [(a, b)], 8).control_rows
+    assert np.abs(gram - ref).max() <= 4e-16
+
+
+def _hermite_gram_per_node(n, intervals):
+    """`hermite_heat`'s Gram with its cut, panels and tolerance, each
+    level accumulated one node at a time."""
+    x_cut = math.sqrt(2.0 * (2 * n + 1)) + 12.0
+
+    def integrand(t):
+        h = systems._hermite_values(n, np.array([t]))[:, 0]
+        return np.outer(h, h)
+
+    gram = np.zeros((n, n))
+    for a, b in intervals:
+        a, b = max(a, -x_cut), min(b, x_cut)
+        panels = max(8, int(math.ceil((b - a) * max(1.0, n / 4.0))))
+        part, _ = integrate_adaptive(per_node(integrand), a, b,
+                                     panels=panels, npts=10,
+                                     rel_tol=systems.HERMITE_REL_TOL)
+        gram += part
+    return 0.5 * (gram + gram.T)
+
+
+@pytest.mark.parametrize("n", [6, 12, 20, 40])
+def test_hermite_gram_matches_the_per_node_reference(n):
+    intervals = [(0.0, math.inf)]
+    gram = systems.hermite_heat(1.0, intervals, n).control_rows
+    ref = _hermite_gram_per_node(n, intervals)
+    assert np.abs(gram - ref).max() <= 2e-15
+
+
 # ---------------------------------------------------------------------------
 # fractional heat
 # ---------------------------------------------------------------------------
+
+def _fractional_gram_per_entry(n, intervals):
+    """`fractional_heat`'s Gram filled one closed-form entry at a time."""
+    def pair_integral(j, k, a, b):
+        def anti(x):
+            if j == k:
+                first = x
+            else:
+                first = np.sin((j - k) * np.pi * x) / ((j - k) * np.pi)
+            return first - np.sin((j + k) * np.pi * x) / ((j + k) * np.pi)
+
+        return anti(b) - anti(a)
+
+    gram = np.zeros((n, n))
+    for a, b in intervals:
+        for j in range(1, n + 1):
+            for k in range(j, n + 1):
+                v = pair_integral(j, k, a, b)
+                gram[j - 1, k - 1] += v
+                if k != j:
+                    gram[k - 1, j - 1] += v
+    return gram
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("intervals", [[(0.3, 0.8)],
+                                       [(0.1, 0.35), (0.5, 1.0)]])
+def test_fractional_gram_equals_the_per_entry_closed_form(n, intervals):
+    gram = systems.fractional_heat(0.5, 2.0, intervals, n).control_rows
+    assert np.array_equal(gram, _fractional_gram_per_entry(n, intervals))
+
 
 def test_fractional_limit_toward_one():
     spec = systems.fractional_heat(1.0 - 1e-9, 1.0, [(0.0, 1.0)], 6)

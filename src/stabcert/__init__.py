@@ -29,9 +29,8 @@ from .lrconstants import (IllConditionedGramError, ModeVanishesError,
                           point_heat_truncated_obs_constant)
 from .feedback import (ControlSignal, DecayReport, FeedbackResult,
                        SteeringError, UnstabilizableError,
-                       certificate_to_feedback, closed_loop_rate,
-                       concatenated_control, min_norm_eps_null,
-                       solve_shifted_riccati)
+                       certificate_to_feedback, concatenated_control,
+                       min_norm_eps_null, solve_shifted_riccati)
 from .periodic import (PeriodicSystem, build_multiplexed_system,
                        multiplexed_stabilizability_check,
                        noncontrollability_witness,

@@ -18,6 +18,7 @@ numerical breakdowns (`ArithmeticError`) exit 3.
 
 import argparse
 import json
+import math
 import sys as _sys
 from pathlib import Path
 
@@ -322,8 +323,7 @@ def _stabilize_system(args, lti, extra, mu, horizon, grid):
     report = {"schema_version": SCHEMA_VERSION,
               "claim": "rapid-decay-feedback", "system": lti.label, "mu": mu}
     try:
-        result = fb.solve_shifted_riccati(lti, mu, rate_horizon=horizon,
-                                          rate_grid=grid)
+        result = fb.solve_shifted_riccati(lti, mu)
     except fb.UnstabilizableError as exc:
         report.update({"verdict": "unstabilizable",
                        "offending_eigenvalue": [exc.eigenvalue.real,
@@ -336,15 +336,19 @@ def _stabilize_system(args, lti, extra, mu, horizon, grid):
     else:
         a_cl = lti.a_matrix + lti.b_matrix @ result.gain_k
         closed = LtiSystem(a_cl, lti.b_matrix, label="closed-loop")
-        decay = zip(np.linspace(0.0, horizon, grid),
-                    grid_norms(closed, horizon, grid))
+        times = np.linspace(0.0, horizon, grid)
+        norms = grid_norms(closed, horizon, grid)
+        rate = result.measured_rate
+        overshoot = float(max(norm * math.exp(rate * t)
+                              for t, norm in zip(times.tolist(), norms)))
         _write_csv(out / "gain.csv",
                    [f"k{j}" for j in range(result.gain_k.shape[1])],
                    result.gain_k.tolist())
-        _write_csv(out / "decay" / "decay.csv", ["t", "norm"], decay)
+        _write_csv(out / "decay" / "decay.csv", ["t", "norm"],
+                   zip(times, norms))
         report.update({"verdict": "synthesized",
-                       "measured_rate": result.measured_rate,
-                       "measured_overshoot": result.measured_overshoot,
+                       "measured_rate": rate,
+                       "measured_overshoot": overshoot,
                        "riccati_residual": result.residual})
     report.update(extra)
     _write_json(out / "report.json", report)

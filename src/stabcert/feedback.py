@@ -8,16 +8,22 @@ solution of the shift-by-mu Riccati equation
 solved on the stable invariant subspace of the associated Hamiltonian
 matrix (ordered real Schur form) with one Newton refinement.  Undoing the
 shift moves every closed-loop eigenvalue of A + BK, K = -B^T P, left of
--mu.  The remaining operations build the minimum-norm controls that steer
-into a contraction ball and concatenate them into a geometrically decaying
-control with finite exponentially-weighted norm.  Steering reads the
-Gramian's factor R, never G: in R's right singular basis the regularized
-normal equations are diagonal, so each segment is a scalar root of the
-secular equation for the Tikhonov parameter, found by safeguarded Newton
-steps with no linear solve.  A concatenated steering exponentiates A
-once per node time: the beta-weighted energies are ||R_beta eta||^2, with
-R_beta the factor of the Gramian of A - beta I, whose node exponentials
-come from a shifted view of the table the forms' Gramian filled.
+-mu.  A synthesis is returned only when the computed spectral rate
+exceeds mu and P is positive definite to working precision, lambda_min(P)
+> n u lambda_max(P) with u the unit roundoff.  A P that fails this is
+singular in floating point, and its gain is no rate-mu gain however far
+left the computed eigenvalues sit (on n = 20 pairs at mu = 2 such gains
+reach ||K|| of about 1e8).  The remaining operations build the
+minimum-norm controls that steer into a contraction ball and concatenate
+them into a geometrically decaying control with finite
+exponentially-weighted norm.  Steering reads the Gramian's factor R,
+never G: in R's right singular basis the regularized normal equations are
+diagonal, so each segment is a scalar root of the secular equation for
+the Tikhonov parameter, found by safeguarded Newton steps with no linear
+solve.  A concatenated steering exponentiates A once per node time: the
+beta-weighted energies are ||R_beta eta||^2, with R_beta the factor of
+the Gramian of A - beta I, whose node exponentials come from a shifted
+view of the table the forms' Gramian filled.
 """
 
 import math
@@ -27,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
 
-from .semigroup import (DEFAULT_QUAD, ExpTable, QuadratureSpec, grid_peak,
+from .semigroup import (DEFAULT_QUAD, ExpTable, QuadratureSpec,
                         observability_gramian)
 from .systems import LtiSystem
 from .weakobs import CertificateFamily, _dense_forms
@@ -40,7 +46,6 @@ __all__ = [
     "ControlSignal",
     "DecayReport",
     "solve_shifted_riccati",
-    "closed_loop_rate",
     "min_norm_eps_null",
     "concatenated_control",
     "certificate_to_feedback",
@@ -64,14 +69,18 @@ class SteeringError(RuntimeError):
 
 @dataclass(frozen=True)
 class FeedbackResult:
-    """Synthesized feedback with its measured closed-loop behaviour."""
+    """Synthesized feedback with its measured closed-loop rate.
+
+    P must be symmetric, positive definite to working precision
+    (`np.linalg.LinAlgError`, naming lambda_min/lambda_max, otherwise)
+    and a small enough Riccati residual.
+    """
 
     mu: float
     riccati_p: np.ndarray
     gain_k: np.ndarray
     residual: float
     measured_rate: float
-    measured_overshoot: float
     certificate_chain: Optional[dict] = None
 
     def __post_init__(self):
@@ -82,8 +91,13 @@ class FeedbackResult:
         sym = 0.5 * (p + p.T)
         sym.setflags(write=False)
         object.__setattr__(self, "riccati_p", sym)
-        if np.linalg.eigvalsh(sym).min() < -1e-10 * scale:
+        eig = np.linalg.eigvalsh(sym)
+        if eig[0] < -1e-10 * scale:
             raise ValueError("riccati solution must be PSD")
+        if not eig[0] > len(sym) * np.finfo(float).eps / 2.0 * eig[-1]:
+            raise np.linalg.LinAlgError(
+                f"riccati solution is singular to working precision: "
+                f"lambda_min/lambda_max = {eig[0] / eig[-1]:.3e}")
         if self.residual > 1e-8 * (1.0 + np.linalg.norm(sym)) ** 2:
             raise ValueError(f"riccati residual {self.residual:.3e} too large")
 
@@ -125,20 +139,16 @@ def _pbh_stabilizable(a_shift, b):
     return lam[bad[0]] if bad.size else None
 
 
-def solve_shifted_riccati(sys: LtiSystem, mu: float,
-                          rate_horizon: float = 10.0,
-                          rate_grid: int = 200) -> FeedbackResult:
+def solve_shifted_riccati(sys: LtiSystem, mu: float) -> FeedbackResult:
     """Feedback gain pushing every closed-loop eigenvalue left of -mu.
 
-    A closed loop whose spectral rate misses mu raises `RuntimeError`
-    with that rate as its `measured_rate` attribute.
+    A closed loop whose spectral rate is not above mu raises
+    `RuntimeError` with that rate as its `measured_rate` attribute; a P
+    that is not positive definite to working precision raises
+    `np.linalg.LinAlgError` (see `FeedbackResult`).
     """
     if mu <= 0:
         raise ValueError("target rate mu must be positive")
-    if rate_horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if rate_grid < 1:
-        raise ValueError("grid must be >= 1")
     a = sys.a_matrix
     b = sys.b_matrix
     n = sys.n
@@ -174,42 +184,20 @@ def solve_shifted_riccati(sys: LtiSystem, mu: float,
     res_norm = float(np.linalg.norm(residual_of(p)))
 
     gain = -b.T @ p
-    # check the rate before the overshoot grid, whose SVD can fail on a
-    # closed loop that already misses mu
     rate = _spectral_rate(a + b @ gain)
-    if rate < mu - 1e-8:
+    if not rate > mu:
         missed = RuntimeError(
-            f"synthesis missed the target: measured rate {rate:.6g} < "
+            f"synthesis missed the target: measured rate {rate:.6g} <= "
             f"mu={mu:.6g}")
         missed.measured_rate = rate
         raise missed
-    _, overshoot = closed_loop_rate(sys, gain, horizon=rate_horizon,
-                                    grid=rate_grid)
     return FeedbackResult(mu=mu, riccati_p=p, gain_k=gain,
-                          residual=res_norm, measured_rate=rate,
-                          measured_overshoot=overshoot)
+                          residual=res_norm, measured_rate=rate)
 
 
 def _spectral_rate(a_cl):
     """Minus the spectral abscissa of a_cl."""
     return -float(np.max(np.linalg.eigvals(a_cl).real))
-
-
-def closed_loop_rate(sys: LtiSystem, gain, horizon: float = 10.0,
-                     grid: int = 200):
-    """(rate, overshoot) of A + B K.
-
-    rate is minus the spectral abscissa; overshoot is the grid maximum of
-    ||e^{(A+BK) t}|| e^{rate t}, i.e. the transient constant in front of
-    the decay.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    gain = np.atleast_2d(np.asarray(gain, dtype=float))
-    a_cl = sys.a_matrix + sys.b_matrix @ gain
-    rate = _spectral_rate(a_cl)
-    closed = LtiSystem(a_cl, sys.b_matrix, label="closed-loop")
-    return rate, grid_peak(closed, horizon, grid, rate)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ constants (D, C): one through a spectral inequality holding on each
 projection range, one through a truncated observability inequality over a
 fixed short horizon (with a variant for control operators that are only
 bounded after fractional smoothing).  The remaining functions estimate the
-inputs those formulas need on concrete truncations: fitted semigroup growth
-bounds, spectral-inequality constants, and exponential-family (Fattorini)
-distances feeding the point-control heat constant.
+inputs those formulas need on concrete truncations: semigroup growth
+envelopes from a Lyapunov solve, spectral-inequality constants, and
+exponential-family (Fattorini) distances feeding the point-control heat
+constant.
 """
 
 import math
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
-from .semigroup import grid_peak
 from .systems import (LtiSystem, ProjectionFamily, SpectralSystem,
                       UnboundedConstantsSpec)
 
@@ -39,11 +40,9 @@ __all__ = [
 DEFAULT_POOL_CAP = 8
 GRAM_RCOND = 1e-14
 GRAM_COND_LIMIT = 1e14
-# the grid `fit_semigroup_bound` fits M on, and the margin of delta0 above
-# the spectral abscissa
-FIT_T_MAX = 10.0
-FIT_GRID = 200
-FIT_SLACK = 1e-9
+# the margin of a dense envelope's delta0 above the spectral abscissa: a
+# smaller one makes P worse conditioned, so it trades delta0 against M
+ENVELOPE_GAMMA = 0.1
 
 
 class IllConditionedGramError(RuntimeError):
@@ -82,16 +81,50 @@ class SemigroupBound:
 
 
 def fit_semigroup_bound(sys: LtiSystem) -> SemigroupBound:
-    """Fit the smallest M with ||e^{A t}|| <= M e^{delta0 t} on a grid.
+    """Growth envelope ||e^{A t}|| <= M e^{delta0 t} for every t >= 0.
 
-    delta0 is pinned at max(0, spectral abscissa) + FIT_SLACK, then M is
-    the maximum of the ratio over FIT_GRID points of [0, FIT_T_MAX]
-    (always >= 1 because of t = 0).
+    A diagonal A gives M = 1 and delta0 = max(0, max_i a_ii) exactly.  A
+    dense A gives delta0 = max(0, spectral abscissa) + ENVELOPE_GAMMA and
+    P solving A_s^T P + P A_s = -I, A_s = A - delta0 I.  If the symmetric
+    side is negative definite and P positive definite, x^T P x cannot
+    grow along e^{A_s t} x, so M = sqrt(cond P) (Pazy, *Semigroups of
+    Linear Operators*, Sec. 4.4).  Both are checked beyond their
+    evaluation error, u being the unit roundoff: S = X + X^T,
+    X = fl(A_s^T P), misses the exact side by at most
+    4 (n + 1) u ||A_s||_F ||P||_F (the product, the sum and the shift's
+    rounding), and eigvalsh misses an eigenvalue of S or P by at most
+    n u times its Frobenius norm.  A failed check raises
+    `np.linalg.LinAlgError` with both margins; M is widened by P's
+    eigenvalue error.
     """
-    abscissa = float(np.max(np.linalg.eigvals(sys.a_matrix).real))
-    delta0 = max(0.0, abscissa) + FIT_SLACK
-    m_big = max(1.0, grid_peak(sys, FIT_T_MAX, FIT_GRID, -delta0))
-    return SemigroupBound(m_big=m_big * (1.0 + 1e-12), delta0=delta0)
+    a = sys.a_matrix
+    if sys.is_diagonal:
+        return SemigroupBound(m_big=1.0,
+                              delta0=max(0.0, float(np.diag(a).max())))
+    n = sys.n
+    unit = float(np.finfo(float).eps) / 2.0
+    abscissa = float(np.max(np.linalg.eigvals(a).real))
+    delta0 = max(0.0, abscissa) + ENVELOPE_GAMMA
+    a_s = a - delta0 * np.eye(n)
+    p = solve_continuous_lyapunov(a_s.T, -np.eye(n))
+    p = 0.5 * (p + p.T)
+    x = a_s.T @ p
+    side = x + x.T
+    p_norm = np.linalg.norm(p)
+    side_err = (4.0 * (n + 1) * unit * np.linalg.norm(a_s) * p_norm
+                + n * unit * np.linalg.norm(side))
+    side_max = float(np.linalg.eigvalsh(side)[-1])
+    p_eig = np.linalg.eigvalsh(p)
+    p_err = n * unit * p_norm
+    if not (side_max + side_err < 0.0 and p_eig[0] - p_err > 0.0):
+        raise np.linalg.LinAlgError(
+            f"Lyapunov envelope at delta0={delta0:.6g} not certified: "
+            f"lambda_max of the symmetric side {side_max:.3e} (error "
+            f"bound {side_err:.3e}), lambda_min(P) {p_eig[0]:.3e} (error "
+            f"bound {p_err:.3e})")
+    ratio = (p_eig[-1] + p_err) / (p_eig[0] - p_err)
+    return SemigroupBound(m_big=math.sqrt(ratio) * (1.0 + 8.0 * unit),
+                          delta0=delta0)
 
 
 # ---------------------------------------------------------------------------

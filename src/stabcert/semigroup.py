@@ -61,52 +61,24 @@ base-step-plus-doubling variant certified T = 4 entries that the
 quadrature refutes.
 
 Grid norms ||e^{At}||_2 on an equispaced grid t_k = k h, h = T/(grid - 1)
-(decay curves, and through `grid_peak` envelope fits and closed-loop
-rates) come from one stack: one `expm` gives E = e^{Ah}, and binary
-doubling fills the stack level by level, e^{A(f + k)h} = e^{Akh} E_f for
-k < f with E_f = e^{Afh}, f = 1, 2, 4, ..., then squares E_2f = E_f^2.
+(decay curves) come from one stack: one `expm` gives E = e^{Ah}, and
+binary doubling fills the stack level by level, e^{A(f + k)h} = e^{Akh} E_f
+for k < f with E_f = e^{Afh}, f = 1, 2, 4, ..., then squares E_2f = E_f^2.
 So e^{Akh} is a product of one factor per set bit of k, at most
 ceil(log2 grid) (8 for grid = 200), and each factor is at most that many
 squarings deep: rounding grows with log2 k, not with k as in a power
 chain E^k.  One batched SVD reads the norms; a diagonal A takes the
 exact e^{lambda_max t}.  If that SVD fails, or a norm is not finite (an
-entry overflowed to inf without any nan), `grid_norms` and `grid_peak`
-raise a fresh `LinAlgError` once the stack is dropped, as the one numpy
-raises keeps the SVD's frame, and with it the stack, alive in any caller
-that keeps the exception.
+entry overflowed to inf without any nan), `grid_norms` raises a fresh
+`LinAlgError` once the stack is dropped, as the one numpy raises keeps
+the SVD's frame, and with it the stack, alive in any caller that keeps
+the exception.
 
-Envelope fits and closed-loop overshoots need only the peak
-max_k ||e^{A t_k}||_2 e^{r t_k}, which `grid_peak` returns as the same
-float as the `grid_norms` fold.  It builds the same stack and screens
-every slice X by ||X||_2 <= ||X||_F, one einsum over the stack, then
-seeds the running maximum with the SVD of the slice of largest screen.
-Only the slices whose screen still exceeds that maximum take the
-sharper bound ||X||_2 <= ||X||_F ||(Y^T Y)^2||_F^(1/4), Y = X/||X||_F
-(the right side is ||X||_F (sum sigma_i(Y)^8)^(1/8); scaling by ||X||_F
-keeps it from overflowing or underflowing), in blocks of
-`_BOUND_BLOCK_BYTES` of slices, so that each temporary, 6400 float64,
-stays in L2 (256 slices at n = 5, 64 at n = 10, 16 at n = 20; on the
-stacks of `perfbench` feedback jobs at n = 20, one block of all 200
-slices took 1.4 times as long).  Each bound times e^{r t_k} and
-1 + 1e-10, which covers the few n u by which the computed bound and
-LAPACK's singular value can stray, is at least that slice's folded
-value.  The SVD then runs in descending order of bound and stops once no
-bound left exceeds the running maximum: every slice passed over holds a
-value no larger than the maximum, so the maximizer is never passed over,
-and ties return the same float.  A non-finite bound is never passed
-over, and a stack with a non-finite entry takes the SVD of every slice,
-as `grid_norms` does, which raises.  On `perfbench` feedback jobs (seeds
-11-13, 540 jobs) a closed loop sends 3.6 of its 200 slices to the
-Schatten-8 bound and 1.3 to the SVD on average, and an envelope fit,
-whose weight e^{-delta0 t} leaves most Frobenius norms above the peak,
-sends 162 and 5.5; an orthogonal e^{At}, whose bounds sqrt(n) and
-n^(1/8) exceed its norm 1, sends all 200 to both.
-
-Neither is accurate on closed loops with ||A + BK|| of about 1e6 and more
-(ROADMAP item 3): on `perfbench` feedback job 1 of seed 11 (n = 10) at
-mu = 4, ||A + BK|| = 9.5e6 and the true overshoot is 6.2e8 (50- and
-80-digit oracles agree), while the per-time loop reads 4.3e15 and
-doubling 7.4e14.
+Grid norms are not accurate on closed loops with ||A + BK|| of about 1e6
+and more (ROADMAP item 3): on `perfbench` feedback job 1 of seed 11
+(n = 10) at mu = 4, ||A + BK|| = 9.5e6 and the true overshoot is 6.2e8
+(50- and 80-digit oracles agree), while the per-time loop reads 4.3e15
+and doubling 7.4e14.
 """
 
 import math
@@ -128,7 +100,6 @@ __all__ = [
     "propagate",
     "transition_matrix",
     "grid_norms",
-    "grid_peak",
     "observation_energy",
     "observability_gramian",
 ]
@@ -158,14 +129,6 @@ DEFAULT_QUAD = QuadratureSpec()
 
 # panels per batched expm call; bounds the exponentials held at once
 _CHUNK = 64
-# the largest batch of slices `_pruned_peak` takes one SVD of
-_NORM_CHUNK = 8
-# bytes of slices per Schatten-8 bound evaluation in `grid_peak`: each
-# temporary, 6400 float64, stays in a core's L2 cache
-_BOUND_BLOCK_BYTES = 6400 * 8
-# covers the gap, a few n u relative, between the computed bound and
-# LAPACK's computed largest singular value
-_BOUND_SAFETY = 1.0 + 1e-10
 
 
 @dataclass(frozen=True)
@@ -221,34 +184,7 @@ def grid_norms(sys: LtiSystem, horizon: float, grid: int) -> np.ndarray:
     if sys.is_diagonal:
         return np.exp(np.diag(sys.a_matrix).max()
                       * np.linspace(0.0, horizon, grid))
-    return _read_grid_stack(sys, horizon, grid, _spectral_norms)
-
-
-def grid_peak(sys: LtiSystem, horizon: float, grid: int,
-              rate: float) -> float:
-    """max_k ||e^{A t_k}||_2 e^{rate t_k} over `np.linspace(0, horizon, grid)`.
-
-    The same float as folding `grid_norms` with
-    `max(norm * math.exp(rate * t))`, but the SVD runs only on slices
-    whose certified bound can still exceed the running maximum (see the
-    module docstring).  A stack with a non-finite entry, and a diagonal A,
-    take the full fold, and a failure raises as `grid_norms` does.
-    """
-    _check_grid(horizon, grid)
-    times = np.linspace(0.0, horizon, grid).tolist()
-
-    def fold(norms):
-        return float(max(norm * math.exp(rate * t)
-                         for t, norm in zip(times, norms)))
-
-    def peak(stack):
-        if np.isfinite(stack).all():
-            return _pruned_peak(stack, [math.exp(rate * t) for t in times])
-        return fold(_spectral_norms(stack))
-
-    if sys.is_diagonal:
-        return fold(grid_norms(sys, horizon, grid))
-    return _read_grid_stack(sys, horizon, grid, peak)
+    return _read_grid_stack(sys, horizon, grid)
 
 
 def _check_grid(horizon, grid):
@@ -258,13 +194,13 @@ def _check_grid(horizon, grid):
         raise ValueError("propagation time must be nonnegative")
 
 
-def _read_grid_stack(sys, horizon, grid, read):
-    """read(stack) of e^{A t} at every t of `np.linspace(0, horizon, grid)`.
+def _read_grid_stack(sys, horizon, grid):
+    """||e^{A t}||_2 at every t of `np.linspace(0, horizon, grid)`.
 
-    The stack is filled by doubling.  A `LinAlgError` from `read` is
-    raised afresh, with its message, once the stack is dropped: numpy's
-    own keeps the SVD's frame, and with it the stack, alive in any caller
-    that keeps the exception.
+    The stack of e^{A t} is filled by doubling and read by one batched
+    SVD.  A failing SVD or a non-finite norm raises a fresh `LinAlgError`
+    once the stack is dropped: numpy's own keeps the SVD's frame, and with
+    it the stack, alive in any caller that keeps the exception.
     """
     stack = np.empty((grid,) + sys.a_matrix.shape)
     stack[0] = np.eye(sys.n)
@@ -278,60 +214,15 @@ def _read_grid_stack(sys, horizon, grid, read):
             np.matmul(stack[:k], power, out=stack[filled:filled + k])
             filled += k
     try:
-        return read(stack)
+        norms = np.linalg.norm(stack, 2, axis=(1, 2))
     except np.linalg.LinAlgError as exc:
         message = str(exc)
+    else:
+        if np.isfinite(norms).all():
+            return norms
+        message = "transition matrix norm is not finite"
     del stack
     raise np.linalg.LinAlgError(message)
-
-
-def _spectral_norms(stack):
-    """||X||_2 of every slice X; `LinAlgError` if one is not finite."""
-    norms = np.linalg.norm(stack, 2, axis=(1, 2))
-    if not np.isfinite(norms).all():
-        raise np.linalg.LinAlgError("transition matrix norm is not finite")
-    return norms
-
-
-def _pruned_peak(stack, scale):
-    """max_k ||stack[k]||_2 scale[k] for a finite stack.
-
-    Screens every slice by ||X||_F and seeds the maximum with the SVD of
-    the slice of largest screen value.  The slices whose screen still
-    exceeds it are bounded by ||X||_F ||(Y^T Y)^2||_F^(1/4),
-    Y = X/||X||_F, `_BOUND_BLOCK_BYTES` of slices at a time; SVDs then run
-    in batches of 1, 2, 4, ... _NORM_CHUNK slices in descending order of
-    bound until no bound left exceeds the maximum.  A non-finite bound is
-    never passed over.
-    """
-    safe = np.array(scale) * _BOUND_SAFETY
-    with np.errstate(over="ignore", invalid="ignore"):
-        fro = np.sqrt(np.einsum("kij,kij->k", stack, stack))
-        bound = fro * safe
-    bound[np.isnan(bound)] = np.inf
-    seed = int(np.argmax(bound))
-    peak = _spectral_norms(stack[seed:seed + 1])[0] * scale[seed]
-    bound[seed] = peak
-    rest = np.flatnonzero(bound > peak)
-    block = max(1, _BOUND_BLOCK_BYTES // stack[0].nbytes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, rest.size, block):
-            part = rest[first:first + block]
-            y = stack[part] / fro[part, None, None]
-            g = np.matmul(y.transpose(0, 2, 1), y)
-            g2 = np.matmul(g, g)
-            bound[part] = (fro[part] * np.einsum("kij,kij->k", g2, g2)
-                           ** 0.125 * safe[part])
-    bound[np.isnan(bound)] = np.inf
-    order = rest[np.argsort(-bound[rest], kind="stable")]
-    first, size = 0, 1
-    while first < order.size and bound[order[first]] > peak:
-        batch = order[first:first + size]
-        for k, norm in zip(batch.tolist(), _spectral_norms(stack[batch])):
-            peak = max(peak, norm * scale[k])
-        first += size
-        size = min(2 * size, _NORM_CHUNK)
-    return float(peak)
 
 
 def _exp_stack(m, times, diagonal):

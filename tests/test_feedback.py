@@ -200,8 +200,8 @@ def test_dense_riccati_invariants():
 
 
 def test_missed_rate_is_reported_before_the_overshoot_grid():
-    # the synthesized loop misses mu = 2 (rate about -4.97) and its
-    # overshoot grid's SVD does not converge; the miss must be named
+    # the synthesized loop misses mu = 2 (rate about -4.97); the miss
+    # must be named, whatever the later checks on P would say
     rng = np.random.default_rng([11, 2])
     s = systems.build_system(rng.standard_normal((20, 20)) / math.sqrt(20),
                              rng.standard_normal((20, 2)))
@@ -241,55 +241,65 @@ def test_unshift_identity():
 
 
 # ---------------------------------------------------------------------------
-# closed-loop rate measurement
+# closed-loop rate and the checks on a synthesis
 # ---------------------------------------------------------------------------
 
 def test_rate_of_normal_stable_matrix():
-    s = systems.build_system(np.diag([-1.0, -2.0]), np.ones((2, 1)))
-    rate, overshoot = feedback.closed_loop_rate(s, np.zeros((1, 2)))
-    assert rate == pytest.approx(1.0, abs=1e-12)
-    assert overshoot == pytest.approx(1.0, abs=1e-12)
+    # B = 0: the gain is zero, and the rate is the open loop's, exactly
+    s = systems.build_system(np.diag([-1.0, -2.0]), np.zeros((2, 1)))
+    res = feedback.solve_shifted_riccati(s, 0.5)
+    assert np.array_equal(res.gain_k, np.zeros((1, 2)))
+    assert res.measured_rate == 1.0
 
 
 def test_rate_matches_riccati_eigenvalue():
-    res = feedback.solve_shifted_riccati(SCALAR_01, 1.0)
-    rate, _ = feedback.closed_loop_rate(SCALAR_01, res.gain_k)
-    assert rate == pytest.approx(res.measured_rate, abs=1e-10)
-
-
-def test_jordan_block_transient_overshoot():
-    s = systems.build_system(np.array([[-1.0, 1.0], [0.0, -1.0]]),
-                             np.ones((2, 1)))
-    rate, overshoot = feedback.closed_loop_rate(s, np.zeros((1, 2)))
-    assert rate == pytest.approx(1.0, abs=1e-12)
-    assert overshoot > 1.0
-
-
-def test_rate_and_overshoot_equal_per_time_loop(grid_norm_oracle):
-    # the rate is exact; the overshoot's grid norms come from doubling,
-    # so it is held to a 40-digit oracle, not to the per-time loop
     rng = np.random.default_rng(4)
     s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
                              rng.standard_normal((5, 2)))
-    gain = rng.standard_normal((2, 5))
-    a_cl = s.a_matrix + s.b_matrix @ gain
-    rate = -float(np.max(np.linalg.eigvals(a_cl).real))
-    overshoot = max(norm * math.exp(rate * t) for t, norm in zip(
-        np.linspace(0.0, 10.0, 200), grid_norm_oracle(a_cl, 10.0, 200)))
-    measured_rate, measured_overshoot = feedback.closed_loop_rate(s, gain)
-    assert measured_rate == rate
-    assert measured_overshoot == pytest.approx(overshoot, rel=1e-13)
+    res = feedback.solve_shifted_riccati(s, 1.0)
+    a_cl = s.a_matrix + s.b_matrix @ res.gain_k
+    assert res.measured_rate == -float(np.linalg.eigvals(a_cl).real.max())
+    assert res.measured_rate > res.mu
 
 
-def test_closed_loop_rate_validates_its_grid():
-    gain = np.zeros((1, 1))
-    with pytest.raises(ValueError, match="grid"):
-        feedback.closed_loop_rate(SCALAR_01, gain, grid=0)
-    assert feedback.closed_loop_rate(SCALAR_01, gain, grid=1)[1] == 1.0
-    with pytest.raises(ValueError, match="grid"):
-        feedback.solve_shifted_riccati(SCALAR_01, 1.0, rate_grid=0)
-    with pytest.raises(ValueError, match="horizon"):
-        feedback.solve_shifted_riccati(SCALAR_01, 1.0, rate_horizon=0.0)
+def test_rate_equal_to_mu_is_a_miss(monkeypatch):
+    # every closed-loop eigenvalue must lie strictly left of -mu
+    monkeypatch.setattr(feedback, "_spectral_rate", lambda a_cl: 1.0)
+    with pytest.raises(RuntimeError, match="missed the target") as missed:
+        feedback.solve_shifted_riccati(SCALAR_01, 1.0)
+    assert missed.value.measured_rate == 1.0
+
+
+def test_fast_stable_loop_is_synthesized():
+    # rate * 10 is above 709: a synthesis that weighted a decay curve on
+    # [0, 10] by exp(rate * t) would overflow
+    s = systems.build_system([[-80.0, 1.0], [0.0, -90.0]], [[1.0], [1.0]])
+    res = feedback.solve_shifted_riccati(s, 1.0)
+    assert res.measured_rate > 80.0
+    assert np.linalg.eigvalsh(res.riccati_p)[0] > 0.0
+
+
+def test_singular_riccati_solution_is_refused():
+    # an n = 20 pair drawn as the feedback-synthesis benchmark draws it:
+    # at mu = 2 the computed rate clears mu, but ||K|| is about 1e8 and
+    # lambda_min(P)/lambda_max(P) about 1e-16, below n u
+    rng = np.random.default_rng([11, 17])
+    s = systems.build_system(rng.standard_normal((20, 20)) / math.sqrt(20),
+                             rng.standard_normal((20, 2)))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"lambda_min/lambda_max = \d\.\d+e-1[5-7]"):
+        feedback.solve_shifted_riccati(s, 2.0)
+
+
+def test_feedback_result_refuses_a_singular_p():
+    with pytest.raises(np.linalg.LinAlgError, match="lambda_min/lambda_max"):
+        feedback.FeedbackResult(mu=1.0, riccati_p=np.diag([1.0, 0.0]),
+                                gain_k=np.zeros((1, 2)), residual=0.0,
+                                measured_rate=2.0)
+    with pytest.raises(ValueError, match="PSD"):
+        feedback.FeedbackResult(mu=1.0, riccati_p=np.diag([1.0, -1.0]),
+                                gain_k=np.zeros((1, 2)), residual=0.0,
+                                measured_rate=2.0)
 
 
 # ---------------------------------------------------------------------------

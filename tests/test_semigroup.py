@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stabcert import feedback, lrconstants, semigroup, systems, verification
+from stabcert import semigroup, systems, verification
 from stabcert._quadrature import QuadratureError, gauss_legendre_rule, \
     integrate_adaptive, panel_nodes, refine
 from stabcert.semigroup import QuadratureSpec
@@ -575,14 +575,9 @@ def test_grid_norms_validate_their_grid():
     for grid in (0, -3):
         with pytest.raises(ValueError, match="grid"):
             semigroup.grid_norms(s, 10.0, grid)
-        with pytest.raises(ValueError, match="grid"):
-            semigroup.grid_peak(s, 10.0, grid, 0.0)
     with pytest.raises(ValueError):
         semigroup.grid_norms(s, -1.0, 5)
-    with pytest.raises(ValueError):
-        semigroup.grid_peak(s, -1.0, 5, 0.0)
     assert np.array_equal(semigroup.grid_norms(s, 0.0, 3), np.ones(3))
-    assert semigroup.grid_peak(s, 0.0, 3, 0.0) == 1.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -610,129 +605,6 @@ def test_kept_grid_norms_error_does_not_keep_the_stack():
     assert held < stack_bytes / 8
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_grid_peak_raises_from_the_stack_in_hand(monkeypatch):
-    s = _overflowing_system()
-    calls = []
-
-    def counted(m):
-        calls.append(m)
-        return expm(m)
-
-    monkeypatch.setattr(semigroup, "expm", counted)
-    with pytest.raises(np.linalg.LinAlgError) as peak:
-        semigroup.grid_peak(s, 10.0, 200, 0.0)
-    assert len(calls) == 1
-    with pytest.raises(np.linalg.LinAlgError) as norms:
-        semigroup.grid_norms(s, 10.0, 200)
-    assert str(peak.value) == str(norms.value)
-
-
-def _folded_peak(s, horizon, grid, rate):
-    peak = 0.0
-    for t, norm in zip(np.linspace(0.0, horizon, grid),
-                       semigroup.grid_norms(s, horizon, grid)):
-        peak = max(peak, norm * math.exp(rate * t))
-    return peak
-
-
-def _peak_system(kind):
-    rng = np.random.default_rng(9)
-    if kind == "jordan":
-        a = -0.5 * np.eye(6) + np.eye(6, k=1)
-    elif kind == "skew":
-        # e^{At} is orthogonal: every norm ties at 1, none can be passed
-        # over, as the bound of an orthogonal X is n^(1/8)
-        g = rng.standard_normal((6, 6))
-        a = g - g.T
-    else:
-        return _grid_system(kind)
-    return systems.build_system(a, rng.standard_normal((6, 2)))
-
-
-@pytest.mark.parametrize("kind", [2, 5, 10, 20, "jordan", "skew",
-                                  "diagonal"])
-def test_grid_peak_equals_the_full_curve_fold(kind):
-    s = _peak_system(kind)
-    for rate in (-0.7, 0.0, 0.3):
-        for grid in (1, 2, 3, 200):
-            peak = semigroup.grid_peak(s, 10.0, grid, rate)
-            assert type(peak) is float
-            assert peak == _folded_peak(s, 10.0, grid, rate)
-    # math.exp(1000 t) overflows from t = 0.71 on, in both
-    with pytest.raises(OverflowError):
-        _folded_peak(s, 10.0, 200, 1000.0)
-    with pytest.raises(OverflowError):
-        semigroup.grid_peak(s, 10.0, 200, 1000.0)
-
-
-def _count_svd_slices(monkeypatch):
-    slices = []
-    norms = semigroup._spectral_norms
-
-    def spy(stack):
-        slices.append(len(stack))
-        return norms(stack)
-
-    monkeypatch.setattr(semigroup, "_spectral_norms", spy)
-    return slices
-
-
-def test_grid_peak_takes_few_svds_on_a_damped_closed_loop(monkeypatch):
-    s = _grid_system(10)
-    gain = feedback.solve_shifted_riccati(s, 1.0).gain_k
-    closed = systems.build_system(s.a_matrix + s.b_matrix @ gain,
-                                  s.b_matrix)
-    rate, overshoot = feedback.closed_loop_rate(s, gain)
-    slices = _count_svd_slices(monkeypatch)
-    assert semigroup.grid_peak(closed, 10.0, 200, rate) == overshoot
-    assert 0 < sum(slices) <= 20
-    assert overshoot == _folded_peak(closed, 10.0, 200, rate)
-
-
-def test_grid_peak_passes_over_no_tied_norm(monkeypatch):
-    s = _peak_system("skew")
-    slices = _count_svd_slices(monkeypatch)
-    semigroup.grid_peak(s, 10.0, 200, 0.0)
-    assert sum(slices) == 200
-
-
-def _peak_or_error(peak, *args):
-    try:
-        return peak(*args)
-    except (np.linalg.LinAlgError, OverflowError) as exc:
-        return type(exc), str(exc)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("n", [5, 10, 20])
-def test_grid_peak_equals_the_fold_on_feedback_loops(n, monkeypatch):
-    # every loop `fit_semigroup_bound` (the open loop at rate -delta0)
-    # and `solve_shifted_riccati` at mu = 1, 2, 4 (its closed loops) read
-    loops = []
-
-    def recorded(*args):
-        loops.append(args)
-        return semigroup.grid_peak(*args)
-
-    monkeypatch.setattr(lrconstants, "grid_peak", recorded)
-    monkeypatch.setattr(feedback, "grid_peak", recorded)
-    rng = np.random.default_rng([20, n])
-    for _ in range(4):
-        s = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
-                                 rng.standard_normal((n, 2)))
-        lrconstants.fit_semigroup_bound(s)
-        for mu in (1.0, 2.0, 4.0):
-            try:
-                feedback.solve_shifted_riccati(s, mu)
-            except (RuntimeError, np.linalg.LinAlgError):
-                pass
-    assert len(loops) > 8
-    for args in loops:
-        assert (_peak_or_error(semigroup.grid_peak, *args)
-                == _peak_or_error(_folded_peak, *args))
-
-
 def _positive_overflow_system():
     # all entries of e^{At} are positive: the doubling overflows to inf
     # and forms no 0 * inf, so the stack holds inf but no nan
@@ -745,26 +617,6 @@ def test_norms_of_an_overflowed_stack_without_nan_raise():
     s = _positive_overflow_system()
     with pytest.raises(np.linalg.LinAlgError):
         semigroup.grid_norms(s, 10.0, 200)
-    with pytest.raises(np.linalg.LinAlgError):
-        semigroup.grid_peak(s, 10.0, 200, -700.0)
-    with pytest.raises(np.linalg.LinAlgError):
-        semigroup.grid_peak(_overflowing_system(), 10.0, 200, 0.0)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_kept_grid_peak_error_does_not_keep_the_stack():
-    s = _overflowing_system()
-    stack_bytes = 200 * s.n * s.n * 8
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        with pytest.raises(np.linalg.LinAlgError) as kept:
-            semigroup.grid_peak(s, 10.0, 200, 0.0)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert kept.value.__context__ is None
-    assert held < stack_bytes / 8
 
 
 def test_gramian_result_rejects_nonpositive_horizon():

@@ -290,26 +290,33 @@ def test_stabilize_overshoot_is_measured_on_the_written_curve(tmp_path):
     assert report["measured_overshoot"] == pytest.approx(peak, rel=1e-12)
 
 
-def test_stabilize_takes_one_curve(tmp_path, monkeypatch):
-    # the report's overshoot is the fold of the curve decay.csv holds;
-    # the synthesis itself measures no curve
-    calls = []
+def test_stabilize_takes_one_curve_and_one_peak(tmp_path, monkeypatch):
+    # the synthesis measures no curve; the report's one peak is the fold
+    # of the one curve that decay.csv holds
+    calls, curves = [], []
 
     def spy(module):
         inner = module.grid_norms
 
         def wrapper(*args):
             calls.append(args[1:3])
-            return inner(*args)
+            curves.append(inner(*args))
+            return curves[-1]
 
         monkeypatch.setattr(module, "grid_norms", wrapper)
 
     spy(cli)
     spy(semigroup)
     spec = '{"kind": "matrix", "a": [[0, 5], [0, 0]], "b": [[0], [1]]}'
+    out = tmp_path / "s"
     assert run_cli(["stabilize", "--system", spec, "--mu", "1",
-                    "--out", str(tmp_path / "s")]) == 0
+                    "--out", str(out)]) == 0
     assert calls == [(10.0, 200)]
+    report = read_report(out)
+    times = np.linspace(0.0, 10.0, 200).tolist()
+    assert report["measured_overshoot"] == max(
+        norm * math.exp(report["measured_rate"] * t)
+        for t, norm in zip(times, curves[0]))
 
 
 def test_stabilize_unstabilizable_exit_one(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stabcert import semigroup, systems, verification
+from stabcert import cli, feedback, semigroup, systems, verification
 from stabcert._quadrature import QuadratureError, gauss_legendre_rule, \
     integrate_adaptive, panel_nodes, refine
 from stabcert.semigroup import QuadratureSpec
@@ -604,6 +605,83 @@ def test_kept_grid_norms_error_does_not_keep_the_stack():
     assert kept.value.__context__ is None
     assert held < stack_bytes / 8
 
+
+
+def _folded_peak(s, horizon, grid, rate):
+    """The fold `stabilize` makes of the decay curve it writes: the peak
+    of ||e^{At}|| e^{rate t} over the grid of `grid_norms`."""
+    times = np.linspace(0.0, horizon, grid)
+    return float(max(norm * math.exp(rate * t) for t, norm in
+                     zip(times.tolist(), semigroup.grid_norms(s, horizon,
+                                                              grid))))
+
+
+def _peak_system(kind):
+    rng = np.random.default_rng(9)
+    if kind == "jordan":
+        a = -0.5 * np.eye(6) + np.eye(6, k=1)
+    elif kind == "skew":
+        # e^{At} is orthogonal: every norm ties at 1
+        g = rng.standard_normal((6, 6))
+        a = g - g.T
+    else:
+        return _grid_system(kind)
+    return systems.build_system(a, rng.standard_normal((6, 2)))
+
+
+@pytest.mark.parametrize("kind", [2, 5, 10, 20, "jordan", "skew",
+                                  "diagonal"])
+def test_grid_peak_equals_the_full_curve_fold(kind, grid_norm_oracle):
+    # the grid peak against the same fold of the 40-digit curve
+    s = _peak_system(kind)
+    for grid in (1, 2, 3, 200):
+        times = np.linspace(0.0, 10.0, grid).tolist()
+        exact = grid_norm_oracle(s.a_matrix, 10.0, grid)
+        for rate in (-0.7, 0.0, 0.3):
+            peak = _folded_peak(s, 10.0, grid, rate)
+            assert type(peak) is float
+            assert peak == pytest.approx(
+                max(norm * math.exp(rate * t)
+                    for t, norm in zip(times, exact)), rel=1e-13)
+    # math.exp(1000 t) overflows from t = 0.71 on
+    with pytest.raises(OverflowError):
+        _folded_peak(s, 10.0, 200, 1000.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [5, 10, 20])
+def test_grid_peak_equals_the_fold_on_feedback_loops(n, tmp_path):
+    # every closed loop `solve_shifted_riccati` synthesizes at mu = 1, 2, 4:
+    # `stabilize` reports the fold of its curve at the measured rate, or
+    # exits 3 where the fold raises
+    rng = np.random.default_rng([20, n])
+    loops = 0
+    for pair in range(4):
+        a = rng.standard_normal((n, n)) / math.sqrt(n)
+        b = rng.standard_normal((n, 2))
+        s = systems.build_system(a, b)
+        spec = json.dumps({"kind": "matrix", "a": a.tolist(),
+                           "b": b.tolist()})
+        for mu in (1.0, 2.0, 4.0):
+            try:
+                res = feedback.solve_shifted_riccati(s, mu)
+            except (RuntimeError, np.linalg.LinAlgError):
+                continue
+            loops += 1
+            closed = systems.build_system(a + b @ res.gain_k, b)
+            out = tmp_path / f"{pair}-{mu}"
+            code = cli.main(["stabilize", "--system", spec, "--mu", str(mu),
+                             "--out", str(out)])
+            try:
+                peak = _folded_peak(closed, 10.0, 200, res.measured_rate)
+            except (np.linalg.LinAlgError, OverflowError):
+                assert code == 3
+                continue
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["measured_rate"] == res.measured_rate
+            assert report["measured_overshoot"] == peak
+    assert loops >= 4
 
 def _positive_overflow_system():
     # all entries of e^{At} are positive: the doubling overflows to inf

@@ -101,6 +101,8 @@ def _load_lti(args) -> LtiSystem:
     if isinstance(obj, SpectralSystem):
         modes = obj.n if args.modes is None else args.modes
         return sysmod.truncate(obj, modes)
+    if args.modes is not None:
+        raise ValueError("--modes truncates spectral specs only")
     return obj
 
 
@@ -197,8 +199,7 @@ def _unbounded_spec(o):
 def _cmd_constants(args) -> int:
     formula = args.formula
     given = {k: v for k, v in vars(args).items()
-             if v is not None and k not in ("command", "out", "seed",
-                                            "formula")}
+             if v is not None and k not in ("command", "out", "formula")}
     o = {**_CONSTANTS_DEFAULTS, **given}
     if formula == "admissibility":
         result = {"claim": "admissibility-constant",
@@ -377,6 +378,11 @@ def _cmd_verify_all(args) -> int:
 def _common(p):
     p.add_argument("--out", default="stabcert-out",
                    help="output directory for report.json and CSVs")
+
+
+def _seeded(p):
+    """`_common` and `--seed`, for the commands whose reports depend on it."""
+    _common(p)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -412,7 +418,7 @@ def _gramian_parser(p):
 
 
 def _weakobs_parser(p):
-    _common(p)
+    _seeded(p)
     p.add_argument("--system", required=True)
     _sweep_flags(p)
     p.add_argument("--modes", type=int, default=None)
@@ -439,7 +445,7 @@ def _stabilize_parser(p):
 
 
 def _periodic_parser(p):
-    _common(p)
+    _seeded(p)
     p.add_argument("--modes", type=int, default=10)
     _periodic_flags(p)
 
@@ -462,7 +468,7 @@ def _example_parser(p):
     names = p.add_subparsers(dest="name", required=True)
     for name, (help_text, c, intervals) in _HEAT_EXAMPLES.items():
         q = names.add_parser(name, help=help_text)
-        _common(q)
+        _seeded(q)
         q.add_argument("--modes", type=int, default=8)
         if intervals is None:
             q.add_argument("--x0", default="cf",
@@ -485,7 +491,7 @@ def _example_parser(p):
     q = names.add_parser("periodic-l2",
                          help="periodic benchmark certificates or "
                               "refutation witness")
-    _common(q)
+    _seeded(q)
     q.add_argument("--modes", type=int, default=8)
     q.add_argument("--samples", type=int, default=PERIODIC_SAMPLES)
     _periodic_flags(q)
@@ -504,7 +510,7 @@ _COMMANDS = {
                                 "refutation witness", _periodic_parser),
     "example": (_cmd_example, "run a bundled benchmark end to end",
                 _example_parser),
-    "verify-all": (_cmd_verify_all, "run the acceptance suite", _common),
+    "verify-all": (_cmd_verify_all, "run the acceptance suite", _seeded),
 }
 
 

@@ -453,13 +453,10 @@ def certificate_to_feedback(sys: LtiSystem, family: CertificateFamily,
     """
     if mu <= 0:
         raise ValueError("target rate mu must be positive")
-    candidates = []
-    for alpha in family.alphas:
-        k = round(alpha) - 1
-        if abs(alpha - round(alpha)) < 1e-9 and k >= 1 \
-                and family.alpha_certified(alpha):
-            candidates.append(k)
-    admissible = sorted(k for k in candidates if k > mu)
+    # alpha = k + 1 exactly: the entry `sequence_entry(k)` looks up
+    admissible = sorted(int(alpha) - 1 for alpha in family.alphas
+                        if float(alpha).is_integer() and alpha - 1 > mu
+                        and family.alpha_certified(alpha))
     if not admissible:
         raise ValueError(
             f"family has no certified integer entry with index above "

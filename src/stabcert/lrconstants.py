@@ -241,10 +241,11 @@ def fattorini_distance(decay_rates: Sequence[float], t0: float, j: int,
                        pool: Sequence[int]) -> float:
     """L^2(0, t0) distance of exp(-lam_j t) to span{exp(-lam_i t), i in pool}.
 
-    Indices are 1-based into `decay_rates`, which must be positive.  The
-    distance comes from least squares on the closed-form exponential Gram
-    matrix; a Gram condition number beyond GRAM_COND_LIMIT raises
-    IllConditionedGramError carrying the estimate.
+    Indices are 1-based into `decay_rates`, which must be positive; one
+    outside [1, len(decay_rates)] raises ValueError.  The distance comes
+    from least squares on the closed-form exponential Gram matrix; a Gram
+    condition number beyond GRAM_COND_LIMIT raises IllConditionedGramError
+    carrying the estimate.
     """
     rates = np.asarray(decay_rates, dtype=float)
     if np.any(rates <= 0):
@@ -252,6 +253,9 @@ def fattorini_distance(decay_rates: Sequence[float], t0: float, j: int,
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     pool = [int(i) for i in pool]
+    for index in (j, *pool):
+        if not 1 <= index <= len(rates):
+            raise ValueError(f"index {index} outside [1, {len(rates)}]")
     if j in pool:
         raise ValueError("pool must exclude the target index")
     lam_j = rates[j - 1]

@@ -13,7 +13,8 @@ horizon n_k periods, alpha = k, D = c_k and C = 1.  Only what is periodic
 lives here: the per-mode energies g and the decayed norms
 w = e^{2 lambda T}, the candidates and quadrature confirmation.  Ratio,
 margin, threshold and verdict come from the decision core in
-`stabcert.weakobs`, on the forms diag(sqrt(g)) and diag(sqrt(w)).
+`stabcert.weakobs`, on the record (`HorizonInputs`) of the forms
+diag(sqrt(g)) and diag(sqrt(w)).
 """
 
 import math
@@ -23,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._quadrature import integrate_adaptive
-from .weakobs import (Forms, Scores, WeakObsCertificate, _reduce,
-                      best_state, decide)
+from .weakobs import Forms, HorizonInputs, WeakObsCertificate, decide
 
 __all__ = [
     "PeriodicSystem",
@@ -237,16 +237,15 @@ def periodic_weakobs_check(sys: PeriodicSystem, k: int, n_k: int,
     rng = np.random.default_rng(seed)
     cert = WeakObsCertificate(horizon=n_k * sys.period, alpha=k,
                               d_const=c_k, c_const=1.0)
-    eps = cert.residual
     g = np.array([_mode_energy(sys.a_diag[i], sys.windows[i], n_k,
                                sys.period) for i in range(sys.n)])
     w = np.exp(2.0 * sys.a_diag * cert.horizon)
     forms = Forms.of(np.diag(np.sqrt(g)), np.diag(np.sqrt(w)))
     cands = np.vstack([np.eye(sys.n), rng.standard_normal((samples, sys.n))])
-    return decide(
-        forms, cert, best_state(Scores.of(forms, cands), eps),
-        _reduce(forms, eps),
-        lambda psi: periodic_observation_energy_quadrature(sys, n_k, psi))
+    return decide(HorizonInputs(
+        forms, cands,
+        lambda psi: periodic_observation_energy_quadrature(sys, n_k, psi)),
+        cert)
 
 
 def multiplexed_stabilizability_check(sys: PeriodicSystem, k: int,

@@ -27,21 +27,23 @@ decision reads the factor R, never G, and is two-sided:
 Between the two the verdict is "inconclusive", never guessed.
 
 Every verdict in the package, `stabcert.periodic` included, goes through
-the one decision core here (`Forms`, `Scores`, `best_state`, `decide`);
-`check_certificate` and `optimal_d_bracket` are thin wrappers over it.
-A verdict has one record: `decide` reads D and eps from a
-`WeakObsCertificate` and returns it with its status, margins and witness.
+the one decision core here: `decide(inputs, cert)` reads D and eps from a
+`WeakObsCertificate` and returns it with its status, margins and witness,
+on one horizon's `HorizonInputs` record.  `_horizons` builds the records
+of a dense system for `check_certificate`, `optimal_d_bracket` and
+`sweep_alpha`; `stabcert.periodic` builds its own from diagonal forms.
 
 The search computes each quantity once, at the scope it depends on:
 
-* per call (`sweep_alpha`, `check_certificate`, `optimal_d_bracket`):
-  the seeded Gaussian states and the axes, normalized, as one block
-  (`_shared_states`);
-* per horizon: the forms, the candidates they add (R's right singular
-  vectors, W's eigenvectors, the K11 maximizers; `_candidate_states`) and
-  one `Scores` record of ||F u|| and ||R u|| over all candidates u;
-* per (alpha, T), i.e. per eps: the ratio and its argmax (`best_state`),
-  the slack reduction (`_reduce`) and the verdict (`decide`).
+* per call (`_horizons`): one ExpTable of A for every Gramian and,
+  through its transposed view, every witness energy, and the seeded
+  Gaussian states and the axes, normalized (`_shared_states`);
+* per horizon (a `HorizonInputs`): the `Forms`, the candidates they add
+  (R's right singular vectors, W's eigenvectors, the K11 maximizers;
+  `_candidate_states`) and ||F u||, ||R u|| over all candidates u;
+* per (alpha, T), i.e. per eps: the ratio argmax and the slack reduction
+  (`entry`), shared by `bracket` and by `decide` for every D;
+* per (T, witness): the independent energy (`energy`).
 """
 
 import math
@@ -215,60 +217,78 @@ def _reduce(forms: Forms, eps: float):
         null = null | more
 
 
-class Scores(NamedTuple):
-    """Candidate states scored once on one horizon's forms: the states (a
-    search returns one of them), and for each, scaled to a unit u, the
-    free norm ||F u|| and the observation norm ||R u||, the forms' `floor`
-    and below counting as rounding.  None of it depends on eps; build with
-    `Scores.of`."""
+class HorizonInputs:
+    """What every alpha and D checked at one horizon share: the forms, the
+    candidate states, each scored once as a unit u by the free norm
+    ||F u|| and the observation norm ||R u|| (the forms' `floor` and below
+    counting as rounding), and `energy_of`, an independent route to
+    ||R u||^2 that confirms a violation.  `entry`, `bracket` and `energy`
+    are memoized: each eps is searched and reduced once, each witness
+    integrated once."""
 
-    states: np.ndarray
-    free: np.ndarray
-    obs: np.ndarray
-    floor: float
-
-    @classmethod
-    def of(cls, forms: Forms, states):
+    def __init__(self, forms: Forms, states,
+                 energy_of: Callable[[np.ndarray], float]):
         states = np.asarray(states, dtype=float)
         units = states / np.linalg.norm(states, axis=1)[:, None]
-        return cls(states, np.linalg.norm(units @ forms.adj.T, axis=1),
-                   np.linalg.norm(units @ forms.factor.T, axis=1),
-                   forms.floor)
+        self.forms = forms
+        self.states = states
+        self.free = np.linalg.norm(units @ forms.adj.T, axis=1)
+        self.obs = np.linalg.norm(units @ forms.factor.T, axis=1)
+        self.energy_of = energy_of
+        self._entries = {}
+        self._energies = {}
+
+    def entry(self, eps: float):
+        """((state, ratio), _reduce(forms, eps)): the best ratio
+        (||F u|| - eps)_+ / ||R u|| over the scored states (inf where
+        ||R u|| <= floor) with its state, and the slack reduction; neither
+        depends on D."""
+        if eps not in self._entries:
+            num = self.free - eps
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(num <= 0.0, 0.0,
+                                 np.where(self.obs <= self.forms.floor,
+                                          np.inf, num / self.obs))
+            best = int(np.argmax(ratio))
+            self._entries[eps] = ((self.states[best], float(ratio[best])),
+                                  _reduce(self.forms, eps))
+        return self._entries[eps]
+
+    def bracket(self, eps: float):
+        """(sampled lower bound, smallest D passing the sufficient test) at
+        eps."""
+        (_, best), (top, _) = self.entry(eps)
+        d_lo = max(best, 0.0)
+        if not np.isfinite(d_lo):
+            return d_lo, np.inf
+        return d_lo, math.sqrt(max(top, 0.0))
+
+    def energy(self, unit: np.ndarray) -> float:
+        """`energy_of(unit)`, once per unit state."""
+        key = unit.tobytes()
+        if key not in self._energies:
+            self._energies[key] = self.energy_of(unit)
+        return self._energies[key]
 
 
-def best_state(scores: Scores, eps: float):
-    """Best ratio (||F u|| - eps)_+ / ||R u|| over the scored states (inf
-    where ||R u|| <= floor), and its state."""
-    num = scores.free - eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(num <= 0.0, 0.0,
-                         np.where(scores.obs <= scores.floor, np.inf,
-                                  num / scores.obs))
-    best = int(np.argmax(ratio))
-    return scores.states[best], float(ratio[best])
-
-
-def decide(forms: Forms, cert: WeakObsCertificate, search, reduced: tuple,
-           energy: Callable[[np.ndarray], float]) -> WeakObsCertificate:
+def decide(inputs: HorizonInputs,
+           cert: WeakObsCertificate) -> WeakObsCertificate:
     """`cert` with its verdict on ||e^{A^T T} phi|| <= D ||R phi|| + eps
-    ||phi||, D = cert.d_const and eps = cert.residual.
-
-    `search` is the (state, ratio) found on these forms and eps, and
-    `reduced` is `_reduce(forms, eps)`; neither depends on D.  Refuted
-    only when that state violates the inequality beyond rounding with its
-    observation energy recomputed by `energy`, an independent route; else
-    certified iff the margin, D^2 - top (or lambda_min(N) when N alone
-    decides), is >= 0: it has the sign of lambda_min(D^2 G + eps^2 I - W).
+    ||phi||, D = cert.d_const and eps = cert.residual, on the inputs of
+    cert's horizon.  Refuted only when the best searched state violates
+    the inequality beyond rounding with its observation energy recomputed
+    by `inputs.energy`, an independent route; else certified iff the
+    margin, D^2 - top (or lambda_min(N) when N alone decides), is >= 0: it
+    has the sign of lambda_min(D^2 G + eps^2 I - W).
     """
     d_const, eps = cert.d_const, cert.residual
-    top, null_min = reduced
+    (phi, best), (top, null_min) = inputs.entry(eps)
     margin = null_min if math.isinf(top) else d_const**2 - top
-    phi, best = search
     sample_margin = d_const - best if np.isfinite(best) else -np.inf
-    if phi is not None and best > d_const:
+    if best > d_const:
         unit = phi / np.linalg.norm(phi)
-        lhs = np.linalg.norm(forms.adj @ unit)
-        rhs = d_const * math.sqrt(max(energy(unit), 0.0)) + eps
+        lhs = np.linalg.norm(inputs.forms.adj @ unit)
+        rhs = d_const * math.sqrt(max(inputs.energy(unit), 0.0)) + eps
         if lhs > rhs + 1e-12 * (1.0 + lhs):
             return replace(cert, status=REFUTED, margin=margin,
                            sample_margin=sample_margin, witness=phi)
@@ -324,19 +344,25 @@ def _candidate_states(forms, shared):
     return np.vstack([shared, _unit_rows(own)])
 
 
-def _scores(forms, samples, seed):
-    """Scores of one horizon's candidates, for a call with one horizon."""
-    shared = _shared_states(len(forms.factor), samples, seed)
-    return Scores.of(forms, _candidate_states(forms, shared))
+def _horizons(sys, horizons, samples, seed, quad):
+    """{T: HorizonInputs} of a dense system.  Every horizon's Gramian
+    draws its node exponentials from one ExpTable of A, e^{A^T T} is its
+    e^{A T} transposed and the witness energies read it through one
+    transposed view, so no A^T t is exponentiated; the Gaussian and axis
+    states are drawn once for all horizons."""
+    quad = quad or DEFAULT_QUAD
+    table = ExpTable(sys.a_matrix, sys.is_diagonal)
+    adj_table = table.transposed()
+    shared = _shared_states(sys.n, samples, seed)
 
+    def inputs(t):
+        forms = _dense_forms(sys, t, quad, table)
+        return HorizonInputs(
+            forms, _candidate_states(forms, shared),
+            lambda unit: observation_energy(sys, t, unit, quad,
+                                            table=adj_table))
 
-def _d_bracket(top, best):
-    """(sampled lower bound, smallest D passing the sufficient test), from
-    the best sampled ratio and `_reduce`'s top."""
-    d_lo = max(best, 0.0)
-    if not np.isfinite(d_lo):
-        return d_lo, np.inf
-    return d_lo, math.sqrt(max(top, 0.0))
+    return {t: inputs(t) for t in horizons}
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +380,8 @@ def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
     the confirmed witness state.  Everything else is inconclusive, with
     both margins reported.
     """
-    quad = quad or DEFAULT_QUAD
-    table = ExpTable(sys.a_matrix, sys.is_diagonal)
-    forms = _dense_forms(sys, cert.horizon, quad, table)
-    eps = cert.residual
-    return decide(forms, cert,
-                  best_state(_scores(forms, samples, seed), eps),
-                  _reduce(forms, eps),
-                  lambda phi: observation_energy(sys, cert.horizon, phi,
-                                                 quad,
-                                                 table=table.transposed()))
+    inputs = _horizons(sys, [cert.horizon], samples, seed, quad)
+    return decide(inputs[cert.horizon], cert)
 
 
 def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
@@ -381,9 +399,8 @@ def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
         raise ValueError("horizon must be positive")
     if eps < 0:
         raise ValueError("residual must be nonnegative")
-    forms = _dense_forms(sys, horizon, quad or DEFAULT_QUAD)
-    _, best = best_state(_scores(forms, samples, seed), eps)
-    return _d_bracket(_reduce(forms, eps)[0], best)
+    return _horizons(sys, [horizon], samples, seed, quad)[horizon].bracket(
+        eps)
 
 
 def _resolve_residual_rule(residual_rule, alphas):
@@ -405,56 +422,31 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     positive margins.  Entries with an unobserved direction not covered by
     the residual are refuted with a stored witness.
 
-    Per call, the seeded Gaussian and axis states are drawn and
-    normalized once.  Per horizon, the forms (Gramian factor, its SVD,
-    e^{A^T T}), the candidates they add and the scores of every candidate
-    (||F u||, ||R u||) are built once, and every horizon's Gramian draws
-    its node exponentials from one ExpTable of A that lives for this
-    call: an A t exponentiated for one horizon or refinement level is
-    reused, bit for bit, by every other.  Per (alpha, T), only eps
-    changes: one ratio argmax over the scores and one slack reduction
-    serve both the D bracket and every D checked.  Each distinct
-    (T, witness) energy is integrated once, its nodes read from the table
-    of A through its transposed view, as `check_certificate` reads its
-    own, so entries equal `check_certificate` with the same seed and
-    samples and no A^T t is exponentiated.
+    Its inputs are one `HorizonInputs` per horizon from `_horizons`, the
+    builder `check_certificate` uses for its one horizon, so entries equal
+    `check_certificate` with the same seed and samples.  Every horizon's
+    Gramian and witness energies read one ExpTable of A, so each A t is
+    exponentiated once over all horizons and levels, and no A^T t at all.
+    Per (alpha, T) only eps changes: one `entry` (ratio argmax and slack
+    reduction) serves the D bracket and every D checked, and each
+    (T, witness) energy is integrated once.
     """
     alphas = tuple(sorted(float(a) for a in alphas))
     horizons = tuple(sorted(float(t) for t in horizons))
     if not alphas or not horizons:
         raise ValueError("alpha and horizon grids must be nonempty")
-    quad = quad or DEFAULT_QUAD
     c_of_alpha, source = _resolve_residual_rule(residual_rule, alphas)
-    table = ExpTable(sys.a_matrix, sys.is_diagonal)
-    forms = {t: _dense_forms(sys, t, quad, table) for t in horizons}
-    shared = _shared_states(sys.n, samples, seed)
-    scores = {t: Scores.of(forms[t], _candidate_states(forms[t], shared))
-              for t in horizons}
-    adj_table = table.transposed()
-    energies = {}
-
-    def energy(t, unit):
-        # depends on neither alpha nor D: alphas that find the same
-        # witness share one quadrature
-        key = (t, unit.tobytes())
-        if key not in energies:
-            energies[key] = observation_energy(sys, t, unit, quad,
-                                               table=adj_table)
-        return energies[key]
+    inputs = _horizons(sys, horizons, samples, seed, quad)
 
     def check_alpha(alpha):
         c_val = c_of_alpha[alpha]
-        eps = {t: c_val * math.exp(-alpha * t) for t in horizons}
-        searches = {t: best_state(scores[t], eps[t]) for t in horizons}
-        reduced = {t: _reduce(forms[t], eps[t]) for t in horizons}
-        brackets = {t: _d_bracket(reduced[t][0], searches[t][1])
+        # each eps is the float cert.residual: decide reuses its entry
+        brackets = {t: inputs[t].bracket(c_val * math.exp(-alpha * t))
                     for t in horizons}
 
         def check(t, d_const):
-            cert = WeakObsCertificate(horizon=t, alpha=alpha,
-                                      d_const=d_const, c_const=c_val)
-            return decide(forms[t], cert, searches[t], reduced[t],
-                          lambda unit: energy(t, unit))
+            return decide(inputs[t], WeakObsCertificate(
+                horizon=t, alpha=alpha, d_const=d_const, c_const=c_val))
 
         finite = [hi for _, hi in brackets.values() if np.isfinite(hi)]
         if len(finite) == len(horizons):

@@ -510,6 +510,31 @@ def test_zero_truncation_order_is_rejected(command, tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["gramian", "weakobs", "stabilize"])
+def test_modes_on_a_matrix_spec_is_a_usage_error(command, tmp_path, capsys):
+    # a matrix spec has no modes to truncate: the flag is not ignored
+    out = tmp_path / "m"
+    code = run_cli([command, "--system", SCALAR_SPEC, "--modes", "3",
+                    "--out", str(out)])
+    assert code == 3
+    assert "--modes truncates spectral specs only" in \
+        capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gramian", "--system", SCALAR_SPEC],
+    ["constants", "--formula", "admissibility"],
+    ["stabilize", "--system", SCALAR_SPEC],
+])
+def test_seed_is_refused_where_nothing_reads_it(argv, tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert run_cli(argv + ["--seed", "1", "--out", str(tmp_path / "t")]) == 3
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert "seed" not in read_report(out).get("inputs", {})
+
+
 def test_verify_all_plumbing(tmp_path, monkeypatch, capsys):
     fake = (
         ("always-green", 5.0, lambda seed: "fine"),

@@ -676,3 +676,16 @@ def test_certificate_to_feedback_requires_entries():
     fam = weakobs.sweep_alpha(SCALAR_01, [2.0], [0.5, 1.0])
     with pytest.raises(ValueError):
         feedback.certificate_to_feedback(SCALAR_01, fam, 5.0)
+
+
+def test_certificate_to_feedback_reads_only_exact_integer_alphas():
+    # alpha = 3.0000000001 is certified but is not alpha = k + 1 for any k,
+    # so no entry backs k = 2; sequence_entry would find none either
+    near = 3.0000000001
+    fam = weakobs.sweep_alpha(SCALAR_01, [near], [0.5, 1.0, 2.0, 4.0])
+    assert fam.alpha_certified(near)
+    with pytest.raises(ValueError, match="no certified integer entry"):
+        feedback.certificate_to_feedback(SCALAR_01, fam, 1.0)
+    fam = weakobs.sweep_alpha(SCALAR_01, [near, 4.0], [0.5, 1.0, 2.0, 4.0])
+    res = feedback.certificate_to_feedback(SCALAR_01, fam, 1.0)
+    assert res.certificate_chain["k"] == 3

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,17 @@ def test_fattorini_validation():
         lrc.fattorini_distance([1.0, -1.0], 1.0, 1, [2])
     with pytest.raises(ValueError):
         lrc.fattorini_distance([1.0, 2.0], 1.0, 1, [1, 2])
+
+
+@pytest.mark.parametrize("bad", [0, -1, 4])
+def test_fattorini_indices_are_checked(bad):
+    # 1-based indices: 0 and -1 would read the last rate, 4 overruns
+    rates = [1.0, 4.0, 9.0]
+    message = re.escape(f"index {bad} outside [1, 3]")
+    with pytest.raises(ValueError, match=message):
+        lrc.fattorini_distance(rates, 0.5, bad, [1])
+    with pytest.raises(ValueError, match=message):
+        lrc.fattorini_distance(rates, 0.5, 1, [2, bad])
 
 
 def test_fattorini_ill_conditioned_flagged():

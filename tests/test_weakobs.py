@@ -266,6 +266,29 @@ def test_time_scaling_is_exact(kind):
     assert statuses == {CERTIFIED if kind == "dense" else REFUTED}
 
 
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def test_bracket_is_invariant_under_orthogonal_maps():
+    # (A, B) -> (Q^T A Q, Q^T B) and B -> B U map G and e^{A^T T} by exact
+    # congruences, and B -> 1e3 B scales D_min by 1e-3: d_hi moves by
+    # rounding only (at most 2.3e-13, 5.0e-15 and 4.4e-13 relative on these
+    # pairs).  A stated error bound on d_hi would replace the 1e-11.
+    for k, s in enumerate(_scaling_pairs("dense")):
+        rng = np.random.default_rng([2, k])
+        a, b = s.a_matrix, s.b_matrix
+        q, u = _orthogonal(rng, 4), _orthogonal(rng, b.shape[1])
+        _, d_hi = weakobs.optimal_d_bracket(s, 1.0, eps=0.3, samples=20)
+        assert 0.0 < d_hi < np.inf
+        for mapped, scale in (((q.T @ a @ q, q.T @ b), 1.0),
+                              ((a, b @ u), 1.0), ((a, 1e3 * b), 1e3)):
+            _, hi = weakobs.optimal_d_bracket(systems.build_system(*mapped),
+                                              1.0, eps=0.3, samples=20)
+            assert abs(scale * hi - d_hi) <= 1e-11 * d_hi
+
+
 # ---------------------------------------------------------------------------
 # sweep_alpha and the discrete sequence
 # ---------------------------------------------------------------------------
@@ -350,18 +373,18 @@ def test_sweep_scores_each_horizon_once(monkeypatch):
     # horizon's candidates are scored once, not once per (alpha, T)
     shared, scored = [], []
     original_shared = weakobs._shared_states
-    original_of = weakobs.Scores.of
+    original_init = weakobs.HorizonInputs.__init__
 
     def counted_shared(*args):
         shared.append(args)
         return original_shared(*args)
 
-    def counted_of(cls, *args):
+    def counted_init(self, *args):
         scored.append(args)
-        return original_of(*args)
+        original_init(self, *args)
 
     monkeypatch.setattr(weakobs, "_shared_states", counted_shared)
-    monkeypatch.setattr(weakobs.Scores, "of", classmethod(counted_of))
+    monkeypatch.setattr(weakobs.HorizonInputs, "__init__", counted_init)
     fam = weakobs.sweep_alpha(_dense_pair("dense"), [1.0, 2.0, 4.0, 8.0],
                               [0.5, 1.0, 2.0, 4.0], samples=20, seed=3)
     assert len(fam.certificates) == 16
@@ -403,12 +426,13 @@ def _old_best_state(forms, eps, candidates):
 def test_hoisted_scores_match_the_list_search(kind, n):
     s = _dense_pair(kind, n=n)
     for horizon in (0.5, 2.0):
-        forms = weakobs._dense_forms(s, horizon, semigroup.DEFAULT_QUAD)
+        inputs = weakobs._horizons(s, [horizon], 30, 7,
+                                   semigroup.DEFAULT_QUAD)[horizon]
+        forms = inputs.forms
         old = _old_candidate_states(forms, 30, 7)
-        scores = weakobs._scores(forms, 30, 7)
-        assert scores.states.tobytes() == np.array(old).tobytes()
+        assert inputs.states.tobytes() == np.array(old).tobytes()
         for eps in (0.0, 1e-3, 0.1, 0.7, 5.0):
-            state, ratio = weakobs.best_state(scores, eps)
+            (state, ratio), _ = inputs.entry(eps)
             old_state, old_ratio = _old_best_state(forms, eps, old)
             assert ratio == old_ratio
             assert state.tobytes() == old_state.tobytes()
@@ -421,9 +445,9 @@ def test_hoisted_scores_match_the_list_search_on_diagonal_forms():
     forms = weakobs.Forms.of(np.diag(np.sqrt(g)), np.diag(np.sqrt(w)))
     cands = list(np.eye(6))
     cands.extend(rng.standard_normal((40, 6)))
-    scores = weakobs.Scores.of(forms, cands)
+    inputs = weakobs.HorizonInputs(forms, cands, None)
     for eps in (0.0, 0.05, 0.5, 1.0, 2.0):
-        state, ratio = weakobs.best_state(scores, eps)
+        (state, ratio), _ = inputs.entry(eps)
         old_state, old_ratio = _old_best_state(forms, eps, cands)
         assert ratio == old_ratio
         assert state.tobytes() == old_state.tobytes()

@@ -60,7 +60,7 @@ STABILIZE_HORIZON = 10.0
 STABILIZE_GRID = 200
 # the weakobs sweep flags' defaults, by argparse dest
 _SWEEP_DEFAULTS = {"alpha_grid": "", "t_grid": "", "c_alpha": "1.0",
-                   "samples": WEAKOBS_SAMPLES}
+                   "samples": WEAKOBS_SAMPLES, "seed": 0}
 
 # `constants` inputs a formula falls back on; alpha_k, c_k and c_k_t0
 # have none, so a formula that needs one fails without it
@@ -337,8 +337,8 @@ def _stabilize_system(args, lti, extra, mu, horizon, grid):
     else:
         a_cl = lti.a_matrix + lti.b_matrix @ result.gain_k
         closed = LtiSystem(a_cl, lti.b_matrix, label="closed-loop")
-        times = np.linspace(0.0, horizon, grid)
         norms = grid_norms(closed, horizon, grid)
+        times = np.linspace(0.0, horizon, grid)
         rate = result.measured_rate
         overshoot = float(max(norm * math.exp(rate * t)
                               for t, norm in zip(times.tolist(), norms)))
@@ -387,8 +387,9 @@ def _seeded(p):
 
 
 def _sweep_flags(p, given_only=False):
-    """The weakobs sweep flags; with `given_only`, one not given sets no
-    attribute, and `_SWEEP_DEFAULTS` fills it in."""
+    """The weakobs sweep flags, the seed of its random states included;
+    with `given_only`, one not given sets no attribute, and
+    `_SWEEP_DEFAULTS` fills it in."""
     def default(dest):
         return argparse.SUPPRESS if given_only else _SWEEP_DEFAULTS[dest]
 
@@ -397,6 +398,7 @@ def _sweep_flags(p, given_only=False):
     p.add_argument("--c-alpha", default=default("c_alpha"),
                    help="residual constant C(alpha): number or JSON table")
     p.add_argument("--samples", type=int, default=default("samples"))
+    p.add_argument("--seed", type=int, default=default("seed"))
 
 
 def _periodic_flags(p):
@@ -418,7 +420,7 @@ def _gramian_parser(p):
 
 
 def _weakobs_parser(p):
-    _seeded(p)
+    _common(p)
     p.add_argument("--system", required=True)
     _sweep_flags(p)
     p.add_argument("--modes", type=int, default=None)
@@ -468,7 +470,7 @@ def _example_parser(p):
     names = p.add_subparsers(dest="name", required=True)
     for name, (help_text, c, intervals) in _HEAT_EXAMPLES.items():
         q = names.add_parser(name, help=help_text)
-        _seeded(q)
+        _common(q)
         q.add_argument("--modes", type=int, default=8)
         if intervals is None:
             q.add_argument("--x0", default="cf",

@@ -28,15 +28,14 @@ view of the table the forms' Gramian filled.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
 
-from .semigroup import (DEFAULT_QUAD, ExpTable, QuadratureSpec,
-                        observability_gramian)
+from .semigroup import ExpTable, observability_gramian
 from .systems import LtiSystem
-from .weakobs import CertificateFamily, _dense_forms
+from .weakobs import CertificateFamily, Forms
 
 __all__ = [
     "UnstabilizableError",
@@ -332,8 +331,8 @@ def _tikhonov_nu(c, s2, vt, target, lo, hi):
     return lo
 
 
-def min_norm_eps_null(sys: LtiSystem, horizon: float, eps: float, y0,
-                      quad: Optional[QuadratureSpec] = None) -> ControlSignal:
+def min_norm_eps_null(sys: LtiSystem, horizon: float, eps: float,
+                      y0) -> ControlSignal:
     """Minimum-norm control steering y0 into the ball eps*||y0|| at time T.
 
     The control has the closed form u(t) = -B^T e^{A^T (T-t)} eta with eta
@@ -343,9 +342,9 @@ def min_norm_eps_null(sys: LtiSystem, horizon: float, eps: float, y0,
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    forms = _dense_forms(sys, horizon, quad or DEFAULT_QUAD)
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("eps must be finite and nonnegative")
+    forms = Forms.dense(sys, horizon)
     eta, _, l2 = _steer(forms, eps, np.asarray(y0, dtype=float))
     seg = SteeringSegment(0.0, horizon, eta)
     return ControlSignal(breakpoints=(0.0, horizon), segments=(seg,),
@@ -368,8 +367,7 @@ class DecayReport:
 
 
 def concatenated_control(sys: LtiSystem, beta: float, t_seg: float,
-                         eps_seg: float, y0, segments: int,
-                         quad: Optional[QuadratureSpec] = None):
+                         eps_seg: float, y0, segments: int):
     """Concatenate per-segment minimum-norm controls into a decaying scheme.
 
     Each segment steers the current state into the ball eps_seg*||state||;
@@ -386,9 +384,8 @@ def concatenated_control(sys: LtiSystem, beta: float, t_seg: float,
             f"contraction eps_seg={eps_seg:g} must not exceed "
             f"exp(-2 beta t_seg)={math.exp(-2.0 * beta * t_seg):g}")
     y0 = np.asarray(y0, dtype=float)
-    quad = quad or DEFAULT_QUAD
     table = ExpTable(sys.a_matrix, sys.is_diagonal)
-    forms = _dense_forms(sys, t_seg, quad, table)
+    forms = Forms.dense(sys, t_seg, table)
 
     state = y0
     segs, state_norms, control_norms = [], [float(np.linalg.norm(y0))], []
@@ -427,7 +424,7 @@ def concatenated_control(sys: LtiSystem, beta: float, t_seg: float,
     # table, so a shifted view of it computes no new expm
     view = table.shifted(-beta)
     shifted = LtiSystem(view.matrix, sys.b_matrix, label="beta-shifted")
-    r_beta = observability_gramian(shifted, t_seg, quad, table=view).factor
+    r_beta = observability_gramian(shifted, t_seg, table=view).factor
     weighted_l2 = math.sqrt(sum(
         math.exp(2.0 * beta * seg.t_stop)
         * float(np.linalg.norm(r_beta @ seg.eta))**2 for seg in segs))

@@ -110,7 +110,13 @@ class QuadratureSpec:
     """Composite Gauss-Legendre settings: `panels` is the first level of a
     diagonal system's graded panels and the most a dense first level
     uses (see `_first_panels`); levels double until two agree to
-    `rel_tol`."""
+    `rel_tol`.
+
+    This module is the one place quadrature is set: only
+    `observability_gramian` and `observation_energy` take a spec, and
+    every caller above them (weak observability, feedback) integrates at
+    `DEFAULT_QUAD`.  `stabcert gramian --tol` sets one, and so do
+    `verification`'s Gramian oracle and its soundness re-test."""
 
     panels: int = 32
     nodes_per_panel: int = 8
@@ -190,8 +196,15 @@ def grid_norms(sys: LtiSystem, horizon: float, grid: int) -> np.ndarray:
 def _check_grid(horizon, grid):
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    if horizon < 0:
-        raise ValueError("propagation time must be nonnegative")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("propagation time must be finite and nonnegative")
+
+
+def _check_horizon(horizon):
+    # NaN fails every comparison, so it is refused here and not by the
+    # quadrature's refinement
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
 
 
 def _read_grid_stack(sys, horizon, grid):
@@ -338,8 +351,7 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
     A share node exponentials; values do not depend on it but for the
     rounding in which expm(A^T t) and expm(A t)^T differ.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     quad = quad or DEFAULT_QUAD
     phi = np.asarray(phi, dtype=float)
     a_t, bt = sys.a_matrix.T, sys.b_matrix.T
@@ -417,8 +429,7 @@ def observability_gramian(sys: LtiSystem, horizon: float,
     it, except that a shifted view gives them to its rounding.
     Afterwards it holds e^{A T}.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     quad = quad or DEFAULT_QUAD
     a, b, n = sys.a_matrix, sys.b_matrix, sys.n
     table = _own_table(table, a, sys.is_diagonal, "A")

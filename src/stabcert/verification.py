@@ -290,6 +290,8 @@ def _soundness(seed):
     grams = {}
     counts = {weakobs.CERTIFIED: 0, weakobs.REFUTED: 0,
               weakobs.INCONCLUSIVE: 0}
+    # the decisions run at the shipped quadrature; the re-test's Gramian
+    # and witness energies are re-evaluated on a finer, independent one
     quad = QuadratureSpec(panels=8, nodes_per_panel=10, rel_tol=1e-11)
     for i in range(200):
         sys_i = pool[int(rng.integers(0, len(pool)))]
@@ -303,8 +305,7 @@ def _soundness(seed):
         d_lo, d_hi = weakobs.optimal_d_bracket(sys_i, horizon,
                                                eps=c_val
                                                * math.exp(-alpha * horizon),
-                                               samples=40, seed=seed + i,
-                                               quad=quad)
+                                               samples=40, seed=seed + i)
         if np.isfinite(d_lo):
             pickers = [0.5 * d_lo, 0.9 * d_lo,
                        (d_hi * 1.05 if np.isfinite(d_hi)
@@ -317,7 +318,7 @@ def _soundness(seed):
         cert = weakobs.WeakObsCertificate(horizon=horizon, alpha=alpha,
                                           d_const=d_val, c_const=c_val)
         out = weakobs.check_certificate(sys_i, cert, samples=60,
-                                        seed=seed + i, quad=quad)
+                                        seed=seed + i)
         counts[out.status] += 1
 
         if out.status == weakobs.CERTIFIED:

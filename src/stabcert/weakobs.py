@@ -52,8 +52,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .semigroup import (DEFAULT_QUAD, ExpTable, QuadratureSpec,
-                        observability_gramian, observation_energy)
+from .semigroup import ExpTable, observability_gramian, observation_energy
 from .systems import LtiSystem
 
 __all__ = [
@@ -160,7 +159,7 @@ class Forms(NamedTuple):
     """The observation norm ||factor @ phi|| (at or below `floor`: rounding)
     and the free norm ||adj @ phi||, adj = e^{A^T T}, with the factor's
     SVD (sig, vt) and W = adj^T adj in its right singular basis; build
-    with `Forms.of`, which computes these once."""
+    with `Forms.of`, which computes these once, or with `Forms.dense`."""
 
     factor: np.ndarray
     adj: np.ndarray
@@ -174,6 +173,16 @@ class Forms(NamedTuple):
         _, sig, vt = np.linalg.svd(factor)
         fv = adj @ vt.T
         return cls(factor, adj, floor, sig, vt, fv.T @ fv)
+
+    @classmethod
+    def dense(cls, sys, horizon, table=None):
+        """The forms of a dense system at one horizon; e^{A^T T} is the
+        transpose of the e^{A T} the Gramian left in `table` (an ExpTable
+        of A, call-local if None)."""
+        if table is None:
+            table = ExpTable(sys.a_matrix, sys.is_diagonal)
+        gram = observability_gramian(sys, horizon, table=table)
+        return cls.of(gram.factor, table.stack([horizon])[0].T, gram.floor)
 
 
 # residual-covered directions join the null block once their scaled
@@ -304,15 +313,6 @@ def family_verdict(statuses) -> str:
     return REFUTED if REFUTED in statuses else INCONCLUSIVE
 
 
-def _dense_forms(sys, horizon, quad, table=None):
-    """Forms at one horizon; e^{A^T T} is the transpose of the e^{A T} the
-    Gramian left in `table` (an ExpTable of A, call-local if None)."""
-    if table is None:
-        table = ExpTable(sys.a_matrix, sys.is_diagonal)
-    gram = observability_gramian(sys, horizon, quad, table=table)
-    return Forms.of(gram.factor, table.stack([horizon])[0].T, gram.floor)
-
-
 def _unit_rows(block):
     """The nonzero rows of `block`, each divided by its norm.  A row's norm
     is the BLAS dot that `np.linalg.norm` takes of a lone vector, so a row
@@ -344,23 +344,21 @@ def _candidate_states(forms, shared):
     return np.vstack([shared, _unit_rows(own)])
 
 
-def _horizons(sys, horizons, samples, seed, quad):
+def _horizons(sys, horizons, samples, seed):
     """{T: HorizonInputs} of a dense system.  Every horizon's Gramian
     draws its node exponentials from one ExpTable of A, e^{A^T T} is its
     e^{A T} transposed and the witness energies read it through one
     transposed view, so no A^T t is exponentiated; the Gaussian and axis
     states are drawn once for all horizons."""
-    quad = quad or DEFAULT_QUAD
     table = ExpTable(sys.a_matrix, sys.is_diagonal)
     adj_table = table.transposed()
     shared = _shared_states(sys.n, samples, seed)
 
     def inputs(t):
-        forms = _dense_forms(sys, t, quad, table)
+        forms = Forms.dense(sys, t, table)
         return HorizonInputs(
             forms, _candidate_states(forms, shared),
-            lambda unit: observation_energy(sys, t, unit, quad,
-                                            table=adj_table))
+            lambda unit: observation_energy(sys, t, unit, table=adj_table))
 
     return {t: inputs(t) for t in horizons}
 
@@ -370,8 +368,7 @@ def _horizons(sys, horizons, samples, seed, quad):
 # ---------------------------------------------------------------------------
 
 def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
-                      samples: int = 200, seed: int = 0,
-                      quad: Optional[QuadratureSpec] = None
+                      samples: int = 200, seed: int = 0
                       ) -> WeakObsCertificate:
     """Two-sided decision on one certificate; returns it with a verdict.
 
@@ -380,13 +377,12 @@ def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
     the confirmed witness state.  Everything else is inconclusive, with
     both margins reported.
     """
-    inputs = _horizons(sys, [cert.horizon], samples, seed, quad)
+    inputs = _horizons(sys, [cert.horizon], samples, seed)
     return decide(inputs[cert.horizon], cert)
 
 
 def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
-                      samples: int = 200, seed: int = 0,
-                      quad: Optional[QuadratureSpec] = None):
+                      samples: int = 200, seed: int = 0):
     """Bracket the smallest valid D for a fixed residual eps.
 
     Returns (d_lo, d_hi): d_lo is the best violation ratio over the
@@ -397,10 +393,9 @@ def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if eps < 0:
-        raise ValueError("residual must be nonnegative")
-    return _horizons(sys, [horizon], samples, seed, quad)[horizon].bracket(
-        eps)
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("residual must be finite and nonnegative")
+    return _horizons(sys, [horizon], samples, seed)[horizon].bracket(eps)
 
 
 def _resolve_residual_rule(residual_rule, alphas):
@@ -413,8 +408,7 @@ def _resolve_residual_rule(residual_rule, alphas):
 def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
                 horizons: Sequence[float],
                 residual_rule: Union[float, dict] = 1.0,
-                samples: int = 200, seed: int = 0,
-                quad: Optional[QuadratureSpec] = None) -> CertificateFamily:
+                samples: int = 200, seed: int = 0) -> CertificateFamily:
     """For each alpha, look for one (D, C(alpha)) certifying every horizon.
 
     The per-alpha D is the largest sufficient-test bound over the horizon
@@ -436,7 +430,7 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     if not alphas or not horizons:
         raise ValueError("alpha and horizon grids must be nonempty")
     c_of_alpha, source = _resolve_residual_rule(residual_rule, alphas)
-    inputs = _horizons(sys, horizons, samples, seed, quad)
+    inputs = _horizons(sys, horizons, samples, seed)
 
     def check_alpha(alpha):
         c_val = c_of_alpha[alpha]

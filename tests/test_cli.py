@@ -453,7 +453,7 @@ def test_periodic_example_passes_samples(extra, samples, tmp_path,
 
 @pytest.mark.parametrize("flag, value", [
     ("--alpha-grid", "1,2"), ("--t-grid", "1"), ("--c-alpha", "2"),
-    ("--samples", "3"),
+    ("--samples", "3"), ("--seed", "5"),
 ])
 def test_sweep_flags_are_rejected_with_check_stabilize(flag, value,
                                                        tmp_path, capsys):
@@ -519,6 +519,20 @@ def test_modes_on_a_matrix_spec_is_a_usage_error(command, tmp_path, capsys):
     assert code == 3
     assert "--modes truncates spectral specs only" in \
         capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["gramian --horizon", "weakobs --t-grid",
+                                  "stabilize --horizon"])
+def test_non_finite_horizon_is_a_usage_error(flag, value, tmp_path, capsys):
+    # exit 1 is refuted: a horizon no quadrature can integrate exits 3
+    command, option = flag.split()
+    out = tmp_path / "h"
+    code = run_cli([command, "--system", SCALAR_SPEC, option, value,
+                    "--out", str(out)])
+    assert code == 3
+    assert "finite" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

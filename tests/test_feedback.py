@@ -379,6 +379,13 @@ def test_steering_errors():
         feedback.min_norm_eps_null(s0, 1.0, 0.5, [1.0])     # unreachable ball
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+def test_steering_refuses_a_non_finite_or_negative_eps(eps):
+    # a nan eps used to return a control whose eta and l2_norm were nan
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        feedback.min_norm_eps_null(SCALAR_01, 1.0, eps, [1.0])
+
+
 def _l2_norm_by_quadrature(sys, signal):
     """The control's L2 norm integrated node by node, segment by segment."""
     def power(t):
@@ -516,7 +523,7 @@ def test_regularized_segments_land_on_the_target():
     for n, eps, hide in cases:
         if hide:
             s = _with_hidden_mode(rng, n, -3.0)
-            forms = weakobs._dense_forms(s, 1.0, semigroup.DEFAULT_QUAD)
+            forms = weakobs.Forms.dense(s, 1.0)
             assert forms.sig[-1]**2 <= feedback._UNREACHABLE_RTOL * \
                 forms.sig[0]**2
         else:

@@ -109,6 +109,16 @@ def test_bracket_residual_absorbs_everything():
     assert d_lo == 0.0 and d_hi == 0.0
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+def test_bracket_refuses_a_non_finite_or_negative_residual(eps):
+    # nan used to return (nan, inf) and inf (0.0, nan) on the rotation pair
+    rotation = systems.build_system([[0.0, 1.0], [-1.0, 0.0]],
+                                    [[0.0], [1.0]])
+    for s in (SCALAR_01, rotation):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            weakobs.optimal_d_bracket(s, 1.0, eps=eps)
+
+
 def test_bracket_scalar_unit():
     d_lo, d_hi = weakobs.optimal_d_bracket(SCALAR_01, 1.0, eps=0.0)
     assert d_lo == pytest.approx(1.0, abs=1e-9)
@@ -426,8 +436,7 @@ def _old_best_state(forms, eps, candidates):
 def test_hoisted_scores_match_the_list_search(kind, n):
     s = _dense_pair(kind, n=n)
     for horizon in (0.5, 2.0):
-        inputs = weakobs._horizons(s, [horizon], 30, 7,
-                                   semigroup.DEFAULT_QUAD)[horizon]
+        inputs = weakobs._horizons(s, [horizon], 30, 7)[horizon]
         forms = inputs.forms
         old = _old_candidate_states(forms, 30, 7)
         assert inputs.states.tobytes() == np.array(old).tobytes()
@@ -530,18 +539,26 @@ def test_sweep_exponentiates_only_a_once_witnesses_included(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["dense", "ill", "unobservable"])
-def test_sweep_statuses_do_not_depend_on_the_first_level(kind):
-    # aim 3: a verdict does not hang on the quadrature's panel count; two
-    # first-level panels are at least 1/||A||_F wide at every T here
+def test_sweep_statuses_do_not_depend_on_the_first_level(kind, monkeypatch):
+    # aim 3: a verdict does not hang on the quadrature's settings; two
+    # first-level panels are at least 1/||A||_F wide at every T here, and
+    # the soundness re-test's settings are the other coarse first level
     s = {"dense": lambda: _dense_pair("dense", n=5),
          "ill": lambda: systems.build_system(*_ill_pair()),
          "unobservable": lambda: _dense_pair("unobservable", n=5)}[kind]()
     grid = ([1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0])
-    coarse = weakobs.sweep_alpha(s, *grid, samples=60,
-                                 quad=semigroup.QuadratureSpec(panels=2))
-    fine = weakobs.sweep_alpha(s, *grid, samples=60)
-    assert ([c.status for c in coarse.certificates]
-            == [c.status for c in fine.certificates])
+
+    def statuses(quad):
+        with monkeypatch.context() as m:
+            m.setattr(semigroup, "DEFAULT_QUAD", quad)
+            fam = weakobs.sweep_alpha(s, *grid, samples=60)
+        return [c.status for c in fam.certificates]
+
+    fine = statuses(semigroup.DEFAULT_QUAD)
+    for coarse in (semigroup.QuadratureSpec(panels=2),
+                   semigroup.QuadratureSpec(panels=8, nodes_per_panel=10,
+                                            rel_tol=1e-11)):
+        assert statuses(coarse) == fine
 
 
 def test_sweep_reduces_each_entry_once(monkeypatch):

@@ -224,6 +224,10 @@ def _cmd_constants(args) -> int:
             validity = {"T_min": 2.0 * o["t0"]}
         result = {"claim": f"certificate-constants-{formula}",
                   "D": d_c, "C": c_c, "validity": validity}
+    # NaN and Infinity are not JSON (RFC 8259)
+    values = {k: result[k] for k in ("D", "C", "value") if k in result}
+    if not all(map(math.isfinite, values.values())):
+        raise ValueError(f"constants are not finite: {values}")
     _write_json(Path(args.out) / "report.json", {
         "schema_version": SCHEMA_VERSION, "formula": formula,
         "inputs": given, **result})
@@ -340,8 +344,10 @@ def _stabilize_system(args, lti, extra, mu, horizon, grid):
         norms = grid_norms(closed, horizon, grid)
         times = np.linspace(0.0, horizon, grid)
         rate = result.measured_rate
-        overshoot = float(max(norm * math.exp(rate * t)
-                              for t, norm in zip(times.tolist(), norms)))
+        # a norm below the smallest normal float carries no digits
+        overshoot = float(max(_scaled_norm(norm, rate * t)
+                              for t, norm in zip(times.tolist(), norms)
+                              if norm >= np.finfo(float).tiny))
         _write_csv(out / "gain.csv",
                    [f"k{j}" for j in range(result.gain_k.shape[1])],
                    result.gain_k.tolist())
@@ -354,6 +360,14 @@ def _stabilize_system(args, lti, extra, mu, horizon, grid):
     report.update(extra)
     _write_json(out / "report.json", report)
     return _STATUS_EXIT[report["verdict"]]
+
+
+def _scaled_norm(norm, exponent):
+    """norm * e^exponent, in log space where e^exponent overflows."""
+    try:
+        return norm * math.exp(exponent)
+    except OverflowError:
+        return math.exp(math.log(norm) + exponent)
 
 
 def _cmd_verify_all(args) -> int:

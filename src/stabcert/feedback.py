@@ -146,8 +146,8 @@ def solve_shifted_riccati(sys: LtiSystem, mu: float) -> FeedbackResult:
     that is not positive definite to working precision raises
     `np.linalg.LinAlgError` (see `FeedbackResult`).
     """
-    if mu <= 0:
-        raise ValueError("target rate mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("target rate mu must be positive and finite")
     a = sys.a_matrix
     b = sys.b_matrix
     n = sys.n
@@ -448,8 +448,8 @@ def certificate_to_feedback(sys: LtiSystem, family: CertificateFamily,
     `discrete_sequence` uses), and delegates to the shifted Riccati
     synthesis; the selection is recorded on the result.
     """
-    if mu <= 0:
-        raise ValueError("target rate mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("target rate mu must be positive and finite")
     # alpha = k + 1 exactly: the entry `sequence_entry(k)` looks up
     admissible = sorted(int(alpha) - 1 for alpha in family.alphas
                         if float(alpha).is_integer() and alpha - 1 > mu

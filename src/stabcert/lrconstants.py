@@ -74,9 +74,10 @@ class SemigroupBound:
     delta0: float
 
     def __post_init__(self):
-        if self.m_big < 1.0:
+        # written with `not`, so that NaN (which fails every test) fails
+        if not self.m_big >= 1.0:
             raise ValueError("m_big must be >= 1")
-        if self.delta0 < 0.0:
+        if not self.delta0 >= 0.0:
             raise ValueError("delta0 must be >= 0")
 
 
@@ -147,7 +148,7 @@ def constants_from_spectral_inequality(bound: SemigroupBound, m_k: float,
     C = M M_k e^{delta0 + alpha} sqrt(2 C_k^2 ||B||^2 + 1).
     """
     _check_rate_compat(alpha_k, alpha)
-    if c_k < 0 or b_norm < 0 or m_k < 0 or alpha <= 0:
+    if not (c_k >= 0 and b_norm >= 0 and m_k >= 0 and alpha > 0):
         raise ValueError("constants must be nonnegative and alpha positive")
     d_const = math.sqrt(2.0) * bound.m_big * c_k * math.exp(bound.delta0)
     c_const = (bound.m_big * m_k * math.exp(bound.delta0 + alpha)
@@ -164,9 +165,9 @@ def constants_from_truncated_obs(bound: SemigroupBound, t0: float,
     C = M M_k e^{(delta0+alpha) t0} sqrt(C(k,t0) ||B||^2 t0 e^{2 alpha t0} + 1).
     """
     _check_rate_compat(alpha_k, alpha)
-    if t0 <= 0:
+    if not t0 > 0:
         raise ValueError("the short horizon t0 must be positive")
-    if c_k_t0 < 0 or b_norm < 0 or m_k < 0 or alpha <= 0:
+    if not (c_k_t0 >= 0 and b_norm >= 0 and m_k >= 0 and alpha > 0):
         raise ValueError("constants must be nonnegative and alpha positive")
     d_const = bound.m_big * math.exp(bound.delta0 * t0) * math.sqrt(c_k_t0)
     c_const = (bound.m_big * m_k * math.exp((bound.delta0 + alpha) * t0)
@@ -185,9 +186,9 @@ def constants_from_truncated_obs_unbounded(bound: SemigroupBound,
     C = M M_k e^{(delta0+alpha) t0} *
         sqrt(C(k,t0) b_norm^2 C(gamma)^2 e^{2(rho0+2 alpha) t0} t0^{1-2 gamma} + 1).
     """
-    if t0 <= 0:
+    if not t0 > 0:
         raise ValueError("the short horizon t0 must be positive")
-    if c_k_t0 < 0 or m_k < 0 or alpha <= 0:
+    if not (c_k_t0 >= 0 and m_k >= 0 and alpha > 0):
         raise ValueError("constants must be nonnegative and alpha positive")
     g = uspec.gamma
     d_const = bound.m_big * math.exp(bound.delta0 * t0) * math.sqrt(c_k_t0)
@@ -202,7 +203,7 @@ def constants_from_truncated_obs_unbounded(bound: SemigroupBound,
 def admissibility_constant(uspec: UnboundedConstantsSpec,
                            horizon: float) -> float:
     """Admissibility constant b_norm^2 C(g)^2 e^{2 rho0 T} T^{1-2g}/(1-2g)."""
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError("horizon must be positive")
     g = uspec.gamma
     if g > 0.499:

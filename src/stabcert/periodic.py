@@ -11,10 +11,11 @@ A periodic certificate is a `WeakObsCertificate`: the claim
 ||Phi(n_k,0)^* psi|| <= c_k ||obs|| + e^{-k n_k} ||psi|| is the one with
 horizon n_k periods, alpha = k, D = c_k and C = 1.  Only what is periodic
 lives here: the per-mode energies g and the decayed norms
-w = e^{2 lambda T}, the candidates and quadrature confirmation.  Ratio,
-margin, threshold and verdict come from the decision core in
-`stabcert.weakobs`, on the record (`HorizonInputs`) of the forms
-diag(sqrt(g)) and diag(sqrt(w)).
+w = e^{2 lambda T}, and the quadrature confirmation.  The candidates come
+from the rule every dense horizon uses (`weakobs.candidate_states` over
+`weakobs.shared_states`), and ratio, margin, threshold and verdict from the
+decision core in `stabcert.weakobs`, on the record (`HorizonInputs`) of
+the forms diag(sqrt(g)) and diag(sqrt(w)).
 """
 
 import math
@@ -24,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from ._quadrature import integrate_adaptive
-from .weakobs import Forms, HorizonInputs, WeakObsCertificate, decide
+from .weakobs import (Forms, HorizonInputs, WeakObsCertificate,
+                      candidate_states, decide, shared_states)
 
 __all__ = [
     "PeriodicSystem",
@@ -228,22 +230,21 @@ def periodic_weakobs_check(sys: PeriodicSystem, k: int, n_k: int,
 
     That is the certificate (T, alpha, D, C) = (n_k period, k, c_k, 1).
     Everything is diagonal, so the sufficient quadratic test reduces to
-    per-mode margins c_k^2 g_n + eps^2 - w_n >= 0; the unit vectors and
-    `samples` Gaussian states are searched for a violation, which must be
+    per-mode margins c_k^2 g_n + eps^2 - w_n >= 0; the states of the dense
+    candidate rule (`samples` Gaussian states drawn from `seed`, the axes
+    and the forms' own) are searched for a violation, which must be
     confirmed through the quadrature energy before it refutes.
     """
     if k < 1 or n_k < 1:
         raise ValueError("k and n_k must be positive integers")
-    rng = np.random.default_rng(seed)
     cert = WeakObsCertificate(horizon=n_k * sys.period, alpha=k,
                               d_const=c_k, c_const=1.0)
     g = np.array([_mode_energy(sys.a_diag[i], sys.windows[i], n_k,
                                sys.period) for i in range(sys.n)])
     w = np.exp(2.0 * sys.a_diag * cert.horizon)
     forms = Forms.of(np.diag(np.sqrt(g)), np.diag(np.sqrt(w)))
-    cands = np.vstack([np.eye(sys.n), rng.standard_normal((samples, sys.n))])
     return decide(HorizonInputs(
-        forms, cands,
+        forms, candidate_states(forms, shared_states(sys.n, samples, seed)),
         lambda psi: periodic_observation_energy_quadrature(sys, n_k, psi)),
         cert)
 

@@ -1,7 +1,8 @@
 """Semigroup evaluation, observation energies and observability Gramians.
 
-Dense matrix exponentials go through scipy's scaling-and-squaring Pade
-implementation; diagonal systems use exact exponentials.  Gramians come
+Every matrix exponential in the package is a slice of one routine,
+`_exp_stack`, the one caller of scipy's scaling-and-squaring Pade `expm`;
+diagonal systems get exact exponentials there.  Gramians come
 from adaptive composite Gauss-Legendre quadrature with an embedded error
 estimate.
 
@@ -50,6 +51,7 @@ energies, or one concatenated steering, whose table of A serves the forms'
 Gramian and, through a view shifted by -beta, the Gramian of A - beta I
 that weights the segments' energies.  A steering that fails drops its
 table before the error leaves the call.  Nothing is cached between calls.
+The quadrature reads M and its diagonal flag from the table alone.
 
 A Gramian is its factor R, G = R^T R, accumulated as R <- qr([R; S^T])
 over the weighted node values S, so a direction v with v^T e^{At} B = 0
@@ -61,9 +63,10 @@ base-step-plus-doubling variant certified T = 4 entries that the
 quadrature refutes.
 
 Grid norms ||e^{At}||_2 on an equispaced grid t_k = k h, h = T/(grid - 1)
-(decay curves) come from one stack: one `expm` gives E = e^{Ah}, and
-binary doubling fills the stack level by level, e^{A(f + k)h} = e^{Akh} E_f
-for k < f with E_f = e^{Afh}, f = 1, 2, 4, ..., then squares E_2f = E_f^2.
+(decay curves) come from one stack: `transition_matrix` gives E = e^{Ah},
+and binary doubling fills the stack level by level, e^{A(f + k)h} =
+e^{Akh} E_f for k < f with E_f = e^{Afh}, f = 1, 2, 4, ..., then squares
+E_2f = E_f^2.
 So e^{Akh} is a product of one factor per set bit of k, at most
 ceil(log2 grid) (8 for grid = 200), and each factor is at most that many
 squarings deep: rounding grows with log2 k, not with k as in a power
@@ -75,7 +78,7 @@ the SVD's frame, and with it the stack, alive in any caller that keeps
 the exception.
 
 Grid norms are not accurate on closed loops with ||A + BK|| of about 1e6
-and more (ROADMAP item 3): on `perfbench` feedback job 1 of seed 11
+and more (ROADMAP item 4): on `perfbench` feedback job 1 of seed 11
 (n = 10) at mu = 4, ||A + BK|| = 9.5e6 and the true overshoot is 6.2e8
 (50- and 80-digit oracles agree), while the per-time loop reads 4.3e15
 and doubling 7.4e14.
@@ -127,8 +130,8 @@ class QuadratureSpec:
             raise ValueError("panels must be >= 1")
         if self.nodes_per_panel < 2:
             raise ValueError("nodes_per_panel must be >= 2")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -166,14 +169,10 @@ class GramianResult:
 
 
 def transition_matrix(sys: LtiSystem, t: float, adjoint: bool = False):
-    """e^{A t} (or e^{A^T t}); exact exponentials on diagonal systems."""
+    """e^{A t} (or e^{A^T t}): one slice of `_exp_stack`."""
     if t < 0:
         raise ValueError("propagation time must be nonnegative")
-    a = sys.a_matrix
-    if sys.is_diagonal:
-        mat = np.diag(np.exp(np.diag(a) * t))
-    else:
-        mat = expm(a * t)
+    mat = _exp_stack(sys.a_matrix, np.array([t]), sys.is_diagonal)[0]
     return mat.T if adjoint else mat
 
 
@@ -186,35 +185,13 @@ def grid_norms(sys: LtiSystem, horizon: float, grid: int) -> np.ndarray:
     SVD or a non-finite norm raises a fresh `LinAlgError` that keeps no
     reference to the stack.
     """
-    _check_grid(horizon, grid)
-    if sys.is_diagonal:
-        return np.exp(np.diag(sys.a_matrix).max()
-                      * np.linspace(0.0, horizon, grid))
-    return _read_grid_stack(sys, horizon, grid)
-
-
-def _check_grid(horizon, grid):
     if grid < 1:
         raise ValueError("grid must be >= 1")
     if not 0.0 <= horizon < math.inf:
         raise ValueError("propagation time must be finite and nonnegative")
-
-
-def _check_horizon(horizon):
-    # NaN fails every comparison, so it is refused here and not by the
-    # quadrature's refinement
-    if not 0.0 < horizon < math.inf:
-        raise ValueError("horizon must be positive and finite")
-
-
-def _read_grid_stack(sys, horizon, grid):
-    """||e^{A t}||_2 at every t of `np.linspace(0, horizon, grid)`.
-
-    The stack of e^{A t} is filled by doubling and read by one batched
-    SVD.  A failing SVD or a non-finite norm raises a fresh `LinAlgError`
-    once the stack is dropped: numpy's own keeps the SVD's frame, and with
-    it the stack, alive in any caller that keeps the exception.
-    """
+    if sys.is_diagonal:
+        return np.exp(np.diag(sys.a_matrix).max()
+                      * np.linspace(0.0, horizon, grid))
     stack = np.empty((grid,) + sys.a_matrix.shape)
     stack[0] = np.eye(sys.n)
     if grid > 1:
@@ -238,8 +215,16 @@ def _read_grid_stack(sys, horizon, grid):
     raise np.linalg.LinAlgError(message)
 
 
+def _check_horizon(horizon):
+    # NaN fails every comparison, so it is refused here and not by the
+    # quadrature's refinement
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
+
+
 def _exp_stack(m, times, diagonal):
-    """e^{M t} at every t: a batched `expm`, or exact diagonal `np.exp`."""
+    """e^{M t} at every t: a batched `expm`, or exact diagonal `np.exp`.
+    The one caller of `expm` in the package."""
     if not diagonal:
         return expm(m[None] * times[:, None, None])
     diag = np.arange(m.shape[0])
@@ -311,16 +296,17 @@ def _own_table(table, m, diagonal, name):
     return table
 
 
-def _first_panels(m, horizon, quad, diagonal):
-    """Panels of the first quadrature level on [0, horizon] for e^{M t}.
+def _first_panels(table, horizon, quad):
+    """Panels of the first quadrature level on [0, horizon] for e^{M t},
+    M being `table`'s matrix.
 
     Dense: P = min(quad.panels, 2^ceil(log2(T ||M||_F))), 1 when
     T ||M||_F <= 1, so a first-level panel is at most 1/||M||_F wide;
     diagonal systems take quad.panels on their graded panels.
     """
-    if diagonal:
+    if table.diagonal:
         return quad.panels
-    scale = horizon * float(np.linalg.norm(m))
+    scale = horizon * float(np.linalg.norm(table.matrix))
     if not scale > 1.0:
         return 1
     if not scale < quad.panels:
@@ -354,8 +340,8 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
     _check_horizon(horizon)
     quad = quad or DEFAULT_QUAD
     phi = np.asarray(phi, dtype=float)
-    a_t, bt = sys.a_matrix.T, sys.b_matrix.T
-    table = _own_table(table, a_t, sys.is_diagonal, "A^T")
+    bt = sys.b_matrix.T
+    table = _own_table(table, sys.a_matrix.T, sys.is_diagonal, "A^T")
     # the probe times but T are panel starts of every level with 8
     # panels or more
     amp = max(np.linalg.norm(e @ phi)
@@ -363,9 +349,8 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
 
     def level(panels):
         total = 0.0
-        for f, w in _node_values(a_t, phi[:, None], horizon, panels,
-                                 quad.nodes_per_panel, sys.is_diagonal,
-                                 table):
+        for f, w in _node_values(table, phi[:, None], horizon, panels,
+                                 quad.nodes_per_panel):
             total += float(np.sum((bt @ f) ** 2, axis=0) @ w)
         return total
 
@@ -373,7 +358,7 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
     # noise delta in y puts 2 ||B^T y|| delta + delta^2 into ||B^T y||^2,
     # at most 2 delta sqrt(T E) + delta^2 T once integrated
     delta = 1e-13 * np.linalg.norm(bt, 2) * amp
-    panels = _first_panels(a_t, horizon, quad, sys.is_diagonal)
+    panels = _first_panels(table, horizon, quad)
     first = level(panels)
     noise_floor = (delta**2 * horizon
                    + 2.0 * delta * np.sqrt(horizon * max(first, 0.0)))
@@ -382,30 +367,31 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
     return float(value)
 
 
-def _node_values(m, r, horizon, panels, npts, diagonal=False, table=None):
-    """Yield (e^{M t} R at the nodes, node weights) chunk by chunk.
+def _node_values(table, r, horizon, panels, npts):
+    """Yield (e^{M t} R at the nodes, node weights) chunk by chunk, M
+    being `table`'s matrix.
 
     The nodes are those of `panels` equal Gauss-Legendre panels of
     [0, horizon], at most _CHUNK panels per chunk.  Values come as one
     n x (nodes * r) matrix whose columns i*r .. i*r + r - 1 belong to
-    node i.  Per chunk, `table` (an ExpTable of M; call-local if None)
-    gives the npts shared offset exponentials and the chunk's panel-start
-    exponentials, computing those no earlier level or chunk asked for.
+    node i.  Per chunk, `table` gives the npts shared offset exponentials
+    and the chunk's panel-start exponentials, computing those no earlier
+    level or chunk asked for.
 
     A diagonal M takes exact exponentials at any node: its panels are equal
     in s, t = horizon s^4, which resolves a stiff decay e^{-|lambda| t} with
     a few dozen panels where equal panels in t need |lambda| horizon.
     """
-    n = m.shape[0]
-    if diagonal:
+    n = table.matrix.shape[0]
+    if table.diagonal:
         s, ws = panel_nodes(0.0, 1.0, panels, npts)
         for first in range(0, s.size, _CHUNK * npts):
             part = s[first:first + _CHUNK * npts]
-            e = np.exp(np.diag(m)[:, None] * (horizon * part**4))
+            e = np.exp(np.diag(table.matrix)[:, None]
+                       * (horizon * part**4))
             yield ((e[:, :, None] * r[:, None, :]).reshape(n, -1),
                    ws[first:first + part.size] * 4.0 * horizon * part**3)
         return
-    table = ExpTable(m) if table is None else table
     x, w = gauss_legendre_rule(npts)
     h = horizon / (2.0 * panels)
     offsets = h * (1.0 + x)
@@ -431,21 +417,20 @@ def observability_gramian(sys: LtiSystem, horizon: float,
     """
     _check_horizon(horizon)
     quad = quad or DEFAULT_QUAD
-    a, b, n = sys.a_matrix, sys.b_matrix, sys.n
-    table = _own_table(table, a, sys.is_diagonal, "A")
+    b, n = sys.b_matrix, sys.n
+    table = _own_table(table, sys.a_matrix, sys.is_diagonal, "A")
     factor = None
 
     def level(panels):
         nonlocal factor
         factor = np.zeros((n, n))
-        for f, w in _node_values(a, b, horizon, panels,
-                                 quad.nodes_per_panel, sys.is_diagonal,
-                                 table):
+        for f, w in _node_values(table, b, horizon, panels,
+                                 quad.nodes_per_panel):
             s = f * np.repeat(np.sqrt(w), b.shape[1])
             factor = np.linalg.qr(np.vstack([factor, s.T]), mode="r")
         return factor.T @ factor
 
-    _, err = refine(level, _first_panels(a, horizon, quad, sys.is_diagonal),
+    _, err = refine(level, _first_panels(table, horizon, quad),
                     rel_tol=quad.rel_tol)
     # the QR's rounding: n u ||B|| a_T sqrt(T), a_T = max ||e^{At}|| on
     # [0, T], probed at nine equispaced times; all but T are panel starts

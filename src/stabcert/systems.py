@@ -133,9 +133,9 @@ class UnboundedConstantsSpec:
     def __post_init__(self):
         if not 0.0 < self.gamma < 0.5:
             raise ValueError("gamma must lie strictly inside (0, 1/2)")
-        if self.c_gamma <= 0:
+        if not self.c_gamma > 0:
             raise ValueError("c_gamma must be positive")
-        if self.b_norm < 0:
+        if not self.b_norm >= 0:
             raise ValueError("b_norm must be nonnegative")
 
 

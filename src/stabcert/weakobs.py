@@ -28,19 +28,20 @@ Between the two the verdict is "inconclusive", never guessed.
 
 Every verdict in the package, `stabcert.periodic` included, goes through
 the one decision core here: `decide(inputs, cert)` reads D and eps from a
-`WeakObsCertificate` and returns it with its status, margins and witness,
+`WeakObsCertificate` and returns it with its status, margin and witness,
 on one horizon's `HorizonInputs` record.  `_horizons` builds the records
 of a dense system for `check_certificate`, `optimal_d_bracket` and
-`sweep_alpha`; `stabcert.periodic` builds its own from diagonal forms.
+`sweep_alpha`; `stabcert.periodic` builds its own from diagonal forms,
+with the same candidate rule: `candidate_states` over `shared_states`.
 
 The search computes each quantity once, at the scope it depends on:
 
 * per call (`_horizons`): one ExpTable of A for every Gramian and,
   through its transposed view, every witness energy, and the seeded
-  Gaussian states and the axes, normalized (`_shared_states`);
+  Gaussian states and the axes, normalized (`shared_states`);
 * per horizon (a `HorizonInputs`): the `Forms`, the candidates they add
   (R's right singular vectors, W's eigenvectors, the K11 maximizers;
-  `_candidate_states`) and ||F u||, ||R u|| over all candidates u;
+  `candidate_states`) and ||F u||, ||R u|| over all candidates u;
 * per (alpha, T), i.e. per eps: the ratio argmax and the slack reduction
   (`entry`), shared by `bracket` and by `decide` for every D;
 * per (T, witness): the independent energy (`energy`).
@@ -76,7 +77,6 @@ class WeakObsCertificate:
     d_const: float
     c_const: float
     margin: Optional[float] = None          # smallest sufficient-test slack
-    sample_margin: Optional[float] = None   # d_const - best violation ratio
     status: str = "unchecked"
     witness: Optional[np.ndarray] = None
 
@@ -293,16 +293,14 @@ def decide(inputs: HorizonInputs,
     d_const, eps = cert.d_const, cert.residual
     (phi, best), (top, null_min) = inputs.entry(eps)
     margin = null_min if math.isinf(top) else d_const**2 - top
-    sample_margin = d_const - best if np.isfinite(best) else -np.inf
     if best > d_const:
         unit = phi / np.linalg.norm(phi)
         lhs = np.linalg.norm(inputs.forms.adj @ unit)
         rhs = d_const * math.sqrt(max(inputs.energy(unit), 0.0)) + eps
         if lhs > rhs + 1e-12 * (1.0 + lhs):
-            return replace(cert, status=REFUTED, margin=margin,
-                           sample_margin=sample_margin, witness=phi)
+            return replace(cert, status=REFUTED, margin=margin, witness=phi)
     return replace(cert, status=CERTIFIED if margin >= 0.0 else INCONCLUSIVE,
-                   margin=margin, sample_margin=sample_margin, witness=None)
+                   margin=margin, witness=None)
 
 
 def family_verdict(statuses) -> str:
@@ -323,16 +321,16 @@ def _unit_rows(block):
     return block[keep] / norms[keep, None]
 
 
-def _shared_states(n, samples, seed):
+def shared_states(n, samples, seed):
     """The unit states every horizon's search shares: `samples` seeded
     Gaussian states, then the axes."""
     gauss = np.random.default_rng(seed).standard_normal((samples, n))
     return np.vstack([_unit_rows(gauss), np.eye(n)])
 
 
-def _candidate_states(forms, shared):
+def candidate_states(forms, shared):
     """The unit states a violation search scores on these forms: the
-    `_shared_states` block, R's right singular vectors, W's eigenvectors
+    `shared_states` block, R's right singular vectors, W's eigenvectors
     and the eps = 0 maximizers V Sigma^{-1} y, y an eigenvector of K11."""
     sig, vt = forms.sig, forms.vt
     _, wv = np.linalg.eigh(forms.adj.T @ forms.adj)
@@ -352,12 +350,12 @@ def _horizons(sys, horizons, samples, seed):
     states are drawn once for all horizons."""
     table = ExpTable(sys.a_matrix, sys.is_diagonal)
     adj_table = table.transposed()
-    shared = _shared_states(sys.n, samples, seed)
+    shared = shared_states(sys.n, samples, seed)
 
     def inputs(t):
         forms = Forms.dense(sys, t, table)
         return HorizonInputs(
-            forms, _candidate_states(forms, shared),
+            forms, candidate_states(forms, shared),
             lambda unit: observation_energy(sys, t, unit, table=adj_table))
 
     return {t: inputs(t) for t in horizons}
@@ -375,7 +373,7 @@ def check_certificate(sys: LtiSystem, cert: WeakObsCertificate,
     Certified requires the sufficient test to pass AND no sampled
     counterexample to survive independent re-evaluation.  Refuted stores
     the confirmed witness state.  Everything else is inconclusive, with
-    both margins reported.
+    the sufficient test's margin reported.
     """
     inputs = _horizons(sys, [cert.horizon], samples, seed)
     return decide(inputs[cert.horizon], cert)

@@ -10,6 +10,7 @@ from stabcert import cli, lrconstants, semigroup, systems, verification
 
 SCALAR_SPEC = '{"kind": "matrix", "a": [[0.0]], "b": [[1.0]]}'
 DEAD_SPEC = '{"kind": "matrix", "a": [[0.0]], "b": [[0.0]]}'
+ROTATION_SPEC = '{"kind": "matrix", "a": [[0, 1], [-1, 0]], "b": [[0], [1]]}'
 
 
 def run_cli(args):
@@ -217,6 +218,28 @@ def test_constants_subcommand(tmp_path):
     assert report["D"] == pytest.approx(math.sqrt(2.0))
     assert report["C"] == pytest.approx(4.708202236182293)
     assert report["validity"] == {"T_min": 1.0}
+    # alpha_k = inf: the projection discards nothing, and D and C stand
+    assert run_cli(["constants", "--formula", "spectral", "--alpha-k", "inf",
+                    "--c-k", "1", "--out", str(tmp_path / "inf")]) == 0
+    assert read_report(tmp_path / "inf")["D"] == report["D"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--alpha-k", "30", "--c-k", "nan", "--alpha", "1"],
+    ["spectral", "--alpha-k", "30", "--c-k", "inf", "--alpha", "1"],
+    ["truncated", "--alpha-k", "5", "--c-k-t0", "1", "--m-big", "nan"],
+    ["unbounded", "--c-k-t0", "1", "--c-gamma", "nan"],
+    ["unbounded", "--c-k-t0", "1", "--b-norm", "nan"],
+    ["admissibility", "--horizon", "nan"],
+    ["admissibility", "--horizon", "inf"],
+])
+def test_constants_never_write_a_non_finite_value(argv, tmp_path, capsys):
+    # NaN and Infinity are not JSON: such an input, or a constant that
+    # comes out non-finite, exits 3 with no report
+    out = tmp_path / "c"
+    assert run_cli(["constants", "--formula", *argv, "--out", str(out)]) == 3
+    assert "error: ValueError" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_constants_echo_only_the_given_flags(tmp_path, capsys):
@@ -357,6 +380,42 @@ def test_stabilize_numerical_breakdown_exits_three(tmp_path, monkeypatch,
                     "--out", str(out)]) == 3
     assert "OverflowError" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf", "0", "-1"])
+def test_stabilize_refuses_a_rate_not_positive_and_finite(mu, tmp_path,
+                                                         capsys):
+    out = tmp_path / "s"
+    assert run_cli(["stabilize", "--system", ROTATION_SPEC, "--mu", mu,
+                    "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: ValueError: target rate mu must be positive and finite\n")
+    assert not (out / "report.json").exists()
+
+
+def test_stabilize_folds_a_fast_loop_without_overflow(tmp_path):
+    # the closed loop decays at rate 80: e^{80 t} overflows from t = 8.89
+    # on, where the curve's norms are 0 or subnormal and carry no digits
+    out = tmp_path / "s"
+    spec = ('{"kind": "matrix", "a": [[-80, 1], [0, -90]], '
+            '"b": [[1], [1]]}')
+    assert run_cli(["stabilize", "--system", spec, "--mu", "1",
+                    "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["measured_rate"] > 80.0
+    assert 1.0 <= report["measured_overshoot"] < math.inf
+    assert (out / "gain.csv").exists()
+    rows = (out / "decay" / "decay.csv").read_text().splitlines()[1:]
+    assert len(rows) == 200
+    # the report's peak is the fold of the curve's normal norms, none of
+    # whose terms overflows
+    peak = max(float(norm) * math.exp(report["measured_rate"] * float(t))
+               for t, norm in (row.split(",") for row in rows)
+               if float(norm) >= np.finfo(float).tiny)
+    assert report["measured_overshoot"] == peak
+    # a term whose exponential overflows is taken in log space
+    assert cli._scaled_norm(math.exp(-705.0), 715.0) == pytest.approx(
+        math.exp(10.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("grid", ["0", "-1"])
@@ -519,6 +578,16 @@ def test_modes_on_a_matrix_spec_is_a_usage_error(command, tmp_path, capsys):
     assert code == 3
     assert "--modes truncates spectral specs only" in \
         capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_a_usage_error(value, tmp_path, capsys):
+    # a QuadratureError escaping main would be a traceback and exit 1
+    out = tmp_path / "g"
+    assert run_cli(["gramian", "--system", SCALAR_SPEC, "--tol", value,
+                    "--out", str(out)]) == 3
+    assert "rel_tol must be positive and finite" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

@@ -679,6 +679,17 @@ def test_certificate_to_feedback_selects_index():
     assert res_low.certificate_chain["k"] == 1
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0])
+def test_rate_must_be_positive_and_finite(mu):
+    rotation = systems.build_system([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]])
+    fam = weakobs.sweep_alpha(rotation, [2.0], [1.0])
+    message = "target rate mu must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        feedback.solve_shifted_riccati(rotation, mu)
+    with pytest.raises(ValueError, match=message):
+        feedback.certificate_to_feedback(rotation, fam, mu)
+
+
 def test_certificate_to_feedback_requires_entries():
     fam = weakobs.sweep_alpha(SCALAR_01, [2.0], [0.5, 1.0])
     with pytest.raises(ValueError):

@@ -229,6 +229,35 @@ def test_bound_validation():
         SemigroupBound(m_big=0.5, delta0=0.0)
     with pytest.raises(ValueError):
         SemigroupBound(m_big=1.0, delta0=-0.1)
+    for m_big, delta0 in ((math.nan, 0.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            SemigroupBound(m_big=m_big, delta0=delta0)
+
+
+def test_constant_formulas_refuse_nan():
+    # NaN fails every comparison: each range check must refuse it, not
+    # let it through to a NaN constant
+    nan = math.nan
+    uspec = dict(gamma=0.25, rho0=0.0, c_gamma=1.0, b_norm=1.0)
+    for field in ("c_gamma", "b_norm"):
+        with pytest.raises(ValueError, match=field):
+            systems.UnboundedConstantsSpec(**{**uspec, field: nan})
+    good = systems.UnboundedConstantsSpec(**uspec)
+    with pytest.raises(ValueError, match="horizon"):
+        lrc.admissibility_constant(good, nan)
+    spectral = dict(m_k=1.0, alpha_k=5.0, c_k=1.0, b_norm=1.0, alpha=1.0)
+    truncated = dict(t0=1.0, c_k_t0=1.0, m_k=1.0, alpha_k=5.0, b_norm=1.0,
+                     alpha=1.0)
+    unbounded = dict(t0=1.0, c_k_t0=1.0, m_k=1.0, alpha=1.0)
+    for route, kwargs, extra in (
+            (lrc.constants_from_spectral_inequality, spectral, ()),
+            (lrc.constants_from_truncated_obs, truncated, ()),
+            (lrc.constants_from_truncated_obs_unbounded, unbounded,
+             (good,))):
+        assert all(map(math.isfinite, route(UNIT_BOUND, *extra, **kwargs)))
+        for name in kwargs:
+            with pytest.raises(ValueError):
+                route(UNIT_BOUND, *extra, **{**kwargs, name: nan})
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,32 @@ def test_generic_checker_refutes_unobserved_undamped():
     assert cert.witness is not None
 
 
+@pytest.mark.parametrize("samples, seed", [(100, 0), (40, 3)])
+def test_periodic_record_scores_the_dense_candidate_rule(bench10, samples,
+                                                         seed, monkeypatch):
+    # the periodic check scores the states every dense horizon scores, and
+    # its Gaussians are the first draws of default_rng(seed), as before
+    records = []
+
+    class Recorded(weakobs.HorizonInputs):
+        def __init__(self, *args):
+            super().__init__(*args)
+            records.append(self)
+
+    monkeypatch.setattr(periodic, "HorizonInputs", Recorded)
+    periodic.multiplexed_stabilizability_check(bench10, 2, samples=samples,
+                                               seed=seed)
+    (record,) = records
+    rule = weakobs.candidate_states(
+        record.forms, weakobs.shared_states(bench10.n, samples, seed))
+    assert record.states.tobytes() == rule.tobytes()
+    gauss = np.random.default_rng(seed).standard_normal((samples, bench10.n))
+    np.testing.assert_allclose(
+        record.states[:samples],
+        gauss / np.linalg.norm(gauss, axis=1)[:, None], rtol=1e-15)
+    assert np.allclose(np.linalg.norm(record.states, axis=1), 1.0)
+
+
 def test_benchmark_delegates_to_generic(bench10):
     k = 2
     c_k = math.sqrt(bench10.alpha_series) * math.exp(k**2 / 2.0)

@@ -190,7 +190,8 @@ def test_batched_node_values_match_per_node_expm(n):
     r = rng.standard_normal((n, 2))
     horizon = 2.0
     for panels in (32, 48, 64, 65, 1024):
-        chunks = list(semigroup._node_values(a, r, horizon, panels, 8))
+        chunks = list(semigroup._node_values(semigroup.ExpTable(a), r, horizon,
+                                            panels, 8))
         assert len(chunks) == -(-panels // 64)
         values = np.hstack([v for v, _ in chunks])
         weights = np.concatenate([w for _, w in chunks])
@@ -290,7 +291,7 @@ def test_first_level_panels_follow_t_times_frobenius_norm():
     quad = semigroup.DEFAULT_QUAD
 
     def first(t, q=quad, scale=1.0):
-        return semigroup._first_panels(scale * m, t, q, False)
+        return semigroup._first_panels(semigroup.ExpTable(scale * m), t, q)
 
     for t, panels in [(0.25, 1), (1.0, 1), (1.5, 2), (2.0, 2), (2.5, 4),
                       (4.0, 4), (9.0, 16), (16.0, 16), (16.5, 32),
@@ -306,8 +307,8 @@ def test_first_level_panels_follow_t_times_frobenius_norm():
         assert first(t, QuadratureSpec(panels=48)) == panels
     # diagonal systems keep their graded panels
     for t in (1e-6, 1.0, 1e3):
-        assert semigroup._first_panels(np.diag([-1e3, 1.0]), t, quad,
-                                       True) == quad.panels
+        table = semigroup.ExpTable(np.diag([-1e3, 1.0]), diagonal=True)
+        assert semigroup._first_panels(table, t, quad) == quad.panels
 
 
 def test_first_level_reaches_node_values(monkeypatch):
@@ -540,6 +541,40 @@ def test_gauss_legendre_rule_is_built_once_and_read_only():
     assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
 
 
+def test_transition_matrix_and_grid_norms_reach_exp_stack(monkeypatch):
+    # `_exp_stack` is the one caller of `expm`: a transition matrix is one
+    # of its slices, bit for bit a fresh expm(A t) or the exact diagonal
+    calls = []
+    original = semigroup._exp_stack
+
+    def spy(m, times, diagonal):
+        calls.append((id(m), times.tolist(), diagonal))
+        return original(m, times, diagonal)
+
+    monkeypatch.setattr(semigroup, "_exp_stack", spy)
+    rng = np.random.default_rng(3)
+    for n in (2, 4, 9):
+        dense = systems.build_system(rng.standard_normal((n, n)),
+                                     rng.standard_normal((n, 1)))
+        diag = systems.build_system(np.diag(rng.standard_normal(n)),
+                                    rng.standard_normal((n, 1)))
+        for t in (0.0, 0.3, 2.7):
+            calls.clear()
+            fresh = expm(dense.a_matrix * t)
+            for adjoint in (False, True):
+                got = semigroup.transition_matrix(dense, t, adjoint=adjoint)
+                want = fresh.T if adjoint else fresh
+                assert got.tobytes() == want.tobytes()
+            exact = np.diag(np.exp(np.diag(diag.a_matrix) * t))
+            assert (semigroup.transition_matrix(diag, t).tobytes()
+                    == exact.tobytes())
+            assert calls == [(id(dense.a_matrix), [t], False)] * 2 + [
+                (id(diag.a_matrix), [t], True)]
+        calls.clear()
+        semigroup.grid_norms(dense, 10.0, 200)
+        assert calls == [(id(dense.a_matrix), [10.0 / 199], False)]
+
+
 def _per_time_norms(s, times):
     return np.array([np.linalg.norm(semigroup.transition_matrix(s, t), 2)
                      for t in times])
@@ -714,8 +749,9 @@ def test_gramian_result_forms_the_matrix_from_its_factor():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(panels=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
+    for rel_tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------

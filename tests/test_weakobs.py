@@ -72,7 +72,10 @@ def test_scalar_growth_certificate_two_sided():
                                   c_const=1.0)
     mid = weakobs.check_certificate(SCALAR_11, cert_mid)
     assert mid.status == INCONCLUSIVE
-    assert mid.margin < 0 < mid.sample_margin
+    assert mid.margin < 0
+    # above the best sampled violation ratio, d_lo
+    assert mid.d_const > weakobs.optimal_d_bracket(SCALAR_11, 1.0,
+                                                   cert_mid.residual)[0]
 
 
 def test_certificate_validation():
@@ -364,14 +367,14 @@ def test_sweep_builds_each_horizon_gramian_once(monkeypatch):
 
 
 def test_sweep_builds_each_horizon_candidates_once(monkeypatch):
-    original = weakobs._candidate_states
+    original = weakobs.candidate_states
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(weakobs, "_candidate_states", counted)
+    monkeypatch.setattr(weakobs, "candidate_states", counted)
     horizons = [0.5, 1.0, 2.0, 4.0]
     weakobs.sweep_alpha(_dense_pair("dense"), [1.0, 2.0, 4.0, 8.0],
                         horizons, samples=20)
@@ -382,7 +385,7 @@ def test_sweep_scores_each_horizon_once(monkeypatch):
     # the Gaussian and axis states are drawn once per sweep and each
     # horizon's candidates are scored once, not once per (alpha, T)
     shared, scored = [], []
-    original_shared = weakobs._shared_states
+    original_shared = weakobs.shared_states
     original_init = weakobs.HorizonInputs.__init__
 
     def counted_shared(*args):
@@ -393,7 +396,7 @@ def test_sweep_scores_each_horizon_once(monkeypatch):
         scored.append(args)
         original_init(self, *args)
 
-    monkeypatch.setattr(weakobs, "_shared_states", counted_shared)
+    monkeypatch.setattr(weakobs, "shared_states", counted_shared)
     monkeypatch.setattr(weakobs.HorizonInputs, "__init__", counted_init)
     fam = weakobs.sweep_alpha(_dense_pair("dense"), [1.0, 2.0, 4.0, 8.0],
                               [0.5, 1.0, 2.0, 4.0], samples=20, seed=3)
@@ -614,8 +617,10 @@ def test_unobservable_direction_stays_out_of_the_gramian():
 @pytest.mark.parametrize("kind", ["dense", "unobservable"])
 def test_sweep_entries_equal_check_certificate(kind):
     s = _dense_pair(kind)
-    fam = weakobs.sweep_alpha(s, [1.0, 2.0, 4.0], [0.5, 1.0, 2.0],
+    horizons = [0.5, 1.0, 2.0]
+    fam = weakobs.sweep_alpha(s, [1.0, 2.0, 4.0], horizons,
                               samples=30, seed=3)
+    shared = weakobs._horizons(s, horizons, 30, 3)
     if kind == "unobservable":
         assert fam.verdict == REFUTED
     for entry in fam.certificates:
@@ -625,7 +630,10 @@ def test_sweep_entries_equal_check_certificate(kind):
         alone = weakobs.check_certificate(s, cert, samples=30, seed=3)
         assert alone.status == entry.status
         assert alone.margin == entry.margin
-        assert alone.sample_margin == entry.sample_margin
+        # the best sampled ratio of the sweep's records and of one horizon's
+        assert (weakobs.optimal_d_bracket(s, entry.horizon, cert.residual,
+                                          samples=30, seed=3)[0]
+                == shared[entry.horizon].bracket(cert.residual)[0])
         if entry.witness is None:
             assert alone.witness is None
         else:
@@ -638,6 +646,7 @@ def test_ill_pair_sweep_entries_equal_check_certificate():
     s = systems.build_system(*_ill_pair())
     horizons = [0.5, 1.0, 2.0, 4.0]
     fam = weakobs.sweep_alpha(s, [1.0, 2.0, 4.0, 8.0], horizons, samples=60)
+    shared = weakobs._horizons(s, horizons, 60, 0)
     for entry in fam.certificates:
         d_his = [weakobs.optimal_d_bracket(s, t, math.exp(-entry.alpha * t),
                                            samples=60)[1] for t in horizons]
@@ -649,7 +658,10 @@ def test_ill_pair_sweep_entries_equal_check_certificate():
         assert alone.status == entry.status
         assert alone.d_const == entry.d_const
         assert alone.margin == entry.margin
-        assert alone.sample_margin == entry.sample_margin
+        # the best sampled ratio of the sweep's records and of one horizon's
+        assert (weakobs.optimal_d_bracket(s, entry.horizon, cert.residual,
+                                          samples=60)[0]
+                == shared[entry.horizon].bracket(cert.residual)[0])
         if entry.witness is None:
             assert alone.witness is None
         else:

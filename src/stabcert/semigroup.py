@@ -49,9 +49,23 @@ table of A also gives e^{A^T T} as the transpose of its e^{A T} and,
 through its transposed view, every node exponential of the witness
 energies, or one concatenated steering, whose table of A serves the forms'
 Gramian and, through a view shifted by -beta, the Gramian of A - beta I
-that weights the segments' energies.  A steering that fails drops its
-table before the error leaves the call.  Nothing is cached between calls.
+that weights the segments' energies.  That Gramian's first level is sized
+by ||A - beta I||_F, not ||A||_F, so the view finds only the node times
+its levels share with the forms' and computes the rest as fresh slices of
+the table.  A steering that fails drops its table before the error leaves
+the call.  Nothing is cached between calls.
 The quadrature reads M and its diagonal flag from the table alone.
+
+A sweep's table (`share_nodes`) also keeps node values: for each (panel
+width, B), the e^{At}B of the first level it integrates at that width.
+The sweep integrates its longest horizon first, and a dyadic horizon's
+panel starts are a prefix of a longer one's at the same width, so a
+shorter horizon's level slices a prefix of the kept values and forms no
+product: the Gramians of a dyadic sweep below the cap evaluate the
+longest horizon's panels only.  Each horizon keeps its own `refine`, its QR per chunk and its
+floor, so its factor, error estimate and floor are bit for bit those of a
+single-horizon call.  A single-horizon Gramian, an energy and any view
+keep no node values.
 
 A Gramian is its factor R, G = R^T R, accumulated as R <- qr([R; S^T])
 over the weighted node values S, so a direction v with v^T e^{At} B = 0
@@ -242,14 +256,19 @@ class ExpTable:
     distinct time it was asked for.  A table built here computes its
     misses with one `_exp_stack`, so a value equals a fresh `_exp_stack`
     at that t bit for bit.  A view from `shifted` does not meet that.
+    A table built with `share_nodes` also keeps the node values that
+    `_node_values` forms on it (see there); its views keep none.
     """
 
-    def __init__(self, m, diagonal=False):
+    def __init__(self, m, diagonal=False, share_nodes=False):
         self.matrix = m
         self.diagonal = diagonal
         self._slot = {}          # exact float time -> index into _values
         self._values = np.empty((0,) + np.shape(m))
         self._fresh = lambda times: _exp_stack(m, times, diagonal)
+        # (Gauss offsets, R) -> (panel starts, node-value chunks) of the
+        # first dense level of that panel width; see _kept_values
+        self._nodes = {} if share_nodes else None
 
     def transposed(self):
         """A table of M^T whose misses are this table's slices transposed
@@ -378,6 +397,14 @@ def _node_values(table, r, horizon, panels, npts):
     and the chunk's panel-start exponentials, computing those no earlier
     level or chunk asked for.
 
+    On a table built with `share_nodes` the chunks come from
+    `_kept_values`: a level whose panel starts are a prefix of those of a
+    kept level of the same width (a shorter dyadic horizon's, once the
+    longest was integrated) yields the kept chunks cut to its panels.
+    Each panel's values are one product of its start's and the offsets'
+    exponentials whichever chunk holds it, so the cut values are bit for
+    bit those this level would compute, and it computes none.
+
     A diagonal M takes exact exponentials at any node: its panels are equal
     in s, t = horizon s^4, which resolves a stiff decay e^{-|lambda| t} with
     a few dozen panels where equal panels in t need |lambda| horizon.
@@ -395,12 +422,42 @@ def _node_values(table, r, horizon, panels, npts):
     x, w = gauss_legendre_rule(npts)
     h = horizon / (2.0 * panels)
     offsets = h * (1.0 + x)
+    starts = horizon * np.arange(panels) / panels
+    kept = (None if table._nodes is None
+            else _kept_values(table, r, offsets, starts))
     for first in range(0, panels, _CHUNK):
-        p = np.arange(first, min(first + _CHUNK, panels))
-        e = table.stack(np.concatenate([offsets, horizon * p / panels]))
-        local = (e[:npts] @ r).transpose(1, 0, 2).reshape(n, -1)
-        values = e[npts:] @ local
-        yield values.transpose(1, 0, 2).reshape(n, -1), np.tile(h * w, p.size)
+        part = starts[first:first + _CHUNK]
+        if kept is None:
+            values = _panel_values(table, r, offsets, part)
+        else:
+            values = kept[first // _CHUNK][:, :part.size * npts * r.shape[1]]
+        yield values, np.tile(h * w, part.size)
+
+
+def _kept_values(table, r, offsets, starts):
+    """The node-value chunks of the panels beginning at `starts` on a
+    `share_nodes` table: the kept chunks of these Gauss offsets (one panel
+    width and node count) and R when `starts` is a prefix of their starts,
+    else computed, and kept if none were."""
+    key = (offsets.tobytes(), r.shape, r.tobytes())
+    kept = table._nodes.get(key)
+    if (kept is not None and kept[0].size >= starts.size
+            and np.array_equal(kept[0][:starts.size], starts)):
+        return kept[1]
+    chunks = [_panel_values(table, r, offsets, starts[first:first + _CHUNK])
+              for first in range(0, starts.size, _CHUNK)]
+    table._nodes.setdefault(key, (starts, chunks))
+    return chunks
+
+
+def _panel_values(table, r, offsets, starts):
+    """e^{M t} R at the nodes t = start + offset of the panels beginning at
+    `starts`, as one n x (nodes * r) matrix in `_node_values`' layout:
+    each node is the product of its start's and its offset's exponential."""
+    e = table.stack(np.concatenate([offsets, starts]))
+    local = (e[:offsets.size] @ r).transpose(1, 0, 2).reshape(len(r), -1)
+    values = e[offsets.size:] @ local
+    return values.transpose(1, 0, 2).reshape(len(r), -1)
 
 
 def observability_gramian(sys: LtiSystem, horizon: float,

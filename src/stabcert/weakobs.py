@@ -39,11 +39,16 @@ The search computes each quantity once, at the scope it depends on:
 * per call (`_horizons`): one ExpTable of A for every Gramian and,
   through its transposed view, every witness energy, and the seeded
   Gaussian states and the axes, normalized (`shared_states`);
+* per (panel width, B) across the horizons of a sweep: the Gramians' node
+  values e^{At}B, kept by that table and computed for the longest horizon
+  (built first), whose prefixes the shorter horizons slice;
 * per horizon (a `HorizonInputs`): the `Forms`, the candidates they add
   (R's right singular vectors, W's eigenvectors, the K11 maximizers;
   `candidate_states`) and ||F u||, ||R u|| over all candidates u;
 * per (alpha, T), i.e. per eps: the ratio argmax and the slack reduction
-  (`entry`), shared by `bracket` and by `decide` for every D;
+  (`entries`), shared by `bracket` and by `decide` for every D.  A sweep
+  asks each horizon for all its eps at once, searched as one (eps x
+  state) argmax and reduced by one batched eigensolve (`_reduce`);
 * per (T, witness): the independent energy (`energy`).
 """
 
@@ -190,20 +195,48 @@ class Forms(NamedTuple):
 _KAPPA = 1e6
 
 
-def _reduce(forms: Forms, eps: float):
-    """(top, lambda_min(N)): the slack is PSD iff D^2 >= top =
-    lambda_max(K11 + K12 N^{-1} K12^T); top is inf when N is not positive
-    definite and -inf when no direction is kept.
+def _reduce(forms: Forms, eps: Sequence[float]):
+    """[(top, lambda_min(N))] for each eps of `eps`: the slack is PSD iff
+    D^2 >= top = lambda_max(K11 + K12 N^{-1} K12^T); top is inf when N is
+    not positive definite and -inf when no direction is kept.
 
     N starts as the directions with sigma <= floor.  While the eigensolver
     noise n u ||K11 + ...|| exceeds top/_KAPPA, directions whose
     -K_ii = (eps^2 - ||F v_i||^2)/sigma_i^2 dwarfs top + noise join N:
     dropping their observation is conservative, and their huge negative
-    entries no longer swamp top."""
+    entries no longer swamp top.  When N starts empty, one batched
+    eigensolve of K11 reduces every eps; an eps that deflates, or every
+    eps when N does not start empty, continues in `_deflate` on its own."""
     sig = forms.sig
-    m = forms.w_basis - eps**2 * np.eye(len(sig))
+    squares = np.array([e**2 for e in eps])
+    m = forms.w_basis - squares[:, None, None] * np.eye(len(sig))
     null = sig <= forms.floor
-    found = (np.inf, -np.inf)
+    if null.any():
+        return [_deflate(sig, mi, null, (np.inf, -np.inf)) for mi in m]
+    scale = 1.0 / sig
+    h = np.linalg.eigvalsh(scale[:, None] * m * scale)
+    settled, more = _settled(h, np.diagonal(m, axis1=1, axis2=2), scale,
+                             len(sig))
+    return [(float(hi[-1]), np.inf) if done
+            else _deflate(sig, mi, deflate, (float(hi[-1]), np.inf))
+            for hi, mi, done, deflate in zip(h, m, settled, more)]
+
+
+def _settled(h, diag, scale, n):
+    """(settled, more) for the spectrum h of one K or of a stack: with
+    top = h[-1] and the bound top + n u max |h|, settled when the bound is
+    not positive, when its noise is at most top/_KAPPA or when no kept
+    direction would join N; `more` marks those that would.  `diag` is the
+    kept diagonal of W - eps^2 I and `scale` its 1/sigma."""
+    top = h[..., -1]
+    bound = top + n * np.finfo(float).eps * np.abs(h).max(axis=-1)
+    more = -diag * scale**2 > _KAPPA * bound[..., None]
+    return (bound <= 0.0) | (bound - top <= top / _KAPPA) | ~more.any(-1), more
+
+
+def _deflate(sig, m, null, found):
+    """`_reduce` of one eps from null block `null` on, `found` being the
+    last (top, lambda_min(N)) with a positive definite N."""
     while True:
         keep = ~null
         lam, q = np.linalg.eigh(-m[np.ix_(null, null)])
@@ -218,12 +251,11 @@ def _reduce(forms: Forms, eps: float):
         if not h.size:
             return -np.inf, null_min
         found = (float(h[-1]), null_min)
-        bound = h[-1] + len(sig) * np.finfo(float).eps * np.abs(h).max()
-        more = np.zeros_like(null)
-        more[keep] = -np.diag(m)[keep] * scale**2 > _KAPPA * bound
-        if bound <= 0.0 or bound - h[-1] <= h[-1] / _KAPPA or not more.any():
+        settled, more = _settled(h, np.diag(m)[keep], scale, len(sig))
+        if settled:
             return found
-        null = null | more
+        null = null.copy()
+        null[keep] = more
 
 
 class HorizonInputs:
@@ -231,9 +263,9 @@ class HorizonInputs:
     candidate states, each scored once as a unit u by the free norm
     ||F u|| and the observation norm ||R u|| (the forms' `floor` and below
     counting as rounding), and `energy_of`, an independent route to
-    ||R u||^2 that confirms a violation.  `entry`, `bracket` and `energy`
-    are memoized: each eps is searched and reduced once, each witness
-    integrated once."""
+    ||R u||^2 that confirms a violation.  `entries`, `entry`, `bracket`
+    and `energy` are memoized: each eps is searched and reduced once, each
+    witness integrated once."""
 
     def __init__(self, forms: Forms, states,
                  energy_of: Callable[[np.ndarray], float]):
@@ -247,21 +279,30 @@ class HorizonInputs:
         self._entries = {}
         self._energies = {}
 
-    def entry(self, eps: float):
-        """((state, ratio), _reduce(forms, eps)): the best ratio
-        (||F u|| - eps)_+ / ||R u|| over the scored states (inf where
-        ||R u|| <= floor) with its state, and the slack reduction; neither
-        depends on D."""
-        if eps not in self._entries:
-            num = self.free - eps
+    def entries(self, eps_values: Sequence[float]):
+        """[((state, ratio), reduction)] for each eps of `eps_values`: the
+        best ratio (||F u|| - eps)_+ / ||R u|| over the scored states (inf
+        where ||R u|| <= floor) with its state, and the eps's slack
+        reduction from `_reduce`; neither depends on D.  The eps not met
+        before are searched as one (eps x state) array and reduced in one
+        `_reduce` call."""
+        new = [e for e in dict.fromkeys(eps_values) if e not in self._entries]
+        if new:
+            num = self.free - np.array(new)[:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(num <= 0.0, 0.0,
                                  np.where(self.obs <= self.forms.floor,
                                           np.inf, num / self.obs))
-            best = int(np.argmax(ratio))
-            self._entries[eps] = ((self.states[best], float(ratio[best])),
-                                  _reduce(self.forms, eps))
-        return self._entries[eps]
+            best = np.argmax(ratio, axis=1)
+            for eps, i, row, reduced in zip(new, best, ratio,
+                                            _reduce(self.forms, new)):
+                self._entries[eps] = ((self.states[i], float(row[i])),
+                                      reduced)
+        return [self._entries[eps] for eps in eps_values]
+
+    def entry(self, eps: float):
+        """`entries` of one eps."""
+        return self.entries([eps])[0]
 
     def bracket(self, eps: float):
         """(sampled lower bound, smallest D passing the sufficient test) at
@@ -343,12 +384,15 @@ def candidate_states(forms, shared):
 
 
 def _horizons(sys, horizons, samples, seed):
-    """{T: HorizonInputs} of a dense system.  Every horizon's Gramian
-    draws its node exponentials from one ExpTable of A, e^{A^T T} is its
-    e^{A T} transposed and the witness energies read it through one
-    transposed view, so no A^T t is exponentiated; the Gaussian and axis
-    states are drawn once for all horizons."""
-    table = ExpTable(sys.a_matrix, sys.is_diagonal)
+    """{T: HorizonInputs} of a dense system, built longest horizon first.
+    Every horizon's Gramian draws its node exponentials from one ExpTable
+    of A, e^{A^T T} is its e^{A T} transposed and the witness energies
+    read it through one transposed view, so no A^T t is exponentiated; the
+    Gaussian and axis states are drawn once for all horizons.  With more
+    than one horizon the table keeps node values (`share_nodes`), which
+    the shorter horizons slice."""
+    table = ExpTable(sys.a_matrix, sys.is_diagonal,
+                     share_nodes=len(horizons) > 1)
     adj_table = table.transposed()
     shared = shared_states(sys.n, samples, seed)
 
@@ -358,7 +402,7 @@ def _horizons(sys, horizons, samples, seed):
             forms, candidate_states(forms, shared),
             lambda unit: observation_energy(sys, t, unit, table=adj_table))
 
-    return {t: inputs(t) for t in horizons}
+    return {t: inputs(t) for t in sorted(horizons, reverse=True)}
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +462,11 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     builder `check_certificate` uses for its one horizon, so entries equal
     `check_certificate` with the same seed and samples.  Every horizon's
     Gramian and witness energies read one ExpTable of A, so each A t is
-    exponentiated once over all horizons and levels, and no A^T t at all.
-    Per (alpha, T) only eps changes: one `entry` (ratio argmax and slack
-    reduction) serves the D bracket and every D checked, and each
-    (T, witness) energy is integrated once.
+    exponentiated once over all horizons and levels, and no A^T t at all;
+    the Gramians' node values are formed once per panel width.  Per
+    (alpha, T) only eps changes: every eps of a horizon is searched and
+    reduced in one `entries` call, whose entry serves the D bracket and
+    every D checked, and each (T, witness) energy is integrated once.
     """
     alphas = tuple(sorted(float(a) for a in alphas))
     horizons = tuple(sorted(float(t) for t in horizons))
@@ -429,6 +474,9 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
         raise ValueError("alpha and horizon grids must be nonempty")
     c_of_alpha, source = _resolve_residual_rule(residual_rule, alphas)
     inputs = _horizons(sys, horizons, samples, seed)
+    for t in horizons:
+        # every eps the sweep asks of T, searched and reduced at once
+        inputs[t].entries([c_of_alpha[a] * math.exp(-a * t) for a in alphas])
 
     def check_alpha(alpha):
         c_val = c_of_alpha[alpha]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stabcert import cli, feedback, semigroup, systems, verification
+from stabcert import cli, feedback, semigroup, systems, verification, \
+    weakobs
 from stabcert._quadrature import QuadratureError, gauss_legendre_rule, \
     integrate_adaptive, panel_nodes, refine
 from stabcert.semigroup import QuadratureSpec
@@ -432,6 +433,126 @@ def test_shared_table_leaves_energies_bit_identical():
     with pytest.raises(ValueError, match="table"):
         semigroup.observation_energy(s, 1.0, phi,
                                      table=semigroup.ExpTable(s.a_matrix))
+
+
+def _rotating_pair(speed):
+    """n = 4, m = 2: a rotation of Frobenius norm `speed` decaying at 0.5,
+    so long horizons need many panels without overflowing."""
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((4, 4))
+    skew = (g - g.T) / np.linalg.norm(g - g.T)
+    return systems.build_system(speed * skew - 0.5 * np.eye(4),
+                                rng.standard_normal((4, 2)))
+
+
+def _sweep_gramians(monkeypatch, s, horizons):
+    """{T: the GramianResult a weakobs sweep over `horizons` built}."""
+    built = {}
+
+    def kept(sys, horizon, quad=None, *, table=None):
+        built[horizon] = semigroup.observability_gramian(sys, horizon, quad,
+                                                         table=table)
+        return built[horizon]
+
+    monkeypatch.setattr(weakobs, "observability_gramian", kept)
+    weakobs.sweep_alpha(s, [1.0, 2.0], horizons, samples=10)
+    return built
+
+
+def _first_widths(s, horizons):
+    return [t / semigroup._first_panels(semigroup.ExpTable(s.a_matrix), t,
+                                        semigroup.DEFAULT_QUAD)
+            for t in horizons]
+
+
+@pytest.mark.parametrize("case", ["dyadic", "cap", "third-doubling",
+                                  "non-dyadic", "diagonal", "48-cap"])
+def test_sweep_gramians_equal_single_horizon_calls(case, monkeypatch):
+    # a sweep's Gramians share node values between horizons; each must
+    # still be bit for bit the Gramian of a fresh single-horizon call
+    rng = np.random.default_rng(21)
+    t = 1.0010030090270812
+    horizons = {"dyadic": (0.5, 1.0, 2.0, 4.0), "cap": (2.0, 4.0, 8.0),
+                "third-doubling": (2.0, 4.0, 8.0), "non-dyadic": (0.7, 1.3),
+                "diagonal": (0.5, 1.0, 2.0, 4.0), "48-cap": (t, 3 * t)}[case]
+    if case == "dyadic":
+        s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
+                                 rng.standard_normal((5, 2)))
+    elif case == "cap":
+        s = _rotating_pair(6.0)
+        # T = 8 starts at the 32-panel cap, twice as wide as T = 4's panels
+        widths = _first_widths(s, horizons)
+        assert widths[2] == 2 * widths[1] == 2 * widths[0]
+    elif case == "third-doubling":
+        s = _rotating_pair(50.0)
+    elif case == "non-dyadic":
+        s = systems.build_system(rng.standard_normal((4, 4)) / 2.0,
+                                 rng.standard_normal((4, 1)))
+    elif case == "diagonal":
+        s = systems.build_system(np.diag(-rng.uniform(0.1, 5.0, 5)),
+                                 rng.standard_normal((5, 2)))
+        assert s.is_diagonal
+    else:
+        # a 48-panel cap: T starts at 16 panels and 3T at 48 of the same
+        # float width, but 3T's panel starts are not T's, so nothing is
+        # shared
+        monkeypatch.setattr(semigroup, "DEFAULT_QUAD",
+                            QuadratureSpec(panels=48))
+        s = _rotating_pair(12.0)
+        assert _first_widths(s, horizons)[0] == _first_widths(s, horizons)[1]
+        assert not np.array_equal(t * np.arange(16) / 16,
+                                  3 * t * np.arange(16) / 48)
+    panels = []
+    original = semigroup._node_values
+
+    def counted(table, r, horizon, count, npts):
+        panels.append(count)
+        return original(table, r, horizon, count, npts)
+
+    monkeypatch.setattr(semigroup, "_node_values", counted)
+    built = _sweep_gramians(monkeypatch, s, horizons)
+    if case == "third-doubling":
+        assert max(panels) == 4 * 64
+    assert sorted(built) == list(horizons)
+    for horizon, shared in built.items():
+        alone = semigroup.observability_gramian(s, horizon)
+        assert np.array_equal(shared.factor, alone.factor)
+        assert (shared.quadrature_error_estimate
+                == alone.quadrature_error_estimate)
+        assert shared.floor == alone.floor
+
+
+def test_sweep_evaluates_each_panel_width_once(monkeypatch):
+    # a dyadic 4-horizon sweep: the longest horizon is integrated first,
+    # and every shorter horizon's levels slice its node values
+    rng = np.random.default_rng(21)
+    s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
+                             rng.standard_normal((5, 2)))
+    horizons = (0.5, 1.0, 2.0, 4.0)
+    levels, evaluated = [], []
+    node_values = semigroup._node_values
+    panel_values = semigroup._panel_values
+
+    def levels_seen(table, r, horizon, panels, npts):
+        levels.append((horizon, panels))
+        return node_values(table, r, horizon, panels, npts)
+
+    def evaluated_seen(table, r, offsets, starts):
+        evaluated.extend((offsets.tobytes(), t) for t in starts)
+        return panel_values(table, r, offsets, starts)
+
+    monkeypatch.setattr(semigroup, "_node_values", levels_seen)
+    monkeypatch.setattr(semigroup, "_panel_values", evaluated_seen)
+    weakobs._horizons(s, horizons, 10, 0)
+    assert {t for t, _ in levels} == set(horizons)
+    assert levels[0][0] == 4.0
+    # every width of a shorter horizon's levels is one of the longest's
+    assert len(set(_first_widths(s, horizons))) == 1
+    x, _ = gauss_legendre_rule(semigroup.DEFAULT_QUAD.nodes_per_panel)
+    longest = {((4.0 / (2.0 * p) * (1.0 + x)).tobytes(), 4.0 * k / p)
+               for t, p in levels if t == 4.0 for k in range(p)}
+    assert len(evaluated) == len(set(evaluated))
+    assert set(evaluated) == longest
 
 
 @pytest.mark.parametrize("diagonal", [False, True])

@@ -569,7 +569,7 @@ def test_sweep_reduces_each_entry_once(monkeypatch):
     calls = []
 
     def counted(forms, eps):
-        calls.append(eps)
+        calls.append((id(forms), sorted(eps)))
         return original(forms, eps)
 
     monkeypatch.setattr(weakobs, "_reduce", counted)
@@ -578,7 +578,70 @@ def test_sweep_reduces_each_entry_once(monkeypatch):
                               samples=20)
     # every bracket is finite: one common D per alpha
     assert len({(c.alpha, c.d_const) for c in fam.certificates}) == 4
-    assert len(calls) == len(alphas) * len(horizons)
+    # one reduction per horizon, whose eps cover its 4 entries once each
+    assert len({forms for forms, _ in calls}) == len(calls) == len(horizons)
+    assert (sorted(eps for _, eps in calls)
+            == sorted(sorted(c.residual for c in fam.certificates
+                             if c.horizon == t) for t in horizons))
+
+
+def _reduce_one_eps(forms, eps):
+    """The slack reduction of one eps as a loop from the null block
+    sigma <= floor on: the reference `_reduce`'s batched pass must equal."""
+    sig = forms.sig
+    m = forms.w_basis - eps**2 * np.eye(len(sig))
+    null = sig <= forms.floor
+    found = (np.inf, -np.inf)
+    while True:
+        keep = ~null
+        lam, q = np.linalg.eigh(-m[np.ix_(null, null)])
+        null_min = float(lam[0]) if lam.size else np.inf
+        if null_min <= 0.0:
+            return found if np.isfinite(found[0]) else (np.inf, null_min)
+        scale = 1.0 / sig[keep]
+        k12 = (scale[:, None] * m[np.ix_(keep, null)] @ q) / np.sqrt(lam)
+        h = np.linalg.eigvalsh(scale[:, None] * m[np.ix_(keep, keep)] * scale
+                               + k12 @ k12.T)
+        if not h.size:
+            return -np.inf, null_min
+        found = (float(h[-1]), null_min)
+        bound = h[-1] + len(sig) * np.finfo(float).eps * np.abs(h).max()
+        more = np.zeros_like(null)
+        more[keep] = -np.diag(m)[keep] * scale**2 > weakobs._KAPPA * bound
+        if bound <= 0.0 or bound - h[-1] <= h[-1] / weakobs._KAPPA \
+                or not more.any():
+            return found
+        null = null | more
+
+
+@pytest.mark.parametrize("kind", ["dense", "unobservable", "deflating"])
+def test_batched_reduction_equals_the_per_eps_reduction(kind, monkeypatch):
+    if kind == "deflating":
+        # n = 10, m = 1: at T = 2, residual-covered directions join N
+        rng = np.random.default_rng(0)
+        s = systems.build_system(rng.standard_normal((10, 10)) / math.sqrt(10),
+                                 rng.standard_normal((10, 1)))
+    else:
+        s = _dense_pair(kind)
+    deflated = []
+    original = weakobs._deflate
+
+    def seen(sig, m, null, found):
+        deflated.append(np.isfinite(found[0]))
+        return original(sig, m, null, found)
+
+    monkeypatch.setattr(weakobs, "_deflate", seen)
+    eps = [0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 3.0]
+    for horizon in (0.5, 2.0, 4.0):
+        forms = weakobs.Forms.dense(s, horizon)
+        assert (weakobs._reduce(forms, eps)
+                == [_reduce_one_eps(forms, e) for e in eps])
+        if kind == "unobservable":
+            assert (forms.sig <= forms.floor).any()
+    # the null block runs every eps on its own; a deflation continues the
+    # batched pass
+    assert {"dense": not deflated, "unobservable": deflated and
+            not any(deflated), "deflating": any(deflated)}[kind]
 
 
 def test_sweep_integrates_each_witness_energy_once(monkeypatch):

@@ -75,8 +75,11 @@ def _fmt(x):
 
 
 def _write_json(path: Path, payload: dict):
+    """Strict JSON (RFC 8259): a NaN or an infinity in `payload` raises
+    ValueError, which exits 3, before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header, rows):
@@ -228,9 +231,12 @@ def _cmd_constants(args) -> int:
     values = {k: result[k] for k in ("D", "C", "value") if k in result}
     if not all(map(math.isfinite, values.values())):
         raise ValueError(f"constants are not finite: {values}")
+    # an infinite input (alpha_k = inf: the projection discards nothing)
+    # is echoed as the string "inf" or "-inf"
+    inputs = {k: str(v) if math.isinf(v) else v for k, v in given.items()}
     _write_json(Path(args.out) / "report.json", {
         "schema_version": SCHEMA_VERSION, "formula": formula,
-        "inputs": given, **result})
+        "inputs": inputs, **result})
     return EXIT_CERTIFIED
 
 

@@ -6,7 +6,12 @@ solution of the shift-by-mu Riccati equation
     (A + mu I)^T P + P (A + mu I) - P B B^T P + I = 0,
 
 solved on the stable invariant subspace of the associated Hamiltonian
-matrix (ordered real Schur form) with one Newton refinement.  Undoing the
+matrix (ordered real Schur form) with one Newton refinement, whose
+residual norm is formed once per iterate.  A PBH test comes first, and
+its pencils do not depend on mu: the pair's `LtiSystem.spectrum`, formed
+once per system, holds their Grams, and each mu runs one batched
+Cholesky (`_pbh_screen`); only where that fails does the shifted test
+`_pbh_stabilizable` run.  Undoing the
 shift moves every closed-loop eigenvalue of A + BK, K = -B^T P, left of
 -mu.  A synthesis is returned only when the computed spectral rate
 exceeds mu and P is positive definite to working precision, lambda_min(P)
@@ -17,7 +22,8 @@ reach ||K|| of about 1e8).  The remaining operations build the
 minimum-norm controls that steer into a contraction ball and concatenate
 them into a geometrically decaying control with finite
 exponentially-weighted norm.  Steering reads the Gramian's factor R,
-never G: in R's right singular basis the regularized normal equations are
+never G and never the rounding floor, which is formed only when read: in
+R's right singular basis the regularized normal equations are
 diagonal, so each segment is a scalar root of the secular equation for
 the Tikhonov parameter, found by safeguarded Newton steps with no linear
 solve.  A concatenated steering exponentiates A at most once per node
@@ -40,7 +46,7 @@ from scipy.linalg import schur, solve_continuous_lyapunov
 
 from .semigroup import ExpTable, observability_gramian
 from .systems import LtiSystem
-from .weakobs import CertificateFamily, Forms
+from .weakobs import CertificateFamily
 
 __all__ = [
     "UnstabilizableError",
@@ -124,6 +130,9 @@ def _pbh_stabilizable(a_shift, b):
     9.7e-5 scale, and the SVD, whose rounding is a few (n + m) u scale,
     would read no value near the threshold 1e-10 scale: None is returned
     without it.  If one fails, the tested pencils take one batched SVD.
+
+    `solve_shifted_riccati` calls this only where `_pbh_screen`, which
+    reads the pencils of the unshifted pair once for every mu, fails.
     """
     n = a_shift.shape[0]
     scale = max(np.linalg.norm(a_shift, 2) + np.linalg.norm(b, 2), 1.0)
@@ -143,6 +152,34 @@ def _pbh_stabilizable(a_shift, b):
     return lam[bad[0]] if bad.size else None
 
 
+def _pbh_screen(sys, mu):
+    """True when the rate-mu PBH test of `sys` need not run: every pencil
+    of the pair passes the Cholesky screen of `_pbh_stabilizable` at a
+    scale s no smaller than that test's.
+
+    The shifted pencil at an eigenvalue lam + mu of A + mu I is
+    [lam I - A, B], so the pair's `spectrum` holds its Gram P P^H at
+    every eigenvalue lam of A with Im lam >= 0, formed once for all mu.
+    Each mu factors P P^H - 1e-8 s^2 I, s = max(||A||_2 + mu + ||B||_2,
+    1), in one batched Cholesky; s >= max(||A + mu I||_2 + ||B||_2, 1),
+    the shifted test's scale, so the screen is never looser than that
+    test's own.  A pass puts sigma_min(P) above about 1e-4 s at every
+    eigenvalue of A, unstable or not (the bound of `_pbh_stabilizable`'s
+    screen), where the exact test flags at 1e-10 s: the eigenvalues of
+    A + mu I that it forms would have to stray from eig(A) + mu by more
+    than 1e-4 s, six orders of magnitude above the threshold, for the two
+    to disagree.  A failure decides nothing: `_pbh_stabilizable(A + mu I,
+    B)` then runs unchanged, with its own eigenvalues, screen and SVD.
+    """
+    spec = sys.spectrum
+    scale = max(spec.a_norm + mu + spec.b_norm, 1.0)
+    try:
+        np.linalg.cholesky(spec.pencil_grams - 1e-8 * scale**2 * np.eye(sys.n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def solve_shifted_riccati(sys: LtiSystem, mu: float) -> FeedbackResult:
     """Feedback gain pushing every closed-loop eigenvalue left of -mu.
 
@@ -157,13 +194,17 @@ def solve_shifted_riccati(sys: LtiSystem, mu: float) -> FeedbackResult:
     b = sys.b_matrix
     n = sys.n
     a_shift = a + mu * np.eye(n)
-    bad = _pbh_stabilizable(a_shift, b)
-    if bad is not None:
-        raise UnstabilizableError(complex(bad))
+    if not _pbh_screen(sys, mu):
+        bad = _pbh_stabilizable(a_shift, b)
+        if bad is not None:
+            raise UnstabilizableError(complex(bad))
 
     bbt = b @ b.T
-    ham = np.block([[a_shift, -bbt],
-                    [-np.eye(n), -a_shift.T]])
+    ham = np.empty((2 * n, 2 * n))
+    ham[:n, :n] = a_shift
+    ham[:n, n:] = -bbt
+    ham[n:, :n] = -np.eye(n)
+    ham[n:, n:] = -a_shift.T
     _, z, sdim = schur(ham, output="real", sort=lambda re, im: re < 0.0)
     if sdim != n:
         raise UnstabilizableError(complex(np.nan))
@@ -175,17 +216,19 @@ def solve_shifted_riccati(sys: LtiSystem, mu: float) -> FeedbackResult:
     def residual_of(pm):
         return a_shift.T @ pm + pm @ a_shift - pm @ bbt @ pm + np.eye(n)
 
-    # one Newton step: tightens the residual by orders of magnitude
+    # one Newton step: tightens the residual by orders of magnitude; the
+    # residual norm of the P kept is the one its iterate formed
     res = residual_of(p)
+    res_norm = float(np.linalg.norm(res))
     a_cl_shift = a_shift - bbt @ p
     try:
         delta = solve_continuous_lyapunov(a_cl_shift.T, -res)
         p_ref = 0.5 * ((p + delta) + (p + delta).T)
-        if np.linalg.norm(residual_of(p_ref)) < np.linalg.norm(res):
-            p = p_ref
+        ref_norm = float(np.linalg.norm(residual_of(p_ref)))
+        if ref_norm < res_norm:
+            p, res_norm = p_ref, ref_norm
     except np.linalg.LinAlgError:
         pass
-    res_norm = float(np.linalg.norm(residual_of(p)))
 
     gain = -b.T @ p
     rate = _spectral_rate(a + b @ gain)
@@ -237,19 +280,32 @@ _NEWTON_STEPS = 64
 _BRACKET = 2.0**-44
 
 
-def _steer(forms, eps, y0):
+def _steering_basis(sys, horizon, table=None):
+    """(adj, sig, vt) of one horizon: adj = e^{A^T T}, the transpose of
+    the e^{AT} the Gramian left in `table` (an ExpTable of A, call-local
+    if None), and the SVD R = U diag(sig) V^T of the Gramian's factor
+    (G = R^T R).  These are all `_steer` reads: the Gramian's floor is
+    never formed."""
+    if table is None:
+        table = ExpTable(sys.a_matrix, sys.is_diagonal)
+    factor = observability_gramian(sys, horizon, table=table).factor
+    _, sig, vt = np.linalg.svd(factor)
+    return table.stack([horizon])[0].T, sig, vt
+
+
+def _steer(basis, eps, y0):
     """eta, terminal state and control norm for one steering segment.
 
-    `forms` carries e^{AT} = adj^T and the SVD R = U diag(sig) V^T of the
-    Gramian's factor (G = R^T R).  With c = V^T e^{AT} y0 the regularized
-    normal equations (G + nu I) eta = e^{AT} y0 are diagonal: eta =
-    V c/(sig^2 + nu), terminal = V nu c/(sig^2 + nu), ||R eta|| =
-    ||sig c/(sig^2 + nu)||.  nu = 0 (the least-squares steer) when that
-    lands within eps * ||y0||; else `_tikhonov_nu` lands the terminal
-    norm on, never above, it.
+    `basis` is a `_steering_basis`: e^{AT} = adj^T and the SVD
+    R = U diag(sig) V^T of the Gramian's factor.  With c = V^T e^{AT} y0
+    the regularized normal equations (G + nu I) eta = e^{AT} y0 are
+    diagonal: eta = V c/(sig^2 + nu), terminal = V nu c/(sig^2 + nu),
+    ||R eta|| = ||sig c/(sig^2 + nu)||.  nu = 0 (the least-squares
+    steer) when that lands within eps * ||y0||; else `_tikhonov_nu` lands
+    the terminal norm on, never above, it.
     """
-    sig, vt = forms.sig, forms.vt
-    z = forms.adj.T @ y0
+    adj, sig, vt = basis
+    z = adj.T @ y0
     target = eps * float(np.linalg.norm(y0))
     c = vt @ z
     norm_c = float(np.linalg.norm(c))
@@ -349,8 +405,8 @@ def min_norm_eps_null(sys: LtiSystem, horizon: float, eps: float,
         raise ValueError("horizon must be positive")
     if not 0.0 <= eps < math.inf:
         raise ValueError("eps must be finite and nonnegative")
-    forms = Forms.dense(sys, horizon)
-    eta, _, l2 = _steer(forms, eps, np.asarray(y0, dtype=float))
+    basis = _steering_basis(sys, horizon)
+    eta, _, l2 = _steer(basis, eps, np.asarray(y0, dtype=float))
     seg = SteeringSegment(0.0, horizon, eta)
     return ControlSignal(breakpoints=(0.0, horizon), segments=(seg,),
                          l2_norm=l2)
@@ -390,13 +446,13 @@ def concatenated_control(sys: LtiSystem, beta: float, t_seg: float,
             f"exp(-2 beta t_seg)={math.exp(-2.0 * beta * t_seg):g}")
     y0 = np.asarray(y0, dtype=float)
     table = ExpTable(sys.a_matrix, sys.is_diagonal)
-    forms = Forms.dense(sys, t_seg, table)
+    basis = _steering_basis(sys, t_seg, table)
 
     state = y0
     segs, state_norms, control_norms = [], [float(np.linalg.norm(y0))], []
     try:
         for i in range(segments):
-            eta, terminal, l2 = _steer(forms, eps_seg, state)
+            eta, terminal, l2 = _steer(basis, eps_seg, state)
             segs.append(SteeringSegment(i * t_seg, (i + 1) * t_seg, eta))
             control_norms.append(l2)
             state = terminal

@@ -96,7 +96,8 @@ def fit_semigroup_bound(sys: LtiSystem) -> SemigroupBound:
     rounding), and eigvalsh misses an eigenvalue of S or P by at most
     n u times its Frobenius norm.  A failed check raises
     `np.linalg.LinAlgError` with both margins; M is widened by P's
-    eigenvalue error.
+    eigenvalue error.  The abscissa reads the eigenvalues of the pair's
+    `spectrum`, which the rate-mu PBH screen of `feedback` reads too.
     """
     a = sys.a_matrix
     if sys.is_diagonal:
@@ -104,7 +105,7 @@ def fit_semigroup_bound(sys: LtiSystem) -> SemigroupBound:
                               delta0=max(0.0, float(np.diag(a).max())))
     n = sys.n
     unit = float(np.finfo(float).eps) / 2.0
-    abscissa = float(np.max(np.linalg.eigvals(a).real))
+    abscissa = float(np.max(sys.spectrum.eigenvalues.real))
     delta0 = max(0.0, abscissa) + ENVELOPE_GAMMA
     a_s = a - delta0 * np.eye(n)
     p = solve_continuous_lyapunov(a_s.T, -np.eye(n))

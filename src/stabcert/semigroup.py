@@ -69,7 +69,12 @@ keep no node values.
 
 A Gramian is its factor R, G = R^T R, accumulated as R <- qr([R; S^T])
 over the weighted node values S, so a direction v with v^T e^{At} B = 0
-keeps ||R v|| at the QR's rounding (`floor`); G is formed only when read.
+keeps ||R v|| at the QR's rounding (`floor`).  G and the floor are formed
+only when read: the floor's nine probe exponentials are gathered with R,
+so no table outlives the call, and their norms and ||B||_2 are taken on
+the first read of `floor`, which every weak-observability decision makes
+(`weakobs.Forms.dense`) and steering and the `stabcert gramian` dump never
+make.
 Van Loan's block exponential yields G, not R, and leaves rounding of about
 u ||G|| e^{2T} there: on random dense pairs with an uncontrollable mode at
 +1 its G had eigenvalues below -1e-12 trace(G) at T = 4, and a
@@ -98,6 +103,7 @@ and more (ROADMAP item 4): on `perfbench` feedback job 1 of seed 11
 and doubling 7.4e14.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -159,13 +165,16 @@ class GramianResult:
     """The factor R of the observability Gramian G = R^T R.
 
     ||R phi||^2 is the observation energy of phi, so R^T R is symmetric
-    PSD by construction; G itself is formed only when `matrix` is read.
+    PSD by construction; G itself is formed only when `matrix` is read,
+    and the rounding floor of R only when `floor` is first read, from the
+    nine transition matrices `probe` gathered with R and from B.
     """
 
     factor: np.ndarray      # upper-triangular R
     horizon: float
     quadrature_error_estimate: float
-    floor: float            # ||R phi|| at or below this is rounding
+    probe: np.ndarray       # e^{A t} at nine equispaced t in [0, T]
+    b_matrix: np.ndarray
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -175,6 +184,15 @@ class GramianResult:
     def matrix(self):
         """G = R^T R, formed afresh on each read."""
         return self.factor.T @ self.factor
+
+    @functools.cached_property
+    def floor(self):
+        """||R phi|| at or below this is rounding: the QR's rounding,
+        n u ||B|| a_T sqrt(T), a_T = max ||e^{At}|| over `probe`."""
+        a_t = np.linalg.norm(self.probe, 2, axis=(1, 2)).max()
+        floor = (len(self.factor) * np.finfo(float).eps
+                 * np.linalg.norm(self.b_matrix, 2) * a_t)
+        return float(floor * np.sqrt(self.horizon))
 
     def quad_form(self, phi):
         """<G phi, phi> as ||R phi||^2."""
@@ -489,11 +507,8 @@ def observability_gramian(sys: LtiSystem, horizon: float,
 
     _, err = refine(level, _first_panels(table, horizon, quad),
                     rel_tol=quad.rel_tol)
-    # the QR's rounding: n u ||B|| a_T sqrt(T), a_T = max ||e^{At}|| on
-    # [0, T], probed at nine equispaced times; all but T are panel starts
-    # of every level with 8 panels or more
-    probe = table.stack(np.linspace(0.0, horizon, 9))
-    a_t = np.linalg.norm(probe, 2, axis=(1, 2)).max()
-    floor = n * np.finfo(float).eps * np.linalg.norm(b, 2) * a_t
+    # the floor's nine probe times: all but T are panel starts of every
+    # level with 8 panels or more.  They are gathered here, so that no
+    # table outlives this call, and the floor is formed when read
     return GramianResult(factor, horizon, float(err),
-                         float(floor * np.sqrt(horizon)))
+                         table.stack(np.linspace(0.0, horizon, 9)), b)

@@ -8,6 +8,7 @@ point-controlled heat with a continued-fraction actuation point, and -- in
 `periodic` -- a time-multiplexed diagonal system).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,7 @@ from ._quadrature import integrate_adaptive
 
 __all__ = [
     "LtiSystem",
+    "PairSpectrum",
     "SpectralSystem",
     "ContinuedFractionPoint",
     "UnboundedConstantsSpec",
@@ -41,11 +43,30 @@ def _readonly(a, dtype=float):
 
 
 @dataclass(frozen=True)
+class PairSpectrum:
+    """What the PBH test of (A + mu I, B) reads that does not depend on mu.
+
+    The Hautus pencil of the shifted pair at an eigenvalue lam + mu of
+    A + mu I is [lam I - A, B], so one pair has one set of pencils for
+    every rate mu.  `eigenvalues` is `np.linalg.eigvals(A)` in LAPACK
+    order, and `pencil_grams` stacks P P^H, P = [lam I - A, B], at each
+    of them with Im lam >= 0: the other member of a conjugate pair has the
+    conjugate pencil, with the same singular values.
+    """
+
+    eigenvalues: np.ndarray
+    pencil_grams: np.ndarray
+    a_norm: float           # ||A||_2
+    b_norm: float           # ||B||_2
+
+
+@dataclass(frozen=True)
 class LtiSystem:
     """A finite pair y' = A y + B u with A (N x N) and B (N x M).
 
     Instances are immutable; the arrays are stored read-only so values are
-    safe to share across threads.
+    safe to share across threads.  `spectrum` is formed on first read and
+    kept on the instance, so it lives and dies with the system.
     """
 
     a_matrix: np.ndarray
@@ -80,6 +101,25 @@ class LtiSystem:
     def is_diagonal(self):
         a = self.a_matrix
         return np.count_nonzero(a - np.diag(np.diag(a))) == 0
+
+    @functools.cached_property
+    def spectrum(self):
+        """The pair's `PairSpectrum`: A's eigenvalues, the pencil Grams
+        at those with Im lam >= 0, ||A||_2 and ||B||_2, formed once."""
+        a, b = self.a_matrix, self.b_matrix
+        lam = np.linalg.eigvals(a)
+        lam.setflags(write=False)
+        upper = lam[lam.imag >= 0]
+        pencils = np.concatenate(
+            [upper[:, None, None] * np.eye(self.n) - a,
+             np.broadcast_to(b.astype(complex), (upper.size,) + b.shape)],
+            axis=2)
+        grams = pencils @ pencils.conj().transpose(0, 2, 1)
+        grams.setflags(write=False)
+        return PairSpectrum(
+            eigenvalues=lam, pencil_grams=grams,
+            a_norm=float(np.linalg.norm(a, 2)),
+            b_norm=float(np.linalg.norm(b, 2)))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +14,24 @@ DEAD_SPEC = '{"kind": "matrix", "a": [[0.0]], "b": [[0.0]]}'
 ROTATION_SPEC = '{"kind": "matrix", "a": [[0, 1], [-1, 0]], "b": [[0], [1]]}'
 
 
-def run_cli(args):
-    return cli.main(args)
+def _not_json(constant):
+    raise ValueError(f"report holds {constant}, which is not JSON")
 
 
 def read_report(outdir):
-    return json.loads((outdir / "report.json").read_text())
+    return json.loads((outdir / "report.json").read_text(),
+                      parse_constant=_not_json)
+
+
+def run_cli(args):
+    """cli.main(args); every report a call writes must parse as strict
+    JSON (RFC 8259: no NaN, Infinity or -Infinity)."""
+    code = cli.main(args)
+    if "--out" in args:
+        out = Path(args[args.index("--out") + 1])
+        if (out / "report.json").exists():
+            read_report(out)
+    return code
 
 
 def test_weakobs_certified_exit_zero(tmp_path):
@@ -224,6 +237,25 @@ def test_constants_subcommand(tmp_path):
     assert read_report(tmp_path / "inf")["D"] == report["D"]
 
 
+def test_an_infinite_input_is_echoed_as_a_string(tmp_path):
+    # JSON has no infinity: alpha_k = inf is written "inf", a parsable
+    # string, where it was once the non-JSON token Infinity
+    out = tmp_path / "c"
+    assert run_cli(["constants", "--formula", "spectral", "--alpha-k", "inf",
+                    "--c-k", "1", "--alpha", "1", "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["inputs"] == {"alpha_k": "inf", "c_k": 1.0, "alpha": 1.0}
+    assert float(report["inputs"]["alpha_k"]) == math.inf
+
+
+def test_a_report_with_a_non_finite_value_is_not_written(tmp_path):
+    path = tmp_path / "r" / "report.json"
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="JSON"):
+            cli._write_json(path, {"value": value})
+        assert not path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["spectral", "--alpha-k", "30", "--c-k", "nan", "--alpha", "1"],
     ["spectral", "--alpha-k", "30", "--c-k", "inf", "--alpha", "1"],
@@ -281,6 +313,15 @@ def test_constants_unbounded(tmp_path):
         0.5, 3.0, 1.5, 1.0)
     assert (report["D"], report["C"]) == (d_c, c_c)
     assert report["validity"] == {"T_min": 1.0}
+
+
+def test_gramian_dump_never_forms_the_floor(tmp_path, monkeypatch):
+    def unread(self):
+        raise AssertionError("GramianResult.floor was read")
+
+    monkeypatch.setattr(semigroup.GramianResult, "floor", property(unread))
+    assert run_cli(["gramian", "--system", ROTATION_SPEC,
+                    "--out", str(tmp_path / "g")]) == 0
 
 
 def test_stabilize_outputs(tmp_path):
@@ -347,6 +388,31 @@ def test_stabilize_unstabilizable_exit_one(tmp_path):
     assert run_cli(["stabilize", "--system", DEAD_SPEC, "--mu", "1",
                     "--out", str(out)]) == 1
     assert read_report(out)["verdict"] == "unstabilizable"
+
+
+# A = diag(-3, -0.5), B = e_2: the mode -3 is invisible to B, so the
+# pair's PBH screen fails at every mu and the shifted test decides
+_HIDDEN_STABLE_SPEC = ('{"kind": "matrix", "a": [[-3, 0], [0, -0.5]], '
+                       '"b": [[0], [1]]}')
+
+
+def test_stabilize_reads_the_shifted_test_where_the_screen_fails(tmp_path):
+    # mu = 1: the hidden mode, shifted to -2, is stable, and the visible
+    # one closes at -mu - sqrt(0.5^2 + 1)
+    out = tmp_path / "s"
+    assert run_cli(["stabilize", "--system", _HIDDEN_STABLE_SPEC,
+                    "--mu", "1", "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["verdict"] == "synthesized"
+    assert report["measured_rate"] == pytest.approx(1.0 + math.sqrt(1.25),
+                                                    rel=1e-12)
+    # mu = 4: the hidden mode, shifted to +1, is unstable
+    out = tmp_path / "u"
+    assert run_cli(["stabilize", "--system", _HIDDEN_STABLE_SPEC,
+                    "--mu", "4", "--out", str(out)]) == 1
+    report = read_report(out)
+    assert report["verdict"] == "unstabilizable"
+    assert report["offending_eigenvalue"] == [1, 0]
 
 
 def _missed_target_spec():

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_continuous_are
 
-from stabcert import feedback, semigroup, systems, verification, weakobs
+from stabcert import (feedback, lrconstants, semigroup, systems,
+                      verification, weakobs)
 from stabcert._quadrature import integrate_adaptive
 from stabcert.semigroup import observability_gramian
 
@@ -181,6 +182,104 @@ def test_pbh_screen_takes_no_svd_on_a_controllable_pair(monkeypatch):
     assert feedback._pbh_stabilizable(s.a_matrix + np.eye(s.n),
                                       s.b_matrix) is not None
     assert len(calls) == 1
+
+
+def _jordan_pair(rng, size, lam, delta):
+    """Dense pair holding a Jordan block of `size` at lam that B reaches
+    only through the chain's last row, at size delta."""
+    n = size + 2
+    block = np.zeros((n, n))
+    block[:size, :size] = lam * np.eye(size) + np.eye(size, k=1)
+    block[size:, size:] = rng.standard_normal((2, 2))
+    # block lower triangular: e_size is the block's left eigenvector
+    block[size:, :size] = rng.standard_normal((2, size))
+    b = np.zeros((n, 2))
+    b[size - 1] = delta * rng.standard_normal(2)
+    b[size:] = rng.standard_normal((2, 2))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return systems.build_system(q @ block @ q.T, q @ b)
+
+
+def _graded_pair(rng, n, delta):
+    """Upper triangular A graded over n decades, whose last mode B
+    reaches at size delta."""
+    grade = 10.0 ** -np.arange(n)
+    a = np.triu(rng.standard_normal((n, n))) * np.sqrt(np.outer(grade, grade))
+    b = rng.standard_normal((n, 2))
+    b[-1] *= delta
+    return systems.build_system(a, b)
+
+
+def _adversarial_pairs(rng):
+    """Pairs whose PBH answer sits near the threshold: Jordan blocks up to
+    size 8, modes B reaches at 1e-14 .. 1e-2, graded triangular A."""
+    for delta in 10.0 ** np.arange(-14, -1):
+        for size in range(2, 9):
+            for lam in (-2.0, 0.3):
+                yield _jordan_pair(rng, size, lam, delta)
+        for n in (4, 8):
+            yield _graded_pair(rng, n, delta)
+        for kind in ("real", "rotation"):
+            yield _coupled_hidden_mode(rng, kind, delta)
+
+
+def test_a_pbh_screen_pass_agrees_with_the_shifted_test():
+    # a pass of the pair's screen skips the shifted test: the skipped
+    # test must have found no offender
+    rng = np.random.default_rng(27)
+    outcomes = set()
+    for s in _adversarial_pairs(rng):
+        for mu in (0.5, 1.0, 2.0, 4.0):
+            passed = feedback._pbh_screen(s, mu)
+            exact = feedback._pbh_stabilizable(
+                s.a_matrix + mu * np.eye(s.n), s.b_matrix)
+            assert not passed or exact is None
+            outcomes.add((passed, exact is None))
+    # the corpus reaches both sides of the screen and of the threshold
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_a_pair_forms_its_pbh_pencils_once(monkeypatch):
+    # the envelope fit and three rates read one record: A's eigenvalues
+    # and the pencil Grams are formed once, and no pencil SVD runs
+    rng = np.random.default_rng(5)
+    s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
+                             rng.standard_normal((5, 2)))
+    eigvals, records, shifted = [], [], []
+    real_eigvals, real_record = np.linalg.eigvals, systems.PairSpectrum
+
+    def eigvals_spy(m):
+        if np.array_equal(m, s.a_matrix):
+            eigvals.append(1)
+        return real_eigvals(m)
+
+    def record_spy(**fields):
+        records.append(1)
+        return real_record(**fields)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals_spy)
+    monkeypatch.setattr(systems, "PairSpectrum", record_spy)
+    monkeypatch.setattr(feedback, "_pbh_stabilizable",
+                        lambda *args: shifted.append(args))
+    svds = _pencil_svds(monkeypatch)
+    lrconstants.fit_semigroup_bound(s)
+    for mu in (1.0, 2.0, 4.0):
+        assert feedback.solve_shifted_riccati(s, mu).measured_rate > mu
+    assert (eigvals, records, shifted, svds) == ([1], [1], [], [])
+
+
+def test_a_failed_screen_leaves_the_answer_to_the_shifted_test():
+    # B = e_2 cannot reach the mode -3: the screen fails at every rate,
+    # and the shifted test flags the mode only where mu moves it past 0
+    s = systems.build_system([[-3.0, 0.0], [0.0, -0.5]], [[0.0], [1.0]])
+    for mu in (1.0, 2.0, 4.0):
+        assert not feedback._pbh_screen(s, mu)
+    res = feedback.solve_shifted_riccati(s, 1.0)
+    assert res.measured_rate == pytest.approx(1.0 + math.sqrt(1.25),
+                                              rel=1e-12)
+    with pytest.raises(feedback.UnstabilizableError) as err:
+        feedback.solve_shifted_riccati(s, 4.0)
+    assert err.value.eigenvalue == 1.0
 
 
 def test_dense_riccati_invariants():
@@ -622,6 +721,25 @@ def test_concatenated_control_exponentiates_each_slice_once(monkeypatch):
         assert not _multiple_of(x, shifted)
         assert not _multiple_of(x, shifted.T)
         assert _multiple_of(x, s.a_matrix)
+
+
+def test_steering_never_forms_the_gramian_floor(monkeypatch):
+    # steering reads the factor's SVD and e^{AT}, never the floor; the
+    # decisions' forms still do
+    def unread(self):
+        raise AssertionError("GramianResult.floor was read")
+
+    monkeypatch.setattr(semigroup.GramianResult, "floor", property(unread))
+    rng = np.random.default_rng(31)
+    s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
+                             rng.standard_normal((5, 2)))
+    y0 = rng.standard_normal(5)
+    with pytest.raises(AssertionError, match="floor was read"):
+        weakobs.Forms.dense(s, 1.0)
+    _, rep = feedback.concatenated_control(s, 1.0, 1.0, math.exp(-2.0),
+                                           y0, 3)
+    assert rep.contraction_ok and rep.geometric_ok
+    assert feedback.min_norm_eps_null(s, 1.0, 0.1, y0).l2_norm > 0.0
 
 
 def _tables_in_frames(tb):

@@ -856,12 +856,14 @@ def test_norms_of_an_overflowed_stack_without_nan_raise():
 def test_gramian_result_rejects_nonpositive_horizon():
     for horizon in (0.0, -1.0):
         with pytest.raises(ValueError, match="horizon"):
-            semigroup.GramianResult(np.eye(2), horizon, 0.0, 0.0)
+            semigroup.GramianResult(np.eye(2), horizon, 0.0,
+                                    np.eye(2)[None], np.zeros((2, 1)))
 
 
 def test_gramian_result_forms_the_matrix_from_its_factor():
     r = np.array([[2.0, -1.0], [0.0, 0.5]])
-    g = semigroup.GramianResult(r, 1.0, 0.0, 0.0)
+    g = semigroup.GramianResult(r, 1.0, 0.0, np.eye(2)[None],
+                                np.zeros((2, 1)))
     assert np.array_equal(g.matrix, r.T @ r)
     phi = np.array([0.3, -1.2])
     assert g.quad_form(phi) == pytest.approx(phi @ r.T @ r @ phi, rel=1e-15)

@@ -1,7 +1,13 @@
 """Command-line front end: load system specs, run analyses, write reports.
 
 Each subcommand's handler reads its flags from the parsed argparse
-namespace.  A default is stated once: in the parser, or as a module
+namespace.  A process builds one parser per command it runs, on first
+use, and reuses it for every later `main` call: argparse keeps no state
+between `parse_args` calls, each of which fills a fresh namespace, and the
+`example` sweep flags default to `argparse.SUPPRESS`, so a reused parser
+parses as a fresh one does.  In-process callers that run many commands (a
+dense sweep's benchmark runs one `main` call per job) build each parser
+once.  A default is stated once: in the parser, or as a module
 constant where a handler must agree with a flag that one of its commands
 lacks (the `--horizon`/`--grid` of `example --check stabilize`) or must
 tell a flag given from one left unset (the sweep flags of `example`).
@@ -17,6 +23,7 @@ numerical breakdowns (`ArithmeticError`) exit 3.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -330,6 +337,12 @@ def _cmd_example(args) -> int:
 
 
 def _stabilize_system(args, lti, extra, mu, horizon, grid):
+    # the decay curve's usage errors exit 3 before the synthesis, whether
+    # or not the pair can be stabilized
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("propagation time must be finite and nonnegative")
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
     out = Path(args.out)
     report = {"schema_version": SCHEMA_VERSION,
               "claim": "rapid-decay-feedback", "system": lti.label, "mu": mu}
@@ -536,11 +549,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser(command=None):
     """The parser of one command, or of every command when `command` is None.
 
     Each `add_argument` builds a help formatter, so a run builds only the
     subparser it dispatches to.  Its usage line still lists every command.
+    One parser per command is built per process and reused, since parsing
+    leaves no state in it: the cache holds at most eight, one per command
+    and the full one.
     """
     parser = argparse.ArgumentParser(
         prog="stabcert",

@@ -22,7 +22,7 @@ reach ||K|| of about 1e8).  The remaining operations build the
 minimum-norm controls that steer into a contraction ball and concatenate
 them into a geometrically decaying control with finite
 exponentially-weighted norm.  Steering reads the Gramian's factor R,
-never G and never the rounding floor, which is formed only when read: in
+never G and never its rounding floor (`semigroup.gramian_floor`): in
 R's right singular basis the regularized normal equations are
 diagonal, so each segment is a scalar root of the secular equation for
 the Tikhonov parameter, found by safeguarded Newton steps with no linear
@@ -34,7 +34,10 @@ first level is sized by ||A - beta I||_F, so its levels are not the
 forms': the view computes the node times they do not share as fresh
 slices.  On perfbench's `feedback_jobs(11, 180)` (beta = 1) it starts at 8
 panels where the forms start at 4 on 57 of the 60 n = 10 pairs, and
-computes 15.2 fresh slices per n = 10 steering and 2.7 per n = 5 one.
+computes 15.2 fresh slices per n = 10 steering and 3.6 per n = 5 one (the
+forms' Gramian gathers no floor probes, so their e^{AT} is one slice of
+its own and the odd-eighth panel starts are the view's to compute; a job
+still takes 33.6 slices in 3.4 `expm` calls).
 """
 
 import math
@@ -172,7 +175,7 @@ def _pbh_screen(sys, mu):
     B)` then runs unchanged, with its own eigenvalues, screen and SVD.
     """
     spec = sys.spectrum
-    scale = max(spec.a_norm + mu + spec.b_norm, 1.0)
+    scale = max(spec.a_norm + mu + sys.b_norm, 1.0)
     try:
         np.linalg.cholesky(spec.pencil_grams - 1e-8 * scale**2 * np.eye(sys.n))
     except np.linalg.LinAlgError:
@@ -282,10 +285,9 @@ _BRACKET = 2.0**-44
 
 def _steering_basis(sys, horizon, table=None):
     """(adj, sig, vt) of one horizon: adj = e^{A^T T}, the transpose of
-    the e^{AT} the Gramian left in `table` (an ExpTable of A, call-local
-    if None), and the SVD R = U diag(sig) V^T of the Gramian's factor
-    (G = R^T R).  These are all `_steer` reads: the Gramian's floor is
-    never formed."""
+    `table`'s e^{AT} (an ExpTable of A, call-local if None), and the SVD
+    R = U diag(sig) V^T of the Gramian's factor (G = R^T R).  These are
+    all `_steer` reads: the Gramian's floor is never formed."""
     if table is None:
         table = ExpTable(sys.a_matrix, sys.is_diagonal)
     factor = observability_gramian(sys, horizon, table=table).factor

@@ -44,16 +44,17 @@ the rounding of that product besides the slice's own.  A view
 `table.transposed()` stands for M^T and computes each miss as the table's
 slice transposed, with no arithmetic, so its values are the table's slices
 transposed, bit for bit.  A table lives no longer than the call that
-builds it: one energy, one Gramian, one weakobs decision, one sweep, whose
-table of A also gives e^{A^T T} as the transpose of its e^{A T} and,
-through its transposed view, every node exponential of the witness
-energies, or one concatenated steering, whose table of A serves the forms'
-Gramian and, through a view shifted by -beta, the Gramian of A - beta I
-that weights the segments' energies.  That Gramian's first level is sized
-by ||A - beta I||_F, not ||A||_F, so the view finds only the node times
-its levels share with the forms' and computes the rest as fresh slices of
-the table.  A steering that fails drops its table before the error leaves
-the call.  Nothing is cached between calls.
+builds it: one energy, one Gramian, one floor, one weakobs decision, one
+sweep, whose table of A also gives every floor its probe norms, e^{A^T T}
+as the transpose of its e^{A T} and, through its transposed view, every
+node exponential of the witness energies, or one concatenated steering,
+whose table of A serves the forms' Gramian and, through a view shifted by
+-beta, the Gramian of A - beta I that weights the segments' energies.
+That Gramian's first level is sized by ||A - beta I||_F, not ||A||_F, so
+the view finds only the node times its levels share with the forms' and
+computes the rest as fresh slices of the table.  A steering that fails
+drops its table before the error leaves the call.  Nothing is cached
+between calls.
 The quadrature reads M and its diagonal flag from the table alone.
 
 A sweep's table (`share_nodes`) also keeps node values: for each (panel
@@ -62,19 +63,23 @@ The sweep integrates its longest horizon first, and a dyadic horizon's
 panel starts are a prefix of a longer one's at the same width, so a
 shorter horizon's level slices a prefix of the kept values and forms no
 product: the Gramians of a dyadic sweep below the cap evaluate the
-longest horizon's panels only.  Each horizon keeps its own `refine`, its QR per chunk and its
-floor, so its factor, error estimate and floor are bit for bit those of a
-single-horizon call.  A single-horizon Gramian, an energy and any view
-keep no node values.
+longest horizon's panels only.  Each horizon keeps its own `refine` and
+its QR per chunk, so its factor and error estimate are bit for bit those
+of a single-horizon call.  A single-horizon Gramian, an energy and any
+view keep no node values.
 
 A Gramian is its factor R, G = R^T R, accumulated as R <- qr([R; S^T])
 over the weighted node values S, so a direction v with v^T e^{At} B = 0
-keeps ||R v|| at the QR's rounding (`floor`).  G and the floor are formed
-only when read: the floor's nine probe exponentials are gathered with R,
-so no table outlives the call, and their norms and ||B||_2 are taken on
-the first read of `floor`, which every weak-observability decision makes
+keeps ||R v|| at the QR's rounding, `gramian_floor`: n u ||B||_2 a_T
+sqrt(T), a_T the largest ||e^{At}||_2 at nine equispaced probe times.
+G is formed only when `matrix` is read, and the floor only where it is
+called, which every weak-observability decision does
 (`weakobs.Forms.dense`) and steering and the `stabcert gramian` dump never
-make.
+do.  The floor reads its probe norms from the table through
+`ExpTable.norms`, which takes each exact time's 2-norm once, and ||B||_2
+from `LtiSystem.b_norm`, taken once per system: the four floors of a
+dyadic sweep over T = 0.5, 1, 2, 4 take 21 probe norms, not 36, and one
+||B||_2, and each floor is bit for bit that of a fresh table.
 Van Loan's block exponential yields G, not R, and leaves rounding of about
 u ||G|| e^{2T} there: on random dense pairs with an uncontrollable mode at
 +1 its G had eigenvalues below -1e-12 trace(G) at T = 4, and a
@@ -103,7 +108,6 @@ and more (ROADMAP item 4): on `perfbench` feedback job 1 of seed 11
 and doubling 7.4e14.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -120,6 +124,7 @@ __all__ = [
     "QuadratureError",
     "GramianResult",
     "ExpTable",
+    "gramian_floor",
     "propagate",
     "transition_matrix",
     "grid_norms",
@@ -165,16 +170,14 @@ class GramianResult:
     """The factor R of the observability Gramian G = R^T R.
 
     ||R phi||^2 is the observation energy of phi, so R^T R is symmetric
-    PSD by construction; G itself is formed only when `matrix` is read,
-    and the rounding floor of R only when `floor` is first read, from the
-    nine transition matrices `probe` gathered with R and from B.
+    PSD by construction; G itself is formed only when `matrix` is read.
+    The rounding floor of R is not part of the result: `gramian_floor`
+    forms it for the callers that read it.
     """
 
     factor: np.ndarray      # upper-triangular R
     horizon: float
     quadrature_error_estimate: float
-    probe: np.ndarray       # e^{A t} at nine equispaced t in [0, T]
-    b_matrix: np.ndarray
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -184,15 +187,6 @@ class GramianResult:
     def matrix(self):
         """G = R^T R, formed afresh on each read."""
         return self.factor.T @ self.factor
-
-    @functools.cached_property
-    def floor(self):
-        """||R phi|| at or below this is rounding: the QR's rounding,
-        n u ||B|| a_T sqrt(T), a_T = max ||e^{At}|| over `probe`."""
-        a_t = np.linalg.norm(self.probe, 2, axis=(1, 2)).max()
-        floor = (len(self.factor) * np.finfo(float).eps
-                 * np.linalg.norm(self.b_matrix, 2) * a_t)
-        return float(floor * np.sqrt(self.horizon))
 
     def quad_form(self, phi):
         """<G phi, phi> as ||R phi||^2."""
@@ -270,8 +264,9 @@ class ExpTable:
 
     `stack(times)` computes the misses in one call and returns every
     time's slice as one gather from an array of the values so far, which
-    doubles its capacity as it fills.  A table holds one n x n matrix per
-    distinct time it was asked for.  A table built here computes its
+    doubles its capacity as it fills; `norms(times)` gives their 2-norms,
+    each taken once.  A table holds one n x n matrix per distinct time it
+    was asked for.  A table built here computes its
     misses with one `_exp_stack`, so a value equals a fresh `_exp_stack`
     at that t bit for bit.  A view from `shifted` does not meet that.
     A table built with `share_nodes` also keeps the node values that
@@ -284,6 +279,7 @@ class ExpTable:
         self._slot = {}          # exact float time -> index into _values
         self._values = np.empty((0,) + np.shape(m))
         self._fresh = lambda times: _exp_stack(m, times, diagonal)
+        self._norms = {}         # exact float time -> ||e^{M t}||_2
         # (Gauss offsets, R) -> (panel starts, node-value chunks) of the
         # first dense level of that panel width; see _kept_values
         self._nodes = {} if share_nodes else None
@@ -322,6 +318,17 @@ class ExpTable:
             self._values[held:held + len(miss)] = new
             self._slot.update(zip(miss, range(held, held + len(miss))))
         return self._values[[self._slot[t] for t in keys]]
+
+    def norms(self, times):
+        """||e^{M t}||_2 at every t, each exact float time's norm taken
+        once: the misses' slices come from `stack`, and one batched SVD,
+        which reduces each slice on its own, gives their norms."""
+        keys = np.asarray(times, dtype=float).tolist()
+        miss = [t for t in dict.fromkeys(keys) if t not in self._norms]
+        if miss:
+            self._norms.update(zip(miss, np.linalg.norm(
+                self.stack(miss), 2, axis=(1, 2)).tolist()))
+        return np.array([self._norms[t] for t in keys])
 
 
 def _own_table(table, m, diagonal, name):
@@ -488,7 +495,6 @@ def observability_gramian(sys: LtiSystem, horizon: float,
     difference is the error estimate.  `table`, an ExpTable of A, lets
     Gramians of one A share node exponentials; values do not depend on
     it, except that a shifted view gives them to its rounding.
-    Afterwards it holds e^{A T}.
     """
     _check_horizon(horizon)
     quad = quad or DEFAULT_QUAD
@@ -507,8 +513,23 @@ def observability_gramian(sys: LtiSystem, horizon: float,
 
     _, err = refine(level, _first_panels(table, horizon, quad),
                     rel_tol=quad.rel_tol)
-    # the floor's nine probe times: all but T are panel starts of every
-    # level with 8 panels or more.  They are gathered here, so that no
-    # table outlives this call, and the floor is formed when read
-    return GramianResult(factor, horizon, float(err),
-                         table.stack(np.linspace(0.0, horizon, 9)), b)
+    return GramianResult(factor, horizon, float(err))
+
+
+def gramian_floor(sys: LtiSystem, horizon: float, *,
+                  table: Optional[ExpTable] = None) -> float:
+    """||R phi|| at or below this is rounding, R being the factor of the
+    Gramian of `sys` on [0, horizon]: the QR's rounding, n u ||B||_2 a_T
+    sqrt(T), a_T = max ||e^{At}||_2 over nine equispaced t in [0, T].
+
+    `table`, an ExpTable of A, lets the floors of one A share probe norms
+    (`ExpTable.norms`); the floor does not depend on it, except that a
+    shifted view gives it to its rounding.  Afterwards it holds e^{A T}.
+    """
+    _check_horizon(horizon)
+    table = _own_table(table, sys.a_matrix, sys.is_diagonal, "A")
+    # all probe times but T are panel starts of every level with 8 panels
+    # or more
+    a_t = table.norms(np.linspace(0.0, horizon, 9)).max()
+    floor = sys.n * np.finfo(float).eps * sys.b_norm * a_t
+    return float(floor * np.sqrt(horizon))

@@ -57,7 +57,6 @@ class PairSpectrum:
     eigenvalues: np.ndarray
     pencil_grams: np.ndarray
     a_norm: float           # ||A||_2
-    b_norm: float           # ||B||_2
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,9 @@ class LtiSystem:
     """A finite pair y' = A y + B u with A (N x N) and B (N x M).
 
     Instances are immutable; the arrays are stored read-only so values are
-    safe to share across threads.  `spectrum` is formed on first read and
-    kept on the instance, so it lives and dies with the system.
+    safe to share across threads.  `b_norm` and `spectrum` are formed on
+    first read and kept on the instance, so they live and die with the
+    system.
     """
 
     a_matrix: np.ndarray
@@ -103,9 +103,14 @@ class LtiSystem:
         return np.count_nonzero(a - np.diag(np.diag(a))) == 0
 
     @functools.cached_property
+    def b_norm(self):
+        """||B||_2, taken once."""
+        return float(np.linalg.norm(self.b_matrix, 2))
+
+    @functools.cached_property
     def spectrum(self):
         """The pair's `PairSpectrum`: A's eigenvalues, the pencil Grams
-        at those with Im lam >= 0, ||A||_2 and ||B||_2, formed once."""
+        at those with Im lam >= 0 and ||A||_2, formed once."""
         a, b = self.a_matrix, self.b_matrix
         lam = np.linalg.eigvals(a)
         lam.setflags(write=False)
@@ -118,8 +123,7 @@ class LtiSystem:
         grams.setflags(write=False)
         return PairSpectrum(
             eigenvalues=lam, pencil_grams=grams,
-            a_norm=float(np.linalg.norm(a, 2)),
-            b_norm=float(np.linalg.norm(b, 2)))
+            a_norm=float(np.linalg.norm(a, 2)))
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,6 @@ def _constants_end_to_end(seed):
     bound = lrconstants.fit_semigroup_bound(lti)
     fam = systems.spectral_projection_family(
         spec, cut_rule=lambda k: (k * np.pi) ** 2 - c + 1e-9, k_max=8)
-    b_norm = float(np.linalg.norm(lti.b_matrix, 2))
     horizons = [0.5, 1.0, 2.0, 4.0]
     checked = 0
     for alpha in (1.0, 2.0):
@@ -180,7 +179,7 @@ def _constants_end_to_end(seed):
         _, m_k, alpha_k = fam.entry(k)
         c_k = lrconstants.estimate_spectral_constant(spec, fam, k)
         d1, c1 = lrconstants.constants_from_spectral_inequality(
-            bound, m_k, alpha_k, c_k, b_norm, alpha)
+            bound, m_k, alpha_k, c_k, lti.b_norm, alpha)
         for t in [t for t in horizons if t > 1.0]:
             cert = weakobs.WeakObsCertificate(horizon=t, alpha=alpha,
                                               d_const=d1, c_const=c1)
@@ -192,7 +191,7 @@ def _constants_end_to_end(seed):
         t0 = 0.5
         ck_t0 = lrconstants.point_heat_truncated_obs_constant(x0, c, k, t0)
         d2, c2 = lrconstants.constants_from_truncated_obs(
-            bound, t0, ck_t0, m_k, alpha_k, b_norm, alpha)
+            bound, t0, ck_t0, m_k, alpha_k, lti.b_norm, alpha)
         for t in [t for t in horizons if t >= 2 * t0]:
             cert = weakobs.WeakObsCertificate(horizon=t, alpha=alpha,
                                               d_const=d2, c_const=c2)

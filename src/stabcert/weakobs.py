@@ -36,9 +36,10 @@ with the same candidate rule: `candidate_states` over `shared_states`.
 
 The search computes each quantity once, at the scope it depends on:
 
-* per call (`_horizons`): one ExpTable of A for every Gramian and,
-  through its transposed view, every witness energy, and the seeded
-  Gaussian states and the axes, normalized (`shared_states`);
+* per call (`_horizons`): one ExpTable of A for every Gramian, every
+  floor (each probe time's 2-norm is taken once, and ||B||_2 once per
+  system) and, through its transposed view, every witness energy, and
+  the seeded Gaussian states and the axes, normalized (`shared_states`);
 * per (panel width, B) across the horizons of a sweep: the Gramians' node
   values e^{At}B, kept by that table and computed for the longest horizon
   (built first), whose prefixes the shorter horizons slice;
@@ -58,7 +59,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .semigroup import ExpTable, observability_gramian, observation_energy
+from .semigroup import (ExpTable, gramian_floor, observability_gramian,
+                        observation_energy)
 from .systems import LtiSystem
 
 __all__ = [
@@ -181,13 +183,15 @@ class Forms(NamedTuple):
 
     @classmethod
     def dense(cls, sys, horizon, table=None):
-        """The forms of a dense system at one horizon; e^{A^T T} is the
-        transpose of the e^{A T} the Gramian left in `table` (an ExpTable
-        of A, call-local if None)."""
+        """The forms of a dense system at one horizon: the Gramian's factor
+        and its `gramian_floor` from `table` (an ExpTable of A, call-local
+        if None), and e^{A^T T}, the transpose of the e^{A T} the floor
+        left there."""
         if table is None:
             table = ExpTable(sys.a_matrix, sys.is_diagonal)
-        gram = observability_gramian(sys, horizon, table=table)
-        return cls.of(gram.factor, table.stack([horizon])[0].T, gram.floor)
+        factor = observability_gramian(sys, horizon, table=table).factor
+        floor = gramian_floor(sys, horizon, table=table)
+        return cls.of(factor, table.stack([horizon])[0].T, floor)
 
 
 # residual-covered directions join the null block once their scaled
@@ -442,6 +446,10 @@ def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
 
 def _resolve_residual_rule(residual_rule, alphas):
     if isinstance(residual_rule, dict):
+        missing = [a for a in alphas if a not in residual_rule]
+        if missing:
+            raise ValueError("residual table has no C(alpha) for alpha = "
+                             + ", ".join(map(repr, missing)))
         return {a: float(residual_rule[a]) for a in alphas}, "table"
     value = float(residual_rule)
     return {a: value for a in alphas}, "constant"

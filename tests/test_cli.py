@@ -144,11 +144,50 @@ def test_main_builds_only_the_invoked_command(tmp_path, monkeypatch):
     assert run_cli(args + ["--out", str(tmp_path / "a")]) == 0
     assert run_cli(args + ["--out", str(tmp_path / "b")]) == 0
     assert run_cli(["--help"]) == 0
-    assert len(built) == 3 and built[0] is not built[1]
+    # the second run reuses the first run's parser
+    assert len(built) == 3 and built[0] is built[1]
     assert [_subcommands(p) for p in built] == \
         [["weakobs"], ["weakobs"], list(cli._COMMANDS)]
     # a usage error prints the same usage line on either path
     assert built[0].format_usage() == built[2].format_usage()
+
+
+def test_a_reused_parser_carries_nothing_between_runs(tmp_path,
+                                                      monkeypatch, capsys):
+    # one sequence of runs, on the process's cached parsers and then on a
+    # fresh parser per call: exit codes, streams and written bytes agree
+    runs = [
+        ["weakobs", "--system", ROTATION_SPEC, "--alpha-grid", "1,2",
+         "--t-grid", "1", "--samples", "5", "--seed", "7"],
+        ["weakobs", "--system", ROTATION_SPEC, "--alpha-grid", "1,2",
+         "--t-grid", "1", "--samples", "5"],
+        ["example", "point-heat", "--modes", "3", "--alpha-grid", "1",
+         "--t-grid", "1", "--samples", "5", "--seed", "3"],
+        ["weakobs", "--system", ROTATION_SPEC, "--bogus"],
+        ["example", "point-heat", "--modes", "3", "--check", "stabilize"],
+    ]
+
+    def sequence(root):
+        seen = []
+        for k, argv in enumerate(runs):
+            out = root / str(k)
+            code = cli.main(argv + ["--out", str(out)])
+            streams = capsys.readouterr()
+            written = {str(p.relative_to(out)): p.read_bytes()
+                       for p in sorted(out.rglob("*")) if p.is_file()}
+            seen.append((code, streams.out, streams.err, written))
+        return seen
+
+    hits = cli._build_parser.cache_info().hits
+    cached = sequence(tmp_path / "cached")
+    assert cli._build_parser.cache_info().hits >= hits + 3
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = sequence(tmp_path / "fresh")
+    assert cached == fresh
+    assert [code for code, *_ in cached] == [0, 0, 0, 3, 0]
+    assert json.loads(cached[0][3]["report.json"])["seed"] == 7
+    assert json.loads(cached[1][3]["report.json"])["seed"] == 0
+    assert "unrecognized arguments: --bogus" in cached[3][2]
 
 
 def test_gramian_accepts_tol(tmp_path):
@@ -316,10 +355,11 @@ def test_constants_unbounded(tmp_path):
 
 
 def test_gramian_dump_never_forms_the_floor(tmp_path, monkeypatch):
-    def unread(self):
-        raise AssertionError("GramianResult.floor was read")
+    # every floor takes its probe norms through `ExpTable.norms`
+    def unread(self, times):
+        raise AssertionError("a Gramian floor was read")
 
-    monkeypatch.setattr(semigroup.GramianResult, "floor", property(unread))
+    monkeypatch.setattr(semigroup.ExpTable, "norms", unread)
     assert run_cli(["gramian", "--system", ROTATION_SPEC,
                     "--out", str(tmp_path / "g")]) == 0
 
@@ -490,6 +530,42 @@ def test_stabilize_rejects_an_empty_grid(tmp_path, grid):
     assert run_cli(["stabilize", "--system", SCALAR_SPEC, "--grid", grid,
                     "--out", str(out)]) == 3
     assert not (out / "report.json").exists()
+
+
+# A = [[1, 0], [1, -1]], B = e_2: B cannot reach the mode +1
+_UNSTABILIZABLE_SPEC = ('{"kind": "matrix", "a": [[1, 0], [1, -1]], '
+                        '"b": [[0], [1]]}')
+
+
+@pytest.mark.parametrize("spec", [_UNSTABILIZABLE_SPEC, ROTATION_SPEC],
+                         ids=["unstabilizable", "controllable"])
+@pytest.mark.parametrize("flags, message", [
+    (["--horizon", "nan"], "propagation time must be finite and nonnegative"),
+    (["--horizon", "inf"], "propagation time must be finite and nonnegative"),
+    (["--horizon", "-1"], "propagation time must be finite and nonnegative"),
+    (["--grid", "0"], "grid must be >= 1"),
+], ids=["horizon-nan", "horizon-inf", "horizon-negative", "grid-0"])
+def test_stabilize_usage_errors_come_before_the_synthesis(spec, flags,
+                                                          message, tmp_path,
+                                                          capsys):
+    # a decay curve that cannot be drawn exits 3 and writes nothing,
+    # whether or not the pair can be stabilized
+    out = tmp_path / "s"
+    assert run_cli(["stabilize", "--system", spec, *flags,
+                    "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    assert not out.exists()
+
+
+def test_c_alpha_table_without_an_alpha_names_it(tmp_path, capsys):
+    out = tmp_path / "w"
+    assert run_cli(["weakobs", "--system", SCALAR_SPEC, "--alpha-grid",
+                    "1,2,4", "--t-grid", "1", "--c-alpha",
+                    '{"1": 1, "4": 2}', "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: ValueError: residual table has no C(alpha) for "
+        "alpha = 2.0\n")
+    assert not out.exists()
 
 
 def test_example_point_heat_logs_convergent(tmp_path):

@@ -725,11 +725,12 @@ def test_concatenated_control_exponentiates_each_slice_once(monkeypatch):
 
 def test_steering_never_forms_the_gramian_floor(monkeypatch):
     # steering reads the factor's SVD and e^{AT}, never the floor; the
-    # decisions' forms still do
-    def unread(self):
-        raise AssertionError("GramianResult.floor was read")
+    # decisions' forms still do.  Every floor takes its probe norms
+    # through `ExpTable.norms`, whatever name it is called by
+    def unread(self, times):
+        raise AssertionError("a Gramian floor was read")
 
-    monkeypatch.setattr(semigroup.GramianResult, "floor", property(unread))
+    monkeypatch.setattr(semigroup.ExpTable, "norms", unread)
     rng = np.random.default_rng(31)
     s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
                              rng.standard_normal((5, 2)))

@@ -366,10 +366,12 @@ def test_gramian_factor_floor_separates_the_unobserved_direction():
     a = q @ np.diag([1.0, -0.5, -1.5, -3.0]) @ q.T
     b = rng.standard_normal((4, 2))
     b -= np.outer(q[:, 0], q[:, 0] @ b)
-    g = semigroup.observability_gramian(systems.build_system(a, b), 4.0)
+    s = systems.build_system(a, b)
+    g = semigroup.observability_gramian(s, 4.0)
+    floor = semigroup.gramian_floor(s, 4.0)
     sig = np.linalg.svd(g.factor, compute_uv=False)
-    assert np.linalg.norm(g.factor @ q[:, 0]) <= g.floor
-    assert sig[-1] <= g.floor < 1e3 * g.floor < sig[-2]
+    assert np.linalg.norm(g.factor @ q[:, 0]) <= floor
+    assert sig[-1] <= floor < 1e3 * floor < sig[-2]
 
 
 def test_diagonal_gramian_keeps_the_quadrature_error_estimate():
@@ -393,11 +395,10 @@ def test_gramian_floor_reads_the_transition_norm_probe(n):
         s = systems.build_system(rng.standard_normal((n, n)),
                                  rng.standard_normal((n, 1)))
     for horizon in (0.5, 1.7, 4.0):
-        g = semigroup.observability_gramian(s, horizon)
         a_t = _per_time_norms(s, np.linspace(0.0, horizon, 9)).max()
-        assert g.floor == (s.n * np.finfo(float).eps
-                           * np.linalg.norm(s.b_matrix, 2) * a_t
-                           * np.sqrt(horizon))
+        assert semigroup.gramian_floor(s, horizon) == (
+            s.n * np.finfo(float).eps * np.linalg.norm(s.b_matrix, 2) * a_t
+            * np.sqrt(horizon))
 
 
 def test_shared_table_leaves_gramians_bit_identical():
@@ -410,7 +411,8 @@ def test_shared_table_leaves_gramians_bit_identical():
         alone = semigroup.observability_gramian(s, horizon)
         assert np.array_equal(shared.factor, alone.factor)
         assert np.array_equal(shared.matrix, alone.matrix)
-        assert shared.floor == alone.floor
+        assert (semigroup.gramian_floor(s, horizon, table=table)
+                == semigroup.gramian_floor(s, horizon))
         assert (shared.quadrature_error_estimate
                 == alone.quadrature_error_estimate)
         assert np.array_equal(table.stack([horizon])[0],
@@ -446,17 +448,23 @@ def _rotating_pair(speed):
 
 
 def _sweep_gramians(monkeypatch, s, horizons):
-    """{T: the GramianResult a weakobs sweep over `horizons` built}."""
-    built = {}
+    """{T: (the GramianResult, the floor) a weakobs sweep over `horizons`
+    formed}."""
+    built, floors = {}, {}
 
     def kept(sys, horizon, quad=None, *, table=None):
         built[horizon] = semigroup.observability_gramian(sys, horizon, quad,
                                                          table=table)
         return built[horizon]
 
+    def kept_floor(sys, horizon, *, table=None):
+        floors[horizon] = semigroup.gramian_floor(sys, horizon, table=table)
+        return floors[horizon]
+
     monkeypatch.setattr(weakobs, "observability_gramian", kept)
+    monkeypatch.setattr(weakobs, "gramian_floor", kept_floor)
     weakobs.sweep_alpha(s, [1.0, 2.0], horizons, samples=10)
-    return built
+    return {t: (built[t], floors[t]) for t in built}
 
 
 def _first_widths(s, horizons):
@@ -514,12 +522,12 @@ def test_sweep_gramians_equal_single_horizon_calls(case, monkeypatch):
     if case == "third-doubling":
         assert max(panels) == 4 * 64
     assert sorted(built) == list(horizons)
-    for horizon, shared in built.items():
+    for horizon, (shared, floor) in built.items():
         alone = semigroup.observability_gramian(s, horizon)
         assert np.array_equal(shared.factor, alone.factor)
         assert (shared.quadrature_error_estimate
                 == alone.quadrature_error_estimate)
-        assert shared.floor == alone.floor
+        assert floor == semigroup.gramian_floor(s, horizon)
 
 
 def test_sweep_evaluates_each_panel_width_once(monkeypatch):
@@ -856,14 +864,12 @@ def test_norms_of_an_overflowed_stack_without_nan_raise():
 def test_gramian_result_rejects_nonpositive_horizon():
     for horizon in (0.0, -1.0):
         with pytest.raises(ValueError, match="horizon"):
-            semigroup.GramianResult(np.eye(2), horizon, 0.0,
-                                    np.eye(2)[None], np.zeros((2, 1)))
+            semigroup.GramianResult(np.eye(2), horizon, 0.0)
 
 
 def test_gramian_result_forms_the_matrix_from_its_factor():
     r = np.array([[2.0, -1.0], [0.0, 0.5]])
-    g = semigroup.GramianResult(r, 1.0, 0.0, np.eye(2)[None],
-                                np.zeros((2, 1)))
+    g = semigroup.GramianResult(r, 1.0, 0.0)
     assert np.array_equal(g.matrix, r.T @ r)
     phi = np.array([0.3, -1.2])
     assert g.quad_form(phi) == pytest.approx(phi @ r.T @ r @ phi, rel=1e-15)

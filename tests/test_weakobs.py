@@ -337,6 +337,11 @@ def test_sweep_residual_sources():
     fam_t = weakobs.sweep_alpha(SCALAR_01, [1.0], [0.5, 1.0],
                                 residual_rule={1.0: 2.0})
     assert fam_t.residual_source == "table"
+    # a table without some alpha of the grid is a ValueError naming it
+    with pytest.raises(ValueError, match=r"no C\(alpha\) for alpha = "
+                                         r"2\.0, 8\.0$"):
+        weakobs.sweep_alpha(SCALAR_01, [1.0, 2.0, 4.0, 8.0], [1.0],
+                            residual_rule={1.0: 2.0, 4.0: 1.0})
 
 
 def _dense_pair(kind, n=4, seed=5):
@@ -488,6 +493,38 @@ def test_sweep_exponentiates_each_slice_once(monkeypatch):
     assert fam.verdict == CERTIFIED
     assert seen
     assert len(seen) == len(set(seen))
+
+
+def test_sweep_takes_each_floor_probe_norm_once(monkeypatch):
+    # the four floors of a dyadic sweep probe 36 times, 21 of them
+    # distinct: each distinct time's 2-norm is taken once, ||B||_2 once,
+    # and each floor is bit for bit that of a fresh table
+    s = _dense_pair("dense", n=5)
+    horizons = [0.5, 1.0, 2.0, 4.0]
+    probes, b_norms, floors = [], [], {}
+    norm, floor_of = np.linalg.norm, weakobs.gramian_floor
+
+    def norm_spy(x, ord=None, axis=None, keepdims=False):
+        if ord == 2 and np.ndim(x) == 3:
+            probes.append(len(x))
+        if ord == 2 and x is s.b_matrix:
+            b_norms.append(1)
+        return norm(x, ord, axis, keepdims)
+
+    def floor_spy(sys, horizon, *, table=None):
+        floors[horizon] = floor_of(sys, horizon, table=table)
+        return floors[horizon]
+
+    monkeypatch.setattr(np.linalg, "norm", norm_spy)
+    monkeypatch.setattr(weakobs, "gramian_floor", floor_spy)
+    fam = weakobs.sweep_alpha(s, [1.0, 2.0, 4.0, 8.0], horizons, samples=20)
+    monkeypatch.undo()
+    assert fam.verdict == CERTIFIED
+    assert sum(probes) == 21 and b_norms == [1]
+    assert sorted(floors) == horizons
+    fresh = systems.build_system(s.a_matrix, s.b_matrix)
+    for t in horizons:
+        assert floors[t] == weakobs.Forms.dense(fresh, t).floor
 
 
 def test_sweep_energies_exponentiate_each_slice_once(monkeypatch):

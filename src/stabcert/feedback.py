@@ -7,11 +7,11 @@ solution of the shift-by-mu Riccati equation
 
 solved on the stable invariant subspace of the associated Hamiltonian
 matrix (ordered real Schur form) with one Newton refinement, whose
-residual norm is formed once per iterate.  A PBH test comes first, and
-its pencils do not depend on mu: the pair's `LtiSystem.spectrum`, formed
-once per system, holds their Grams, and each mu runs one batched
-Cholesky (`_pbh_screen`); only where that fails does the shifted test
-`_pbh_stabilizable` run.  Undoing the
+residual norm is formed once per iterate.  One PBH test comes first
+(`_pbh_offender`), and its pencils do not depend on mu: the pair's
+`LtiSystem.spectrum`, formed once per system, holds their Grams, and each
+mu screens them in one batched Cholesky; only where that fails does the
+exact test run, one batched SVD of the pencils of A + mu I.  Undoing the
 shift moves every closed-loop eigenvalue of A + BK, K = -B^T P, left of
 -mu.  A synthesis is returned only when the computed spectral rate
 exceeds mu and P is positive definite to working precision, lambda_min(P)
@@ -115,92 +115,71 @@ class FeedbackResult:
             raise ValueError(f"riccati residual {self.residual:.3e} too large")
 
 
-def _pbh_stabilizable(a_shift, b):
-    """PBH test; returns the offending eigenvalue or None.
+def _pbh_offender(sys, mu):
+    """The rate-mu PBH test of `sys`: the first eigenvalue lam of A + mu I,
+    in `eigvals` order, with Re lam >= -1e-9 scale whose pencil
+    P = [lam I - (A + mu I), B] has sigma_min(P) <= 1e-10 scale,
+    scale = max(||A + mu I||_2 + ||B||_2, 1); None if there is none.  Of a
+    conjugate pair only the member LAPACK lists first, Im lam > 0, is
+    tested: the other's pencil is the entrywise conjugate, with the same
+    singular values.
 
-    The pencil at conj(lam) is the entrywise conjugate of the one at lam,
-    with the same singular values, and LAPACK lists the member of a
-    conjugate pair with positive imaginary part first: only that one is
-    tested.  lam offends where its pencil P = [lam I - A_shift, B] has
-    sigma_min(P) <= 1e-10 scale, and the first offender in `eigvals`
-    order is returned.
-
-    A batched Cholesky of P P^H - 1e-8 scale^2 I screens the tested
-    pencils first.  If every factorization succeeds, sigma_min(P)^2
-    exceeds 1e-8 scale^2 less the rounding of the Gram product and of the
-    Cholesky, at most about 4 (n + m)^2 u scale^2 as ||P|| <= 2 scale
-    (|lam| <= ||A_shift||).  For n + m <= 1000 that leaves sigma_min(P) >
-    9.7e-5 scale, and the SVD, whose rounding is a few (n + m) u scale,
-    would read no value near the threshold 1e-10 scale: None is returned
-    without it.  If one fails, the tested pencils take one batched SVD.
-
-    `solve_shifted_riccati` calls this only where `_pbh_screen`, which
-    reads the pencils of the unshifted pair once for every mu, fails.
+    The pair's `spectrum` is screened first: the shifted pencil at
+    lam + mu is [lam I - A, B], whose Gram P P^H the record holds at every
+    eigenvalue lam of A with Im lam >= 0, formed once for all mu.  One
+    batched Cholesky factors P P^H - 1e-8 s^2 I, s = max(||A||_2 + mu +
+    ||B||_2, 1) >= scale.  If every factorization succeeds, sigma_min(P)^2
+    exceeds 1e-8 s^2 less the rounding of the Gram product and of the
+    Cholesky, at most about 4 (n + m)^2 u s^2 as ||P|| <= 2 s.  For
+    n + m <= 1000 that leaves sigma_min(P) > 9.7e-5 s at every eigenvalue
+    of A, six orders of magnitude above the flag, and None is returned:
+    the eigenvalues of A + mu I would have to stray from eig(A) + mu by
+    more than 1e-4 s for the exact test to flag one.  Otherwise that test
+    runs, with one batched SVD of the tested pencils.
     """
-    n = a_shift.shape[0]
-    scale = max(np.linalg.norm(a_shift, 2) + np.linalg.norm(b, 2), 1.0)
-    lam = np.linalg.eigvals(a_shift)
-    lam = lam[(lam.real >= -1e-9 * scale) & (lam.imag >= 0)]
-    pencils = np.concatenate(
-        [lam[:, None, None] * np.eye(n) - a_shift,
-         np.broadcast_to(b.astype(complex), (lam.size,) + b.shape)], axis=2)
-    gram = pencils @ pencils.conj().transpose(0, 2, 1)
+    n = sys.n
+    spec = sys.spectrum
+    screen = max(spec.a_norm + mu + sys.b_norm, 1.0)
     try:
-        np.linalg.cholesky(gram - 1e-8 * scale**2 * np.eye(n))
+        np.linalg.cholesky(spec.pencil_grams - 1e-8 * screen**2 * np.eye(n))
         return None
     except np.linalg.LinAlgError:
         pass
+    a_shift = sys.a_matrix + mu * np.eye(n)
+    b = sys.b_matrix
+    scale = max(np.linalg.norm(a_shift, 2) + sys.b_norm, 1.0)
+    lam = np.linalg.eigvals(a_shift)
+    lam = lam[(lam.real >= -1e-9 * scale) & (lam.imag >= 0)]
+    if not lam.size:
+        return None
+    pencils = np.concatenate(
+        [lam[:, None, None] * np.eye(n) - a_shift,
+         np.broadcast_to(b.astype(complex), (lam.size,) + b.shape)], axis=2)
     smin = np.linalg.svd(pencils, compute_uv=False)[:, -1]
     bad = np.flatnonzero(smin <= 1e-10 * scale)
     return lam[bad[0]] if bad.size else None
 
 
-def _pbh_screen(sys, mu):
-    """True when the rate-mu PBH test of `sys` need not run: every pencil
-    of the pair passes the Cholesky screen of `_pbh_stabilizable` at a
-    scale s no smaller than that test's.
-
-    The shifted pencil at an eigenvalue lam + mu of A + mu I is
-    [lam I - A, B], so the pair's `spectrum` holds its Gram P P^H at
-    every eigenvalue lam of A with Im lam >= 0, formed once for all mu.
-    Each mu factors P P^H - 1e-8 s^2 I, s = max(||A||_2 + mu + ||B||_2,
-    1), in one batched Cholesky; s >= max(||A + mu I||_2 + ||B||_2, 1),
-    the shifted test's scale, so the screen is never looser than that
-    test's own.  A pass puts sigma_min(P) above about 1e-4 s at every
-    eigenvalue of A, unstable or not (the bound of `_pbh_stabilizable`'s
-    screen), where the exact test flags at 1e-10 s: the eigenvalues of
-    A + mu I that it forms would have to stray from eig(A) + mu by more
-    than 1e-4 s, six orders of magnitude above the threshold, for the two
-    to disagree.  A failure decides nothing: `_pbh_stabilizable(A + mu I,
-    B)` then runs unchanged, with its own eigenvalues, screen and SVD.
-    """
-    spec = sys.spectrum
-    scale = max(spec.a_norm + mu + sys.b_norm, 1.0)
-    try:
-        np.linalg.cholesky(spec.pencil_grams - 1e-8 * scale**2 * np.eye(sys.n))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def solve_shifted_riccati(sys: LtiSystem, mu: float) -> FeedbackResult:
     """Feedback gain pushing every closed-loop eigenvalue left of -mu.
 
-    A closed loop whose spectral rate is not above mu raises
-    `RuntimeError` with that rate as its `measured_rate` attribute; a P
-    that is not positive definite to working precision raises
-    `np.linalg.LinAlgError` (see `FeedbackResult`).
+    A pair that fails the rate-mu PBH test raises `UnstabilizableError`
+    naming the eigenvalue.  A closed loop whose spectral rate is not above
+    mu raises `RuntimeError` with that rate as its `measured_rate`
+    attribute.  A Hamiltonian whose ordered Schur form does not hold
+    exactly n stable eigenvalues, or a P that is not positive definite to
+    working precision (see `FeedbackResult`), raises
+    `np.linalg.LinAlgError`: PBH passed, so neither names an eigenvalue.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError("target rate mu must be positive and finite")
     a = sys.a_matrix
     b = sys.b_matrix
     n = sys.n
+    bad = _pbh_offender(sys, mu)
+    if bad is not None:
+        raise UnstabilizableError(complex(bad))
     a_shift = a + mu * np.eye(n)
-    if not _pbh_screen(sys, mu):
-        bad = _pbh_stabilizable(a_shift, b)
-        if bad is not None:
-            raise UnstabilizableError(complex(bad))
 
     bbt = b @ b.T
     ham = np.empty((2 * n, 2 * n))
@@ -210,7 +189,10 @@ def solve_shifted_riccati(sys: LtiSystem, mu: float) -> FeedbackResult:
     ham[n:, n:] = -a_shift.T
     _, z, sdim = schur(ham, output="real", sort=lambda re, im: re < 0.0)
     if sdim != n:
-        raise UnstabilizableError(complex(np.nan))
+        raise np.linalg.LinAlgError(
+            f"hamiltonian splits into sdim = {sdim} stable and "
+            f"{2 * n - sdim} unstable eigenvalues, not n = {n} each: no "
+            f"stabilizing riccati solution to working precision")
     x1 = z[:n, :n]
     x2 = z[n:, :n]
     p = np.linalg.solve(x1.T, x2.T).T

@@ -97,7 +97,8 @@ def fit_semigroup_bound(sys: LtiSystem) -> SemigroupBound:
     n u times its Frobenius norm.  A failed check raises
     `np.linalg.LinAlgError` with both margins; M is widened by P's
     eigenvalue error.  The abscissa reads the eigenvalues of the pair's
-    `spectrum`, which the rate-mu PBH screen of `feedback` reads too.
+    `spectrum`, the record whose pencil Grams the rate-mu PBH test of
+    `feedback` screens.
     """
     a = sys.a_matrix
     if sys.is_diagonal:
@@ -252,8 +253,8 @@ def fattorini_distance(decay_rates: Sequence[float], t0: float, j: int,
     rates = np.asarray(decay_rates, dtype=float)
     if np.any(rates <= 0):
         raise ValueError("decay rates must be positive")
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
+    if not 0.0 < t0 < math.inf:
+        raise ValueError("t0 must be positive and finite")
     pool = [int(i) for i in pool]
     for index in (j, *pool):
         if not 1 <= index <= len(rates):
@@ -300,8 +301,8 @@ def point_heat_truncated_obs_constant(x0: float, c: float, k: int,
         raise ValueError(
             f"k={k} exceeds the pool cap {DEFAULT_POOL_CAP}; exponential "
             f"Gram matrices degrade beyond that in double precision")
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
+    if not 0.0 < t0 < math.inf:
+        raise ValueError("t0 must be positive and finite")
     js = np.arange(1, k + 1)
     phi_vals = np.sin(js * np.pi * x0)
     for j, v in zip(js, phi_vals):

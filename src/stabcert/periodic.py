@@ -199,8 +199,9 @@ def noncontrollability_witness(sys: PeriodicSystem, m: int, big_c: float):
     so refutes null controllability over [0, m].  A witness index beyond
     the truncation is read from a multiplexed system extended to reach it.
     """
-    if big_c <= 1.0:
-        raise ValueError("the constant must exceed 1")
+    if not 1.0 < big_c < math.inf:
+        raise ValueError(f"the constant C = {big_c!r} must be finite and "
+                         f"exceed 1")
     if m < 1:
         raise ValueError("need at least one period")
     if sys.alpha_series is None or sys.period != 1.0:

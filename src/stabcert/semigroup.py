@@ -196,8 +196,8 @@ class GramianResult:
 
 def transition_matrix(sys: LtiSystem, t: float, adjoint: bool = False):
     """e^{A t} (or e^{A^T t}): one slice of `_exp_stack`."""
-    if t < 0:
-        raise ValueError("propagation time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("propagation time must be finite and nonnegative")
     mat = _exp_stack(sys.a_matrix, np.array([t]), sys.is_diagonal)[0]
     return mat.T if adjoint else mat
 

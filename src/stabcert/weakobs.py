@@ -445,14 +445,24 @@ def optimal_d_bracket(sys: LtiSystem, horizon: float, eps: float = 0.0,
 
 
 def _resolve_residual_rule(residual_rule, alphas):
+    """({alpha: C(alpha)}, source); every C(alpha) must be finite and
+    >= 0, checked before any Gramian is formed."""
     if isinstance(residual_rule, dict):
         missing = [a for a in alphas if a not in residual_rule]
         if missing:
             raise ValueError("residual table has no C(alpha) for alpha = "
                              + ", ".join(map(repr, missing)))
-        return {a: float(residual_rule[a]) for a in alphas}, "table"
-    value = float(residual_rule)
-    return {a: value for a in alphas}, "constant"
+        c_of_alpha = {a: float(residual_rule[a]) for a in alphas}
+        source = "table"
+    else:
+        value = float(residual_rule)
+        c_of_alpha = {a: value for a in alphas}
+        source = "constant"
+    for a, c_val in c_of_alpha.items():
+        if not 0.0 <= c_val < math.inf:
+            raise ValueError(f"C(alpha) = {c_val!r} for alpha = {a!r} must "
+                             f"be finite and nonnegative")
+    return c_of_alpha, source
 
 
 def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],

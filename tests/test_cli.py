@@ -557,6 +557,35 @@ def test_stabilize_usage_errors_come_before_the_synthesis(spec, flags,
     assert not out.exists()
 
 
+def test_a_hamiltonian_that_does_not_split_writes_no_report(tmp_path,
+                                                            capsys):
+    # PBH passes on this pair (see test_feedback.py's NEAR_SPLIT), so no
+    # eigenvalue is to blame: no report with a NaN offending eigenvalue
+    spec = ('{"kind": "matrix", "a": [[-1.550000105876432e-09, '
+            '-1.00000000155], [-1.00000000155, -1.5499998378448836e-09]], '
+            '"b": [[-0.7071067811865475], [0.7071067811865476]]}')
+    out = tmp_path / "s"
+    assert run_cli(["stabilize", "--mu", "1", "--system", spec,
+                    "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: LinAlgError: hamiltonian splits into sdim = 1 stable and 3 "
+        "unstable eigenvalues, not n = 2 each")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("big_c", ["nan", "inf", "1"])
+def test_refutation_constant_must_be_finite_and_exceed_one(big_c, tmp_path,
+                                                           capsys):
+    out = tmp_path / "p"
+    assert run_cli(["periodic", "--modes", "4",
+                    "--refute-null-controllability", "--m", "1",
+                    "--C", big_c, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: ValueError: the constant C = {float(big_c)!r} must be "
+        f"finite and exceed 1\n")
+    assert not (out / "report.json").exists()
+
+
 def test_c_alpha_table_without_an_alpha_names_it(tmp_path, capsys):
     out = tmp_path / "w"
     assert run_cli(["weakobs", "--system", SCALAR_SPEC, "--alpha-grid",

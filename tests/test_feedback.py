@@ -113,7 +113,7 @@ def test_pbh_skips_conjugates_without_changing_the_answer(kind):
             s = _hidden_rotation(rng)
         for mu in (1.0, 2.0, 4.0):
             a_shift = s.a_matrix + mu * np.eye(s.n)
-            got = feedback._pbh_stabilizable(a_shift, s.b_matrix)
+            got = feedback._pbh_offender(s, mu)
             want = _pbh_every_eigenvalue(a_shift, s.b_matrix)
             assert (got is None) == (want is None)
             assert got is None or got == want
@@ -149,8 +149,8 @@ def _coupled_hidden_mode(rng, kind, delta):
 
 @pytest.mark.parametrize("kind", ["real", "rotation"])
 def test_pbh_screen_gives_the_reference_answer(kind, monkeypatch):
-    # across the threshold 1e-10 scale: the Cholesky screen decides far
-    # from it, the fallback SVD near it and below
+    # across the threshold 1e-10 scale: the pair's Cholesky screen decides
+    # far from it, the shifted SVD near it and below
     rng = np.random.default_rng(["real", "rotation"].index(kind))
     calls = _pencil_svds(monkeypatch)
     outcomes = set()
@@ -160,7 +160,7 @@ def test_pbh_screen_gives_the_reference_answer(kind, monkeypatch):
             for mu in (0.0, 1.0, 4.0):
                 a_shift = s.a_matrix + mu * np.eye(s.n)
                 before = len(calls)
-                got = feedback._pbh_stabilizable(a_shift, s.b_matrix)
+                got = feedback._pbh_offender(s, mu)
                 want = _pbh_every_eigenvalue(a_shift, s.b_matrix)
                 assert (got is None) == (want is None)
                 assert got is None or got == want
@@ -175,12 +175,10 @@ def test_pbh_screen_takes_no_svd_on_a_controllable_pair(monkeypatch):
         s = systems.build_system(rng.standard_normal((n, n)) / math.sqrt(n),
                                  rng.standard_normal((n, 2)))
         for mu in (1.0, 2.0, 4.0):
-            assert feedback._pbh_stabilizable(
-                s.a_matrix + mu * np.eye(n), s.b_matrix) is None
+            assert feedback._pbh_offender(s, mu) is None
     assert calls == []
     s = verification._unobservable_unstable(rng)
-    assert feedback._pbh_stabilizable(s.a_matrix + np.eye(s.n),
-                                      s.b_matrix) is not None
+    assert feedback._pbh_offender(s, 1.0) is not None
     assert len(calls) == 1
 
 
@@ -223,18 +221,22 @@ def _adversarial_pairs(rng):
             yield _coupled_hidden_mode(rng, kind, delta)
 
 
-def test_a_pbh_screen_pass_agrees_with_the_shifted_test():
-    # a pass of the pair's screen skips the shifted test: the skipped
-    # test must have found no offender
+def test_a_pbh_screen_pass_agrees_with_the_shifted_test(monkeypatch):
+    # a pass of the pair's screen skips the shifted SVD: the skipped test
+    # must have found no offender, and a failed screen leaves the answer,
+    # eigenvalue and all, to the shifted test
     rng = np.random.default_rng(27)
+    calls = _pencil_svds(monkeypatch)
     outcomes = set()
     for s in _adversarial_pairs(rng):
         for mu in (0.5, 1.0, 2.0, 4.0):
-            passed = feedback._pbh_screen(s, mu)
-            exact = feedback._pbh_stabilizable(
-                s.a_matrix + mu * np.eye(s.n), s.b_matrix)
-            assert not passed or exact is None
-            outcomes.add((passed, exact is None))
+            before = len(calls)
+            got = feedback._pbh_offender(s, mu)
+            want = _pbh_every_eigenvalue(s.a_matrix + mu * np.eye(s.n),
+                                         s.b_matrix)
+            assert (got is None) == (want is None)
+            assert got is None or got == want
+            outcomes.add((len(calls) == before, want is None))
     # the corpus reaches both sides of the screen and of the threshold
     assert outcomes == {(True, True), (False, True), (False, False)}
 
@@ -251,6 +253,9 @@ def test_a_pair_forms_its_pbh_pencils_once(monkeypatch):
     def eigvals_spy(m):
         if np.array_equal(m, s.a_matrix):
             eigvals.append(1)
+        if any(np.array_equal(m, s.a_matrix + mu * np.eye(5))
+               for mu in (1.0, 2.0, 4.0)):
+            shifted.append(1)
         return real_eigvals(m)
 
     def record_spy(**fields):
@@ -259,8 +264,6 @@ def test_a_pair_forms_its_pbh_pencils_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals_spy)
     monkeypatch.setattr(systems, "PairSpectrum", record_spy)
-    monkeypatch.setattr(feedback, "_pbh_stabilizable",
-                        lambda *args: shifted.append(args))
     svds = _pencil_svds(monkeypatch)
     lrconstants.fit_semigroup_bound(s)
     for mu in (1.0, 2.0, 4.0):
@@ -268,18 +271,42 @@ def test_a_pair_forms_its_pbh_pencils_once(monkeypatch):
     assert (eigvals, records, shifted, svds) == ([1], [1], [], [])
 
 
-def test_a_failed_screen_leaves_the_answer_to_the_shifted_test():
+def test_a_failed_screen_leaves_the_answer_to_the_shifted_test(
+        monkeypatch):
     # B = e_2 cannot reach the mode -3: the screen fails at every rate,
     # and the shifted test flags the mode only where mu moves it past 0
     s = systems.build_system([[-3.0, 0.0], [0.0, -0.5]], [[0.0], [1.0]])
+    calls = _pencil_svds(monkeypatch)
     for mu in (1.0, 2.0, 4.0):
-        assert not feedback._pbh_screen(s, mu)
+        got = feedback._pbh_offender(s, mu)
+        assert got == _pbh_every_eigenvalue(s.a_matrix + mu * np.eye(2),
+                                             s.b_matrix)
+    assert len(calls) == 3
     res = feedback.solve_shifted_riccati(s, 1.0)
     assert res.measured_rate == pytest.approx(1.0 + math.sqrt(1.25),
                                               rel=1e-12)
     with pytest.raises(feedback.UnstabilizableError) as err:
         feedback.solve_shifted_riccati(s, 4.0)
     assert err.value.eigenvalue == 1.0
+
+
+# a 45-degree rotation of diag(-1 - 3.1e-9, 1) whose mode -1 - 3.1e-9 B
+# cannot reach: PBH passes at mu = 1, but that mode puts the shifted
+# Hamiltonian's eigenvalues +-3.1e-9 so near the imaginary axis that they
+# come out as a pair with real part about +2e-16, and the ordered Schur
+# form finds one stable eigenvalue, not two
+NEAR_SPLIT = systems.build_system(
+    [[-1.550000105876432e-09, -1.00000000155],
+     [-1.00000000155, -1.5499998378448836e-09]],
+    [[-0.7071067811865475], [0.7071067811865476]])
+
+
+def test_a_hamiltonian_that_does_not_split_names_no_eigenvalue():
+    assert feedback._pbh_offender(NEAR_SPLIT, 1.0) is None
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^hamiltonian splits into sdim = 1 stable and "
+                             r"3 unstable eigenvalues, not n = 2 each"):
+        feedback.solve_shifted_riccati(NEAR_SPLIT, 1.0)
 
 
 def test_dense_riccati_invariants():

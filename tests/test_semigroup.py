@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stabcert import cli, feedback, semigroup, systems, verification, \
-    weakobs
+from stabcert import cli, feedback, lrconstants, semigroup, systems, \
+    verification, weakobs
 from stabcert._quadrature import QuadratureError, gauss_legendre_rule, \
     integrate_adaptive, panel_nodes, refine
 from stabcert.semigroup import QuadratureSpec
@@ -61,6 +61,25 @@ def test_propagate_negative_time_rejected():
     s = systems.build_system([[0.0]], [[1.0]])
     with pytest.raises(ValueError):
         semigroup.propagate(s, -0.1, [1.0])
+
+
+_ROTATION = systems.build_system([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("call, message", [
+    (lambda t: semigroup.transition_matrix(_ROTATION, t),
+     "propagation time must be finite and nonnegative"),
+    (lambda t: lrconstants.fattorini_distance([1.0, 4.0, 9.0], t, 1, [2, 3]),
+     "t0 must be positive and finite"),
+    (lambda t: lrconstants.point_heat_truncated_obs_constant(0.3, 5.0, 3, t),
+     "t0 must be positive and finite"),
+], ids=["transition_matrix", "fattorini_distance",
+        "point_heat_truncated_obs_constant"])
+def test_a_non_finite_or_negative_time_is_refused(call, message, t):
+    # nan once passed every check, and inf reached the arithmetic
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(t)
 
 
 def test_semigroup_property():

@@ -344,6 +344,19 @@ def test_sweep_residual_sources():
                             residual_rule={1.0: 2.0, 4.0: 1.0})
 
 
+@pytest.mark.parametrize("rule", [math.inf, math.nan, -1.0, {2.0: math.inf}],
+                         ids=["inf", "nan", "negative", "table-inf"])
+def test_sweep_refuses_a_bad_c_alpha_before_any_gramian(rule, monkeypatch):
+    def no_gramian(*args, **kwargs):
+        raise AssertionError("a Gramian was formed")
+
+    monkeypatch.setattr(weakobs, "observability_gramian", no_gramian)
+    with pytest.raises(ValueError, match=r"^C\(alpha\) = .* for alpha = "
+                       r"2\.0 must be finite and nonnegative$"):
+        weakobs.sweep_alpha(_dense_pair("dense"), [2.0], [0.5, 1.0],
+                            residual_rule=rule)
+
+
 def _dense_pair(kind, n=4, seed=5):
     """A random dense pair, or one whose unstable mode B cannot see."""
     rng = np.random.default_rng(seed)

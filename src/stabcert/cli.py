@@ -70,11 +70,14 @@ _SWEEP_DEFAULTS = {"alpha_grid": "", "t_grid": "", "c_alpha": "1.0",
                    "samples": WEAKOBS_SAMPLES, "seed": 0}
 
 # `constants` inputs a formula falls back on; alpha_k, c_k and c_k_t0
-# have none, so a formula that needs one fails without it
+# have none, so a formula that needs one is refused without it
 _CONSTANTS_DEFAULTS = {
     "m_big": 1.0, "delta0": 0.0, "m_k": 1.0, "b_norm": 1.0, "alpha": 1.0,
     "t0": 1.0, "gamma": 0.25, "rho0": 0.0, "c_gamma": 1.0, "horizon": 1.0,
 }
+_CONSTANTS_REQUIRED = {"spectral": ("alpha_k", "c_k"),
+                       "truncated": ("alpha_k", "c_k_t0"),
+                       "unbounded": ("c_k_t0",), "admissibility": ()}
 
 
 def _fmt(x):
@@ -210,6 +213,11 @@ def _cmd_constants(args) -> int:
     formula = args.formula
     given = {k: v for k, v in vars(args).items()
              if v is not None and k not in ("command", "out", "formula")}
+    missing = [k for k in _CONSTANTS_REQUIRED[formula] if k not in given]
+    if missing:
+        raise ValueError(f"--formula {formula} requires "
+                         + ", ".join("--" + k.replace("_", "-")
+                                     for k in missing))
     o = {**_CONSTANTS_DEFAULTS, **given}
     if formula == "admissibility":
         result = {"claim": "admissibility-constant",
@@ -258,8 +266,6 @@ def _cmd_periodic(args, samples=PERIODIC_SAMPLES) -> int:
     out = Path(args.out)
     energies = [(n + 1, per.periodic_observation_energy(
         sys_p, 1, np.eye(modes)[n])) for n in range(modes)]
-    _write_csv(out / "energies.csv", ["mode", "energy_one_period"], energies)
-
     payload = {
         "schema_version": SCHEMA_VERSION,
         "claim": "periodic-weak-observability",
@@ -289,6 +295,8 @@ def _cmd_periodic(args, samples=PERIODIC_SAMPLES) -> int:
         } for k, c in zip(k_grid, certs)]
         payload["verdict"] = weakobs.family_verdict(
             [c.status for c in certs])
+    # nothing is written before the witness or the certificates stand
+    _write_csv(out / "energies.csv", ["mode", "energy_one_period"], energies)
     _write_json(out / "report.json", payload)
     return _STATUS_EXIT[payload["verdict"]]
 

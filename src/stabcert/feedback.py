@@ -7,11 +7,13 @@ solution of the shift-by-mu Riccati equation
 
 solved on the stable invariant subspace of the associated Hamiltonian
 matrix (ordered real Schur form) with one Newton refinement, whose
-residual norm is formed once per iterate.  One PBH test comes first
-(`_pbh_offender`), and its pencils do not depend on mu: the pair's
-`LtiSystem.spectrum`, formed once per system, holds their Grams, and each
-mu screens them in one batched Cholesky; only where that fails does the
-exact test run, one batched SVD of the pencils of A + mu I.  Undoing the
+residual norm is formed once per iterate; a step whose Lyapunov solve
+fails, or perturbs the equation it solves, is dropped.  One PBH test
+comes first (`_pbh_offender`), and its pencils do not depend on mu: the
+pair's `LtiSystem.spectrum`, formed once per system, holds their Grams,
+and each mu screens them in one batched Cholesky; only where that fails
+does the exact test run, one batched SVD of the pencils of A + mu I.
+Undoing the
 shift moves every closed-loop eigenvalue of A + BK, K = -B^T P, left of
 -mu.  A synthesis is returned only when the computed spectral rate
 exceeds mu and P is positive definite to working precision, lambda_min(P)
@@ -41,6 +43,7 @@ still takes 33.6 slices in 3.4 `expm` calls).
 """
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -202,18 +205,24 @@ def solve_shifted_riccati(sys: LtiSystem, mu: float) -> FeedbackResult:
         return a_shift.T @ pm + pm @ a_shift - pm @ bbt @ pm + np.eye(n)
 
     # one Newton step: tightens the residual by orders of magnitude; the
-    # residual norm of the P kept is the one its iterate formed
+    # residual norm of the P kept is the one its iterate formed.  A step
+    # whose Lyapunov solve fails, or warns that it perturbed the
+    # coefficients (an eigenvalue pair of the closed loop summing to
+    # about 0), solved another equation, and P stays unrefined
     res = residual_of(p)
     res_norm = float(np.linalg.norm(res))
     a_cl_shift = a_shift - bbt @ p
     try:
-        delta = solve_continuous_lyapunov(a_cl_shift.T, -res)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            delta = solve_continuous_lyapunov(a_cl_shift.T, -res)
+    except (np.linalg.LinAlgError, RuntimeWarning):
+        pass
+    else:
         p_ref = 0.5 * ((p + delta) + (p + delta).T)
         ref_norm = float(np.linalg.norm(residual_of(p_ref)))
         if ref_norm < res_norm:
             p, res_norm = p_ref, ref_norm
-    except np.linalg.LinAlgError:
-        pass
 
     gain = -b.T @ p
     rate = _spectral_rate(a + b @ gain)

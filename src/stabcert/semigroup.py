@@ -29,8 +29,9 @@ Diagonal systems start at quad.panels on their graded panels.
 Every dense node exponential comes from an `ExpTable`, keyed by the exact
 float time: a level of 2P panels finds level P's panel starts there
 (horizon * 2p / 2P == horizon * p / P in floating point), the Gramian's
-floor and the energy's amplitude probe find eight of their nine times
-among the panel starts of any level with 8 panels or more, and Gramians of
+floor bracket and the energy's amplitude probe find eight of their nine
+times among the panel starts of any level with 8 panels or more, and
+Gramians of
 several horizons of one A (a `weakobs.sweep_alpha` call) share node times:
 dyadic horizons below the cap get one panel width T/P, hence one set of
 Gauss offsets and one grid of panel starts.  A table computes each miss as
@@ -45,9 +46,10 @@ the rounding of that product besides the slice's own.  A view
 slice transposed, with no arithmetic, so its values are the table's slices
 transposed, bit for bit.  A table lives no longer than the call that
 builds it: one energy, one Gramian, one floor, one weakobs decision, one
-sweep, whose table of A also gives every floor its probe norms, e^{A^T T}
-as the transpose of its e^{A T} and, through its transposed view, every
-node exponential of the witness energies, or one concatenated steering,
+sweep, whose table of A also gives every floor bracket its probe norms,
+e^{A^T T} as the transpose of its e^{A T} and, through its transposed
+view, every node exponential of the witness energies, or one
+concatenated steering,
 whose table of A serves the forms' Gramian and, through a view shifted by
 -beta, the Gramian of A - beta I that weights the segments' energies.
 That Gramian's first level is sized by ||A - beta I||_F, not ||A||_F, so
@@ -72,14 +74,24 @@ A Gramian is its factor R, G = R^T R, accumulated as R <- qr([R; S^T])
 over the weighted node values S, so a direction v with v^T e^{At} B = 0
 keeps ||R v|| at the QR's rounding, `gramian_floor`: n u ||B||_2 a_T
 sqrt(T), a_T the largest ||e^{At}||_2 at nine equispaced probe times.
-G is formed only when `matrix` is read, and the floor only where it is
-called, which every weak-observability decision does
-(`weakobs.Forms.dense`) and steering and the `stabcert gramian` dump never
-do.  The floor reads its probe norms from the table through
-`ExpTable.norms`, which takes each exact time's 2-norm once, and ||B||_2
-from `LtiSystem.b_norm`, taken once per system: the four floors of a
-dyadic sweep over T = 0.5, 1, 2, 4 take 21 probe norms, not 36, and one
-||B||_2, and each floor is bit for bit that of a fresh table.
+G is formed only when `matrix` is read.  A decision reads the floor only
+through comparisons, x <= floor, and `floor_bracket` decides them from
+Frobenius norms: ||M||_F / sqrt(rank M) <= ||M||_2 <= ||M||_F on the
+probe slices and on B puts the floor in [lo, hi], hi = n u sqrt(T)
+||B||_F max_k ||e^{A t_k}||_F and lo = hi / sqrt(n min(n, m)), each
+widened by a stated rounding margin.  A value at or below lo is at the
+floor, one above hi is above it, and only when a compared value lies in
+(lo, hi] is the floor itself formed, once, by `gramian_floor` on the same
+table (`FloorBracket.value`), so every comparison returns what it returns
+against the floor.  Every weak-observability decision brackets its floor
+(`weakobs.Forms.dense`); steering and the `stabcert gramian` dump do
+neither.  Probe norms of both kinds come from the table through
+`ExpTable.norms`, which takes each exact time's norm of each kind once,
+and ||B||_2 from `LtiSystem.b_norm`, taken once per system: the four
+brackets of a dyadic sweep over T = 0.5, 1, 2, 4 take 21 Frobenius probe
+norms, not 36, and no SVD; over the 768 jobs of perfbench's dense-sweep
+pools for seeds 1, 2 and 11-20, 5 comparisons land inside a bracket and
+form their floor.  A floor is bit for bit that of a fresh table.
 Van Loan's block exponential yields G, not R, and leaves rounding of about
 u ||G|| e^{2T} there: on random dense pairs with an uncontrollable mode at
 +1 its G had eigenvalues below -1e-12 trace(G) at T = 4, and a
@@ -108,6 +120,7 @@ and more (ROADMAP item 4): on `perfbench` feedback job 1 of seed 11
 and doubling 7.4e14.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -124,7 +137,9 @@ __all__ = [
     "QuadratureError",
     "GramianResult",
     "ExpTable",
+    "FloorBracket",
     "gramian_floor",
+    "floor_bracket",
     "propagate",
     "transition_matrix",
     "grid_norms",
@@ -264,9 +279,9 @@ class ExpTable:
 
     `stack(times)` computes the misses in one call and returns every
     time's slice as one gather from an array of the values so far, which
-    doubles its capacity as it fills; `norms(times)` gives their 2-norms,
-    each taken once.  A table holds one n x n matrix per distinct time it
-    was asked for.  A table built here computes its
+    doubles its capacity as it fills; `norms(times, ord)` gives their 2- or
+    Frobenius norms, each taken once.  A table holds one n x n matrix per
+    distinct time it was asked for.  A table built here computes its
     misses with one `_exp_stack`, so a value equals a fresh `_exp_stack`
     at that t bit for bit.  A view from `shifted` does not meet that.
     A table built with `share_nodes` also keeps the node values that
@@ -279,7 +294,7 @@ class ExpTable:
         self._slot = {}          # exact float time -> index into _values
         self._values = np.empty((0,) + np.shape(m))
         self._fresh = lambda times: _exp_stack(m, times, diagonal)
-        self._norms = {}         # exact float time -> ||e^{M t}||_2
+        self._norms = {}         # ord -> {exact float time -> ||e^{M t}||}
         # (Gauss offsets, R) -> (panel starts, node-value chunks) of the
         # first dense level of that panel width; see _kept_values
         self._nodes = {} if share_nodes else None
@@ -319,16 +334,19 @@ class ExpTable:
             self._slot.update(zip(miss, range(held, held + len(miss))))
         return self._values[[self._slot[t] for t in keys]]
 
-    def norms(self, times):
-        """||e^{M t}||_2 at every t, each exact float time's norm taken
-        once: the misses' slices come from `stack`, and one batched SVD,
-        which reduces each slice on its own, gives their norms."""
+    def norms(self, times, ord=2):
+        """||e^{M t}|| at every t, the 2-norm or (ord="fro") the Frobenius
+        norm, each exact float time's norm of each kind taken once: the
+        misses' slices come from `stack`, and one batched norm, which
+        reduces each slice on its own (a batched SVD for the 2-norm),
+        gives theirs."""
         keys = np.asarray(times, dtype=float).tolist()
-        miss = [t for t in dict.fromkeys(keys) if t not in self._norms]
+        known = self._norms.setdefault(ord, {})
+        miss = [t for t in dict.fromkeys(keys) if t not in known]
         if miss:
-            self._norms.update(zip(miss, np.linalg.norm(
-                self.stack(miss), 2, axis=(1, 2)).tolist()))
-        return np.array([self._norms[t] for t in keys])
+            known.update(zip(miss, np.linalg.norm(
+                self.stack(miss), ord, axis=(1, 2)).tolist()))
+        return np.array([known[t] for t in keys])
 
 
 def _own_table(table, m, diagonal, name):
@@ -533,3 +551,84 @@ def gramian_floor(sys: LtiSystem, horizon: float, *,
     a_t = table.norms(np.linspace(0.0, horizon, 9)).max()
     floor = sys.n * np.finfo(float).eps * sys.b_norm * a_t
     return float(floor * np.sqrt(horizon))
+
+
+# the relative margin of `floor_bracket` beyond the norm equivalence: the
+# rounding of the Frobenius sums (at most n max(n, m) u relative), of the
+# SVD's largest singular value (a small multiple of n u), and of the two
+# floors' products (a few u), with room to spare
+_BRACKET_ETA = 1e-9
+
+
+class FloorBracket:
+    """lo <= floor <= hi for a Gramian's rounding floor, and comparisons
+    against the floor decided from them: a value at or below lo is at the
+    floor, one above hi is above it, and the floor itself, `value`, is
+    formed (once) only when some compared value lies in (lo, hi] or is
+    NaN.  Each comparison returns what it returns against `value`."""
+
+    def __init__(self, lo, hi, exact):
+        self.lo, self.hi = lo, hi
+        self._exact = exact       # () -> the floor
+
+    @classmethod
+    def of(cls, value):
+        """The bracket of a known floor, lo = hi = `value`."""
+        return cls(value, value, lambda: value)
+
+    @functools.cached_property
+    def value(self):
+        """The floor, formed on first read."""
+        return self._exact()
+
+    def at_or_below(self, x):
+        """x <= floor, elementwise."""
+        x = np.asarray(x)
+        below = x <= self.lo
+        if (below | (x > self.hi)).all():
+            return below
+        return x <= self.value
+
+    def above(self, x):
+        """x > floor, elementwise."""
+        x = np.asarray(x)
+        over = x > self.hi
+        if (over | (x <= self.lo)).all():
+            return over
+        return x > self.value
+
+
+def floor_bracket(sys: LtiSystem, horizon: float, *,
+                  table: Optional[ExpTable] = None) -> FloorBracket:
+    """A `FloorBracket` of `gramian_floor(sys, horizon, table=table)` from
+    Frobenius norms alone.
+
+    ||M||_F / sqrt(rank M) <= ||M||_2 <= ||M||_F (Golub and Van Loan,
+    *Matrix Computations*, 2.3), on the nine probe slices E_k (rank n) and
+    on B (rank at most min(n, m)), gives hi = n u sqrt(T) ||B||_F
+    max_k ||E_k||_F and lo = hi / sqrt(n min(n, m)), each widened by
+    (1 +- eta), eta = _BRACKET_ETA + 4 n max(n, m) u, for the rounding of
+    the norms and products on either side.  The floor itself, with its
+    batched SVD and ||B||_2, is `gramian_floor` on the same table, formed
+    only when a comparison lands inside the bracket.  Where a Frobenius
+    sum could leave the normal range (||B||_F <= 1e-150, lo <= 1e-290 or
+    hi not finite) the floor is formed at once and lo = hi = floor.
+    """
+    _check_horizon(horizon)
+    table = _own_table(table, sys.a_matrix, sys.is_diagonal, "A")
+    n, m = sys.b_matrix.shape
+    # the probe slices of `gramian_floor`
+    e_fro = table.norms(np.linspace(0.0, horizon, 9), "fro").max()
+    b_fro = float(np.linalg.norm(sys.b_matrix))
+    u = np.finfo(float).eps
+    nominal = n * u * b_fro * e_fro * math.sqrt(horizon)
+    eta = _BRACKET_ETA + 4.0 * n * max(n, m) * u
+    hi = nominal * (1.0 + eta)
+    lo = nominal / math.sqrt(n * min(n, m)) * (1.0 - eta)
+
+    def exact():
+        return gramian_floor(sys, horizon, table=table)
+
+    if b_fro > 1e-150 and lo > 1e-290 and hi < math.inf:
+        return FloorBracket(lo, hi, exact)
+    return FloorBracket.of(exact())

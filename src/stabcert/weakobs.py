@@ -26,6 +26,14 @@ decision reads the factor R, never G, and is two-sided:
 
 Between the two the verdict is "inconclusive", never guessed.
 
+The rounding floor enters three comparisons, sigma <= floor in
+`_reduce`, sigma > floor in `candidate_states` and ||R u|| <= floor in
+`HorizonInputs.entries`, and each is asked of the forms' `rounding`, a
+`semigroup.FloorBracket`: a Frobenius bracket [lo, hi] of the floor
+decides every value outside (lo, hi], and only a value inside forms the
+floor itself (its SVD 2-norms and ||B||_2), once per horizon.  The
+answers are those of the comparisons against the floor.
+
 Every verdict in the package, `stabcert.periodic` included, goes through
 the one decision core here: `decide(inputs, cert)` reads D and eps from a
 `WeakObsCertificate` and returns it with its status, margin and witness,
@@ -37,9 +45,9 @@ with the same candidate rule: `candidate_states` over `shared_states`.
 The search computes each quantity once, at the scope it depends on:
 
 * per call (`_horizons`): one ExpTable of A for every Gramian, every
-  floor (each probe time's 2-norm is taken once, and ||B||_2 once per
-  system) and, through its transposed view, every witness energy, and
-  the seeded Gaussian states and the axes, normalized (`shared_states`);
+  floor bracket (each probe time's Frobenius norm is taken once) and,
+  through its transposed view, every witness energy, and the seeded
+  Gaussian states and the axes, normalized (`shared_states`);
 * per (panel width, B) across the horizons of a sweep: the Gramians' node
   values e^{At}B, kept by that table and computed for the longest horizon
   (built first), whose prefixes the shorter horizons slice;
@@ -59,8 +67,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .semigroup import (ExpTable, gramian_floor, observability_gramian,
-                        observation_energy)
+from .semigroup import (ExpTable, FloorBracket, floor_bracket,
+                        observability_gramian, observation_energy)
 from .systems import LtiSystem
 
 __all__ = [
@@ -163,20 +171,30 @@ class CertificateFamily:
 # ---------------------------------------------------------------------------
 
 class Forms(NamedTuple):
-    """The observation norm ||factor @ phi|| (at or below `floor`: rounding)
-    and the free norm ||adj @ phi||, adj = e^{A^T T}, with the factor's
-    SVD (sig, vt) and W = adj^T adj in its right singular basis; build
-    with `Forms.of`, which computes these once, or with `Forms.dense`."""
+    """The observation norm ||factor @ phi|| (at or below the rounding
+    floor that `rounding` brackets: rounding) and the free norm
+    ||adj @ phi||, adj = e^{A^T T}, with the factor's SVD (sig, vt) and
+    W = adj^T adj in its right singular basis; build with `Forms.of`,
+    which computes these once, or with `Forms.dense`."""
 
     factor: np.ndarray
     adj: np.ndarray
-    floor: float
+    rounding: FloorBracket
     sig: np.ndarray
     vt: np.ndarray
     w_basis: np.ndarray     # V^T W V
 
+    @property
+    def floor(self):
+        """The rounding floor itself, formed on first read; the decision
+        compares against `rounding` and never reads it."""
+        return self.rounding.value
+
     @classmethod
     def of(cls, factor, adj, floor=0.0):
+        """`floor` is a float or a `FloorBracket`."""
+        if not isinstance(floor, FloorBracket):
+            floor = FloorBracket.of(floor)
         _, sig, vt = np.linalg.svd(factor)
         fv = adj @ vt.T
         return cls(factor, adj, floor, sig, vt, fv.T @ fv)
@@ -184,14 +202,14 @@ class Forms(NamedTuple):
     @classmethod
     def dense(cls, sys, horizon, table=None):
         """The forms of a dense system at one horizon: the Gramian's factor
-        and its `gramian_floor` from `table` (an ExpTable of A, call-local
-        if None), and e^{A^T T}, the transpose of the e^{A T} the floor
-        left there."""
+        and the `floor_bracket` of its rounding floor from `table` (an
+        ExpTable of A, call-local if None), and e^{A^T T}, the transpose
+        of the e^{A T} the bracket's probes left there."""
         if table is None:
             table = ExpTable(sys.a_matrix, sys.is_diagonal)
         factor = observability_gramian(sys, horizon, table=table).factor
-        floor = gramian_floor(sys, horizon, table=table)
-        return cls.of(factor, table.stack([horizon])[0].T, floor)
+        rounding = floor_bracket(sys, horizon, table=table)
+        return cls.of(factor, table.stack([horizon])[0].T, rounding)
 
 
 # residual-covered directions join the null block once their scaled
@@ -214,7 +232,7 @@ def _reduce(forms: Forms, eps: Sequence[float]):
     sig = forms.sig
     squares = np.array([e**2 for e in eps])
     m = forms.w_basis - squares[:, None, None] * np.eye(len(sig))
-    null = sig <= forms.floor
+    null = forms.rounding.at_or_below(sig)
     if null.any():
         return [_deflate(sig, mi, null, (np.inf, -np.inf)) for mi in m]
     scale = 1.0 / sig
@@ -293,10 +311,10 @@ class HorizonInputs:
         new = [e for e in dict.fromkeys(eps_values) if e not in self._entries]
         if new:
             num = self.free - np.array(new)[:, None]
+            unseen = self.forms.rounding.at_or_below(self.obs)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(num <= 0.0, 0.0,
-                                 np.where(self.obs <= self.forms.floor,
-                                          np.inf, num / self.obs))
+                                 np.where(unseen, np.inf, num / self.obs))
             best = np.argmax(ratio, axis=1)
             for eps, i, row, reduced in zip(new, best, ratio,
                                             _reduce(self.forms, new)):
@@ -380,7 +398,7 @@ def candidate_states(forms, shared):
     sig, vt = forms.sig, forms.vt
     _, wv = np.linalg.eigh(forms.adj.T @ forms.adj)
     # at eps = 0, K11 = X^T X with X = F V1 Sigma1^{-1}
-    kept = sig > forms.floor
+    kept = forms.rounding.above(sig)
     _, _, yt = np.linalg.svd((forms.adj @ vt[kept].T) / sig[kept])
     # vt includes near-null directions
     own = np.vstack([vt, wv.T, yt / sig[kept] @ vt[kept]])

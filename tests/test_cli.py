@@ -325,7 +325,35 @@ def test_constants_echo_only_the_given_flags(tmp_path, capsys):
     assert report["C"] == pytest.approx(4.708202236182293)
     assert run_cli(["constants", "--formula", "spectral", "--c-k", "1",
                     "--out", str(tmp_path / "e")]) == 3
-    assert "error: KeyError: 'alpha_k'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: ValueError: --formula spectral requires --alpha-k\n")
+
+
+# every input each formula reads with no default, with values it accepts
+_CONSTANTS_INPUTS = {
+    "spectral": {"alpha-k": "5", "c-k": "1"},
+    "truncated": {"alpha-k": "5", "c-k-t0": "1"},
+    "unbounded": {"c-k-t0": "1"},
+}
+
+
+@pytest.mark.parametrize("formula, missing", [
+    (f, flag) for f, needs in _CONSTANTS_INPUTS.items() for flag in needs])
+def test_constants_name_a_missing_input(formula, missing, tmp_path, capsys):
+    # without one of its required inputs a formula exits 3, names the
+    # flag and writes nothing; with all of them it succeeds
+    given = [arg for flag, value in _CONSTANTS_INPUTS[formula].items()
+             if flag != missing for arg in (f"--{flag}", value)]
+    out = tmp_path / "c"
+    assert run_cli(["constants", "--formula", formula, "--t0", "1", *given,
+                    "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: ValueError: --formula {formula} requires --{missing}\n")
+    assert not out.exists() or not any(out.iterdir())
+    every = [arg for flag, value in _CONSTANTS_INPUTS[formula].items()
+             for arg in (f"--{flag}", value)]
+    assert run_cli(["constants", "--formula", formula, "--t0", "1", *every,
+                    "--out", str(out)]) == 0
 
 
 def test_constants_admissibility(tmp_path):
@@ -355,8 +383,9 @@ def test_constants_unbounded(tmp_path):
 
 
 def test_gramian_dump_never_forms_the_floor(tmp_path, monkeypatch):
-    # every floor takes its probe norms through `ExpTable.norms`
-    def unread(self, times):
+    # every floor and every floor bracket takes its probe norms through
+    # `ExpTable.norms`
+    def unread(self, times, ord=2):
         raise AssertionError("a Gramian floor was read")
 
     monkeypatch.setattr(semigroup.ExpTable, "norms", unread)
@@ -583,7 +612,8 @@ def test_refutation_constant_must_be_finite_and_exceed_one(big_c, tmp_path,
     assert capsys.readouterr().err == (
         f"error: ValueError: the constant C = {float(big_c)!r} must be "
         f"finite and exceed 1\n")
-    assert not (out / "report.json").exists()
+    # energies.csv included: nothing is written before C is checked
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_c_alpha_table_without_an_alpha_names_it(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import gc
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,37 @@ def test_a_hamiltonian_that_does_not_split_names_no_eigenvalue():
                        match=r"^hamiltonian splits into sdim = 1 stable and "
                              r"3 unstable eigenvalues, not n = 2 each"):
         feedback.solve_shifted_riccati(NEAR_SPLIT, 1.0)
+
+
+def test_a_perturbed_newton_step_is_not_kept(monkeypatch):
+    # perfbench feedback job 26 of seed 11 (n = 20) at mu = 2: the Newton
+    # step's Lyapunov solve warns that it perturbed the coefficients (an
+    # eigenvalue pair of the closed loop sums to about 0), so it solved
+    # another equation.  The step is dropped with no warning let out
+    # (pytest runs with error::RuntimeWarning), and the unrefined P
+    # misses the rate
+    rng = np.random.default_rng([11, 26])
+    s = systems.build_system(rng.standard_normal((20, 20)) / math.sqrt(20),
+                             rng.standard_normal((20, 2)))
+    seen = []
+    solve = feedback.solve_continuous_lyapunov
+
+    def recorded(a, q):
+        # the solve's warnings, seen here and raised again in the caller's
+        # warning filters
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = solve(a, q)
+        seen.extend(str(w.message) for w in caught)
+        for w in caught:
+            warnings.warn(w.message)
+        return x
+
+    monkeypatch.setattr(feedback, "solve_continuous_lyapunov", recorded)
+    with pytest.raises(RuntimeError, match="missed the target") as missed:
+        feedback.solve_shifted_riccati(s, 2.0)
+    assert len(seen) == 1 and "perturbing the coefficients" in seen[0]
+    assert missed.value.measured_rate < 2.0
 
 
 def test_dense_riccati_invariants():
@@ -751,10 +783,11 @@ def test_concatenated_control_exponentiates_each_slice_once(monkeypatch):
 
 
 def test_steering_never_forms_the_gramian_floor(monkeypatch):
-    # steering reads the factor's SVD and e^{AT}, never the floor; the
-    # decisions' forms still do.  Every floor takes its probe norms
-    # through `ExpTable.norms`, whatever name it is called by
-    def unread(self, times):
+    # steering reads the factor's SVD and e^{AT}, never the floor nor its
+    # bracket; the decisions' forms still bracket it.  Every bracket and
+    # every floor takes its probe norms through `ExpTable.norms`,
+    # whatever name it is called by
+    def unread(self, times, ord=2):
         raise AssertionError("a Gramian floor was read")
 
     monkeypatch.setattr(semigroup.ExpTable, "norms", unread)

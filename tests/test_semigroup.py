@@ -441,6 +441,77 @@ def test_shared_table_leaves_gramians_bit_identical():
                                         table=semigroup.ExpTable(-s.a_matrix))
 
 
+def _bracket_probes(floor, lo, hi):
+    """Values at and around a floor and its bracket's ends."""
+    u = np.finfo(float).eps
+    around = [floor * (1.0 + k * u) for k in range(-8, 9)]
+    ends = [v for e in (lo, hi)
+            for v in (e, np.nextafter(e, 0.0), np.nextafter(e, np.inf),
+                      e * (1.0 - 1e-3), e * (1.0 + 1e-3))]
+    return np.array(around + ends + [0.0, np.inf, np.nan])
+
+
+@pytest.mark.parametrize("kind, n, m", [
+    ("dense", 1, 1), ("dense", 1, 4), ("dense", 3, 5), ("dense", 6, 2),
+    ("diagonal", 1, 1), ("diagonal", 2, 5), ("diagonal", 5, 2),
+    ("tiny-b", 3, 2)])
+def test_floor_bracket_decides_as_the_exact_floor(kind, n, m, monkeypatch):
+    # every comparison through the bracket returns x <= floor (or x >
+    # floor) of the exact floor, on values at the floor (1 +- k u), at
+    # the bracket's ends and just past them, 0, inf and nan; a compared
+    # array wholly outside (lo, hi] forms no floor
+    rng = np.random.default_rng([30, n, m])
+    if kind == "diagonal":
+        a = np.diag(rng.uniform(-3.0, 1.0, n))
+    else:
+        a = rng.standard_normal((n, n)) / math.sqrt(n)
+    b = rng.standard_normal((n, m)) * (1e-200 if kind == "tiny-b" else 1.0)
+    s = systems.build_system(a, b)
+    assert s.is_diagonal or kind != "diagonal"
+    formed = []
+    floor_of = semigroup.gramian_floor
+
+    def counted(*args, **kwargs):
+        formed.append(1)
+        return floor_of(*args, **kwargs)
+
+    for horizon in (0.3, 1.0, 4.0):
+        floor = semigroup.gramian_floor(s, horizon)
+        bracket = semigroup.floor_bracket(s, horizon)
+        assert bracket.lo <= floor <= bracket.hi
+        if n == 1:
+            # rank 1: lo = hi up to the margin
+            assert bracket.hi <= bracket.lo * (1.0 + 1e-8)
+        if kind == "tiny-b":
+            # ||B||_F below the normal range of its square: the floor is
+            # formed at once
+            assert bracket.lo == bracket.hi == floor
+        values = _bracket_probes(floor, bracket.lo, bracket.hi)
+        for x in values:
+            assert bracket.at_or_below(x) == (x <= floor)
+            assert bracket.above(x) == (x > floor)
+        assert np.array_equal(bracket.at_or_below(values), values <= floor)
+        assert np.array_equal(bracket.above(values), values > floor)
+        outside = values[(values <= bracket.lo) | (values > bracket.hi)]
+        monkeypatch.setattr(semigroup, "gramian_floor", counted)
+        fresh = semigroup.floor_bracket(s, horizon)
+        assert np.array_equal(fresh.at_or_below(outside), outside <= floor)
+        assert np.array_equal(fresh.above(outside), outside > floor)
+        monkeypatch.undo()
+        assert len(formed) == (kind == "tiny-b")
+        formed.clear()
+
+
+def test_a_known_floor_brackets_itself():
+    # Forms.of's float floor: lo = hi = floor, and only nan forms nothing
+    # new
+    bracket = semigroup.FloorBracket.of(0.25)
+    values = np.array([0.0, 0.25, np.nextafter(0.25, 1.0), np.inf, np.nan])
+    assert np.array_equal(bracket.at_or_below(values), values <= 0.25)
+    assert np.array_equal(bracket.above(values), values > 0.25)
+    assert bracket.value == 0.25
+
+
 def test_shared_table_leaves_energies_bit_identical():
     rng = np.random.default_rng(10)
     s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
@@ -467,23 +538,24 @@ def _rotating_pair(speed):
 
 
 def _sweep_gramians(monkeypatch, s, horizons):
-    """{T: (the GramianResult, the floor) a weakobs sweep over `horizons`
-    formed}."""
-    built, floors = {}, {}
+    """{T: (the GramianResult, the floor bracket) a weakobs sweep over
+    `horizons` formed}."""
+    built, brackets = {}, {}
 
     def kept(sys, horizon, quad=None, *, table=None):
         built[horizon] = semigroup.observability_gramian(sys, horizon, quad,
                                                          table=table)
         return built[horizon]
 
-    def kept_floor(sys, horizon, *, table=None):
-        floors[horizon] = semigroup.gramian_floor(sys, horizon, table=table)
-        return floors[horizon]
+    def kept_bracket(sys, horizon, *, table=None):
+        brackets[horizon] = semigroup.floor_bracket(sys, horizon,
+                                                    table=table)
+        return brackets[horizon]
 
     monkeypatch.setattr(weakobs, "observability_gramian", kept)
-    monkeypatch.setattr(weakobs, "gramian_floor", kept_floor)
+    monkeypatch.setattr(weakobs, "floor_bracket", kept_bracket)
     weakobs.sweep_alpha(s, [1.0, 2.0], horizons, samples=10)
-    return {t: (built[t], floors[t]) for t in built}
+    return {t: (built[t], brackets[t]) for t in built}
 
 
 def _first_widths(s, horizons):
@@ -541,12 +613,15 @@ def test_sweep_gramians_equal_single_horizon_calls(case, monkeypatch):
     if case == "third-doubling":
         assert max(panels) == 4 * 64
     assert sorted(built) == list(horizons)
-    for horizon, (shared, floor) in built.items():
+    for horizon, (shared, bracket) in built.items():
         alone = semigroup.observability_gramian(s, horizon)
         assert np.array_equal(shared.factor, alone.factor)
         assert (shared.quadrature_error_estimate
                 == alone.quadrature_error_estimate)
-        assert floor == semigroup.gramian_floor(s, horizon)
+        # the floor the bracket forms on the sweep's table, when read
+        floor = semigroup.gramian_floor(s, horizon)
+        assert bracket.value == floor
+        assert bracket.lo <= floor <= bracket.hi
 
 
 def test_sweep_evaluates_each_panel_width_once(monkeypatch):

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -509,35 +511,103 @@ def test_sweep_exponentiates_each_slice_once(monkeypatch):
 
 
 def test_sweep_takes_each_floor_probe_norm_once(monkeypatch):
-    # the four floors of a dyadic sweep probe 36 times, 21 of them
-    # distinct: each distinct time's 2-norm is taken once, ||B||_2 once,
-    # and each floor is bit for bit that of a fresh table
+    # the four floor brackets of a dyadic sweep probe 36 times, 21 of them
+    # distinct: each distinct time's Frobenius norm is taken once, and
+    # where every comparison falls outside a bracket no 2-norm is taken,
+    # neither of a probe slice nor of B; each bracket holds the floor of
+    # a fresh table, bit for bit
     s = _dense_pair("dense", n=5)
     horizons = [0.5, 1.0, 2.0, 4.0]
-    probes, b_norms, floors = [], [], {}
-    norm, floor_of = np.linalg.norm, weakobs.gramian_floor
+    probes, two_norms, brackets = [], [], {}
+    norm, bracket_of = np.linalg.norm, weakobs.floor_bracket
 
     def norm_spy(x, ord=None, axis=None, keepdims=False):
-        if ord == 2 and np.ndim(x) == 3:
+        if ord == "fro" and np.ndim(x) == 3:
             probes.append(len(x))
-        if ord == 2 and x is s.b_matrix:
-            b_norms.append(1)
+        if ord == 2:
+            two_norms.append(np.shape(x))
         return norm(x, ord, axis, keepdims)
 
-    def floor_spy(sys, horizon, *, table=None):
-        floors[horizon] = floor_of(sys, horizon, table=table)
-        return floors[horizon]
+    def bracket_spy(sys, horizon, *, table=None):
+        brackets[horizon] = bracket_of(sys, horizon, table=table)
+        return brackets[horizon]
 
     monkeypatch.setattr(np.linalg, "norm", norm_spy)
-    monkeypatch.setattr(weakobs, "gramian_floor", floor_spy)
+    monkeypatch.setattr(weakobs, "floor_bracket", bracket_spy)
     fam = weakobs.sweep_alpha(s, [1.0, 2.0, 4.0, 8.0], horizons, samples=20)
     monkeypatch.undo()
     assert fam.verdict == CERTIFIED
-    assert sum(probes) == 21 and b_norms == [1]
-    assert sorted(floors) == horizons
+    assert sum(probes) == 21 and two_norms == []
+    assert sorted(brackets) == horizons
+    assert not any("value" in vars(b) for b in brackets.values())
     fresh = systems.build_system(s.a_matrix, s.b_matrix)
     for t in horizons:
-        assert floors[t] == weakobs.Forms.dense(fresh, t).floor
+        floor = weakobs.Forms.dense(fresh, t).floor
+        assert brackets[t].value == floor
+        assert brackets[t].lo <= floor <= brackets[t].hi
+
+
+def _benchmark_workloads():
+    """perfbench's workload module, loaded from its file."""
+    path = (Path(__file__).resolve().parent.parent / "perfbench"
+            / "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sweep_job(workloads, job):
+    """The `sweep_alpha` of one dense-sweep benchmark job."""
+    argv = job.inputs["argv"]
+    return weakobs.sweep_alpha(
+        systems.build_system(job.inputs["a"], job.inputs["b"]),
+        workloads.ALPHAS, workloads.HORIZONS, 1.0,
+        samples=workloads.SWEEP_SAMPLES,
+        seed=int(argv[argv.index("--seed") + 1]))
+
+
+def test_a_bracketed_sweep_takes_no_two_norm(monkeypatch):
+    # benchmark pairs (dense, ill-conditioned n = 10, dense, unobservable)
+    # whose every comparison the brackets decide: no floor is formed, so
+    # no batched 2-norm of probe slices and no ||B||_2 is taken; each
+    # family equals the one decided against the exact floor
+    workloads = _benchmark_workloads()
+    for job in workloads.dense_jobs(11, 64)[:8]:
+        two_norms, floors = [], []
+        norm, floor_of = np.linalg.norm, semigroup.gramian_floor
+
+        def norm_spy(x, ord=None, axis=None, keepdims=False):
+            if ord == 2 and np.ndim(x) == 3:
+                two_norms.append(np.shape(x))
+            return norm(x, ord, axis, keepdims)
+
+        def floor_spy(*args, **kwargs):
+            floors.append(1)
+            return floor_of(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", norm_spy)
+        monkeypatch.setattr(semigroup, "gramian_floor", floor_spy)
+        fam = _sweep_job(workloads, job)
+        monkeypatch.undo()
+        assert two_norms == [] and floors == []
+
+        def exact(sys, horizon, *, table=None):
+            return semigroup.FloorBracket.of(
+                semigroup.gramian_floor(sys, horizon, table=table))
+
+        monkeypatch.setattr(weakobs, "floor_bracket", exact)
+        forced = _sweep_job(workloads, job)
+        monkeypatch.undo()
+        assert fam.verdict == forced.verdict
+        for c, f in zip(fam.certificates, forced.certificates, strict=True):
+            assert (c.horizon, c.alpha, c.d_const, c.c_const, c.status,
+                    c.margin) == (f.horizon, f.alpha, f.d_const, f.c_const,
+                                  f.status, f.margin)
+            assert (c.witness is None) == (f.witness is None)
+            assert c.witness is None or c.witness.tobytes() == \
+                f.witness.tobytes()
 
 
 def test_sweep_energies_exponentiate_each_slice_once(monkeypatch):

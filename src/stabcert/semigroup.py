@@ -84,14 +84,18 @@ floor, one above hi is above it, and only when a compared value lies in
 (lo, hi] is the floor itself formed, once, by `gramian_floor` on the same
 table (`FloorBracket.value`), so every comparison returns what it returns
 against the floor.  Every weak-observability decision brackets its floor
-(`weakobs.Forms.dense`); steering and the `stabcert gramian` dump do
+(`weakobs._FormStack.dense`); steering and the `stabcert gramian` dump do
 neither.  Probe norms of both kinds come from the table through
 `ExpTable.norms`, which takes each exact time's norm of each kind once,
-and ||B||_2 from `LtiSystem.b_norm`, taken once per system: the four
-brackets of a dyadic sweep over T = 0.5, 1, 2, 4 take 21 Frobenius probe
-norms, not 36, and no SVD; over the 768 jobs of perfbench's dense-sweep
-pools for seeds 1, 2 and 11-20, 5 comparisons land inside a bracket and
-form their floor.  A floor is bit for bit that of a fresh table.
+and ||B||_2 and ||B||_F from `LtiSystem.b_norm` and `LtiSystem.b_fro`,
+each taken once per system.  A sweep takes every bracket's probe norms
+(`floor_probe_times`) in one `ExpTable.norms` call before its first
+bracket, so the four brackets of a dyadic sweep over T = 0.5, 1, 2, 4
+take their 21 distinct Frobenius probe norms, not 36, as one batched norm
+whose missing slices are one `expm` call, and no SVD; over the 768 jobs
+of perfbench's dense-sweep pools for seeds 1, 2 and 11-20, 5 comparisons
+land inside a bracket and form their floor.  A floor is bit for bit that
+of a fresh table.
 Van Loan's block exponential yields G, not R, and leaves rounding of about
 u ||G|| e^{2T} there: on random dense pairs with an uncontrollable mode at
 +1 its G had eigenvalues below -1e-12 trace(G) at T = 4, and a
@@ -534,6 +538,13 @@ def observability_gramian(sys: LtiSystem, horizon: float,
     return GramianResult(factor, horizon, float(err))
 
 
+def floor_probe_times(horizon):
+    """The nine equispaced times in [0, horizon] whose ||e^{At}||
+    `gramian_floor` and `floor_bracket` read; all but T are panel starts
+    of every level with 8 panels or more."""
+    return np.linspace(0.0, horizon, 9)
+
+
 def gramian_floor(sys: LtiSystem, horizon: float, *,
                   table: Optional[ExpTable] = None) -> float:
     """||R phi|| at or below this is rounding, R being the factor of the
@@ -546,9 +557,7 @@ def gramian_floor(sys: LtiSystem, horizon: float, *,
     """
     _check_horizon(horizon)
     table = _own_table(table, sys.a_matrix, sys.is_diagonal, "A")
-    # all probe times but T are panel starts of every level with 8 panels
-    # or more
-    a_t = table.norms(np.linspace(0.0, horizon, 9)).max()
+    a_t = table.norms(floor_probe_times(horizon)).max()
     floor = sys.n * np.finfo(float).eps * sys.b_norm * a_t
     return float(floor * np.sqrt(horizon))
 
@@ -617,9 +626,8 @@ def floor_bracket(sys: LtiSystem, horizon: float, *,
     _check_horizon(horizon)
     table = _own_table(table, sys.a_matrix, sys.is_diagonal, "A")
     n, m = sys.b_matrix.shape
-    # the probe slices of `gramian_floor`
-    e_fro = table.norms(np.linspace(0.0, horizon, 9), "fro").max()
-    b_fro = float(np.linalg.norm(sys.b_matrix))
+    e_fro = table.norms(floor_probe_times(horizon), "fro").max()
+    b_fro = sys.b_fro
     u = np.finfo(float).eps
     nominal = n * u * b_fro * e_fro * math.sqrt(horizon)
     eta = _BRACKET_ETA + 4.0 * n * max(n, m) * u

@@ -64,9 +64,9 @@ class LtiSystem:
     """A finite pair y' = A y + B u with A (N x N) and B (N x M).
 
     Instances are immutable; the arrays are stored read-only so values are
-    safe to share across threads.  `b_norm` and `spectrum` are formed on
-    first read and kept on the instance, so they live and die with the
-    system.
+    safe to share across threads.  `b_norm`, `b_fro` and `spectrum` are
+    formed on first read and kept on the instance, so they live and die
+    with the system.
     """
 
     a_matrix: np.ndarray
@@ -106,6 +106,11 @@ class LtiSystem:
     def b_norm(self):
         """||B||_2, taken once."""
         return float(np.linalg.norm(self.b_matrix, 2))
+
+    @functools.cached_property
+    def b_fro(self):
+        """||B||_F, taken once."""
+        return float(np.linalg.norm(self.b_matrix))
 
     @functools.cached_property
     def spectrum(self):

@@ -12,23 +12,24 @@ decision reads the factor R, never G, and is two-sided:
 * sufficient (sound) test: the slack D^2 G + eps^2 I - W, W = F^T F, is
   PSD.  In the basis V of R's right singular vectors, directions with
   singular value at or below the factor's rounding floor (and residual-
-  covered ones that would swamp the eigensolve, see `_reduce`) form the
-  null block N = eps^2 I - W22; the kept block is scaled by Sigma^{-1}: the
-  congruent slack is [[D^2 I - K11, -K12], [-K12^T, N]] with
-  K = Sigma^{-1} V^T (W - eps^2 I) V Sigma^{-1}.  It is PSD iff N > 0 and
-  D^2 >= lambda_max(K11 + K12 N^{-1} K12^T), one symmetric eigensolve and
-  no D^2 ||G|| rounding.  By sqrt(x^2 + y^2) <= x + y it certifies the
-  inequality; by (x + y)^2 <= 2 x^2 + 2 y^2 it is conservative by at most
-  sqrt(2) in (D, C).
+  covered ones that would swamp the eigensolve, see `_reduce_stack`) form
+  the null block N = eps^2 I - W22; the kept block is scaled by
+  Sigma^{-1}: the congruent slack is [[D^2 I - K11, -K12], [-K12^T, N]]
+  with K = Sigma^{-1} V^T (W - eps^2 I) V Sigma^{-1}.  It is PSD iff
+  N > 0 and D^2 >= lambda_max(K11 + K12 N^{-1} K12^T), one symmetric
+  eigensolve and no D^2 ||G|| rounding.  By sqrt(x^2 + y^2) <= x + y it
+  certifies the inequality; by (x + y)^2 <= 2 x^2 + 2 y^2 it is
+  conservative by at most sqrt(2) in (D, C).
 * necessary test: maximize r(phi) = (||F phi|| - eps ||phi||)_+ / ||R phi||
   over random, coordinate and eigen-directed unit states; a confirmed
   r(phi) > D refutes with phi stored as the witness.
 
 Between the two the verdict is "inconclusive", never guessed.
 
-The rounding floor enters three comparisons, sigma <= floor in
-`_reduce`, sigma > floor in `candidate_states` and ||R u|| <= floor in
-`HorizonInputs.entries`, and each is asked of the forms' `rounding`, a
+The rounding floor enters three comparisons, sigma <= floor (the null
+block of `_reduce_stack`), sigma > floor (the kept directions,
+`_FormStack.kept`) and ||R u|| <= floor (`_enter`'s search), and each is
+asked of the forms' `rounding`, a
 `semigroup.FloorBracket`: a Frobenius bracket [lo, hi] of the floor
 decides every value outside (lo, hi], and only a value inside forms the
 floor itself (its SVD 2-norms and ||B||_2), once per horizon.  The
@@ -42,22 +43,39 @@ of a dense system for `check_certificate`, `optimal_d_bracket` and
 `sweep_alpha`; `stabcert.periodic` builds its own from diagonal forms,
 with the same candidate rule: `candidate_states` over `shared_states`.
 
+The records of several horizons are built on stacks: after the Gramians,
+every step runs once per sweep (or once per group of horizons) as
+batched NumPy calls over a leading horizon axis (`_FormStack`).  Batched
+`svd`, `eigh`, `eigvalsh` and `matmul` treat each slice on its own, so
+each horizon's record is bit for bit the one built for it alone, and a
+single horizon (`check_certificate`, `optimal_d_bracket`, `periodic`) is
+a stack of one, on the same code.
+
 The search computes each quantity once, at the scope it depends on:
 
 * per call (`_horizons`): one ExpTable of A for every Gramian, every
-  floor bracket (each probe time's Frobenius norm is taken once) and,
-  through its transposed view, every witness energy, and the seeded
-  Gaussian states and the axes, normalized (`shared_states`);
+  floor bracket and, through its transposed view, every witness energy,
+  and the seeded Gaussian states and the axes, normalized
+  (`shared_states`);
 * per (panel width, B) across the horizons of a sweep: the Gramians' node
   values e^{At}B, kept by that table and computed for the longest horizon
   (built first), whose prefixes the shorter horizons slice;
-* per horizon (a `HorizonInputs`): the `Forms`, the candidates they add
-  (R's right singular vectors, W's eigenvectors, the K11 maximizers;
-  `candidate_states`) and ||F u||, ||R u|| over all candidates u;
+* per horizon: the Gramian's factor and its floor bracket, in turn;
+* per sweep, stacked over its horizons (`_FormStack.dense`): the probe
+  norms of every floor bracket (one `ExpTable.norms` call, whose misses
+  are one `expm` call), e^{A^T T}, R's SVD and W in R's right singular
+  basis;
+* per group of horizons that keep as many directions (sigma > floor;
+  sigma is sorted, so the kept directions are a prefix of V): the
+  candidates the forms add (R's right singular vectors, W's
+  eigenvectors, the K11 maximizers; `_candidates`) and ||F u||, ||R u||
+  over all candidates u (`_scores`), one call each; a sweep whose every
+  horizon keeps as many directions is one group;
 * per (alpha, T), i.e. per eps: the ratio argmax and the slack reduction
   (`entries`), shared by `bracket` and by `decide` for every D.  A sweep
-  asks each horizon for all its eps at once, searched as one (eps x
-  state) argmax and reduced by one batched eigensolve (`_reduce`);
+  asks every horizon for all its eps at once (`_enter`): one (eps x
+  state) argmax per horizon and one `_reduce_stack`, whose one batched
+  eigensolve covers every (T, eps) whose null block starts empty;
 * per (T, witness): the independent energy (`energy`).
 """
 
@@ -68,7 +86,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .semigroup import (ExpTable, FloorBracket, floor_bracket,
-                        observability_gramian, observation_energy)
+                        floor_probe_times, observability_gramian,
+                        observation_energy)
 from .systems import LtiSystem
 
 __all__ = [
@@ -174,8 +193,8 @@ class Forms(NamedTuple):
     """The observation norm ||factor @ phi|| (at or below the rounding
     floor that `rounding` brackets: rounding) and the free norm
     ||adj @ phi||, adj = e^{A^T T}, with the factor's SVD (sig, vt) and
-    W = adj^T adj in its right singular basis; build with `Forms.of`,
-    which computes these once, or with `Forms.dense`."""
+    W = adj^T adj in its right singular basis; build with `Forms.of` or
+    `Forms.dense`, the stacks of one of `_FormStack`."""
 
     factor: np.ndarray
     adj: np.ndarray
@@ -195,21 +214,77 @@ class Forms(NamedTuple):
         """`floor` is a float or a `FloorBracket`."""
         if not isinstance(floor, FloorBracket):
             floor = FloorBracket.of(floor)
-        _, sig, vt = np.linalg.svd(factor)
-        fv = adj @ vt.T
-        return cls(factor, adj, floor, sig, vt, fv.T @ fv)
+        return _FormStack.of(np.asarray(factor)[None], np.asarray(adj)[None],
+                             [floor]).records()[0]
 
     @classmethod
     def dense(cls, sys, horizon, table=None):
-        """The forms of a dense system at one horizon: the Gramian's factor
-        and the `floor_bracket` of its rounding floor from `table` (an
-        ExpTable of A, call-local if None), and e^{A^T T}, the transpose
-        of the e^{A T} the bracket's probes left there."""
+        """The forms of a dense system at one horizon (`_FormStack.dense`),
+        from `table`, an ExpTable of A, call-local if None."""
         if table is None:
             table = ExpTable(sys.a_matrix, sys.is_diagonal)
-        factor = observability_gramian(sys, horizon, table=table).factor
-        rounding = floor_bracket(sys, horizon, table=table)
-        return cls.of(factor, table.stack([horizon])[0].T, rounding)
+        return _FormStack.dense(sys, [horizon], table).records()[0]
+
+
+class _FormStack(NamedTuple):
+    """The `Forms` of several horizons of one system: each array field
+    carries a leading horizon axis and `rounding` is a tuple.  Batched
+    `svd`, `eigh`, `eigvalsh` and products treat each slice on its own, so
+    every step run on a stack gives each horizon what it gives that
+    horizon's stack of one, bit for bit."""
+
+    factor: np.ndarray
+    adj: np.ndarray
+    rounding: tuple
+    sig: np.ndarray
+    vt: np.ndarray
+    w_basis: np.ndarray
+
+    @classmethod
+    def of(cls, factor, adj, rounding):
+        """One batched SVD of the factors, and W in each V's basis."""
+        _, sig, vt = np.linalg.svd(factor)
+        fv = adj @ vt.transpose(0, 2, 1)
+        return cls(factor, adj, tuple(rounding), sig, vt,
+                   fv.transpose(0, 2, 1) @ fv)
+
+    @classmethod
+    def one(cls, forms):
+        """The stack of one of `forms`."""
+        return cls(*(f[None] if isinstance(f, np.ndarray) else (f,)
+                     for f in forms))
+
+    @classmethod
+    def dense(cls, sys, horizons, table):
+        """The forms of a dense system at `horizons` from `table`, an
+        ExpTable of A: every Gramian's factor, built in this order, then
+        every `floor_bracket`, whose probe norms one `ExpTable.norms` call
+        takes first, and e^{A^T T}, the transposes of the e^{A T} those
+        probes left in the table."""
+        factor = np.stack([observability_gramian(sys, t, table=table).factor
+                           for t in horizons])
+        table.norms(np.concatenate([floor_probe_times(t) for t in horizons]),
+                    "fro")
+        rounding = [floor_bracket(sys, t, table=table) for t in horizons]
+        return cls.of(factor, table.stack(horizons).transpose(0, 2, 1),
+                      rounding)
+
+    def take(self, index):
+        """The stack of the horizons at `index`."""
+        if len(index) == len(self.rounding):
+            return self
+        return _FormStack(*(tuple(f[i] for i in index)
+                            if isinstance(f, tuple) else f[index]
+                            for f in self))
+
+    def records(self):
+        """The `Forms` of each horizon."""
+        return [Forms(*fields) for fields in zip(*self)]
+
+    def kept(self):
+        """Each horizon's count of kept directions, sigma > floor: as sigma
+        is sorted, they lead V."""
+        return [int(r.above(s).sum()) for r, s in zip(self.rounding, self.sig)]
 
 
 # residual-covered directions join the null block once their scaled
@@ -218,30 +293,50 @@ _KAPPA = 1e6
 
 
 def _reduce(forms: Forms, eps: Sequence[float]):
-    """[(top, lambda_min(N))] for each eps of `eps`: the slack is PSD iff
-    D^2 >= top = lambda_max(K11 + K12 N^{-1} K12^T); top is inf when N is
-    not positive definite and -inf when no direction is kept.
+    """`_reduce_stack` of one horizon."""
+    return _reduce_stack([(forms, eps)])[0]
+
+
+def _reduce_stack(requests):
+    """For each (forms, eps) of `requests`, [(top, lambda_min(N))] for each
+    eps: the slack is PSD iff D^2 >= top = lambda_max(K11 + K12 N^{-1}
+    K12^T); top is inf when N is not positive definite and -inf when no
+    direction is kept.
 
     N starts as the directions with sigma <= floor.  While the eigensolver
     noise n u ||K11 + ...|| exceeds top/_KAPPA, directions whose
     -K_ii = (eps^2 - ||F v_i||^2)/sigma_i^2 dwarfs top + noise join N:
     dropping their observation is conservative, and their huge negative
-    entries no longer swamp top.  When N starts empty, one batched
-    eigensolve of K11 reduces every eps; an eps that deflates, or every
-    eps when N does not start empty, continues in `_deflate` on its own."""
-    sig = forms.sig
-    squares = np.array([e**2 for e in eps])
-    m = forms.w_basis - squares[:, None, None] * np.eye(len(sig))
-    null = forms.rounding.at_or_below(sig)
-    if null.any():
-        return [_deflate(sig, mi, null, (np.inf, -np.inf)) for mi in m]
-    scale = 1.0 / sig
-    h = np.linalg.eigvalsh(scale[:, None] * m * scale)
-    settled, more = _settled(h, np.diagonal(m, axis1=1, axis2=2), scale,
-                             len(sig))
-    return [(float(hi[-1]), np.inf) if done
-            else _deflate(sig, mi, deflate, (float(hi[-1]), np.inf))
-            for hi, mi, done, deflate in zip(h, m, settled, more)]
+    entries no longer swamp top.  One batched eigensolve of K11 reduces
+    every (horizon, eps) whose N starts empty; an eps that deflates, or
+    every eps of a horizon whose N does not start empty, continues in
+    `_deflate` on its own."""
+    counts = [len(eps) for _, eps in requests]
+    sig = np.repeat([forms.sig for forms, _ in requests], counts, axis=0)
+    null = np.repeat([forms.rounding.at_or_below(forms.sig)
+                      for forms, _ in requests], counts, axis=0)
+    squares = np.array([e**2 for _, eps in requests for e in eps])
+    m = (np.repeat([forms.w_basis for forms, _ in requests], counts, axis=0)
+         - squares[:, None, None] * np.eye(sig.shape[-1]))
+    empty = ~null.any(axis=-1)
+    found = iter(())
+    if empty.any():
+        scale = 1.0 / sig[empty]
+        m_empty = m[empty]
+        h = np.linalg.eigvalsh(scale[:, :, None] * m_empty * scale[:, None, :])
+        found = iter(zip(h[:, -1].tolist(), *_settled(
+            h, np.diagonal(m_empty, axis1=1, axis2=2), scale,
+            sig.shape[-1])))
+    out = []
+    for s, mi, ni, starts_empty in zip(sig, m, null, empty):
+        if not starts_empty:
+            out.append(_deflate(s, mi, ni, (np.inf, -np.inf)))
+            continue
+        top, done, deflate = next(found)
+        out.append((top, np.inf) if done
+                   else _deflate(s, mi, deflate, (top, np.inf)))
+    bounds = np.cumsum([0] + counts).tolist()
+    return [out[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _settled(h, diag, scale, n):
@@ -257,8 +352,8 @@ def _settled(h, diag, scale, n):
 
 
 def _deflate(sig, m, null, found):
-    """`_reduce` of one eps from null block `null` on, `found` being the
-    last (top, lambda_min(N)) with a positive definite N."""
+    """`_reduce_stack` of one eps from null block `null` on, `found` being
+    the last (top, lambda_min(N)) with a positive definite N."""
     while True:
         keep = ~null
         lam, q = np.linalg.eigh(-m[np.ix_(null, null)])
@@ -285,18 +380,20 @@ class HorizonInputs:
     candidate states, each scored once as a unit u by the free norm
     ||F u|| and the observation norm ||R u|| (the forms' `floor` and below
     counting as rounding), and `energy_of`, an independent route to
-    ||R u||^2 that confirms a violation.  `entries`, `entry`, `bracket`
-    and `energy` are memoized: each eps is searched and reduced once, each
-    witness integrated once."""
+    ||R u||^2 that confirms a violation.  `scores`, the (free, obs) arrays
+    that `_scores` gave on a stack, are scored as a stack of one when not
+    given.  `entries`, `entry`, `bracket` and `energy` are memoized: each
+    eps is searched and reduced once, each witness integrated once."""
 
     def __init__(self, forms: Forms, states,
-                 energy_of: Callable[[np.ndarray], float]):
+                 energy_of: Callable[[np.ndarray], float], scores=None):
         states = np.asarray(states, dtype=float)
-        units = states / np.linalg.norm(states, axis=1)[:, None]
+        if scores is None:
+            scores = [s[0] for s in _scores(_FormStack.one(forms),
+                                            states[None])]
         self.forms = forms
         self.states = states
-        self.free = np.linalg.norm(units @ forms.adj.T, axis=1)
-        self.obs = np.linalg.norm(units @ forms.factor.T, axis=1)
+        self.free, self.obs = scores
         self.energy_of = energy_of
         self._entries = {}
         self._energies = {}
@@ -305,26 +402,15 @@ class HorizonInputs:
         """[((state, ratio), reduction)] for each eps of `eps_values`: the
         best ratio (||F u|| - eps)_+ / ||R u|| over the scored states (inf
         where ||R u|| <= floor) with its state, and the eps's slack
-        reduction from `_reduce`; neither depends on D.  The eps not met
-        before are searched as one (eps x state) array and reduced in one
-        `_reduce` call."""
-        new = [e for e in dict.fromkeys(eps_values) if e not in self._entries]
-        if new:
-            num = self.free - np.array(new)[:, None]
-            unseen = self.forms.rounding.at_or_below(self.obs)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(num <= 0.0, 0.0,
-                                 np.where(unseen, np.inf, num / self.obs))
-            best = np.argmax(ratio, axis=1)
-            for eps, i, row, reduced in zip(new, best, ratio,
-                                            _reduce(self.forms, new)):
-                self._entries[eps] = ((self.states[i], float(row[i])),
-                                      reduced)
+        reduction; neither depends on D.  `_enter` of this horizon."""
+        _enter([(self, eps_values)])
         return [self._entries[eps] for eps in eps_values]
 
     def entry(self, eps: float):
         """`entries` of one eps."""
-        return self.entries([eps])[0]
+        if eps not in self._entries:
+            _enter([(self, [eps])])
+        return self._entries[eps]
 
     def bracket(self, eps: float):
         """(sampled lower bound, smallest D passing the sufficient test) at
@@ -341,6 +427,31 @@ class HorizonInputs:
         if key not in self._energies:
             self._energies[key] = self.energy_of(unit)
         return self._energies[key]
+
+
+def _enter(requests):
+    """Search and reduce the eps not met before of each (inputs,
+    eps_values) of `requests`: per horizon one (eps x state) ratio array
+    and its argmax, and one `_reduce_stack` over every horizon."""
+    new = []
+    for inputs, eps_values in requests:
+        eps = [e for e in dict.fromkeys(eps_values)
+               if e not in inputs._entries]
+        if eps:
+            new.append((inputs, eps))
+    if not new:
+        return
+    reduced = _reduce_stack([(inputs.forms, eps) for inputs, eps in new])
+    for (inputs, eps), reductions in zip(new, reduced):
+        num = inputs.free - np.array(eps)[:, None]
+        unseen = inputs.forms.rounding.at_or_below(inputs.obs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(num <= 0.0, 0.0,
+                             np.where(unseen, np.inf, num / inputs.obs))
+        best = np.argmax(ratio, axis=1)
+        for e, i, row, reduction in zip(eps, best, ratio, reductions):
+            inputs._entries[e] = ((inputs.states[i], float(row[i])),
+                                  reduction)
 
 
 def decide(inputs: HorizonInputs,
@@ -375,13 +486,15 @@ def family_verdict(statuses) -> str:
 
 
 def _unit_rows(block):
-    """The nonzero rows of `block`, each divided by its norm.  A row's norm
-    is the BLAS dot that `np.linalg.norm` takes of a lone vector, so a row
-    equals that vector normalized on its own, bit for bit."""
+    """The rows of `block`, or of each slice of a stack, divided by their
+    norms; a row whose norm is not positive (in some slice) is dropped.
+    A row's norm is the BLAS dot that `np.linalg.norm` takes of a lone
+    vector, so a row equals that vector normalized on its own, bit for
+    bit."""
     block = np.ascontiguousarray(block, dtype=float)
-    norms = np.sqrt((block[:, None, :] @ block[:, :, None])[:, 0, 0])
-    keep = norms > 0
-    return block[keep] / norms[keep, None]
+    norms = np.sqrt((block[..., None, :] @ block[..., :, None])[..., 0, 0])
+    keep = (norms > 0).all(axis=tuple(range(norms.ndim - 1)))
+    return block[..., keep, :] / norms[..., keep, None]
 
 
 def shared_states(n, samples, seed):
@@ -394,15 +507,34 @@ def shared_states(n, samples, seed):
 def candidate_states(forms, shared):
     """The unit states a violation search scores on these forms: the
     `shared_states` block, R's right singular vectors, W's eigenvectors
-    and the eps = 0 maximizers V Sigma^{-1} y, y an eigenvector of K11."""
-    sig, vt = forms.sig, forms.vt
-    _, wv = np.linalg.eigh(forms.adj.T @ forms.adj)
+    and the eps = 0 maximizers V Sigma^{-1} y, y an eigenvector of K11;
+    `_candidates` of a stack of one."""
+    stack = _FormStack.one(forms)
+    return _candidates(stack, stack.kept()[0], shared)[0]
+
+
+def _candidates(forms: _FormStack, kept, shared):
+    """`candidate_states` of each horizon of `forms`, whose every horizon
+    keeps its `kept` leading directions (`_FormStack.kept`), as one
+    (horizon x state x n) array."""
+    vt, adj = forms.vt, forms.adj
+    _, wv = np.linalg.eigh(adj.transpose(0, 2, 1) @ adj)
     # at eps = 0, K11 = X^T X with X = F V1 Sigma1^{-1}
-    kept = forms.rounding.above(sig)
-    _, _, yt = np.linalg.svd((forms.adj @ vt[kept].T) / sig[kept])
+    v1, sig = vt[:, :kept], forms.sig[:, None, :kept]
+    _, _, yt = np.linalg.svd((adj @ v1.transpose(0, 2, 1)) / sig)
     # vt includes near-null directions
-    own = np.vstack([vt, wv.T, yt / sig[kept] @ vt[kept]])
-    return np.vstack([shared, _unit_rows(own)])
+    own = _unit_rows(np.concatenate(
+        [vt, wv.transpose(0, 2, 1), yt / sig @ v1], axis=1))
+    return np.concatenate(
+        [np.broadcast_to(shared, (len(own),) + shared.shape), own], axis=1)
+
+
+def _scores(forms: _FormStack, states):
+    """(||F u||, ||R u||) over the unit rows u of `states`, one
+    (horizon x state) array each."""
+    units = states / np.linalg.norm(states, axis=-1)[..., None]
+    return (np.linalg.norm(units @ forms.adj.transpose(0, 2, 1), axis=-1),
+            np.linalg.norm(units @ forms.factor.transpose(0, 2, 1), axis=-1))
 
 
 def _horizons(sys, horizons, samples, seed):
@@ -412,19 +544,32 @@ def _horizons(sys, horizons, samples, seed):
     read it through one transposed view, so no A^T t is exponentiated; the
     Gaussian and axis states are drawn once for all horizons.  With more
     than one horizon the table keeps node values (`share_nodes`), which
-    the shorter horizons slice."""
+    the shorter horizons slice.
+
+    After the Gramians every step runs on stacks (`_FormStack.dense`):
+    the horizons are grouped by their count of kept directions, and each
+    group's candidates and scores are one `_candidates` and one `_scores`
+    call.  `horizons` holds no horizon twice."""
     table = ExpTable(sys.a_matrix, sys.is_diagonal,
                      share_nodes=len(horizons) > 1)
     adj_table = table.transposed()
     shared = shared_states(sys.n, samples, seed)
-
-    def inputs(t):
-        forms = Forms.dense(sys, t, table)
-        return HorizonInputs(
-            forms, candidate_states(forms, shared),
-            lambda unit: observation_energy(sys, t, unit, table=adj_table))
-
-    return {t: inputs(t) for t in sorted(horizons, reverse=True)}
+    order = sorted(horizons, reverse=True)
+    stack = _FormStack.dense(sys, order, table)
+    groups = {}
+    for i, k in enumerate(stack.kept()):
+        groups.setdefault(k, []).append(i)
+    inputs = {}
+    for k, index in groups.items():
+        group = stack.take(index)
+        states = _candidates(group, k, shared)
+        for i, forms, st, free, obs in zip(index, group.records(), states,
+                                           *_scores(group, states)):
+            t = order[i]
+            inputs[t] = HorizonInputs(
+                forms, st, lambda unit, t=t: observation_energy(
+                    sys, t, unit, table=adj_table), (free, obs))
+    return {t: inputs[t] for t in order}
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +628,22 @@ def _resolve_residual_rule(residual_rule, alphas):
     return c_of_alpha, source
 
 
+def _grid(name, values):
+    """`values` as a sorted tuple of floats, refused unless each is finite
+    and positive and no two are equal."""
+    grid = [float(v) for v in values]
+    for v in grid:
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} grid must hold finite positive "
+                             f"values, not {v!r}")
+    grid.sort()
+    for a, b in zip(grid, grid[1:]):
+        if b == a:
+            raise ValueError(f"{name} grid must be strictly increasing once "
+                             f"sorted: {a!r} repeats")
+    return tuple(grid)
+
+
 def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
                 horizons: Sequence[float],
                 residual_rule: Union[float, dict] = 1.0,
@@ -500,19 +661,22 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     Gramian and witness energies read one ExpTable of A, so each A t is
     exponentiated once over all horizons and levels, and no A^T t at all;
     the Gramians' node values are formed once per panel width.  Per
-    (alpha, T) only eps changes: every eps of a horizon is searched and
-    reduced in one `entries` call, whose entry serves the D bracket and
+    (alpha, T) only eps changes: every eps of every horizon is searched
+    and reduced in one `_enter` call, whose entry serves the D bracket and
     every D checked, and each (T, witness) energy is integrated once.
+
+    Each grid must hold finite positive values, no two equal; a grid that
+    does not is refused, by name, before any Gramian is formed.
     """
-    alphas = tuple(sorted(float(a) for a in alphas))
-    horizons = tuple(sorted(float(t) for t in horizons))
+    alphas = _grid("alpha", alphas)
+    horizons = _grid("horizon", horizons)
     if not alphas or not horizons:
         raise ValueError("alpha and horizon grids must be nonempty")
     c_of_alpha, source = _resolve_residual_rule(residual_rule, alphas)
     inputs = _horizons(sys, horizons, samples, seed)
-    for t in horizons:
-        # every eps the sweep asks of T, searched and reduced at once
-        inputs[t].entries([c_of_alpha[a] * math.exp(-a * t) for a in alphas])
+    # every eps the sweep asks of every T, searched and reduced at once
+    _enter([(inputs[t], [c_of_alpha[a] * math.exp(-a * t) for a in alphas])
+            for t in horizons])
 
     def check_alpha(alpha):
         c_val = c_of_alpha[alpha]

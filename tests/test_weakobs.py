@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -387,42 +388,46 @@ def test_sweep_builds_each_horizon_gramian_once(monkeypatch):
 
 
 def test_sweep_builds_each_horizon_candidates_once(monkeypatch):
-    original = weakobs.candidate_states
+    # one stacked candidate build per kept-count group, the groups
+    # covering every horizon once: this pair keeps all four directions at
+    # every horizon, so one build of a stack of four
+    original = weakobs._candidates
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(forms, kept, shared):
+        calls.append((len(forms.sig), kept))
+        return original(forms, kept, shared)
 
-    monkeypatch.setattr(weakobs, "candidate_states", counted)
+    monkeypatch.setattr(weakobs, "_candidates", counted)
     horizons = [0.5, 1.0, 2.0, 4.0]
     weakobs.sweep_alpha(_dense_pair("dense"), [1.0, 2.0, 4.0, 8.0],
                         horizons, samples=20)
-    assert len(calls) == len(horizons)
+    assert calls == [(len(horizons), 4)]
 
 
 def test_sweep_scores_each_horizon_once(monkeypatch):
     # the Gaussian and axis states are drawn once per sweep and each
-    # horizon's candidates are scored once, not once per (alpha, T)
+    # horizon's candidates are scored once, not once per (alpha, T): one
+    # stacked scoring per kept-count group, here one of all four horizons
     shared, scored = [], []
     original_shared = weakobs.shared_states
-    original_init = weakobs.HorizonInputs.__init__
+    original_scores = weakobs._scores
 
     def counted_shared(*args):
         shared.append(args)
         return original_shared(*args)
 
-    def counted_init(self, *args):
-        scored.append(args)
-        original_init(self, *args)
+    def counted_scores(forms, states):
+        scored.append(len(states))
+        return original_scores(forms, states)
 
     monkeypatch.setattr(weakobs, "shared_states", counted_shared)
-    monkeypatch.setattr(weakobs.HorizonInputs, "__init__", counted_init)
+    monkeypatch.setattr(weakobs, "_scores", counted_scores)
     fam = weakobs.sweep_alpha(_dense_pair("dense"), [1.0, 2.0, 4.0, 8.0],
                               [0.5, 1.0, 2.0, 4.0], samples=20, seed=3)
     assert len(fam.certificates) == 16
     assert shared == [(4, 20, 3)]
-    assert len(scored) == 4
+    assert scored == [4]
 
 
 def _old_candidate_states(forms, samples, seed):
@@ -685,24 +690,138 @@ def test_sweep_statuses_do_not_depend_on_the_first_level(kind, monkeypatch):
 
 
 def test_sweep_reduces_each_entry_once(monkeypatch):
-    original = weakobs._reduce
+    original = weakobs._reduce_stack
     calls = []
 
-    def counted(forms, eps):
-        calls.append((id(forms), sorted(eps)))
-        return original(forms, eps)
+    def counted(requests):
+        calls.append([(id(forms), sorted(eps)) for forms, eps in requests])
+        return original(requests)
 
-    monkeypatch.setattr(weakobs, "_reduce", counted)
+    monkeypatch.setattr(weakobs, "_reduce_stack", counted)
     alphas, horizons = [1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0]
     fam = weakobs.sweep_alpha(_dense_pair("dense"), alphas, horizons,
                               samples=20)
     # every bracket is finite: one common D per alpha
     assert len({(c.alpha, c.d_const) for c in fam.certificates}) == 4
-    # one reduction per horizon, whose eps cover its 4 entries once each
-    assert len({forms for forms, _ in calls}) == len(calls) == len(horizons)
-    assert (sorted(eps for _, eps in calls)
+    # one reduction per sweep, asking each horizon once for eps that cover
+    # its 4 entries once each
+    (requests,) = calls
+    assert len({forms for forms, _ in requests}) == len(requests) \
+        == len(horizons)
+    assert (sorted(eps for _, eps in requests)
             == sorted(sorted(c.residual for c in fam.certificates
                              if c.horizon == t) for t in horizons))
+
+
+def _stacked_case(kind):
+    """(system, horizons, floor_bracket replacement or None) of one case of
+    `test_stacked_records_equal_single_horizon_records`."""
+    rng = np.random.default_rng(8)
+    horizons = [0.5, 1.0, 2.0, 4.0]
+    if kind == "dense":
+        return _dense_pair("dense", n=5), horizons, None
+    if kind == "ill":
+        return systems.build_system(*_ill_pair()), horizons, None
+    if kind == "null-block":
+        return _dense_pair("unobservable", n=5), horizons, None
+    if kind == "m>n":
+        return (systems.build_system(rng.standard_normal((3, 3)),
+                                     rng.standard_normal((3, 5))),
+                horizons, None)
+    if kind == "diagonal":
+        s = systems.build_system(np.diag(rng.uniform(-3.0, 1.0, 4)),
+                                 rng.standard_normal((4, 2)))
+        assert s.is_diagonal
+        return s, horizons, None
+    # two kept-count groups: the floor of T = 1 is put at its smallest
+    # singular value, so T = 1 keeps one direction fewer than the others
+    s = _dense_pair("dense", n=5)
+
+    def bracket(sys, horizon, *, table=None):
+        if horizon != 1.0:
+            return semigroup.floor_bracket(sys, horizon, table=table)
+        factor = semigroup.observability_gramian(sys, horizon).factor
+        return semigroup.FloorBracket.of(
+            float(np.linalg.svd(factor, compute_uv=False)[-1]))
+
+    return s, horizons, bracket
+
+
+@pytest.mark.parametrize("kind", ["dense", "ill", "null-block", "m>n",
+                                  "diagonal", "two-groups"])
+def test_stacked_records_equal_single_horizon_records(kind, monkeypatch):
+    # a sweep's records come from stacked SVDs, eigensolves, products and
+    # one reduction over every (T, eps); each must equal, bit for bit, the
+    # record of its horizon built alone, as a stack of one
+    s, horizons, bracket = _stacked_case(kind)
+    if bracket is not None:
+        monkeypatch.setattr(weakobs, "floor_bracket", bracket)
+    groups = []
+    original = weakobs._candidates
+
+    def seen(forms, kept, shared):
+        groups.append((len(forms.sig), kept))
+        return original(forms, kept, shared)
+
+    monkeypatch.setattr(weakobs, "_candidates", seen)
+    stacked = weakobs._horizons(s, horizons, 30, 2)
+    n = s.n
+    assert sorted(groups) == {"null-block": [(4, n - 1)],
+                              "two-groups": [(1, n - 1), (3, n)]}.get(
+        kind, [(4, n)])
+    eps = [0.0, 1e-3, 0.1, 0.5, 1.0, 3.0]
+    weakobs._enter([(stacked[t], eps) for t in horizons])
+    for t in horizons:
+        alone = weakobs._horizons(s, [t], 30, 2)[t]
+        record = stacked[t]
+        for field in ("factor", "adj", "sig", "vt", "w_basis"):
+            assert (getattr(record.forms, field).tobytes()
+                    == getattr(alone.forms, field).tobytes()), field
+        for field in ("states", "free", "obs"):
+            assert (getattr(record, field).tobytes()
+                    == getattr(alone, field).tobytes()), field
+        for mine, theirs in zip(record.entries(eps), alone.entries(eps),
+                                strict=True):
+            (state, ratio), reduced = mine
+            (alone_state, alone_ratio), alone_reduced = theirs
+            assert state.tobytes() == alone_state.tobytes()
+            assert ratio == alone_ratio and reduced == alone_reduced
+        for alpha in (1.0, 4.0):
+            for d_const in (0.5, 2.0, 50.0):
+                cert = WeakObsCertificate(horizon=t, alpha=alpha,
+                                          d_const=d_const, c_const=1.0)
+                mine, theirs = (weakobs.decide(record, cert),
+                                weakobs.decide(alone, cert))
+                assert (mine.status, mine.margin) == (theirs.status,
+                                                      theirs.margin)
+                assert (mine.witness is None) == (theirs.witness is None)
+                assert mine.witness is None or \
+                    mine.witness.tobytes() == theirs.witness.tobytes()
+
+
+@pytest.mark.parametrize("alphas, horizons, message", [
+    ([0.0, 1.0], [1.0, 2.0], "alpha grid must hold finite positive values, "
+                             "not 0.0"),
+    ([1.0], [1.0, -2.0], "horizon grid must hold finite positive values, "
+                         "not -2.0"),
+    ([1.0, math.nan], [1.0], "alpha grid must hold finite positive values, "
+                             "not nan"),
+    ([1.0], [math.inf], "horizon grid must hold finite positive values, "
+                        "not inf"),
+    ([1.0], [1.0, 1.0, 2.0], "horizon grid must be strictly increasing once "
+                             "sorted: 1.0 repeats"),
+    ([2.0, 1.0, 2.0], [1.0], "alpha grid must be strictly increasing once "
+                             "sorted: 2.0 repeats"),
+], ids=["alpha-zero", "horizon-negative", "alpha-nan", "horizon-inf",
+        "horizon-repeated", "alpha-repeated"])
+def test_sweep_refuses_a_bad_grid_before_any_gramian(alphas, horizons,
+                                                     message, monkeypatch):
+    def no_gramian(*args, **kwargs):
+        raise AssertionError("a Gramian was formed")
+
+    monkeypatch.setattr(weakobs, "observability_gramian", no_gramian)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        weakobs.sweep_alpha(_dense_pair("dense"), alphas, horizons)
 
 
 def _reduce_one_eps(forms, eps):

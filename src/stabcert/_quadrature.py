@@ -3,11 +3,13 @@
 Integrands throughout the package are smooth exponentials (possibly matrix
 valued), so fixed-order Gauss-Legendre panels converge extremely fast; the
 error estimate is the difference between a run and the same run with the
-panel count doubled.  `refine` is that one doubling rule, and every
-integral in the package goes through it with an evaluator that takes a
-whole refinement level at once: the Gramian and observation energy in
-`semigroup` from batched node exponentials, and `integrate_adaptive`'s
-callers from the arrays (nodes, weights) of one level.
+panel count doubled.  `refine_each` is that one doubling rule, run on
+several integrals in lockstep, and `refine` is it on one; every integral
+in the package goes through it with an evaluator that takes a whole
+refinement level at once: a stack of Gramians in `semigroup` from
+batched node exponentials that its horizons share, the observation
+energy, and `integrate_adaptive`'s callers from the arrays (nodes,
+weights) of one level.
 """
 
 import functools
@@ -69,16 +71,52 @@ def refine(level, panels, rel_tol=1e-10, abs_tol=0.0, first=None):
     term lets callers whose integrand carries evaluation noise (e.g.
     cancellation inside a matrix exponential) declare a floor below which
     disagreement is meaningless.  Returns (value, error_estimate).
+    `refine_each` of one integral.
     """
-    prev = level(panels) if first is None else first
-    for _ in range(_MAX_DOUBLINGS):
-        panels *= 2
-        cur = level(panels)
-        err = np.linalg.norm(np.asarray(cur - prev))
-        scale = max(np.linalg.norm(np.asarray(cur)), 1e-300)
-        if err <= rel_tol * scale + abs_tol:
-            return cur, float(err)
-        prev = cur
-    raise QuadratureError(
-        f"quadrature failed to reach rel_tol={rel_tol} after "
-        f"{_MAX_DOUBLINGS} refinements (last estimate {err:.3e})")
+    return refine_each(lambda counts: [level(counts[0])], [panels],
+                       rel_tol, abs_tol,
+                       None if first is None else [first])[0]
+
+
+def refine_each(level, panels, rel_tol=1e-10, abs_tol=0.0, first=None,
+                lags=None):
+    """`refine` of several integrals in lockstep, each on its own test.
+
+    level(counts) evaluates one level of every integral at once: counts[i]
+    is integral i's panel count, None while it waits or once it has
+    settled, and the result holds its value at every i whose count is not
+    None.  Integral i waits lags[i] levels (none by default), then starts
+    at panels[i] and doubles; `first`, if given, is the first level of
+    integrals that do not wait.  Each settles when level(2k) agrees with
+    level(k) as in `refine`, and returns what `refine` returns for it
+    alone; the first to use up its doublings raises its own
+    QuadratureError.  Returns [(value, error_estimate)].
+    """
+    lags = lags or [0] * len(panels)
+    counts = [None] * len(panels)
+    prev = [None] * len(panels)
+    out = [None] * len(panels)
+    step = 0
+    while True:
+        counts = [None if done or step < lag else
+                  panels[i] if step == lag else 2 * counts[i]
+                  for i, (done, lag) in enumerate(zip(out, lags))]
+        cur = level(counts) if step or first is None else first
+        for i, k in enumerate(counts):
+            if k is None:
+                continue
+            if step > lags[i]:
+                err = np.linalg.norm(np.asarray(cur[i] - prev[i]))
+                scale = max(np.linalg.norm(np.asarray(cur[i])), 1e-300)
+                if err <= rel_tol * scale + abs_tol:
+                    out[i] = (cur[i], float(err))
+                    continue
+                if step - lags[i] == _MAX_DOUBLINGS:
+                    raise QuadratureError(
+                        f"quadrature failed to reach rel_tol={rel_tol} "
+                        f"after {_MAX_DOUBLINGS} refinements (last "
+                        f"estimate {err:.3e})")
+            prev[i] = cur[i]
+        if all(out):
+            return out
+        step += 1

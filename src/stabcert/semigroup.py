@@ -45,11 +45,13 @@ the rounding of that product besides the slice's own.  A view
 `table.transposed()` stands for M^T and computes each miss as the table's
 slice transposed, with no arithmetic, so its values are the table's slices
 transposed, bit for bit.  A table lives no longer than the call that
-builds it: one energy, one Gramian, one floor, one weakobs decision, one
-sweep, whose table of A also gives every floor bracket its probe norms,
-e^{A^T T} as the transpose of its e^{A T} and, through its transposed
-view, every node exponential of the witness energies, or one
-concatenated steering,
+builds it: one energy, one stack of Gramians (`observability_gramians`),
+one floor, one stack of floor brackets (`floor_brackets`), one weakobs
+decision, one sweep, whose table
+of A serves its one stack of Gramians and its one stack of floor
+brackets, gives e^{A^T T} as the transpose of its e^{A T} and, through
+its transposed view, every node exponential of the witness energies, or
+one concatenated steering,
 whose table of A serves the forms' Gramian and, through a view shifted by
 -beta, the Gramian of A - beta I that weights the segments' energies.
 That Gramian's first level is sized by ||A - beta I||_F, not ||A||_F, so
@@ -59,16 +61,22 @@ drops its table before the error leaves the call.  Nothing is cached
 between calls.
 The quadrature reads M and its diagonal flag from the table alone.
 
-A sweep's table (`share_nodes`) also keeps node values: for each (panel
-width, B), the e^{At}B of the first level it integrates at that width.
-The sweep integrates its longest horizon first, and a dyadic horizon's
-panel starts are a prefix of a longer one's at the same width, so a
-shorter horizon's level slices a prefix of the kept values and forms no
-product: the Gramians of a dyadic sweep below the cap evaluate the
-longest horizon's panels only.  Each horizon keeps its own `refine` and
-its QR per chunk, so its factor and error estimate are bit for bit those
-of a single-horizon call.  A single-horizon Gramian, an energy and any
-view keep no node values.
+A table keeps no node values.  Gramians that share them are one call,
+`observability_gramians`, which runs every horizon's refinement levels
+together (`refine_each`, one doubling rule with `refine`), longest horizon
+first.  A dyadic horizon's panel starts are a prefix of a longer one's at
+the same width, so per level each chunk of e^{At}B is formed and weighted
+once, on the longest horizon of that width, and every horizon of that
+width runs its own QR on the chunk's leading rows: the Gramians of a
+dyadic sweep below the cap evaluate the longest horizon's panels only.  A
+horizon whose first level is narrower than a longer, capped horizon's
+waits a level per halving, so it meets that width beside it.  Each
+horizon keeps its own convergence test, error estimate and
+QuadratureError, and its QR per chunk, so its factor and error estimate
+are bit for bit those of a single-horizon call, `observability_gramian`,
+which is a stack of one.  Any other horizon (a non-dyadic grid, a horizon
+clamped at one panel, a diagonal system's graded panels) forms its own
+chunks.
 
 A Gramian is its factor R, G = R^T R, accumulated as R <- qr([R; S^T])
 over the weighted node values S, so a direction v with v^T e^{At} B = 0
@@ -88,11 +96,12 @@ against the floor.  Every weak-observability decision brackets its floor
 neither.  Probe norms of both kinds come from the table through
 `ExpTable.norms`, which takes each exact time's norm of each kind once,
 and ||B||_2 and ||B||_F from `LtiSystem.b_norm` and `LtiSystem.b_fro`,
-each taken once per system.  A sweep takes every bracket's probe norms
-(`floor_probe_times`) in one `ExpTable.norms` call before its first
-bracket, so the four brackets of a dyadic sweep over T = 0.5, 1, 2, 4
-take their 21 distinct Frobenius probe norms, not 36, as one batched norm
-whose missing slices are one `expm` call, and no SVD; over the 768 jobs
+each taken once per system.  A sweep brackets every horizon in one
+`floor_brackets` call, whose probe norms (`floor_probe_times`) are one
+`ExpTable.norms` call, so the four brackets of a dyadic sweep over
+T = 0.5, 1, 2, 4 take their 21 distinct Frobenius probe norms, not 36,
+as one batched norm whose missing slices are one `expm` call, and no
+SVD; `floor_bracket` is a stack of one.  Over the 768 jobs
 of perfbench's dense-sweep pools for seeds 1, 2 and 11-20, 5 comparisons
 land inside a bracket and form their floor.  A floor is bit for bit that
 of a fresh table.
@@ -127,13 +136,13 @@ and doubling 7.4e14.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
 from ._quadrature import (QuadratureError, gauss_legendre_rule,
-                          panel_nodes, refine)
+                          panel_nodes, refine, refine_each)
 from .systems import LtiSystem
 
 __all__ = [
@@ -144,11 +153,13 @@ __all__ = [
     "FloorBracket",
     "gramian_floor",
     "floor_bracket",
+    "floor_brackets",
     "propagate",
     "transition_matrix",
     "grid_norms",
     "observation_energy",
     "observability_gramian",
+    "observability_gramians",
 ]
 
 
@@ -159,8 +170,9 @@ class QuadratureSpec:
     uses (see `_first_panels`); levels double until two agree to
     `rel_tol`.
 
-    This module is the one place quadrature is set: only
-    `observability_gramian` and `observation_energy` take a spec, and
+    This module is the one place quadrature is set: only the Gramians
+    (`observability_gramian`, `observability_gramians`) and
+    `observation_energy` take a spec, and
     every caller above them (weak observability, feedback) integrates at
     `DEFAULT_QUAD`.  `stabcert gramian --tol` sets one, and so do
     `verification`'s Gramian oracle and its soundness re-test."""
@@ -288,20 +300,22 @@ class ExpTable:
     distinct time it was asked for.  A table built here computes its
     misses with one `_exp_stack`, so a value equals a fresh `_exp_stack`
     at that t bit for bit.  A view from `shifted` does not meet that.
-    A table built with `share_nodes` also keeps the node values that
-    `_node_values` forms on it (see there); its views keep none.
+    A table keeps no node values: the Gramians that share them are built
+    in one `observability_gramians` call.
     """
 
-    def __init__(self, m, diagonal=False, share_nodes=False):
+    def __init__(self, m, diagonal=False):
         self.matrix = m
         self.diagonal = diagonal
         self._slot = {}          # exact float time -> index into _values
         self._values = np.empty((0,) + np.shape(m))
         self._fresh = lambda times: _exp_stack(m, times, diagonal)
         self._norms = {}         # ord -> {exact float time -> ||e^{M t}||}
-        # (Gauss offsets, R) -> (panel starts, node-value chunks) of the
-        # first dense level of that panel width; see _kept_values
-        self._nodes = {} if share_nodes else None
+
+    @functools.cached_property
+    def fro(self):
+        """||M||_F, taken once."""
+        return float(np.linalg.norm(self.matrix))
 
     def transposed(self):
         """A table of M^T whose misses are this table's slices transposed
@@ -372,7 +386,7 @@ def _first_panels(table, horizon, quad):
     """
     if table.diagonal:
         return quad.panels
-    scale = horizon * float(np.linalg.norm(table.matrix))
+    scale = horizon * table.fro
     if not scale > 1.0:
         return 1
     if not scale < quad.panels:
@@ -442,15 +456,11 @@ def _node_values(table, r, horizon, panels, npts):
     n x (nodes * r) matrix whose columns i*r .. i*r + r - 1 belong to
     node i.  Per chunk, `table` gives the npts shared offset exponentials
     and the chunk's panel-start exponentials, computing those no earlier
-    level or chunk asked for.
-
-    On a table built with `share_nodes` the chunks come from
-    `_kept_values`: a level whose panel starts are a prefix of those of a
-    kept level of the same width (a shorter dyadic horizon's, once the
-    longest was integrated) yields the kept chunks cut to its panels.
-    Each panel's values are one product of its start's and the offsets'
-    exponentials whichever chunk holds it, so the cut values are bit for
-    bit those this level would compute, and it computes none.
+    level or chunk asked for.  Each panel's values are one product of its
+    start's and the offsets' exponentials whichever chunk holds it, so a
+    chunk's leading columns are bit for bit those of a level with fewer
+    panels of the same width and the same leading starts: the Gramians of
+    `observability_gramians` read that.
 
     A diagonal M takes exact exponentials at any node: its panels are equal
     in s, t = horizon s^4, which resolves a stiff decay e^{-|lambda| t} with
@@ -467,34 +477,28 @@ def _node_values(table, r, horizon, panels, npts):
                    ws[first:first + part.size] * 4.0 * horizon * part**3)
         return
     x, w = gauss_legendre_rule(npts)
-    h = horizon / (2.0 * panels)
+    h, starts = _panel_grid(horizon, panels)
     offsets = h * (1.0 + x)
-    starts = horizon * np.arange(panels) / panels
-    kept = (None if table._nodes is None
-            else _kept_values(table, r, offsets, starts))
     for first in range(0, panels, _CHUNK):
         part = starts[first:first + _CHUNK]
-        if kept is None:
-            values = _panel_values(table, r, offsets, part)
-        else:
-            values = kept[first // _CHUNK][:, :part.size * npts * r.shape[1]]
-        yield values, np.tile(h * w, part.size)
+        yield (_panel_values(table, r, offsets, part),
+               np.tile(h * w, part.size))
 
 
-def _kept_values(table, r, offsets, starts):
-    """The node-value chunks of the panels beginning at `starts` on a
-    `share_nodes` table: the kept chunks of these Gauss offsets (one panel
-    width and node count) and R when `starts` is a prefix of their starts,
-    else computed, and kept if none were."""
-    key = (offsets.tobytes(), r.shape, r.tobytes())
-    kept = table._nodes.get(key)
-    if (kept is not None and kept[0].size >= starts.size
-            and np.array_equal(kept[0][:starts.size], starts)):
-        return kept[1]
-    chunks = [_panel_values(table, r, offsets, starts[first:first + _CHUNK])
-              for first in range(0, starts.size, _CHUNK)]
-    table._nodes.setdefault(key, (starts, chunks))
-    return chunks
+def _panel_grid(horizon, panels):
+    """(h, starts) of `panels` equal panels of [0, horizon]: the half-width
+    and the panel starts."""
+    return horizon / (2.0 * panels), horizon * np.arange(panels) / panels
+
+
+def _reads(lead, lead_panels, horizon, panels):
+    """Whether the `panels` equal panels of [0, horizon] are the leading
+    ones of the `lead_panels` equal panels of [0, lead]: one width and the
+    same starts, so their node values are the lead's leading columns."""
+    lead_h, lead_starts = _panel_grid(lead, lead_panels)
+    h, starts = _panel_grid(horizon, panels)
+    return (lead_h == h and lead_panels >= panels
+            and np.array_equal(lead_starts[:panels], starts))
 
 
 def _panel_values(table, r, offsets, starts):
@@ -517,25 +521,105 @@ def observability_gramian(sys: LtiSystem, horizon: float,
     difference is the error estimate.  `table`, an ExpTable of A, lets
     Gramians of one A share node exponentials; values do not depend on
     it, except that a shifted view gives them to its rounding.
+    `observability_gramians` of one horizon.
     """
-    _check_horizon(horizon)
+    return observability_gramians(sys, [horizon], quad, table=table)[0]
+
+
+def observability_gramians(sys: LtiSystem, horizons: Sequence[float],
+                           quad: Optional[QuadratureSpec] = None, *,
+                           table: Optional[ExpTable] = None
+                           ) -> List[GramianResult]:
+    """`observability_gramian` of each of `horizons`, from one refinement.
+
+    Every horizon's levels run together (`refine_each`), longest first,
+    each on its own convergence test, error estimate and QuadratureError.
+    Per level, a chunk of e^{At}B is formed and weighted once, on the
+    longest horizon of its panel width, and each horizon whose panels are
+    that horizon's leading ones (`_reads`: dyadic horizons) runs its own
+    QR on the chunk's leading rows; a horizon whose first level is
+    narrower than a longer, capped one's waits to meet it (`_lags`).  So
+    every factor and error estimate is bit for bit that of a call for its
+    horizon alone.  Any other horizon, and every diagonal one (its nodes
+    t = T s^4 depend on T), forms its own chunks.
+    """
+    for horizon in horizons:
+        _check_horizon(horizon)
     quad = quad or DEFAULT_QUAD
     b, n = sys.b_matrix, sys.n
+    npts = quad.nodes_per_panel
     table = _own_table(table, sys.a_matrix, sys.is_diagonal, "A")
-    factor = None
+    order = sorted(range(len(horizons)), key=lambda i: -horizons[i])
+    longest = [horizons[i] for i in order]
+    factors = [None] * len(order)
 
-    def level(panels):
-        nonlocal factor
-        factor = np.zeros((n, n))
-        for f, w in _node_values(table, b, horizon, panels,
-                                 quad.nodes_per_panel):
-            s = f * np.repeat(np.sqrt(w), b.shape[1])
-            factor = np.linalg.qr(np.vstack([factor, s.T]), mode="r")
-        return factor.T @ factor
+    def level(counts):
+        for group in _width_groups(table, longest, counts):
+            lead = group[0]
+            rows = [counts[i] * npts * b.shape[1] for i in group]
+            for i in group:
+                factors[i] = np.zeros((n, n))
+            done = 0
+            for f, w in _node_values(table, b, longest[lead], counts[lead],
+                                     npts):
+                s = (f * np.repeat(np.sqrt(w), b.shape[1])).T
+                for i, total in zip(group, rows):
+                    if total > done:
+                        factors[i] = np.linalg.qr(
+                            np.vstack([factors[i], s[:total - done]]),
+                            mode="r")
+                done += len(s)
+        return [None if k is None else factors[i].T @ factors[i]
+                for i, k in enumerate(counts)]
 
-    _, err = refine(level, _first_panels(table, horizon, quad),
-                    rel_tol=quad.rel_tol)
-    return GramianResult(factor, horizon, float(err))
+    panels = [_first_panels(table, t, quad) for t in longest]
+    settled = refine_each(level, panels, rel_tol=quad.rel_tol,
+                          lags=_lags(table, longest, panels))
+    result = [None] * len(order)
+    for i, j in enumerate(order):
+        result[j] = GramianResult(factors[i], longest[i], settled[i][1])
+    return result
+
+
+def _lags(table, horizons, panels):
+    """The levels each horizon (longest first, starting at `panels`) waits
+    so that its levels run beside those of the first longer horizon that
+    reaches its first level's width (one level later per halving, as when
+    the longer one is capped at `quad.panels`) with its panel starts.
+    Diagonal horizons do not wait."""
+    lags = [0] * len(horizons)
+    if table.diagonal:
+        return lags
+    for i, (t, k) in enumerate(zip(horizons, panels)):
+        for j in range(i):
+            wait = 0
+            while horizons[j] / (panels[j] << wait) > t / k:
+                wait += 1
+            if _reads(horizons[j], panels[j] << wait, t, k):
+                lags[i] = lags[j] + wait
+                break
+    return lags
+
+
+def _width_groups(table, horizons, counts):
+    """The horizons of one level (indices into `horizons`, longest first;
+    counts[i] is None once horizon i has settled) grouped by the node
+    values they read: a horizon joins the first group whose leader, its
+    first and longest horizon, `_reads` its panels.  Diagonal levels are
+    not grouped."""
+    active = [i for i, k in enumerate(counts) if k is not None]
+    if table.diagonal:
+        return [[i] for i in active]
+    groups = []
+    for i in active:
+        for group in groups:
+            if _reads(horizons[group[0]], counts[group[0]], horizons[i],
+                      counts[i]):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
 def floor_probe_times(horizon):
@@ -622,21 +706,41 @@ def floor_bracket(sys: LtiSystem, horizon: float, *,
     only when a comparison lands inside the bracket.  Where a Frobenius
     sum could leave the normal range (||B||_F <= 1e-150, lo <= 1e-290 or
     hi not finite) the floor is formed at once and lo = hi = floor.
+    `floor_brackets` of one horizon.
     """
-    _check_horizon(horizon)
+    return floor_brackets(sys, [horizon], table=table)[0]
+
+
+def floor_brackets(sys: LtiSystem, horizons: Sequence[float], *,
+                   table: Optional[ExpTable] = None) -> List[FloorBracket]:
+    """`floor_bracket` of each of `horizons`, whose probe norms are one
+    `ExpTable.norms` call: its missing slices are one `expm` call and one
+    batched Frobenius norm.  Each bracket's arithmetic is that of
+    `floor_bracket`, so it is bit for bit that of a call for its horizon
+    alone."""
+    for horizon in horizons:
+        _check_horizon(horizon)
     table = _own_table(table, sys.a_matrix, sys.is_diagonal, "A")
+    if not horizons:
+        return []
     n, m = sys.b_matrix.shape
-    e_fro = table.norms(floor_probe_times(horizon), "fro").max()
+    e_fro = table.norms(np.concatenate(
+        [floor_probe_times(t) for t in horizons]), "fro").reshape(
+            len(horizons), -1).max(axis=1)
     b_fro = sys.b_fro
     u = np.finfo(float).eps
-    nominal = n * u * b_fro * e_fro * math.sqrt(horizon)
     eta = _BRACKET_ETA + 4.0 * n * max(n, m) * u
-    hi = nominal * (1.0 + eta)
-    lo = nominal / math.sqrt(n * min(n, m)) * (1.0 - eta)
+    brackets = []
+    for horizon, e_max in zip(horizons, e_fro):
+        nominal = n * u * b_fro * e_max * math.sqrt(horizon)
+        hi = nominal * (1.0 + eta)
+        lo = nominal / math.sqrt(n * min(n, m)) * (1.0 - eta)
 
-    def exact():
-        return gramian_floor(sys, horizon, table=table)
+        def exact(horizon=horizon):
+            return gramian_floor(sys, horizon, table=table)
 
-    if b_fro > 1e-150 and lo > 1e-290 and hi < math.inf:
-        return FloorBracket(lo, hi, exact)
-    return FloorBracket.of(exact())
+        if b_fro > 1e-150 and lo > 1e-290 and hi < math.inf:
+            brackets.append(FloorBracket(lo, hi, exact))
+        else:
+            brackets.append(FloorBracket.of(exact()))
+    return brackets

@@ -64,9 +64,9 @@ class LtiSystem:
     """A finite pair y' = A y + B u with A (N x N) and B (N x M).
 
     Instances are immutable; the arrays are stored read-only so values are
-    safe to share across threads.  `b_norm`, `b_fro` and `spectrum` are
-    formed on first read and kept on the instance, so they live and die
-    with the system.
+    safe to share across threads.  `is_diagonal`, `b_norm`, `b_fro` and
+    `spectrum` are formed on first read and kept on the instance, so they
+    live and die with the system.
     """
 
     a_matrix: np.ndarray
@@ -97,8 +97,9 @@ class LtiSystem:
     def m(self):
         return self.b_matrix.shape[1]
 
-    @property
+    @functools.cached_property
     def is_diagonal(self):
+        """Whether A is diagonal, decided once."""
         a = self.a_matrix
         return np.count_nonzero(a - np.diag(np.diag(a))) == 0
 

@@ -43,9 +43,11 @@ of a dense system for `check_certificate`, `optimal_d_bracket` and
 `sweep_alpha`; `stabcert.periodic` builds its own from diagonal forms,
 with the same candidate rule: `candidate_states` over `shared_states`.
 
-The records of several horizons are built on stacks: after the Gramians,
-every step runs once per sweep (or once per group of horizons) as
-batched NumPy calls over a leading horizon axis (`_FormStack`).  Batched
+The records of several horizons are built on stacks: the Gramians are one
+stacked refinement (`semigroup.observability_gramians`) and the floor
+brackets one stacked call (`semigroup.floor_brackets`), and every later
+step runs once per sweep (or once per group of horizons) as batched
+NumPy calls over a leading horizon axis (`_FormStack`).  Batched
 `svd`, `eigh`, `eigvalsh` and `matmul` treat each slice on its own, so
 each horizon's record is bit for bit the one built for it alone, and a
 single horizon (`check_certificate`, `optimal_d_bracket`, `periodic`) is
@@ -57,12 +59,15 @@ The search computes each quantity once, at the scope it depends on:
   floor bracket and, through its transposed view, every witness energy,
   and the seeded Gaussian states and the axes, normalized
   (`shared_states`);
-* per (panel width, B) across the horizons of a sweep: the Gramians' node
-  values e^{At}B, kept by that table and computed for the longest horizon
-  (built first), whose prefixes the shorter horizons slice;
-* per horizon: the Gramian's factor and its floor bracket, in turn;
-* per sweep, stacked over its horizons (`_FormStack.dense`): the probe
-  norms of every floor bracket (one `ExpTable.norms` call, whose misses
+* per refinement level and panel width across the horizons of a sweep:
+  the Gramians' weighted node values e^{At}B, formed once on the longest
+  horizon of that width, whose leading rows each shorter horizon reads
+  (`semigroup.observability_gramians`, one stacked refinement per sweep);
+* per horizon: the Gramian's factor, by its own QR per chunk, and its
+  floor bracket's arithmetic;
+* per sweep, stacked over its horizons (`_FormStack.dense`): the
+  Gramians' refinement, the probe norms of every floor bracket
+  (`semigroup.floor_brackets`: one `ExpTable.norms` call, whose misses
   are one `expm` call), e^{A^T T}, R's SVD and W in R's right singular
   basis;
 * per group of horizons that keep as many directions (sigma > floor;
@@ -75,7 +80,9 @@ The search computes each quantity once, at the scope it depends on:
   (`entries`), shared by `bracket` and by `decide` for every D.  A sweep
   asks every horizon for all its eps at once (`_enter`): one (eps x
   state) argmax per horizon and one `_reduce_stack`, whose one batched
-  eigensolve covers every (T, eps) whose null block starts empty;
+  eigensolve covers every (T, eps) whose null block starts empty, and one
+  batched eigensolve per null-block size every (T, eps) whose null block
+  starts nonempty;
 * per (T, witness): the independent energy (`energy`).
 """
 
@@ -85,9 +92,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .semigroup import (ExpTable, FloorBracket, floor_bracket,
-                        floor_probe_times, observability_gramian,
-                        observation_energy)
+from .semigroup import (ExpTable, FloorBracket, floor_brackets,
+                        observability_gramians, observation_energy)
 from .systems import LtiSystem
 
 __all__ = [
@@ -257,15 +263,14 @@ class _FormStack(NamedTuple):
     @classmethod
     def dense(cls, sys, horizons, table):
         """The forms of a dense system at `horizons` from `table`, an
-        ExpTable of A: every Gramian's factor, built in this order, then
-        every `floor_bracket`, whose probe norms one `ExpTable.norms` call
-        takes first, and e^{A^T T}, the transposes of the e^{A T} those
-        probes left in the table."""
-        factor = np.stack([observability_gramian(sys, t, table=table).factor
-                           for t in horizons])
-        table.norms(np.concatenate([floor_probe_times(t) for t in horizons]),
-                    "fro")
-        rounding = [floor_bracket(sys, t, table=table) for t in horizons]
+        ExpTable of A: every Gramian's factor from one stacked refinement
+        (`observability_gramians`), then every floor bracket from one
+        stacked call (`floor_brackets`, whose probe norms are one
+        `ExpTable.norms` call), and e^{A^T T}, the transposes of the
+        e^{A T} those probes left in the table."""
+        factor = np.stack([g.factor for g in
+                           observability_gramians(sys, horizons, table=table)])
+        rounding = floor_brackets(sys, horizons, table=table)
         return cls.of(factor, table.stack(horizons).transpose(0, 2, 1),
                       rounding)
 
@@ -308,9 +313,11 @@ def _reduce_stack(requests):
     -K_ii = (eps^2 - ||F v_i||^2)/sigma_i^2 dwarfs top + noise join N:
     dropping their observation is conservative, and their huge negative
     entries no longer swamp top.  One batched eigensolve of K11 reduces
-    every (horizon, eps) whose N starts empty; an eps that deflates, or
-    every eps of a horizon whose N does not start empty, continues in
-    `_deflate` on its own."""
+    every (horizon, eps) whose N starts empty, and one batched eigensolve
+    of N per size of N decides every (horizon, eps) whose N starts
+    nonempty and is not positive definite; an eps that deflates, or whose
+    starting N is positive definite, continues in `_deflate` on its
+    own."""
     counts = [len(eps) for _, eps in requests]
     sig = np.repeat([forms.sig for forms, _ in requests], counts, axis=0)
     null = np.repeat([forms.rounding.at_or_below(forms.sig)
@@ -327,14 +334,24 @@ def _reduce_stack(requests):
         found = iter(zip(h[:, -1].tolist(), *_settled(
             h, np.diagonal(m_empty, axis1=1, axis2=2), scale,
             sig.shape[-1])))
+    sizes = null.sum(axis=-1)
+    null_eig = {}
+    for k in set(sizes[~empty].tolist()):
+        index = np.flatnonzero(~empty & (sizes == k)).tolist()
+        lam, q = np.linalg.eigh(np.stack(
+            [-m[i][np.ix_(null[i], null[i])] for i in index]))
+        null_eig.update(zip(index, zip(lam, q)))
     out = []
-    for s, mi, ni, starts_empty in zip(sig, m, null, empty):
+    for i, (s, mi, ni, starts_empty) in enumerate(zip(sig, m, null, empty)):
         if not starts_empty:
-            out.append(_deflate(s, mi, ni, (np.inf, -np.inf)))
+            lam, q = null_eig[i]
+            out.append((np.inf, float(lam[0])) if lam[0] <= 0.0
+                       else _deflate(s, mi, ni, (np.inf, -np.inf), (lam, q)))
             continue
         top, done, deflate = next(found)
-        out.append((top, np.inf) if done
-                   else _deflate(s, mi, deflate, (top, np.inf)))
+        out.append((top, np.inf) if done else _deflate(
+            s, mi, deflate, (top, np.inf),
+            np.linalg.eigh(-mi[np.ix_(deflate, deflate)])))
     bounds = np.cumsum([0] + counts).tolist()
     return [out[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -351,12 +368,13 @@ def _settled(h, diag, scale, n):
     return (bound <= 0.0) | (bound - top <= top / _KAPPA) | ~more.any(-1), more
 
 
-def _deflate(sig, m, null, found):
+def _deflate(sig, m, null, found, eig):
     """`_reduce_stack` of one eps from null block `null` on, `found` being
-    the last (top, lambda_min(N)) with a positive definite N."""
+    the last (top, lambda_min(N)) with a positive definite N and `eig` the
+    eigendecomposition of -N."""
+    lam, q = eig
     while True:
         keep = ~null
-        lam, q = np.linalg.eigh(-m[np.ix_(null, null)])
         null_min = float(lam[0]) if lam.size else np.inf
         if null_min <= 0.0:
             # a deflation that breaks N > 0 is undone
@@ -373,6 +391,7 @@ def _deflate(sig, m, null, found):
             return found
         null = null.copy()
         null[keep] = more
+        lam, q = np.linalg.eigh(-m[np.ix_(null, null)])
 
 
 class HorizonInputs:
@@ -542,16 +561,16 @@ def _horizons(sys, horizons, samples, seed):
     Every horizon's Gramian draws its node exponentials from one ExpTable
     of A, e^{A^T T} is its e^{A T} transposed and the witness energies
     read it through one transposed view, so no A^T t is exponentiated; the
-    Gaussian and axis states are drawn once for all horizons.  With more
-    than one horizon the table keeps node values (`share_nodes`), which
-    the shorter horizons slice.
+    Gaussian and axis states are drawn once for all horizons.
 
-    After the Gramians every step runs on stacks (`_FormStack.dense`):
-    the horizons are grouped by their count of kept directions, and each
-    group's candidates and scores are one `_candidates` and one `_scores`
-    call.  `horizons` holds no horizon twice."""
-    table = ExpTable(sys.a_matrix, sys.is_diagonal,
-                     share_nodes=len(horizons) > 1)
+    Every step runs on stacks (`_FormStack.dense`): the Gramians are one
+    stacked refinement, whose shorter horizons read the node values of
+    the longest of their panel width, and the floor brackets one stacked
+    call; then the horizons are grouped by their count of kept
+    directions, and each group's candidates and scores are one
+    `_candidates` and one `_scores` call.  `horizons` holds no horizon
+    twice."""
+    table = ExpTable(sys.a_matrix, sys.is_diagonal)
     adj_table = table.transposed()
     shared = shared_states(sys.n, samples, seed)
     order = sorted(horizons, reverse=True)
@@ -660,7 +679,8 @@ def sweep_alpha(sys: LtiSystem, alphas: Sequence[float],
     `check_certificate` with the same seed and samples.  Every horizon's
     Gramian and witness energies read one ExpTable of A, so each A t is
     exponentiated once over all horizons and levels, and no A^T t at all;
-    the Gramians' node values are formed once per panel width.  Per
+    the Gramians are one stacked refinement, whose node values are formed
+    once per level and panel width.  Per
     (alpha, T) only eps changes: every eps of every horizon is searched
     and reduced in one `_enter` call, whose entry serves the D bracket and
     every D checked, and each (T, witness) energy is integrated once.

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stabcert import cli, feedback, lrconstants, semigroup, systems, \
-    verification, weakobs
+from stabcert import _quadrature, cli, feedback, lrconstants, semigroup, \
+    systems, verification, weakobs
 from stabcert._quadrature import QuadratureError, gauss_legendre_rule, \
     integrate_adaptive, panel_nodes, refine
 from stabcert.semigroup import QuadratureSpec
@@ -539,21 +539,23 @@ def _rotating_pair(speed):
 
 def _sweep_gramians(monkeypatch, s, horizons):
     """{T: (the GramianResult, the floor bracket) a weakobs sweep over
-    `horizons` formed}."""
+    `horizons` formed}, each from the sweep's one stacked call."""
     built, brackets = {}, {}
 
-    def kept(sys, horizon, quad=None, *, table=None):
-        built[horizon] = semigroup.observability_gramian(sys, horizon, quad,
-                                                         table=table)
-        return built[horizon]
+    def kept(sys, ts, quad=None, *, table=None):
+        assert not built
+        made = semigroup.observability_gramians(sys, ts, quad, table=table)
+        built.update(zip(ts, made))
+        return made
 
-    def kept_bracket(sys, horizon, *, table=None):
-        brackets[horizon] = semigroup.floor_bracket(sys, horizon,
-                                                    table=table)
-        return brackets[horizon]
+    def kept_brackets(sys, ts, *, table=None):
+        assert not brackets
+        made = semigroup.floor_brackets(sys, ts, table=table)
+        brackets.update(zip(ts, made))
+        return made
 
-    monkeypatch.setattr(weakobs, "observability_gramian", kept)
-    monkeypatch.setattr(weakobs, "floor_bracket", kept_bracket)
+    monkeypatch.setattr(weakobs, "observability_gramians", kept)
+    monkeypatch.setattr(weakobs, "floor_brackets", kept_brackets)
     weakobs.sweep_alpha(s, [1.0, 2.0], horizons, samples=10)
     return {t: (built[t], brackets[t]) for t in built}
 
@@ -625,8 +627,8 @@ def test_sweep_gramians_equal_single_horizon_calls(case, monkeypatch):
 
 
 def test_sweep_evaluates_each_panel_width_once(monkeypatch):
-    # a dyadic 4-horizon sweep: the longest horizon is integrated first,
-    # and every shorter horizon's levels slice its node values
+    # a dyadic 4-horizon sweep: the longest horizon's levels form every
+    # node value, and every shorter horizon's levels read its chunks
     rng = np.random.default_rng(21)
     s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
                              rng.standard_normal((5, 2)))
@@ -646,8 +648,7 @@ def test_sweep_evaluates_each_panel_width_once(monkeypatch):
     monkeypatch.setattr(semigroup, "_node_values", levels_seen)
     monkeypatch.setattr(semigroup, "_panel_values", evaluated_seen)
     weakobs._horizons(s, horizons, 10, 0)
-    assert {t for t, _ in levels} == set(horizons)
-    assert levels[0][0] == 4.0
+    assert {t for t, _ in levels} == {4.0}
     # every width of a shorter horizon's levels is one of the longest's
     assert len(set(_first_widths(s, horizons))) == 1
     x, _ = gauss_legendre_rule(semigroup.DEFAULT_QUAD.nodes_per_panel)
@@ -655,6 +656,132 @@ def test_sweep_evaluates_each_panel_width_once(monkeypatch):
                for t, p in levels if t == 4.0 for k in range(p)}
     assert len(evaluated) == len(set(evaluated))
     assert set(evaluated) == longest
+
+
+def _stack_case(case):
+    """(system, horizons) of one case of
+    `test_stacked_builders_equal_fresh_single_horizon_calls`."""
+    rng = np.random.default_rng(31)
+    if case == "dyadic":
+        return (systems.build_system(rng.standard_normal((5, 5))
+                                     / math.sqrt(5),
+                                     rng.standard_normal((5, 2))),
+                (0.5, 1.0, 2.0, 4.0))
+    if case == "non-dyadic":
+        return (systems.build_system(rng.standard_normal((4, 4)) / 2.0,
+                                     rng.standard_normal((4, 1))),
+                (0.3, 0.7, 1.9))
+    if case == "one-panel":
+        # ||A||_F = 2: T = 0.25 and T = 0.5 start at one panel
+        a = rng.standard_normal((4, 4))
+        return (systems.build_system(2.0 * a / np.linalg.norm(a),
+                                     rng.standard_normal((4, 2))),
+                (0.25, 0.5, 1.0, 2.0))
+    if case == "oscillatory":
+        return _rotating_pair(50.0), (0.5, 1.0, 2.0, 4.0)
+    if case == "m>n":
+        return (systems.build_system(rng.standard_normal((3, 3)),
+                                     rng.standard_normal((3, 5))),
+                (0.5, 1.0, 2.0, 4.0))
+    return (systems.build_system(np.diag(rng.uniform(-3.0, 1.0, 4)),
+                                 rng.standard_normal((4, 2))),
+            (0.5, 1.0, 2.0, 4.0))
+
+
+@pytest.mark.parametrize("case", ["dyadic", "non-dyadic", "one-panel",
+                                  "oscillatory", "m>n", "diagonal"])
+def test_stacked_builders_equal_fresh_single_horizon_calls(case,
+                                                           monkeypatch):
+    # one stacked refinement and one stacked bracket pass give every
+    # horizon, in any order, its fresh-table single-horizon factor, error
+    # estimate, bracket and floor, bit for bit
+    s, horizons = _stack_case(case)
+    assert (semigroup.observability_gramians(s, [])
+            == semigroup.floor_brackets(s, []) == [])
+    quad = semigroup.DEFAULT_QUAD
+    first = [semigroup._first_panels(semigroup.ExpTable(s.a_matrix), t, quad)
+             for t in horizons]
+    if case == "one-panel":
+        assert first[:2] == [1, 1] and first[2] > 1
+    if case == "diagonal":
+        assert s.is_diagonal
+    levels = []
+    original = semigroup._node_values
+
+    def seen(table, r, horizon, panels, npts):
+        levels.append((horizon, panels))
+        return original(table, r, horizon, panels, npts)
+
+    monkeypatch.setattr(semigroup, "_node_values", seen)
+    order = list(reversed(horizons))[::2] + list(reversed(horizons))[1::2]
+    stacked = semigroup.observability_gramians(s, order)
+    brackets = semigroup.floor_brackets(s, order)
+    if case == "oscillatory":
+        # T = 4 refines 32 -> 64 -> 128 panels: a level of two chunks
+        assert max(p for _, p in levels) > semigroup._CHUNK
+        assert sorted(p for t, p in levels if t == 4.0) == [32, 64, 128]
+    monkeypatch.undo()
+    for t, mine, bracket in zip(order, stacked, brackets, strict=True):
+        alone = semigroup.observability_gramian(s, t)
+        assert mine.horizon == t
+        assert mine.factor.tobytes() == alone.factor.tobytes()
+        assert (mine.quadrature_error_estimate
+                == alone.quadrature_error_estimate)
+        fresh = semigroup.floor_bracket(s, t)
+        assert (bracket.lo, bracket.hi) == (fresh.lo, fresh.hi)
+        assert bracket.value == fresh.value == semigroup.gramian_floor(s, t)
+
+
+def test_a_stacked_horizon_that_cannot_settle_raises_its_own_error(
+        monkeypatch):
+    # with one doubling allowed, T = 4 of the oscillatory pair cannot
+    # settle while the shorter horizons do: a stack, and a sweep, raise
+    # the message T = 4 raises alone
+    s = _rotating_pair(50.0)
+    monkeypatch.setattr(_quadrature, "_MAX_DOUBLINGS", 1)
+    for t in (0.5, 1.0, 2.0):
+        semigroup.observability_gramian(s, t)
+    with pytest.raises(QuadratureError) as alone:
+        semigroup.observability_gramian(s, 4.0)
+    assert "after 1 refinements" in str(alone.value)
+    with pytest.raises(QuadratureError) as stacked:
+        semigroup.observability_gramians(s, [0.5, 1.0, 2.0, 4.0])
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(QuadratureError) as swept:
+        weakobs.sweep_alpha(s, [1.0], [0.5, 4.0], samples=10)
+    assert str(swept.value) == str(alone.value)
+
+
+def test_refine_each_equals_refine_of_each():
+    # integrals refined in lockstep, some waiting, settle as each does
+    # alone; one that never settles raises the message it raises alone
+    def level_of(f):
+        def level(k):
+            nodes, weights = panel_nodes(0.0, 3.0, k, 4)
+            return float(f(nodes) @ weights)
+        return level
+
+    levels = [level_of(np.exp), level_of(np.cos),
+              level_of(lambda x: 1.0 / (1.0 + x * x))]
+    panels, lags = [1, 4, 2], [0, 2, 1]
+    asked = []
+
+    def stacked(counts):
+        asked.append(list(counts))
+        return [None if k is None else f(k) for f, k in zip(levels, counts)]
+
+    got = _quadrature.refine_each(stacked, panels, rel_tol=1e-12, lags=lags)
+    assert got == [refine(f, k, rel_tol=1e-12)
+                   for f, k in zip(levels, panels)]
+    assert asked[0] == [1, None, None] and asked[2][1] == 4
+    with pytest.raises(QuadratureError) as alone:
+        refine(float, 1)
+    with pytest.raises(QuadratureError) as together:
+        _quadrature.refine_each(
+            lambda counts: [None if k is None else f(k) for f, k in
+                            zip([levels[0], float], counts)], [1, 1],
+            lags=[0, 3])
+    assert str(together.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("diagonal", [False, True])

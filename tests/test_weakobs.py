@@ -353,7 +353,7 @@ def test_sweep_refuses_a_bad_c_alpha_before_any_gramian(rule, monkeypatch):
     def no_gramian(*args, **kwargs):
         raise AssertionError("a Gramian was formed")
 
-    monkeypatch.setattr(weakobs, "observability_gramian", no_gramian)
+    monkeypatch.setattr(weakobs, "observability_gramians", no_gramian)
     with pytest.raises(ValueError, match=r"^C\(alpha\) = .* for alpha = "
                        r"2\.0 must be finite and nonnegative$"):
         weakobs.sweep_alpha(_dense_pair("dense"), [2.0], [0.5, 1.0],
@@ -374,17 +374,19 @@ def _dense_pair(kind, n=4, seed=5):
 
 
 def test_sweep_builds_each_horizon_gramian_once(monkeypatch):
+    # one stacked build per sweep, asking for each horizon once
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return semigroup.observability_gramian(*args, **kwargs)
+        calls.append(list(args[1]))
+        return semigroup.observability_gramians(*args, **kwargs)
 
-    monkeypatch.setattr(weakobs, "observability_gramian", counted)
+    monkeypatch.setattr(weakobs, "observability_gramians", counted)
     horizons = [0.5, 1.0, 2.0, 4.0]
     weakobs.sweep_alpha(_dense_pair("dense"), [1.0, 2.0, 4.0, 8.0],
                         horizons, samples=20)
-    assert len(calls) == len(horizons)
+    assert len(calls) == 1
+    assert sorted(calls[0]) == horizons
 
 
 def test_sweep_builds_each_horizon_candidates_once(monkeypatch):
@@ -524,7 +526,7 @@ def test_sweep_takes_each_floor_probe_norm_once(monkeypatch):
     s = _dense_pair("dense", n=5)
     horizons = [0.5, 1.0, 2.0, 4.0]
     probes, two_norms, brackets = [], [], {}
-    norm, bracket_of = np.linalg.norm, weakobs.floor_bracket
+    norm, brackets_of = np.linalg.norm, weakobs.floor_brackets
 
     def norm_spy(x, ord=None, axis=None, keepdims=False):
         if ord == "fro" and np.ndim(x) == 3:
@@ -533,12 +535,14 @@ def test_sweep_takes_each_floor_probe_norm_once(monkeypatch):
             two_norms.append(np.shape(x))
         return norm(x, ord, axis, keepdims)
 
-    def bracket_spy(sys, horizon, *, table=None):
-        brackets[horizon] = bracket_of(sys, horizon, table=table)
-        return brackets[horizon]
+    def brackets_spy(sys, ts, *, table=None):
+        assert not brackets
+        made = brackets_of(sys, ts, table=table)
+        brackets.update(zip(ts, made))
+        return made
 
     monkeypatch.setattr(np.linalg, "norm", norm_spy)
-    monkeypatch.setattr(weakobs, "floor_bracket", bracket_spy)
+    monkeypatch.setattr(weakobs, "floor_brackets", brackets_spy)
     fam = weakobs.sweep_alpha(s, [1.0, 2.0, 4.0, 8.0], horizons, samples=20)
     monkeypatch.undo()
     assert fam.verdict == CERTIFIED
@@ -598,11 +602,12 @@ def test_a_bracketed_sweep_takes_no_two_norm(monkeypatch):
         monkeypatch.undo()
         assert two_norms == [] and floors == []
 
-        def exact(sys, horizon, *, table=None):
-            return semigroup.FloorBracket.of(
-                semigroup.gramian_floor(sys, horizon, table=table))
+        def exact(sys, horizons, *, table=None):
+            return [semigroup.FloorBracket.of(
+                semigroup.gramian_floor(sys, t, table=table))
+                for t in horizons]
 
-        monkeypatch.setattr(weakobs, "floor_bracket", exact)
+        monkeypatch.setattr(weakobs, "floor_brackets", exact)
         forced = _sweep_job(workloads, job)
         monkeypatch.undo()
         assert fam.verdict == forced.verdict
@@ -714,8 +719,8 @@ def test_sweep_reduces_each_entry_once(monkeypatch):
 
 
 def _stacked_case(kind):
-    """(system, horizons, floor_bracket replacement or None) of one case of
-    `test_stacked_records_equal_single_horizon_records`."""
+    """(system, horizons, floor_brackets replacement or None) of one case
+    of `test_stacked_records_equal_single_horizon_records`."""
     rng = np.random.default_rng(8)
     horizons = [0.5, 1.0, 2.0, 4.0]
     if kind == "dense":
@@ -737,14 +742,16 @@ def _stacked_case(kind):
     # singular value, so T = 1 keeps one direction fewer than the others
     s = _dense_pair("dense", n=5)
 
-    def bracket(sys, horizon, *, table=None):
-        if horizon != 1.0:
-            return semigroup.floor_bracket(sys, horizon, table=table)
-        factor = semigroup.observability_gramian(sys, horizon).factor
-        return semigroup.FloorBracket.of(
+    def brackets(sys, ts, *, table=None):
+        made = semigroup.floor_brackets(sys, ts, table=table)
+        if 1.0 not in ts:
+            return made
+        factor = semigroup.observability_gramian(sys, 1.0).factor
+        made[list(ts).index(1.0)] = semigroup.FloorBracket.of(
             float(np.linalg.svd(factor, compute_uv=False)[-1]))
+        return made
 
-    return s, horizons, bracket
+    return s, horizons, brackets
 
 
 @pytest.mark.parametrize("kind", ["dense", "ill", "null-block", "m>n",
@@ -755,7 +762,7 @@ def test_stacked_records_equal_single_horizon_records(kind, monkeypatch):
     # record of its horizon built alone, as a stack of one
     s, horizons, bracket = _stacked_case(kind)
     if bracket is not None:
-        monkeypatch.setattr(weakobs, "floor_bracket", bracket)
+        monkeypatch.setattr(weakobs, "floor_brackets", bracket)
     groups = []
     original = weakobs._candidates
 
@@ -819,7 +826,7 @@ def test_sweep_refuses_a_bad_grid_before_any_gramian(alphas, horizons,
     def no_gramian(*args, **kwargs):
         raise AssertionError("a Gramian was formed")
 
-    monkeypatch.setattr(weakobs, "observability_gramian", no_gramian)
+    monkeypatch.setattr(weakobs, "observability_gramians", no_gramian)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         weakobs.sweep_alpha(_dense_pair("dense"), alphas, horizons)
 
@@ -865,9 +872,12 @@ def test_batched_reduction_equals_the_per_eps_reduction(kind, monkeypatch):
     deflated = []
     original = weakobs._deflate
 
-    def seen(sig, m, null, found):
+    def seen(sig, m, null, found, eig):
         deflated.append(np.isfinite(found[0]))
-        return original(sig, m, null, found)
+        # a null block that starts not positive definite is decided by
+        # the batched eigensolve and never enters
+        assert eig[0][0] > 0.0
+        return original(sig, m, null, found, eig)
 
     monkeypatch.setattr(weakobs, "_deflate", seen)
     eps = [0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 3.0]
@@ -877,8 +887,8 @@ def test_batched_reduction_equals_the_per_eps_reduction(kind, monkeypatch):
                 == [_reduce_one_eps(forms, e) for e in eps])
         if kind == "unobservable":
             assert (forms.sig <= forms.floor).any()
-    # the null block runs every eps on its own; a deflation continues the
-    # batched pass
+    # a null block that starts positive definite runs its eps on its own;
+    # a deflation continues the batched pass
     assert {"dense": not deflated, "unobservable": deflated and
             not any(deflated), "deflating": any(deflated)}[kind]
 

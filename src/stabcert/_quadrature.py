@@ -78,40 +78,34 @@ def refine(level, panels, rel_tol=1e-10, abs_tol=0.0, first=None):
                        None if first is None else [first])[0]
 
 
-def refine_each(level, panels, rel_tol=1e-10, abs_tol=0.0, first=None,
-                lags=None):
+def refine_each(level, panels, rel_tol=1e-10, abs_tol=0.0, first=None):
     """`refine` of several integrals in lockstep, each on its own test.
 
     level(counts) evaluates one level of every integral at once: counts[i]
-    is integral i's panel count, None while it waits or once it has
-    settled, and the result holds its value at every i whose count is not
-    None.  Integral i waits lags[i] levels (none by default), then starts
-    at panels[i] and doubles; `first`, if given, is the first level of
-    integrals that do not wait.  Each settles when level(2k) agrees with
-    level(k) as in `refine`, and returns what `refine` returns for it
-    alone; the first to use up its doublings raises its own
-    QuadratureError.  Returns [(value, error_estimate)].
+    is integral i's panel count, None once it has settled, and the result
+    holds its value at every i whose count is not None.  Integral i starts
+    at panels[i] and doubles; `first`, if given, is the first level.  Each
+    settles when level(2k) agrees with level(k) as in `refine`, and
+    returns what `refine` returns for it alone; the first to use up its
+    doublings raises its own QuadratureError.  Returns
+    [(value, error_estimate)].
     """
-    lags = lags or [0] * len(panels)
-    counts = [None] * len(panels)
+    counts = list(panels)
     prev = [None] * len(panels)
     out = [None] * len(panels)
     step = 0
     while True:
-        counts = [None if done or step < lag else
-                  panels[i] if step == lag else 2 * counts[i]
-                  for i, (done, lag) in enumerate(zip(out, lags))]
         cur = level(counts) if step or first is None else first
         for i, k in enumerate(counts):
             if k is None:
                 continue
-            if step > lags[i]:
+            if step:
                 err = np.linalg.norm(np.asarray(cur[i] - prev[i]))
                 scale = max(np.linalg.norm(np.asarray(cur[i])), 1e-300)
                 if err <= rel_tol * scale + abs_tol:
                     out[i] = (cur[i], float(err))
                     continue
-                if step - lags[i] == _MAX_DOUBLINGS:
+                if step == _MAX_DOUBLINGS:
                     raise QuadratureError(
                         f"quadrature failed to reach rel_tol={rel_tol} "
                         f"after {_MAX_DOUBLINGS} refinements (last "
@@ -119,4 +113,5 @@ def refine_each(level, panels, rel_tol=1e-10, abs_tol=0.0, first=None,
             prev[i] = cur[i]
         if all(out):
             return out
+        counts = [None if done else 2 * k for done, k in zip(out, counts)]
         step += 1

@@ -11,11 +11,12 @@ A periodic certificate is a `WeakObsCertificate`: the claim
 ||Phi(n_k,0)^* psi|| <= c_k ||obs|| + e^{-k n_k} ||psi|| is the one with
 horizon n_k periods, alpha = k, D = c_k and C = 1.  Only what is periodic
 lives here: the per-mode energies g and the decayed norms
-w = e^{2 lambda T}, and the quadrature confirmation.  The candidates come
-from the rule every dense horizon uses (`weakobs.candidate_states` over
-`weakobs.shared_states`), and ratio, margin, threshold and verdict from the
-decision core in `stabcert.weakobs`, on the record (`HorizonInputs`) of
-the forms diag(sqrt(g)) and diag(sqrt(w)).
+w = e^{2 lambda T}, and the quadrature confirmation.  The record
+(`weakobs.HorizonInputs`) comes from the builder every dense sweep uses,
+`weakobs.horizon_records`, on a stack of one (`weakobs.FormStack`) of the
+forms diag(sqrt(g)) and diag(sqrt(w)) with a zero floor: the same
+candidate rule over `weakobs.shared_states`.  Ratio, margin, threshold and
+verdict come from the decision core in `stabcert.weakobs`.
 """
 
 import math
@@ -25,8 +26,9 @@ from typing import Optional
 import numpy as np
 
 from ._quadrature import integrate_adaptive
-from .weakobs import (Forms, HorizonInputs, WeakObsCertificate,
-                      candidate_states, decide, shared_states)
+from .semigroup import FloorBracket
+from .weakobs import (FormStack, WeakObsCertificate, decide,
+                      horizon_records, shared_states)
 
 __all__ = [
     "PeriodicSystem",
@@ -243,11 +245,12 @@ def periodic_weakobs_check(sys: PeriodicSystem, k: int, n_k: int,
     g = np.array([_mode_energy(sys.a_diag[i], sys.windows[i], n_k,
                                sys.period) for i in range(sys.n)])
     w = np.exp(2.0 * sys.a_diag * cert.horizon)
-    forms = Forms.of(np.diag(np.sqrt(g)), np.diag(np.sqrt(w)))
-    return decide(HorizonInputs(
-        forms, candidate_states(forms, shared_states(sys.n, samples, seed)),
-        lambda psi: periodic_observation_energy_quadrature(sys, n_k, psi)),
-        cert)
+    stack = FormStack.of(np.diag(np.sqrt(g))[None], np.diag(np.sqrt(w))[None],
+                         [FloorBracket.of(0.0)])
+    (inputs,) = horizon_records(
+        stack, shared_states(sys.n, samples, seed),
+        [lambda psi: periodic_observation_energy_quadrature(sys, n_k, psi)])
+    return decide(inputs, cert)
 
 
 def multiplexed_stabilizability_check(sys: PeriodicSystem, k: int,

@@ -68,22 +68,20 @@ first.  A dyadic horizon's panel starts are a prefix of a longer one's at
 the same width, so per level each chunk of e^{At}B is formed and weighted
 once, on the longest horizon of that width, and every horizon of that
 width runs its own QR on the chunk's leading rows: the Gramians of a
-dyadic sweep below the cap evaluate the longest horizon's panels only.  A
-horizon whose first level is narrower than a longer, capped horizon's
-waits a level per halving, so it meets that width beside it.  Each
-horizon keeps its own convergence test, error estimate and
+dyadic sweep below the cap evaluate the longest horizon's panels only.
+Each horizon keeps its own convergence test, error estimate and
 QuadratureError, and its QR per chunk, so its factor and error estimate
-are bit for bit those of a single-horizon call, `observability_gramian`,
-which is a stack of one.  Any other horizon (a non-dyadic grid, a horizon
-clamped at one panel, a diagonal system's graded panels) forms its own
-chunks.
+are bit for bit those of `observability_gramian`, the public call for one
+horizon.  Any other horizon (a non-dyadic grid, a horizon whose first
+level is narrower than a longer, capped horizon's, a diagonal system's
+graded panels) forms its own chunks.
 
 A Gramian is its factor R, G = R^T R, accumulated as R <- qr([R; S^T])
 over the weighted node values S, so a direction v with v^T e^{At} B = 0
 keeps ||R v|| at the QR's rounding, `gramian_floor`: n u ||B||_2 a_T
 sqrt(T), a_T the largest ||e^{At}||_2 at nine equispaced probe times.
 G is formed only when `matrix` is read.  A decision reads the floor only
-through comparisons, x <= floor, and `floor_bracket` decides them from
+through comparisons, x <= floor, and `floor_brackets` decides them from
 Frobenius norms: ||M||_F / sqrt(rank M) <= ||M||_2 <= ||M||_F on the
 probe slices and on B puts the floor in [lo, hi], hi = n u sqrt(T)
 ||B||_F max_k ||e^{A t_k}||_F and lo = hi / sqrt(n min(n, m)), each
@@ -92,7 +90,7 @@ floor, one above hi is above it, and only when a compared value lies in
 (lo, hi] is the floor itself formed, once, by `gramian_floor` on the same
 table (`FloorBracket.value`), so every comparison returns what it returns
 against the floor.  Every weak-observability decision brackets its floor
-(`weakobs._FormStack.dense`); steering and the `stabcert gramian` dump do
+(`weakobs.FormStack.dense`); steering and the `stabcert gramian` dump do
 neither.  Probe norms of both kinds come from the table through
 `ExpTable.norms`, which takes each exact time's norm of each kind once,
 and ||B||_2 and ||B||_F from `LtiSystem.b_norm` and `LtiSystem.b_fro`,
@@ -101,10 +99,11 @@ each taken once per system.  A sweep brackets every horizon in one
 `ExpTable.norms` call, so the four brackets of a dyadic sweep over
 T = 0.5, 1, 2, 4 take their 21 distinct Frobenius probe norms, not 36,
 as one batched norm whose missing slices are one `expm` call, and no
-SVD; `floor_bracket` is a stack of one.  Over the 768 jobs
-of perfbench's dense-sweep pools for seeds 1, 2 and 11-20, 5 comparisons
-land inside a bracket and form their floor.  A floor is bit for bit that
-of a fresh table.
+SVD.  Over the 768 jobs of perfbench's dense-sweep pools for seeds 1, 2
+and 11-20, 5 comparisons land inside a bracket and form their floor.  A
+floor is bit for bit that of a fresh table.  The observation energy's
+noise scale reads the same cached ||B||_2, and its amplitude probe the
+same nine times.
 Van Loan's block exponential yields G, not R, and leaves rounding of about
 u ||G|| e^{2T} there: on random dense pairs with an uncontrollable mode at
 +1 its G had eigenvalues below -1e-12 trace(G) at T = 4, and a
@@ -152,7 +151,6 @@ __all__ = [
     "ExpTable",
     "FloorBracket",
     "gramian_floor",
-    "floor_bracket",
     "floor_brackets",
     "propagate",
     "transition_matrix",
@@ -422,10 +420,8 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
     phi = np.asarray(phi, dtype=float)
     bt = sys.b_matrix.T
     table = _own_table(table, sys.a_matrix.T, sys.is_diagonal, "A^T")
-    # the probe times but T are panel starts of every level with 8
-    # panels or more
     amp = max(np.linalg.norm(e @ phi)
-              for e in table.stack(np.linspace(0.0, horizon, 9)))
+              for e in table.stack(floor_probe_times(horizon)))
 
     def level(panels):
         total = 0.0
@@ -437,7 +433,7 @@ def observation_energy(sys: LtiSystem, horizon: float, phi,
     # cancellation inside the propagated state caps meaningful resolution:
     # noise delta in y puts 2 ||B^T y|| delta + delta^2 into ||B^T y||^2,
     # at most 2 delta sqrt(T E) + delta^2 T once integrated
-    delta = 1e-13 * np.linalg.norm(bt, 2) * amp
+    delta = 1e-13 * sys.b_norm * amp
     panels = _first_panels(table, horizon, quad)
     first = level(panels)
     noise_floor = (delta**2 * horizon
@@ -491,16 +487,6 @@ def _panel_grid(horizon, panels):
     return horizon / (2.0 * panels), horizon * np.arange(panels) / panels
 
 
-def _reads(lead, lead_panels, horizon, panels):
-    """Whether the `panels` equal panels of [0, horizon] are the leading
-    ones of the `lead_panels` equal panels of [0, lead]: one width and the
-    same starts, so their node values are the lead's leading columns."""
-    lead_h, lead_starts = _panel_grid(lead, lead_panels)
-    h, starts = _panel_grid(horizon, panels)
-    return (lead_h == h and lead_panels >= panels
-            and np.array_equal(lead_starts[:panels], starts))
-
-
 def _panel_values(table, r, offsets, starts):
     """e^{M t} R at the nodes t = start + offset of the panels beginning at
     `starts`, as one n x (nodes * r) matrix in `_node_values`' layout:
@@ -536,12 +522,11 @@ def observability_gramians(sys: LtiSystem, horizons: Sequence[float],
     each on its own convergence test, error estimate and QuadratureError.
     Per level, a chunk of e^{At}B is formed and weighted once, on the
     longest horizon of its panel width, and each horizon whose panels are
-    that horizon's leading ones (`_reads`: dyadic horizons) runs its own
-    QR on the chunk's leading rows; a horizon whose first level is
-    narrower than a longer, capped one's waits to meet it (`_lags`).  So
-    every factor and error estimate is bit for bit that of a call for its
-    horizon alone.  Any other horizon, and every diagonal one (its nodes
-    t = T s^4 depend on T), forms its own chunks.
+    that horizon's leading ones (`_width_groups`: dyadic horizons) runs its own
+    QR on the chunk's leading rows.  So every factor and error estimate is
+    bit for bit that of a call for its horizon alone.  Any other horizon,
+    and every diagonal one (its nodes t = T s^4 depend on T), forms its
+    own chunks.
     """
     for horizon in horizons:
         _check_horizon(horizon)
@@ -573,48 +558,31 @@ def observability_gramians(sys: LtiSystem, horizons: Sequence[float],
                 for i, k in enumerate(counts)]
 
     panels = [_first_panels(table, t, quad) for t in longest]
-    settled = refine_each(level, panels, rel_tol=quad.rel_tol,
-                          lags=_lags(table, longest, panels))
+    settled = refine_each(level, panels, rel_tol=quad.rel_tol)
     result = [None] * len(order)
     for i, j in enumerate(order):
         result[j] = GramianResult(factors[i], longest[i], settled[i][1])
     return result
 
 
-def _lags(table, horizons, panels):
-    """The levels each horizon (longest first, starting at `panels`) waits
-    so that its levels run beside those of the first longer horizon that
-    reaches its first level's width (one level later per halving, as when
-    the longer one is capped at `quad.panels`) with its panel starts.
-    Diagonal horizons do not wait."""
-    lags = [0] * len(horizons)
-    if table.diagonal:
-        return lags
-    for i, (t, k) in enumerate(zip(horizons, panels)):
-        for j in range(i):
-            wait = 0
-            while horizons[j] / (panels[j] << wait) > t / k:
-                wait += 1
-            if _reads(horizons[j], panels[j] << wait, t, k):
-                lags[i] = lags[j] + wait
-                break
-    return lags
-
-
 def _width_groups(table, horizons, counts):
     """The horizons of one level (indices into `horizons`, longest first;
     counts[i] is None once horizon i has settled) grouped by the node
     values they read: a horizon joins the first group whose leader, its
-    first and longest horizon, `_reads` its panels.  Diagonal levels are
-    not grouped."""
+    first and longest horizon, has panels of its width whose leading
+    starts are its own, so that its node values are the leader's leading
+    columns.  Diagonal levels are not grouped."""
     active = [i for i, k in enumerate(counts) if k is not None]
     if table.diagonal:
         return [[i] for i in active]
     groups = []
     for i in active:
+        h, starts = _panel_grid(horizons[i], counts[i])
         for group in groups:
-            if _reads(horizons[group[0]], counts[group[0]], horizons[i],
-                      counts[i]):
+            lead = group[0]
+            lead_h, lead_starts = _panel_grid(horizons[lead], counts[lead])
+            if (lead_h == h and counts[lead] >= counts[i]
+                    and np.array_equal(lead_starts[:counts[i]], starts)):
                 group.append(i)
                 break
         else:
@@ -624,8 +592,9 @@ def _width_groups(table, horizons, counts):
 
 def floor_probe_times(horizon):
     """The nine equispaced times in [0, horizon] whose ||e^{At}||
-    `gramian_floor` and `floor_bracket` read; all but T are panel starts
-    of every level with 8 panels or more."""
+    `gramian_floor`, `floor_brackets` and `observation_energy`'s amplitude
+    probe read; all but T are panel starts of every level with 8 panels or
+    more."""
     return np.linspace(0.0, horizon, 9)
 
 
@@ -646,7 +615,7 @@ def gramian_floor(sys: LtiSystem, horizon: float, *,
     return float(floor * np.sqrt(horizon))
 
 
-# the relative margin of `floor_bracket` beyond the norm equivalence: the
+# the relative margin of `floor_brackets` beyond the norm equivalence: the
 # rounding of the Frobenius sums (at most n max(n, m) u relative), of the
 # SVD's largest singular value (a small multiple of n u), and of the two
 # floors' products (a few u), with room to spare
@@ -691,33 +660,20 @@ class FloorBracket:
         return x > self.value
 
 
-def floor_bracket(sys: LtiSystem, horizon: float, *,
-                  table: Optional[ExpTable] = None) -> FloorBracket:
-    """A `FloorBracket` of `gramian_floor(sys, horizon, table=table)` from
-    Frobenius norms alone.
-
-    ||M||_F / sqrt(rank M) <= ||M||_2 <= ||M||_F (Golub and Van Loan,
-    *Matrix Computations*, 2.3), on the nine probe slices E_k (rank n) and
-    on B (rank at most min(n, m)), gives hi = n u sqrt(T) ||B||_F
-    max_k ||E_k||_F and lo = hi / sqrt(n min(n, m)), each widened by
-    (1 +- eta), eta = _BRACKET_ETA + 4 n max(n, m) u, for the rounding of
-    the norms and products on either side.  The floor itself, with its
-    batched SVD and ||B||_2, is `gramian_floor` on the same table, formed
-    only when a comparison lands inside the bracket.  Where a Frobenius
-    sum could leave the normal range (||B||_F <= 1e-150, lo <= 1e-290 or
-    hi not finite) the floor is formed at once and lo = hi = floor.
-    `floor_brackets` of one horizon.
-    """
-    return floor_brackets(sys, [horizon], table=table)[0]
-
-
 def floor_brackets(sys: LtiSystem, horizons: Sequence[float], *,
                    table: Optional[ExpTable] = None) -> List[FloorBracket]:
-    """`floor_bracket` of each of `horizons`, whose probe norms are one
-    `ExpTable.norms` call: its missing slices are one `expm` call and one
-    batched Frobenius norm.  Each bracket's arithmetic is that of
-    `floor_bracket`, so it is bit for bit that of a call for its horizon
-    alone."""
+    """The `FloorBracket` of `gramian_floor(sys, T, table=table)` for each
+    T of `horizons`, from Frobenius norms alone: ||M||_F / sqrt(rank M) <=
+    ||M||_2 <= ||M||_F (Golub and Van Loan, *Matrix Computations*, 2.3) on
+    the nine probe slices E_k and on B gives hi = n u sqrt(T) ||B||_F
+    max_k ||E_k||_F and lo = hi / sqrt(n min(n, m)), each widened by
+    (1 +- eta), eta = _BRACKET_ETA + 4 n max(n, m) u.  The floor itself is
+    `gramian_floor` on the same table, formed only when a comparison lands
+    inside the bracket, or at once where a Frobenius sum could leave the
+    normal range (||B||_F <= 1e-150, lo <= 1e-290 or hi not finite), and
+    then lo = hi = floor.  The probe norms of every horizon are one
+    `ExpTable.norms` call, and each bracket is bit for bit that of a call
+    for its horizon alone."""
     for horizon in horizons:
         _check_horizon(horizon)
     table = _own_table(table, sys.a_matrix, sys.is_diagonal, "A")

@@ -28,7 +28,7 @@ Between the two the verdict is "inconclusive", never guessed.
 
 The rounding floor enters three comparisons, sigma <= floor (the null
 block of `_reduce_stack`), sigma > floor (the kept directions,
-`_FormStack.kept`) and ||R u|| <= floor (`_enter`'s search), and each is
+`FormStack.kept`) and ||R u|| <= floor (`_enter`'s search), and each is
 asked of the forms' `rounding`, a
 `semigroup.FloorBracket`: a Frobenius bracket [lo, hi] of the floor
 decides every value outside (lo, hi], and only a value inside forms the
@@ -38,20 +38,19 @@ answers are those of the comparisons against the floor.
 Every verdict in the package, `stabcert.periodic` included, goes through
 the one decision core here: `decide(inputs, cert)` reads D and eps from a
 `WeakObsCertificate` and returns it with its status, margin and witness,
-on one horizon's `HorizonInputs` record.  `_horizons` builds the records
-of a dense system for `check_certificate`, `optimal_d_bracket` and
-`sweep_alpha`; `stabcert.periodic` builds its own from diagonal forms,
-with the same candidate rule: `candidate_states` over `shared_states`.
+on one horizon's `HorizonInputs` record.  One builder,
+`horizon_records`, makes every record from a `FormStack` of forms over a
+leading horizon axis: `_horizons` gives it a dense system's stack for
+`check_certificate`, `optimal_d_bracket` and `sweep_alpha`, and
+`stabcert.periodic` a stack of one from its diagonal forms, so both
+search the same candidate rule over `shared_states`.
 
-The records of several horizons are built on stacks: the Gramians are one
-stacked refinement (`semigroup.observability_gramians`) and the floor
-brackets one stacked call (`semigroup.floor_brackets`), and every later
-step runs once per sweep (or once per group of horizons) as batched
-NumPy calls over a leading horizon axis (`_FormStack`).  Batched
+A dense stack's Gramians are one stacked refinement
+(`semigroup.observability_gramians`) and its floor brackets one stacked
+call (`semigroup.floor_brackets`), and every later step runs once per
+sweep (or once per group of horizons) as batched NumPy calls.  Batched
 `svd`, `eigh`, `eigvalsh` and `matmul` treat each slice on its own, so
-each horizon's record is bit for bit the one built for it alone, and a
-single horizon (`check_certificate`, `optimal_d_bracket`, `periodic`) is
-a stack of one, on the same code.
+each horizon's record is bit for bit the one built for it alone.
 
 The search computes each quantity once, at the scope it depends on:
 
@@ -65,7 +64,7 @@ The search computes each quantity once, at the scope it depends on:
   (`semigroup.observability_gramians`, one stacked refinement per sweep);
 * per horizon: the Gramian's factor, by its own QR per chunk, and its
   floor bracket's arithmetic;
-* per sweep, stacked over its horizons (`_FormStack.dense`): the
+* per sweep, stacked over its horizons (`FormStack.dense`): the
   Gramians' refinement, the probe norms of every floor bracket
   (`semigroup.floor_brackets`: one `ExpTable.norms` call, whose misses
   are one `expm` call), e^{A^T T}, R's SVD and W in R's right singular
@@ -74,10 +73,10 @@ The search computes each quantity once, at the scope it depends on:
   sigma is sorted, so the kept directions are a prefix of V): the
   candidates the forms add (R's right singular vectors, W's
   eigenvectors, the K11 maximizers; `_candidates`) and ||F u||, ||R u||
-  over all candidates u (`_scores`), one call each; a sweep whose every
-  horizon keeps as many directions is one group;
+  over all candidates u (`_scores`), one call each (`horizon_records`);
+  a sweep whose every horizon keeps as many directions is one group;
 * per (alpha, T), i.e. per eps: the ratio argmax and the slack reduction
-  (`entries`), shared by `bracket` and by `decide` for every D.  A sweep
+  (`entry`), shared by `bracket` and by `decide` for every D.  A sweep
   asks every horizon for all its eps at once (`_enter`): one (eps x
   state) argmax per horizon and one `_reduce_stack`, whose one batched
   eigensolve covers every (T, eps) whose null block starts empty, and one
@@ -199,8 +198,8 @@ class Forms(NamedTuple):
     """The observation norm ||factor @ phi|| (at or below the rounding
     floor that `rounding` brackets: rounding) and the free norm
     ||adj @ phi||, adj = e^{A^T T}, with the factor's SVD (sig, vt) and
-    W = adj^T adj in its right singular basis; build with `Forms.of` or
-    `Forms.dense`, the stacks of one of `_FormStack`."""
+    W = adj^T adj in its right singular basis: one horizon of a
+    `FormStack`."""
 
     factor: np.ndarray
     adj: np.ndarray
@@ -209,30 +208,8 @@ class Forms(NamedTuple):
     vt: np.ndarray
     w_basis: np.ndarray     # V^T W V
 
-    @property
-    def floor(self):
-        """The rounding floor itself, formed on first read; the decision
-        compares against `rounding` and never reads it."""
-        return self.rounding.value
 
-    @classmethod
-    def of(cls, factor, adj, floor=0.0):
-        """`floor` is a float or a `FloorBracket`."""
-        if not isinstance(floor, FloorBracket):
-            floor = FloorBracket.of(floor)
-        return _FormStack.of(np.asarray(factor)[None], np.asarray(adj)[None],
-                             [floor]).records()[0]
-
-    @classmethod
-    def dense(cls, sys, horizon, table=None):
-        """The forms of a dense system at one horizon (`_FormStack.dense`),
-        from `table`, an ExpTable of A, call-local if None."""
-        if table is None:
-            table = ExpTable(sys.a_matrix, sys.is_diagonal)
-        return _FormStack.dense(sys, [horizon], table).records()[0]
-
-
-class _FormStack(NamedTuple):
+class FormStack(NamedTuple):
     """The `Forms` of several horizons of one system: each array field
     carries a leading horizon axis and `rounding` is a tuple.  Batched
     `svd`, `eigh`, `eigvalsh` and products treat each slice on its own, so
@@ -255,12 +232,6 @@ class _FormStack(NamedTuple):
                    fv.transpose(0, 2, 1) @ fv)
 
     @classmethod
-    def one(cls, forms):
-        """The stack of one of `forms`."""
-        return cls(*(f[None] if isinstance(f, np.ndarray) else (f,)
-                     for f in forms))
-
-    @classmethod
     def dense(cls, sys, horizons, table):
         """The forms of a dense system at `horizons` from `table`, an
         ExpTable of A: every Gramian's factor from one stacked refinement
@@ -278,9 +249,9 @@ class _FormStack(NamedTuple):
         """The stack of the horizons at `index`."""
         if len(index) == len(self.rounding):
             return self
-        return _FormStack(*(tuple(f[i] for i in index)
-                            if isinstance(f, tuple) else f[index]
-                            for f in self))
+        return FormStack(*(tuple(f[i] for i in index)
+                           if isinstance(f, tuple) else f[index]
+                           for f in self))
 
     def records(self):
         """The `Forms` of each horizon."""
@@ -295,11 +266,6 @@ class _FormStack(NamedTuple):
 # residual-covered directions join the null block once their scaled
 # surplus exceeds _KAPPA times the bound on D_min^2 (a 1/_KAPPA cost)
 _KAPPA = 1e6
-
-
-def _reduce(forms: Forms, eps: Sequence[float]):
-    """`_reduce_stack` of one horizon."""
-    return _reduce_stack([(forms, eps)])[0]
 
 
 def _reduce_stack(requests):
@@ -397,19 +363,15 @@ def _deflate(sig, m, null, found, eig):
 class HorizonInputs:
     """What every alpha and D checked at one horizon share: the forms, the
     candidate states, each scored once as a unit u by the free norm
-    ||F u|| and the observation norm ||R u|| (the forms' `floor` and below
-    counting as rounding), and `energy_of`, an independent route to
-    ||R u||^2 that confirms a violation.  `scores`, the (free, obs) arrays
-    that `_scores` gave on a stack, are scored as a stack of one when not
-    given.  `entries`, `entry`, `bracket` and `energy` are memoized: each
+    ||F u|| and the observation norm ||R u|| (`scores`, the (free, obs)
+    arrays `_scores` gave; an ||R u|| the forms' `rounding` puts at or
+    below the floor counts as rounding), and `energy_of`, an independent
+    route to ||R u||^2 that confirms a violation; built by
+    `horizon_records`.  `entry`, `bracket` and `energy` are memoized: each
     eps is searched and reduced once, each witness integrated once."""
 
     def __init__(self, forms: Forms, states,
-                 energy_of: Callable[[np.ndarray], float], scores=None):
-        states = np.asarray(states, dtype=float)
-        if scores is None:
-            scores = [s[0] for s in _scores(_FormStack.one(forms),
-                                            states[None])]
+                 energy_of: Callable[[np.ndarray], float], scores):
         self.forms = forms
         self.states = states
         self.free, self.obs = scores
@@ -417,16 +379,12 @@ class HorizonInputs:
         self._entries = {}
         self._energies = {}
 
-    def entries(self, eps_values: Sequence[float]):
-        """[((state, ratio), reduction)] for each eps of `eps_values`: the
-        best ratio (||F u|| - eps)_+ / ||R u|| over the scored states (inf
-        where ||R u|| <= floor) with its state, and the eps's slack
-        reduction; neither depends on D.  `_enter` of this horizon."""
-        _enter([(self, eps_values)])
-        return [self._entries[eps] for eps in eps_values]
-
     def entry(self, eps: float):
-        """`entries` of one eps."""
+        """((state, ratio), reduction) at eps: the best ratio
+        (||F u|| - eps)_+ / ||R u|| over the scored states (inf where
+        ||R u|| <= floor) with its state, and the eps's slack reduction;
+        neither depends on D.  Searched by `_enter`, here or, for every
+        eps of a sweep at once, in `sweep_alpha`."""
         if eps not in self._entries:
             _enter([(self, [eps])])
         return self._entries[eps]
@@ -523,19 +481,13 @@ def shared_states(n, samples, seed):
     return np.vstack([_unit_rows(gauss), np.eye(n)])
 
 
-def candidate_states(forms, shared):
-    """The unit states a violation search scores on these forms: the
-    `shared_states` block, R's right singular vectors, W's eigenvectors
-    and the eps = 0 maximizers V Sigma^{-1} y, y an eigenvector of K11;
-    `_candidates` of a stack of one."""
-    stack = _FormStack.one(forms)
-    return _candidates(stack, stack.kept()[0], shared)[0]
-
-
-def _candidates(forms: _FormStack, kept, shared):
-    """`candidate_states` of each horizon of `forms`, whose every horizon
-    keeps its `kept` leading directions (`_FormStack.kept`), as one
-    (horizon x state x n) array."""
+def _candidates(forms: FormStack, kept, shared):
+    """The unit states a violation search scores on each horizon of
+    `forms`, whose every horizon keeps its `kept` leading directions
+    (`FormStack.kept`), as one (horizon x state x n) array: the
+    `shared_states` block `shared`, R's right singular vectors, W's
+    eigenvectors and the eps = 0 maximizers V Sigma^{-1} y, y an
+    eigenvector of K11."""
     vt, adj = forms.vt, forms.adj
     _, wv = np.linalg.eigh(adj.transpose(0, 2, 1) @ adj)
     # at eps = 0, K11 = X^T X with X = F V1 Sigma1^{-1}
@@ -548,12 +500,33 @@ def _candidates(forms: _FormStack, kept, shared):
         [np.broadcast_to(shared, (len(own),) + shared.shape), own], axis=1)
 
 
-def _scores(forms: _FormStack, states):
+def _scores(forms: FormStack, states):
     """(||F u||, ||R u||) over the unit rows u of `states`, one
     (horizon x state) array each."""
     units = states / np.linalg.norm(states, axis=-1)[..., None]
     return (np.linalg.norm(units @ forms.adj.transpose(0, 2, 1), axis=-1),
             np.linalg.norm(units @ forms.factor.transpose(0, 2, 1), axis=-1))
+
+
+def horizon_records(stack: FormStack, shared, energy_of):
+    """The `HorizonInputs` of each horizon of `stack`, in its order, with
+    energy_of[i] the independent energy of horizon i.  The horizons are
+    grouped by their count of kept directions, and each group's
+    candidates (over `shared`, a `shared_states` block) and scores are one
+    `_candidates` and one `_scores` call.  `_horizons` builds a dense
+    system's records here, and `stabcert.periodic` its diagonal record, a
+    stack of one."""
+    groups = {}
+    for i, k in enumerate(stack.kept()):
+        groups.setdefault(k, []).append(i)
+    records = [None] * len(energy_of)
+    for k, index in groups.items():
+        group = stack.take(index)
+        states = _candidates(group, k, shared)
+        for i, forms, st, free, obs in zip(index, group.records(), states,
+                                           *_scores(group, states)):
+            records[i] = HorizonInputs(forms, st, energy_of[i], (free, obs))
+    return records
 
 
 def _horizons(sys, horizons, samples, seed):
@@ -563,32 +536,20 @@ def _horizons(sys, horizons, samples, seed):
     read it through one transposed view, so no A^T t is exponentiated; the
     Gaussian and axis states are drawn once for all horizons.
 
-    Every step runs on stacks (`_FormStack.dense`): the Gramians are one
+    The forms are one stack (`FormStack.dense`): the Gramians are one
     stacked refinement, whose shorter horizons read the node values of
     the longest of their panel width, and the floor brackets one stacked
-    call; then the horizons are grouped by their count of kept
-    directions, and each group's candidates and scores are one
-    `_candidates` and one `_scores` call.  `horizons` holds no horizon
-    twice."""
+    call; `horizon_records` makes the records.  `horizons` holds no
+    horizon twice."""
     table = ExpTable(sys.a_matrix, sys.is_diagonal)
     adj_table = table.transposed()
     shared = shared_states(sys.n, samples, seed)
     order = sorted(horizons, reverse=True)
-    stack = _FormStack.dense(sys, order, table)
-    groups = {}
-    for i, k in enumerate(stack.kept()):
-        groups.setdefault(k, []).append(i)
-    inputs = {}
-    for k, index in groups.items():
-        group = stack.take(index)
-        states = _candidates(group, k, shared)
-        for i, forms, st, free, obs in zip(index, group.records(), states,
-                                           *_scores(group, states)):
-            t = order[i]
-            inputs[t] = HorizonInputs(
-                forms, st, lambda unit, t=t: observation_energy(
-                    sys, t, unit, table=adj_table), (free, obs))
-    return {t: inputs[t] for t in order}
+    records = horizon_records(
+        FormStack.dense(sys, order, table), shared,
+        [lambda unit, t=t: observation_energy(sys, t, unit, table=adj_table)
+         for t in order])
+    return dict(zip(order, records))
 
 
 # ---------------------------------------------------------------------------

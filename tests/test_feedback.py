@@ -681,7 +681,7 @@ def test_regularized_segments_land_on_the_target():
     for n, eps, hide in cases:
         if hide:
             s = _with_hidden_mode(rng, n, -3.0)
-            forms = weakobs.Forms.dense(s, 1.0)
+            forms = weakobs._horizons(s, [1.0], 1, 0)[1.0].forms
             assert forms.sig[-1]**2 <= feedback._UNREACHABLE_RTOL * \
                 forms.sig[0]**2
         else:
@@ -796,7 +796,7 @@ def test_steering_never_forms_the_gramian_floor(monkeypatch):
                              rng.standard_normal((5, 2)))
     y0 = rng.standard_normal(5)
     with pytest.raises(AssertionError, match="floor was read"):
-        weakobs.Forms.dense(s, 1.0)
+        weakobs._horizons(s, [1.0], 1, 0)
     _, rep = feedback.concatenated_control(s, 1.0, 1.0, math.exp(-2.0),
                                            y0, 3)
     assert rep.contraction_ok and rep.geometric_ok

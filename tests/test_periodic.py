@@ -262,19 +262,22 @@ def test_periodic_record_scores_the_dense_candidate_rule(bench10, samples,
     # the periodic check scores the states every dense horizon scores, and
     # its Gaussians are the first draws of default_rng(seed), as before
     records = []
+    decide = periodic.decide
 
-    class Recorded(weakobs.HorizonInputs):
-        def __init__(self, *args):
-            super().__init__(*args)
-            records.append(self)
+    def recorded(inputs, cert):
+        records.append(inputs)
+        return decide(inputs, cert)
 
-    monkeypatch.setattr(periodic, "HorizonInputs", Recorded)
+    monkeypatch.setattr(periodic, "decide", recorded)
     periodic.multiplexed_stabilizability_check(bench10, 2, samples=samples,
                                                seed=seed)
     (record,) = records
-    rule = weakobs.candidate_states(
-        record.forms, weakobs.shared_states(bench10.n, samples, seed))
-    assert record.states.tobytes() == rule.tobytes()
+    forms = record.forms
+    (rule,) = weakobs.horizon_records(
+        weakobs.FormStack.of(forms.factor[None], forms.adj[None],
+                             [forms.rounding]),
+        weakobs.shared_states(bench10.n, samples, seed), [None])
+    assert record.states.tobytes() == rule.states.tobytes()
     gauss = np.random.default_rng(seed).standard_normal((samples, bench10.n))
     np.testing.assert_allclose(
         record.states[:samples],

@@ -477,7 +477,7 @@ def test_floor_bracket_decides_as_the_exact_floor(kind, n, m, monkeypatch):
 
     for horizon in (0.3, 1.0, 4.0):
         floor = semigroup.gramian_floor(s, horizon)
-        bracket = semigroup.floor_bracket(s, horizon)
+        (bracket,) = semigroup.floor_brackets(s, [horizon])
         assert bracket.lo <= floor <= bracket.hi
         if n == 1:
             # rank 1: lo = hi up to the margin
@@ -494,7 +494,7 @@ def test_floor_bracket_decides_as_the_exact_floor(kind, n, m, monkeypatch):
         assert np.array_equal(bracket.above(values), values > floor)
         outside = values[(values <= bracket.lo) | (values > bracket.hi)]
         monkeypatch.setattr(semigroup, "gramian_floor", counted)
-        fresh = semigroup.floor_bracket(s, horizon)
+        (fresh,) = semigroup.floor_brackets(s, [horizon])
         assert np.array_equal(fresh.at_or_below(outside), outside <= floor)
         assert np.array_equal(fresh.above(outside), outside > floor)
         monkeypatch.undo()
@@ -503,8 +503,8 @@ def test_floor_bracket_decides_as_the_exact_floor(kind, n, m, monkeypatch):
 
 
 def test_a_known_floor_brackets_itself():
-    # Forms.of's float floor: lo = hi = floor, and only nan forms nothing
-    # new
+    # a float floor (periodic's zero floor): lo = hi = floor, and only nan
+    # forms nothing new
     bracket = semigroup.FloorBracket.of(0.25)
     values = np.array([0.0, 0.25, np.nextafter(0.25, 1.0), np.inf, np.nan])
     assert np.array_equal(bracket.at_or_below(values), values <= 0.25)
@@ -672,7 +672,10 @@ def _stack_case(case):
                                      rng.standard_normal((4, 1))),
                 (0.3, 0.7, 1.9))
     if case == "one-panel":
-        # ||A||_F = 2: T = 0.25 and T = 0.5 start at one panel
+        # ||A||_F = 2: T = 0.25 and T = 0.5 start at one panel, so the
+        # first panels, longest first, are [4, 2, 1, 1]: shorter horizons
+        # narrower than a longer one's first level, which form their own
+        # chunks
         a = rng.standard_normal((4, 4))
         return (systems.build_system(2.0 * a / np.linalg.norm(a),
                                      rng.standard_normal((4, 2))),
@@ -727,7 +730,7 @@ def test_stacked_builders_equal_fresh_single_horizon_calls(case,
         assert mine.factor.tobytes() == alone.factor.tobytes()
         assert (mine.quadrature_error_estimate
                 == alone.quadrature_error_estimate)
-        fresh = semigroup.floor_bracket(s, t)
+        (fresh,) = semigroup.floor_brackets(s, [t])
         assert (bracket.lo, bracket.hi) == (fresh.lo, fresh.hi)
         assert bracket.value == fresh.value == semigroup.gramian_floor(s, t)
 
@@ -753,8 +756,8 @@ def test_a_stacked_horizon_that_cannot_settle_raises_its_own_error(
 
 
 def test_refine_each_equals_refine_of_each():
-    # integrals refined in lockstep, some waiting, settle as each does
-    # alone; one that never settles raises the message it raises alone
+    # integrals refined in lockstep settle as each does alone; one that
+    # never settles raises the message it raises alone
     def level_of(f):
         def level(k):
             nodes, weights = panel_nodes(0.0, 3.0, k, 4)
@@ -763,24 +766,20 @@ def test_refine_each_equals_refine_of_each():
 
     levels = [level_of(np.exp), level_of(np.cos),
               level_of(lambda x: 1.0 / (1.0 + x * x))]
-    panels, lags = [1, 4, 2], [0, 2, 1]
-    asked = []
+    panels = [1, 4, 2]
 
     def stacked(counts):
-        asked.append(list(counts))
         return [None if k is None else f(k) for f, k in zip(levels, counts)]
 
-    got = _quadrature.refine_each(stacked, panels, rel_tol=1e-12, lags=lags)
+    got = _quadrature.refine_each(stacked, panels, rel_tol=1e-12)
     assert got == [refine(f, k, rel_tol=1e-12)
                    for f, k in zip(levels, panels)]
-    assert asked[0] == [1, None, None] and asked[2][1] == 4
     with pytest.raises(QuadratureError) as alone:
         refine(float, 1)
     with pytest.raises(QuadratureError) as together:
         _quadrature.refine_each(
             lambda counts: [None if k is None else f(k) for f, k in
-                            zip([levels[0], float], counts)], [1, 1],
-            lags=[0, 3])
+                            zip([levels[0], float], counts)], [1, 1])
     assert str(together.value) == str(alone.value)
 
 

@@ -432,7 +432,7 @@ def test_sweep_scores_each_horizon_once(monkeypatch):
     assert scored == [4]
 
 
-def _old_candidate_states(forms, samples, seed):
+def _old_candidate_list(forms, samples, seed):
     """The per-horizon candidate list, each state normalized on its own."""
     n = len(forms.factor)
     rng = np.random.default_rng(seed)
@@ -442,7 +442,7 @@ def _old_candidate_states(forms, samples, seed):
     cands.extend(vt)
     _, wv = np.linalg.eigh(forms.adj.T @ forms.adj)
     cands.extend(wv.T)
-    kept = sig > forms.floor
+    kept = sig > forms.rounding.value
     _, _, yt = np.linalg.svd((forms.adj @ vt[kept].T) / sig[kept])
     cands.extend(yt / sig[kept] @ vt[kept])
     norms = [np.linalg.norm(v) for v in cands]
@@ -456,7 +456,8 @@ def _old_best_state(forms, eps, candidates):
     obs = np.linalg.norm(units @ forms.factor.T, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(num <= 0.0, 0.0,
-                         np.where(obs <= forms.floor, np.inf, num / obs))
+                         np.where(obs <= forms.rounding.value, np.inf,
+                                  num / obs))
     best = int(np.argmax(ratio))
     return candidates[best], float(ratio[best])
 
@@ -468,7 +469,7 @@ def test_hoisted_scores_match_the_list_search(kind, n):
     for horizon in (0.5, 2.0):
         inputs = weakobs._horizons(s, [horizon], 30, 7)[horizon]
         forms = inputs.forms
-        old = _old_candidate_states(forms, 30, 7)
+        old = _old_candidate_list(forms, 30, 7)
         assert inputs.states.tobytes() == np.array(old).tobytes()
         for eps in (0.0, 1e-3, 0.1, 0.7, 5.0):
             (state, ratio), _ = inputs.entry(eps)
@@ -481,10 +482,16 @@ def test_hoisted_scores_match_the_list_search_on_diagonal_forms():
     # periodic-style forms: diagonal factor and adjoint, raw candidates
     rng = np.random.default_rng(4)
     g, w = rng.uniform(1e-3, 2.0, 6), rng.uniform(1e-2, 3.0, 6)
-    forms = weakobs.Forms.of(np.diag(np.sqrt(g)), np.diag(np.sqrt(w)))
+    stack = weakobs.FormStack.of(np.diag(np.sqrt(g))[None],
+                                 np.diag(np.sqrt(w))[None],
+                                 [semigroup.FloorBracket.of(0.0)])
+    (forms,) = stack.records()
     cands = list(np.eye(6))
     cands.extend(rng.standard_normal((40, 6)))
-    inputs = weakobs.HorizonInputs(forms, cands, None)
+    states = np.array(cands)
+    inputs = weakobs.HorizonInputs(
+        forms, states, None,
+        [s[0] for s in weakobs._scores(stack, states[None])])
     for eps in (0.0, 0.05, 0.5, 1.0, 2.0):
         (state, ratio), _ = inputs.entry(eps)
         old_state, old_ratio = _old_best_state(forms, eps, cands)
@@ -551,7 +558,7 @@ def test_sweep_takes_each_floor_probe_norm_once(monkeypatch):
     assert not any("value" in vars(b) for b in brackets.values())
     fresh = systems.build_system(s.a_matrix, s.b_matrix)
     for t in horizons:
-        floor = weakobs.Forms.dense(fresh, t).floor
+        floor = weakobs._horizons(fresh, [t], 1, 0)[t].forms.rounding.value
         assert brackets[t].value == floor
         assert brackets[t].lo <= floor <= brackets[t].hi
 
@@ -671,6 +678,40 @@ def test_sweep_exponentiates_only_a_once_witnesses_included(monkeypatch):
     assert len(times) == len(set(times))
 
 
+def test_witness_energies_take_no_two_norm_but_the_cached_b_norm(
+        monkeypatch):
+    # a refuting sweep's witness energies scale their noise floor by the
+    # system's cached ||B||_2 (`LtiSystem.b_norm`): the only 2-norm taken
+    # inside them is that one, of B, once per system
+    s = _dense_pair("unobservable", n=5)
+    norm = np.linalg.norm
+    inside, two_norms, energies = [], [], []
+
+    def norm_spy(x, ord=None, axis=None, keepdims=False):
+        if ord == 2 and inside:
+            two_norms.append(np.array(x))
+        return norm(x, ord, axis, keepdims)
+
+    def counted(*args, **kwargs):
+        inside.append(1)
+        try:
+            energies.append(semigroup.observation_energy(*args, **kwargs))
+        finally:
+            inside.pop()
+        return energies[-1]
+
+    monkeypatch.setattr(np.linalg, "norm", norm_spy)
+    monkeypatch.setattr(weakobs, "observation_energy", counted)
+    fam = weakobs.sweep_alpha(s, [1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 2.0, 4.0],
+                              samples=60)
+    monkeypatch.undo()
+    assert fam.verdict == REFUTED
+    assert len(energies) > 1
+    assert len(two_norms) <= 1
+    assert all(np.array_equal(x, s.b_matrix) for x in two_norms)
+    assert vars(s)["b_norm"] == norm(s.b_matrix, 2)
+
+
 @pytest.mark.parametrize("kind", ["dense", "ill", "unobservable"])
 def test_sweep_statuses_do_not_depend_on_the_first_level(kind, monkeypatch):
     # aim 3: a verdict does not hang on the quadrature's settings; two
@@ -787,8 +828,9 @@ def test_stacked_records_equal_single_horizon_records(kind, monkeypatch):
         for field in ("states", "free", "obs"):
             assert (getattr(record, field).tobytes()
                     == getattr(alone, field).tobytes()), field
-        for mine, theirs in zip(record.entries(eps), alone.entries(eps),
-                                strict=True):
+        weakobs._enter([(alone, eps)])
+        for mine, theirs in zip([record.entry(e) for e in eps],
+                                [alone.entry(e) for e in eps], strict=True):
             (state, ratio), reduced = mine
             (alone_state, alone_ratio), alone_reduced = theirs
             assert state.tobytes() == alone_state.tobytes()
@@ -833,10 +875,11 @@ def test_sweep_refuses_a_bad_grid_before_any_gramian(alphas, horizons,
 
 def _reduce_one_eps(forms, eps):
     """The slack reduction of one eps as a loop from the null block
-    sigma <= floor on: the reference `_reduce`'s batched pass must equal."""
+    sigma <= floor on: the reference `_reduce_stack`'s batched pass must
+    equal."""
     sig = forms.sig
     m = forms.w_basis - eps**2 * np.eye(len(sig))
-    null = sig <= forms.floor
+    null = sig <= forms.rounding.value
     found = (np.inf, -np.inf)
     while True:
         keep = ~null
@@ -882,11 +925,11 @@ def test_batched_reduction_equals_the_per_eps_reduction(kind, monkeypatch):
     monkeypatch.setattr(weakobs, "_deflate", seen)
     eps = [0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 3.0]
     for horizon in (0.5, 2.0, 4.0):
-        forms = weakobs.Forms.dense(s, horizon)
-        assert (weakobs._reduce(forms, eps)
+        forms = weakobs._horizons(s, [horizon], 1, 0)[horizon].forms
+        assert (weakobs._reduce_stack([(forms, eps)])[0]
                 == [_reduce_one_eps(forms, e) for e in eps])
         if kind == "unobservable":
-            assert (forms.sig <= forms.floor).any()
+            assert (forms.sig <= forms.rounding.value).any()
     # a null block that starts positive definite runs its eps on its own;
     # a deflation continues the batched pass
     assert {"dense": not deflated, "unobservable": deflated and

@@ -48,13 +48,16 @@ energies = np.array([periodic_observation_energy(sys_p, 1, e)
 for k in range(1, 6):
     cert = multiplexed_stabilizability_check(sys_p, k)
     decays = np.exp(2.0 * sys_p.a_diag * cert.horizon)
-    # c_k^2 g_n + eps^2 - w_n >= 0 for every n is the per-mode test
-    per_mode = cert.d_const**2 * energies + cert.residual**2 - decays
+    # the claim holds iff c_k sqrt(g_n) + eps - sqrt(w_n) >= 0 for every n
+    per_mode = (cert.d_const * np.sqrt(energies) + cert.residual
+                - np.sqrt(decays))
     worst = int(np.argmin(per_mode))
+    # the margin is C(k)^2 - D_min^2, with the exact
+    # D_min = max_n (sqrt(w_n) - eps)_+ / sqrt(g_n)
+    d_min = np.sqrt(cert.d_const**2 - cert.margin)
     print(f"  k={k}: {cert.status}, C(k) = {cert.d_const:.4f}, "
-          f"decision margin D^2 - max_n (w_n - eps^2)/g_n "
-          f"= {cert.margin:.3e}")
-    print(f"       smallest per-mode margin c_k^2 g_n + eps^2 - w_n "
+          f"exact D_min = {d_min:.4g}")
+    print(f"       smallest per-mode slack c_k sqrt(g_n) + eps - sqrt(w_n) "
           f"= {per_mode[worst]:.3e} (mode {worst + 1})")
 # a_n = e^{-n^2} up to the normalizer, so e^(k^2) a_n = e^(k^2 - n^2)
 print("\nkey per-mode quantities e^(k^2) a_n at k=3:",

@@ -10,13 +10,11 @@ checker cross-validates by panel quadrature split at the switch times.
 A periodic certificate is a `WeakObsCertificate`: the claim
 ||Phi(n_k,0)^* psi|| <= c_k ||obs|| + e^{-k n_k} ||psi|| is the one with
 horizon n_k periods, alpha = k, D = c_k and C = 1.  Only what is periodic
-lives here: the per-mode energies g and the decayed norms
-w = e^{2 lambda T}, and the quadrature confirmation.  The record
-(`weakobs.HorizonInputs`) comes from the builder every dense sweep uses,
-`weakobs.horizon_records`, on a stack of one (`weakobs.FormStack`) of the
-forms diag(sqrt(g)) and diag(sqrt(w)) with a zero floor: the same
-candidate rule over `weakobs.shared_states`.  Ratio, margin, threshold and
-verdict come from the decision core in `stabcert.weakobs`.
+lives here: the per-mode energies g, the decayed norms w = e^{2 lambda T}
+and the quadrature confirmation.  The claim holds iff
+sqrt(w_n) <= c_k sqrt(g_n) + e^{-k n_k} for every mode n, which
+`weakobs.DiagonalInputs` decides exactly, drawing no random state; margin,
+threshold and verdict come from the decision core in `stabcert.weakobs`.
 """
 
 import math
@@ -26,9 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._quadrature import integrate_adaptive
-from .semigroup import FloorBracket
-from .weakobs import (FormStack, WeakObsCertificate, decide,
-                      horizon_records, shared_states)
+from .weakobs import DiagonalInputs, WeakObsCertificate, decide
 
 __all__ = [
     "PeriodicSystem",
@@ -109,26 +105,29 @@ def build_multiplexed_system(n: int, series_terms: int = 12
     )
 
 
-def _mode_energy(lam: float, window, m: int, period: float) -> float:
-    """int_0^{m period} of the windowed squared adjoint mode, in closed form.
+def _mode_energies(sys: PeriodicSystem, m: int) -> list:
+    """int_0^{m period} of each windowed squared adjoint mode, closed form.
 
-    The mode contributes e^{2 lam (m period - t)} whenever the fractional
-    part of t/period lies in its window.  With t = period tau this is
-    period times the unit-period integral of rate lam period; summing the
+    A mode contributes e^{2 lam (m period - t)} whenever the fractional
+    part of t/period lies in its window (lo, hi).  With t = period tau this
+    is period times the unit-period integral of rate lam period; summing the
     per-period integrals gives sum_{j=1..m} (e^{-s(j-hi)} - e^{-s(j-lo)})/s
-    with s = -2 lam period.
+    with s = -2 lam period, each term taken as
+    -e^{-s(j-hi)} expm1(-s(hi-lo))/s, which keeps the digits that the
+    difference cancels on a narrow window.
     """
-    lo, hi = window
-    if hi <= lo:
-        return 0.0
-    s = -2.0 * lam * period
-    total = 0.0
-    for j in range(1, m + 1):
-        if abs(s) < 1e-12:
-            total += hi - lo
-        else:
-            total += (math.exp(-s * (j - hi)) - math.exp(-s * (j - lo))) / s
-    return period * total
+    energies = []
+    for lam, (lo, hi) in zip(sys.a_diag, sys.windows):
+        s = -2.0 * lam * sys.period
+        total = 0.0
+        for j in range(1, m + 1):
+            if abs(s) < 1e-12:
+                total += hi - lo
+            else:
+                total -= (math.exp(-s * (j - hi)) * math.expm1(-s * (hi - lo))
+                          / s)
+        energies.append(sys.period * total)
+    return energies
 
 
 def _checked_state(sys: PeriodicSystem, horizon_periods: int, psi):
@@ -146,10 +145,8 @@ def periodic_observation_energy(sys: PeriodicSystem, horizon_periods: int,
                                 psi) -> float:
     """||B(.)^* Phi(m period, .)^* psi||^2 over m periods, mode by mode."""
     psi = _checked_state(sys, horizon_periods, psi)
-    return float(sum(
-        psi[i] ** 2 * _mode_energy(sys.a_diag[i], sys.windows[i],
-                                   horizon_periods, sys.period)
-        for i in range(sys.n)))
+    return float(sum(p**2 * e for p, e in
+                     zip(psi, _mode_energies(sys, horizon_periods))))
 
 
 # relative tolerance of each panel of the quadrature cross-check
@@ -227,40 +224,31 @@ def noncontrollability_witness(sys: PeriodicSystem, m: int, big_c: float):
 
 
 def periodic_weakobs_check(sys: PeriodicSystem, k: int, n_k: int,
-                           c_k: float, samples: int = 100,
-                           seed: int = 0) -> WeakObsCertificate:
+                           c_k: float) -> WeakObsCertificate:
     """Decide ||Phi(n_k,0)^* psi|| <= c_k ||obs|| + e^{-k n_k} ||psi||.
 
-    That is the certificate (T, alpha, D, C) = (n_k period, k, c_k, 1).
-    Everything is diagonal, so the sufficient quadratic test reduces to
-    per-mode margins c_k^2 g_n + eps^2 - w_n >= 0; the states of the dense
-    candidate rule (`samples` Gaussian states drawn from `seed`, the axes
-    and the forms' own) are searched for a violation, which must be
-    confirmed through the quadrature energy before it refutes.
+    That is the certificate (T, alpha, D, C) = (n_k period, k, c_k, 1),
+    decided mode by mode (`weakobs.DiagonalInputs`): the margin is
+    c_k^2 - D_min^2, and a refutation's witness, the worst mode's axis, is
+    confirmed through the quadrature energy.
     """
     if k < 1 or n_k < 1:
         raise ValueError("k and n_k must be positive integers")
     cert = WeakObsCertificate(horizon=n_k * sys.period, alpha=k,
                               d_const=c_k, c_const=1.0)
-    g = np.array([_mode_energy(sys.a_diag[i], sys.windows[i], n_k,
-                               sys.period) for i in range(sys.n)])
+    g = np.array(_mode_energies(sys, n_k))
     w = np.exp(2.0 * sys.a_diag * cert.horizon)
-    stack = FormStack.of(np.diag(np.sqrt(g))[None], np.diag(np.sqrt(w))[None],
-                         [FloorBracket.of(0.0)])
-    (inputs,) = horizon_records(
-        stack, shared_states(sys.n, samples, seed),
-        [lambda psi: periodic_observation_energy_quadrature(sys, n_k, psi)])
-    return decide(inputs, cert)
+    return decide(DiagonalInputs(
+        g, w, lambda psi: periodic_observation_energy_quadrature(sys, n_k,
+                                                                 psi)), cert)
 
 
-def multiplexed_stabilizability_check(sys: PeriodicSystem, k: int,
-                                      samples: int = 100,
-                                      seed: int = 0) -> WeakObsCertificate:
+def multiplexed_stabilizability_check(sys: PeriodicSystem,
+                                      k: int) -> WeakObsCertificate:
     """Benchmark certificate with c_k = sqrt(alpha) e^{k^2/2} over one
     period: e^{k^2} a_n >= 1 for n <= k, so the first k channels carry
     the decayed modes."""
     if sys.alpha_series is None:
         raise ValueError("requires the multiplexed benchmark construction")
     return periodic_weakobs_check(
-        sys, k, 1, math.sqrt(sys.alpha_series) * math.exp(k**2 / 2.0),
-        samples=samples, seed=seed)
+        sys, k, 1, math.sqrt(sys.alpha_series) * math.exp(k**2 / 2.0))

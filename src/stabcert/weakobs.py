@@ -38,21 +38,16 @@ answers are those of the comparisons against the floor.
 Every verdict in the package, `stabcert.periodic` included, goes through
 the one decision core here: `decide(inputs, cert)` reads D and eps from a
 `WeakObsCertificate` and returns it with its status, margin and witness,
-on one horizon's `HorizonInputs` record.  One builder,
-`horizon_records`, makes every record from a `FormStack` of forms over a
-leading horizon axis: `_horizons` gives it a dense system's stack for
-`check_certificate`, `optimal_d_bracket` and `sweep_alpha`, and
-`stabcert.periodic` a stack of one from its diagonal forms, so both
-search the same candidate rule over `shared_states`.
+on one horizon's record: a dense system's `HorizonInputs`, which
+`_horizons` builds from a `FormStack` of forms over a leading horizon
+axis, or `stabcert.periodic`'s `DiagonalInputs`, which decides its
+diagonal forms exactly (its axes are its only candidates, its top is
+D_min^2 in closed form) and draws no random state.
 
-A dense stack's Gramians are one stacked refinement
-(`semigroup.observability_gramians`) and its floor brackets one stacked
-call (`semigroup.floor_brackets`), and every later step runs once per
-sweep (or once per group of horizons) as batched NumPy calls.  Batched
-`svd`, `eigh`, `eigvalsh` and `matmul` treat each slice on its own, so
-each horizon's record is bit for bit the one built for it alone.
-
-The search computes each quantity once, at the scope it depends on:
+A dense search computes each quantity once, at the scope it depends on,
+as batched NumPy calls over the horizons that share it.  Batched `svd`,
+`eigh`, `eigvalsh` and `matmul` treat each slice on its own, so each
+horizon's record is bit for bit the one built for it alone:
 
 * per call (`_horizons`): one ExpTable of A for every Gramian, every
   floor bracket and, through its transposed view, every witness energy,
@@ -64,16 +59,15 @@ The search computes each quantity once, at the scope it depends on:
   (`semigroup.observability_gramians`, one stacked refinement per sweep);
 * per horizon: the Gramian's factor, by its own QR per chunk, and its
   floor bracket's arithmetic;
-* per sweep, stacked over its horizons (`FormStack.dense`): the
-  Gramians' refinement, the probe norms of every floor bracket
-  (`semigroup.floor_brackets`: one `ExpTable.norms` call, whose misses
-  are one `expm` call), e^{A^T T}, R's SVD and W in R's right singular
-  basis;
+* per sweep, stacked over its horizons (`FormStack.dense`): the probe
+  norms of every floor bracket (`semigroup.floor_brackets`: one
+  `ExpTable.norms` call, whose misses are one `expm` call), e^{A^T T},
+  R's SVD and W in R's right singular basis;
 * per group of horizons that keep as many directions (sigma > floor;
   sigma is sorted, so the kept directions are a prefix of V): the
   candidates the forms add (R's right singular vectors, W's
   eigenvectors, the K11 maximizers; `_candidates`) and ||F u||, ||R u||
-  over all candidates u (`_scores`), one call each (`horizon_records`);
+  over all candidates u (`_scores`), one call each (`_horizons`);
   a sweep whose every horizon keeps as many directions is one group;
 * per (alpha, T), i.e. per eps: the ratio argmax and the slack reduction
   (`entry`), shared by `bracket` and by `decide` for every D.  A sweep
@@ -366,9 +360,9 @@ class HorizonInputs:
     ||F u|| and the observation norm ||R u|| (`scores`, the (free, obs)
     arrays `_scores` gave; an ||R u|| the forms' `rounding` puts at or
     below the floor counts as rounding), and `energy_of`, an independent
-    route to ||R u||^2 that confirms a violation; built by
-    `horizon_records`.  `entry`, `bracket` and `energy` are memoized: each
-    eps is searched and reduced once, each witness integrated once."""
+    route to ||R u||^2 that confirms a violation; built by `_horizons`.
+    `entry`, `bracket` and `energy` are memoized: each eps is searched and
+    reduced once, each witness integrated once."""
 
     def __init__(self, forms: Forms, states,
                  energy_of: Callable[[np.ndarray], float], scores):
@@ -405,6 +399,35 @@ class HorizonInputs:
             self._energies[key] = self.energy_of(unit)
         return self._energies[key]
 
+    def free_norm(self, unit: np.ndarray) -> float:
+        return np.linalg.norm(self.forms.adj @ unit)
+
+
+class DiagonalInputs:
+    """The exact record of diagonal forms R = diag(sqrt(g)) and
+    F = diag(sqrt(w)), with `energy` the independent energy of a unit.
+    ||F phi||^2 is linear in p_n = phi_n^2 and (D ||R phi|| + eps)^2 is
+    concave in p, so the worst unit state is an axis: the inequality holds
+    iff sqrt(w_n) <= D sqrt(g_n) + eps for every n.  `entry` gives the
+    worst axis and top = D_min^2, D_min = max_n (sqrt(w_n) - eps)_+ /
+    sqrt(g_n); top is inf when a mode with g_n = 0 has sqrt(w_n) > eps,
+    and lambda_min(N) is the least eps^2 - w_n over those modes."""
+
+    def __init__(self, g, w, energy: Callable[[np.ndarray], float]):
+        self.g, self.w, self.energy = np.asarray(g), np.asarray(w), energy
+
+    def entry(self, eps: float):
+        num = np.maximum(np.sqrt(self.w) - eps, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(num > 0.0, num / np.sqrt(self.g), 0.0)
+        n = int(np.argmax(ratio))
+        null_min = np.min(eps**2 - self.w[np.isinf(ratio)], initial=np.inf)
+        return ((np.eye(len(ratio))[n], float(ratio[n])),
+                (float(ratio[n]) ** 2, float(null_min)))
+
+    def free_norm(self, unit: np.ndarray) -> float:
+        return np.linalg.norm(np.sqrt(self.w) * unit)
+
 
 def _enter(requests):
     """Search and reduce the eps not met before of each (inputs,
@@ -431,7 +454,7 @@ def _enter(requests):
                                   reduction)
 
 
-def decide(inputs: HorizonInputs,
+def decide(inputs: Union[HorizonInputs, DiagonalInputs],
            cert: WeakObsCertificate) -> WeakObsCertificate:
     """`cert` with its verdict on ||e^{A^T T} phi|| <= D ||R phi|| + eps
     ||phi||, D = cert.d_const and eps = cert.residual, on the inputs of
@@ -446,7 +469,7 @@ def decide(inputs: HorizonInputs,
     margin = null_min if math.isinf(top) else d_const**2 - top
     if best > d_const:
         unit = phi / np.linalg.norm(phi)
-        lhs = np.linalg.norm(inputs.forms.adj @ unit)
+        lhs = inputs.free_norm(unit)
         rhs = d_const * math.sqrt(max(inputs.energy(unit), 0.0)) + eps
         if lhs > rhs + 1e-12 * (1.0 + lhs):
             return replace(cert, status=REFUTED, margin=margin, witness=phi)
@@ -508,27 +531,6 @@ def _scores(forms: FormStack, states):
             np.linalg.norm(units @ forms.factor.transpose(0, 2, 1), axis=-1))
 
 
-def horizon_records(stack: FormStack, shared, energy_of):
-    """The `HorizonInputs` of each horizon of `stack`, in its order, with
-    energy_of[i] the independent energy of horizon i.  The horizons are
-    grouped by their count of kept directions, and each group's
-    candidates (over `shared`, a `shared_states` block) and scores are one
-    `_candidates` and one `_scores` call.  `_horizons` builds a dense
-    system's records here, and `stabcert.periodic` its diagonal record, a
-    stack of one."""
-    groups = {}
-    for i, k in enumerate(stack.kept()):
-        groups.setdefault(k, []).append(i)
-    records = [None] * len(energy_of)
-    for k, index in groups.items():
-        group = stack.take(index)
-        states = _candidates(group, k, shared)
-        for i, forms, st, free, obs in zip(index, group.records(), states,
-                                           *_scores(group, states)):
-            records[i] = HorizonInputs(forms, st, energy_of[i], (free, obs))
-    return records
-
-
 def _horizons(sys, horizons, samples, seed):
     """{T: HorizonInputs} of a dense system, built longest horizon first.
     Every horizon's Gramian draws its node exponentials from one ExpTable
@@ -539,16 +541,26 @@ def _horizons(sys, horizons, samples, seed):
     The forms are one stack (`FormStack.dense`): the Gramians are one
     stacked refinement, whose shorter horizons read the node values of
     the longest of their panel width, and the floor brackets one stacked
-    call; `horizon_records` makes the records.  `horizons` holds no
-    horizon twice."""
+    call; each group of horizons that keep as many directions has one
+    `_candidates` and one `_scores` call.  `horizons` holds no horizon
+    twice."""
     table = ExpTable(sys.a_matrix, sys.is_diagonal)
     adj_table = table.transposed()
     shared = shared_states(sys.n, samples, seed)
     order = sorted(horizons, reverse=True)
-    records = horizon_records(
-        FormStack.dense(sys, order, table), shared,
-        [lambda unit, t=t: observation_energy(sys, t, unit, table=adj_table)
-         for t in order])
+    stack = FormStack.dense(sys, order, table)
+    groups = {}
+    for i, k in enumerate(stack.kept()):
+        groups.setdefault(k, []).append(i)
+    records = [None] * len(order)
+    for k, index in groups.items():
+        group = stack.take(index)
+        states = _candidates(group, k, shared)
+        for i, forms, st, free, obs in zip(index, group.records(), states,
+                                           *_scores(group, states)):
+            records[i] = HorizonInputs(
+                forms, st, lambda unit, t=order[i]: observation_energy(
+                    sys, t, unit, table=adj_table), (free, obs))
     return dict(zip(order, records))
 
 

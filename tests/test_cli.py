@@ -693,22 +693,31 @@ def test_periodic_writes_the_requested_k_as_integers(tmp_path):
                and c["n_k"] == 1 for c in certs)
 
 
-@pytest.mark.parametrize("extra, samples", [([], 100),
-                                             (["--samples", "7"], 7)])
-def test_periodic_example_passes_samples(extra, samples, tmp_path,
-                                         monkeypatch):
-    seen = []
-    check = cli.per.multiplexed_stabilizability_check
+@pytest.mark.parametrize("argv", [
+    ["example", "periodic-l2", "--samples", "7"],
+    ["periodic", "--seed", "1"],
+])
+def test_periodic_takes_no_sampling_flag(argv, tmp_path, capsys):
+    # the periodic claim is decided mode by mode: no states are sampled
+    out = tmp_path / "p"
+    assert run_cli(argv + ["--modes", "4", "--out", str(out)]) == 3
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("samples"))
-        return check(*args, **kwargs)
 
-    monkeypatch.setattr(cli.per, "multiplexed_stabilizability_check", spy)
-    code = run_cli(["example", "periodic-l2", "--modes", "4", "--k-grid",
-                    "1,2", "--out", str(tmp_path / "p")] + extra)
-    assert code in (0, 1, 2)
-    assert seen == [samples, samples]
+def test_periodic_example_accepts_and_ignores_seed(tmp_path):
+    # example runners pass every example a --seed; periodic-l2 takes it,
+    # and its report neither records nor depends on it
+    written = []
+    for extra in ([], ["--seed", "9"]):
+        out = tmp_path / str(len(written))
+        assert run_cli(["example", "periodic-l2", "--modes", "4",
+                        "--out", str(out)] + extra) == 0
+        written.append([(p.name, p.read_bytes())
+                        for p in sorted(out.iterdir())])
+        assert "seed" not in read_report(out)
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -129,13 +129,13 @@ def test_energies_and_check_scale_with_the_period():
         == pytest.approx(due, rel=1e-10)
     assert periodic.periodic_observation_energy(sys2, 3, [1.0]) == \
         pytest.approx((1.0 - math.exp(-12.0)) / 2.0, rel=1e-14)
-    # k = 2 over one period: eps^2 = e^{-8} and w = e^{-4}, so the smallest
-    # D is sqrt((w - eps^2)/g) = sqrt(2) e^{-2} = 0.1914; a unit-period g
-    # would make it 0.2039 and leave D = 0.195 unproven
+    # k = 2 over one period: eps = e^{-4} and sqrt(w) = e^{-2}, so the
+    # smallest D is (e^{-2} - e^{-4})/sqrt(g), D_min^2 = 2 e^{-4} tanh(1)
+    # = 0.02790; a unit-period g would make it 0.03167
     cert = periodic.periodic_weakobs_check(sys2, 2, 1, 0.195)
     assert cert.status == weakobs.CERTIFIED
-    assert cert.margin == pytest.approx(0.195**2 - 2.0 * math.exp(-4.0),
-                                        rel=1e-12)
+    assert cert.margin == pytest.approx(
+        0.195**2 - 2.0 * math.exp(-4.0) * math.tanh(1.0), rel=1e-12)
 
 
 def test_energy_undamped_mode_limit():
@@ -162,7 +162,9 @@ def test_witness_grid_all_strict(bench10):
         for big_c in (2.0, 10.0, 100.0):
             n, lhs, rhs = periodic.noncontrollability_witness(bench10, m,
                                                               big_c)
-            assert lhs > rhs, (m, big_c, n)
+            # the witness mode (up to 8) keeps a positive energy however
+            # narrow its window
+            assert 0.0 < rhs < lhs, (m, big_c, n)
 
 
 def test_witness_monotone_in_constant(bench10):
@@ -256,33 +258,96 @@ def test_generic_checker_refutes_unobserved_undamped():
     assert cert.witness is not None
 
 
-@pytest.mark.parametrize("samples, seed", [(100, 0), (40, 3)])
-def test_periodic_record_scores_the_dense_candidate_rule(bench10, samples,
-                                                         seed, monkeypatch):
-    # the periodic check scores the states every dense horizon scores, and
-    # its Gaussians are the first draws of default_rng(seed), as before
-    records = []
-    decide = periodic.decide
+def _exact_mode_energies(sys, m):
+    """Each mode's energy over m periods from the double-precision windows
+    and rates, summed as the difference of exponentials in 120 digits: the
+    tenth mode's window, 1e-53 wide, cancels about 52 of them."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(120):
+        out = []
+        for lam, (lo, hi) in zip(sys.a_diag, sys.windows):
+            s = -2 * mpmath.mpf(lam) * sys.period
+            out.append(sys.period * sum(
+                (mpmath.exp(-s * (j - mpmath.mpf(hi)))
+                 - mpmath.exp(-s * (j - mpmath.mpf(lo)))) / s
+                for j in range(1, m + 1)))
+        return out
 
-    def recorded(inputs, cert):
-        records.append(inputs)
-        return decide(inputs, cert)
 
-    monkeypatch.setattr(periodic, "decide", recorded)
-    periodic.multiplexed_stabilizability_check(bench10, 2, samples=samples,
-                                               seed=seed)
-    (record,) = records
-    forms = record.forms
-    (rule,) = weakobs.horizon_records(
-        weakobs.FormStack.of(forms.factor[None], forms.adj[None],
-                             [forms.rounding]),
-        weakobs.shared_states(bench10.n, samples, seed), [None])
-    assert record.states.tobytes() == rule.states.tobytes()
-    gauss = np.random.default_rng(seed).standard_normal((samples, bench10.n))
-    np.testing.assert_allclose(
-        record.states[:samples],
-        gauss / np.linalg.norm(gauss, axis=1)[:, None], rtol=1e-15)
-    assert np.allclose(np.linalg.norm(record.states, axis=1), 1.0)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mode_energies_match_an_extended_precision_sum(bench10, m):
+    # the windows of modes 5-10 are too narrow for a float difference of
+    # exponentials; every energy must be positive and keep its digits
+    exact = _exact_mode_energies(bench10, m)
+    for n, e in enumerate(np.eye(bench10.n)):
+        got = periodic.periodic_observation_energy(bench10, m, e)
+        assert got > 0.0
+        assert abs(got - exact[n]) <= 1e-14 * exact[n], n + 1
+
+
+def _exact_d_min(sys, k, dps=40):
+    """max_n (sqrt(w_n) - eps)_+ / sqrt(g_n) over one period, in `dps`
+    digits, and the worst mode's index."""
+    mpmath = pytest.importorskip("mpmath")
+    g = _exact_mode_energies(sys, 1)
+    with mpmath.workdps(dps):
+        eps = mpmath.exp(-k)
+        ratios = [max(mpmath.exp(mpmath.mpf(lam)) - eps, 0) / mpmath.sqrt(gn)
+                  for lam, gn in zip(sys.a_diag, g)]
+        worst = max(range(len(ratios)), key=ratios.__getitem__)
+        return ratios[worst], worst
+
+
+@pytest.mark.parametrize("modes", [8, 10])
+@pytest.mark.parametrize("k, in_gap", [(2, 0.40), (3, 3.0), (4, 40.0),
+                                       (5, 1300.0)])
+def test_periodic_claim_is_decided_exactly(modes, k, in_gap):
+    # D_min = max_n (sqrt(w_n) - eps)_+/sqrt(g_n) is exact: a D between it
+    # and the sufficient test's D (1.47 D_min) is certified, and a D just
+    # below it is refuted with the worst mode's axis
+    sys = periodic.build_multiplexed_system(modes)
+    # at D = 0 the margin is -D_min^2
+    d_min = math.sqrt(-periodic.periodic_weakobs_check(sys, k, 1, 0.0).margin)
+    exact, worst = _exact_d_min(sys, k)
+    assert abs(d_min - exact) <= 1e-12 * exact
+    assert worst == k - 2
+    assert d_min < in_gap < 1.47 * d_min
+    cert = periodic.periodic_weakobs_check(sys, k, 1, in_gap)
+    assert cert.status == weakobs.CERTIFIED
+    assert cert.margin == pytest.approx(in_gap**2 - d_min**2, rel=1e-12)
+    below = periodic.periodic_weakobs_check(sys, k, 1, d_min * (1 - 1e-6))
+    assert below.status == weakobs.REFUTED
+    assert below.margin < 0.0
+    assert np.array_equal(below.witness, np.eye(modes)[worst])
+
+
+@pytest.mark.parametrize("modes, ks", [(8, range(1, 9)),
+                                       (10, range(6, 11))])
+def test_benchmark_certifies_every_index(modes, ks):
+    # every index up to the truncation certifies (k = 1..5 at 10 modes:
+    # `test_benchmark_certificates_k1_to_k5`)
+    sys = periodic.build_multiplexed_system(modes)
+    for k in ks:
+        cert = periodic.multiplexed_stabilizability_check(sys, k)
+        assert cert.status == weakobs.CERTIFIED, k
+        assert cert.margin > 0.0, k
+
+
+def test_periodic_draws_no_random_state(bench10, monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    for k in range(1, 6):
+        periodic.multiplexed_stabilizability_check(bench10, k)
+    periodic.periodic_weakobs_check(
+        PeriodicSystem(period=1.0, a_diag=np.array([0.0]),
+                       windows=((0.3, 0.3),)), 1, 1, 5.0)
+    assert calls == []
 
 
 def test_benchmark_delegates_to_generic(bench10):

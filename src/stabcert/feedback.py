@@ -6,18 +6,19 @@ solution of the shift-by-mu Riccati equation
     (A + mu I)^T P + P (A + mu I) - P B B^T P + I = 0,
 
 solved on the stable invariant subspace of the associated Hamiltonian
-matrix (ordered real Schur form) with one Newton refinement, whose
+matrix (ordered real Schur form, one `dgees` call: `_lapack.real_schur`)
+with one Newton refinement (one `_lapack.lyapunov` solve), whose
 residual norm is formed once per iterate; a step whose Lyapunov solve
-fails, or perturbs the equation it solves, is dropped.  One PBH test
-comes first (`_pbh_offender`), and its pencils do not depend on mu: the
-pair's `LtiSystem.spectrum`, formed once per system, holds their Grams,
-and each mu screens them in one batched Cholesky; only where that fails
-does the exact test run, one batched SVD of the pencils of A + mu I.
-Undoing the
-shift moves every closed-loop eigenvalue of A + BK, K = -B^T P, left of
--mu.  A synthesis is returned only when the computed spectral rate
-exceeds mu and P is positive definite to working precision, lambda_min(P)
-> n u lambda_max(P) with u the unit roundoff.  A P that fails this is
+fails, or whose `trsyl` flags that it perturbed the equation it solves,
+is dropped.  One PBH test comes first (`_pbh_offender`), and its pencils
+do not depend on mu: the pair's `LtiSystem.spectrum`, formed once per
+system, holds their Grams, and each mu screens them in one batched
+Cholesky; only where that fails does the exact test run, one batched SVD
+of the pencils of A + mu I.  Undoing the shift moves every closed-loop
+eigenvalue of A + BK, K = -B^T P, left of -mu.  A synthesis is returned
+only when the computed spectral rate exceeds mu and P is positive
+definite to working precision, lambda_min(P) > n u lambda_max(P) with u
+the unit roundoff.  A P that fails this is
 singular in floating point, and its gain is no rate-mu gain however far
 left the computed eigenvalues sit (on n = 20 pairs at mu = 2 such gains
 reach ||K|| of about 1e8).  The remaining operations build the
@@ -43,13 +44,12 @@ still takes 33.6 slices in 3.4 `expm` calls).
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import schur, solve_continuous_lyapunov
 
+from ._lapack import lyapunov, real_schur
 from .semigroup import ExpTable, observability_gramian
 from .systems import LtiSystem
 from .weakobs import CertificateFamily
@@ -173,6 +173,9 @@ def solve_shifted_riccati(sys: LtiSystem, mu: float) -> FeedbackResult:
     exactly n stable eigenvalues, or a P that is not positive definite to
     working precision (see `FeedbackResult`), raises
     `np.linalg.LinAlgError`: PBH passed, so neither names an eigenvalue.
+    The one Newton step is kept only if its Lyapunov solve succeeds with
+    `trsyl`'s perturbed flag clear and it lowers the residual norm; no
+    warning is raised or filtered.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError("target rate mu must be positive and finite")
@@ -190,7 +193,7 @@ def solve_shifted_riccati(sys: LtiSystem, mu: float) -> FeedbackResult:
     ham[:n, n:] = -bbt
     ham[n:, :n] = -np.eye(n)
     ham[n:, n:] = -a_shift.T
-    _, z, sdim = schur(ham, output="real", sort=lambda re, im: re < 0.0)
+    _, z, sdim = real_schur(ham, stable_first=True)
     if sdim != n:
         raise np.linalg.LinAlgError(
             f"hamiltonian splits into sdim = {sdim} stable and "
@@ -206,19 +209,17 @@ def solve_shifted_riccati(sys: LtiSystem, mu: float) -> FeedbackResult:
 
     # one Newton step: tightens the residual by orders of magnitude; the
     # residual norm of the P kept is the one its iterate formed.  A step
-    # whose Lyapunov solve fails, or warns that it perturbed the
+    # whose Lyapunov solve fails, or whose trsyl perturbed the
     # coefficients (an eigenvalue pair of the closed loop summing to
     # about 0), solved another equation, and P stays unrefined
     res = residual_of(p)
     res_norm = float(np.linalg.norm(res))
     a_cl_shift = a_shift - bbt @ p
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            delta = solve_continuous_lyapunov(a_cl_shift.T, -res)
-    except (np.linalg.LinAlgError, RuntimeWarning):
-        pass
-    else:
+        delta, perturbed = lyapunov(a_cl_shift.T, -res)
+    except np.linalg.LinAlgError:
+        perturbed = True
+    if not perturbed:
         p_ref = 0.5 * ((p + delta) + (p + delta).T)
         ref_norm = float(np.linalg.norm(residual_of(p_ref)))
         if ref_norm < res_norm:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
+from ._lapack import lyapunov
 from .systems import (LtiSystem, ProjectionFamily, SpectralSystem,
                       UnboundedConstantsSpec)
 
@@ -96,9 +96,11 @@ def fit_semigroup_bound(sys: LtiSystem) -> SemigroupBound:
     rounding), and eigvalsh misses an eigenvalue of S or P by at most
     n u times its Frobenius norm.  A failed check raises
     `np.linalg.LinAlgError` with both margins; M is widened by P's
-    eigenvalue error.  The abscissa reads the eigenvalues of the pair's
-    `spectrum`, the record whose pencil Grams the rate-mu PBH test of
-    `feedback` screens.
+    eigenvalue error.  P comes from `_lapack.lyapunov`, whose `perturbed`
+    flag is ignored: A_s is stable by construction, and the a posteriori
+    check decides whatever equation `trsyl` solved.  The abscissa reads
+    the eigenvalues of the pair's `spectrum`, the record whose pencil
+    Grams the rate-mu PBH test of `feedback` screens.
     """
     a = sys.a_matrix
     if sys.is_diagonal:
@@ -109,7 +111,7 @@ def fit_semigroup_bound(sys: LtiSystem) -> SemigroupBound:
     abscissa = float(np.max(sys.spectrum.eigenvalues.real))
     delta0 = max(0.0, abscissa) + ENVELOPE_GAMMA
     a_s = a - delta0 * np.eye(n)
-    p = solve_continuous_lyapunov(a_s.T, -np.eye(n))
+    p, _ = lyapunov(a_s.T, -np.eye(n))
     p = 0.5 * (p + p.T)
     x = a_s.T @ p
     side = x + x.T

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm, solve_continuous_are
+from scipy.linalg import expm, solve_continuous_are, solve_continuous_lyapunov
 
 from stabcert import (feedback, lrconstants, semigroup, systems,
                       verification, weakobs)
@@ -312,33 +312,45 @@ def test_a_hamiltonian_that_does_not_split_names_no_eigenvalue():
 
 def test_a_perturbed_newton_step_is_not_kept(monkeypatch):
     # perfbench feedback job 26 of seed 11 (n = 20) at mu = 2: the Newton
-    # step's Lyapunov solve warns that it perturbed the coefficients (an
-    # eigenvalue pair of the closed loop sums to about 0), so it solved
-    # another equation.  The step is dropped with no warning let out
-    # (pytest runs with error::RuntimeWarning), and the unrefined P
-    # misses the rate
+    # step's Lyapunov solve perturbed the coefficients (an eigenvalue pair
+    # of the closed loop sums to about 0), so it solved another equation,
+    # and scipy's solve of the same equation warns so.  The step is
+    # dropped with no warning let out, and the unrefined P misses the rate
     rng = np.random.default_rng([11, 26])
     s = systems.build_system(rng.standard_normal((20, 20)) / math.sqrt(20),
                              rng.standard_normal((20, 2)))
     seen = []
-    solve = feedback.solve_continuous_lyapunov
+    solve = feedback.lyapunov
 
     def recorded(a, q):
-        # the solve's warnings, seen here and raised again in the caller's
-        # warning filters
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            x = solve(a, q)
-        seen.extend(str(w.message) for w in caught)
-        for w in caught:
-            warnings.warn(w.message)
-        return x
+        x, perturbed = solve(a, q)
+        seen.append((a.copy(), q.copy(), perturbed))
+        return x, perturbed
 
-    monkeypatch.setattr(feedback, "solve_continuous_lyapunov", recorded)
-    with pytest.raises(RuntimeError, match="missed the target") as missed:
-        feedback.solve_shifted_riccati(s, 2.0)
-    assert len(seen) == 1 and "perturbing the coefficients" in seen[0]
+    monkeypatch.setattr(feedback, "lyapunov", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeError, match="missed the target") as missed:
+            feedback.solve_shifted_riccati(s, 2.0)
+    assert [perturbed for _, _, perturbed in seen] == [True]
+    with pytest.warns(RuntimeWarning, match="perturbing the coefficients"):
+        solve_continuous_lyapunov(seen[0][0], seen[0][1])
     assert missed.value.measured_rate < 2.0
+
+
+def test_a_step_flagged_perturbed_is_dropped(monkeypatch):
+    # on a pair whose Newton step is kept, the same step flagged as
+    # perturbed is dropped: P and its residual are the unrefined ones
+    rng = np.random.default_rng([11, 0])
+    s = systems.build_system(rng.standard_normal((5, 5)) / math.sqrt(5),
+                             rng.standard_normal((5, 2)))
+    refined = feedback.solve_shifted_riccati(s, 1.0)
+    solve = feedback.lyapunov
+    monkeypatch.setattr(feedback, "lyapunov",
+                        lambda a, q: (solve(a, q)[0], True))
+    unrefined = feedback.solve_shifted_riccati(s, 1.0)
+    assert unrefined.residual > 10.0 * refined.residual
+    assert not np.array_equal(unrefined.riccati_p, refined.riccati_p)
 
 
 def test_dense_riccati_invariants():
